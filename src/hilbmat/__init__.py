@@ -3,6 +3,7 @@ determinants, identity certification, and spectral-gap experiments."""
 
 from .matrices import (
     GapReport,
+    ToeplitzOperator,
     cauchy_matrix,
     hilbert_hankel,
     hilbert_toeplitz,
@@ -54,7 +55,7 @@ __version__ = "0.1.0"
 __all__ = [
     "GapReport", "cauchy_matrix", "hilbert_hankel", "hilbert_toeplitz",
     "min_gaps", "prolate_matrix", "remove_index", "toeplitz_from_symbol",
-    "weighted_cauchy_matrix", "write_matrix_csv",
+    "weighted_cauchy_matrix", "write_matrix_csv", "ToeplitzOperator",
     "EigenPair", "SpectralDecomposition", "hankel_hilbert_norm",
     "skew_spectrum", "spectral_norm", "symmetric_eigen",
     "toeplitz_hilbert_norm", "toeplitz_hilbert_top_pair",

@@ -2,7 +2,8 @@
 
 Every command is deterministic for a fixed seed (numpy PCG64 generator);
 re-running with the same flags reproduces byte-identical CSV output.  Exit
-codes: 0 success, 1 a verified assertion failed, 2 usage error.
+codes: 0 success, 1 a verified assertion failed or a numerical failure, 2
+usage error (bad flags, or a value the constructions reject).
 """
 
 from __future__ import annotations
@@ -11,15 +12,12 @@ import argparse
 import sys
 
 import numpy as np
+from scipy.sparse.linalg import ArpackNoConvergence
 
 from . import gaps, identities, matrices, symbols
 from ._util import fmt17
 from .determinants import det_lu, det_matching, pfaffian
 from .spectra import spectral_norm
-
-
-def _out_stream(path):
-    return open(path, "w", newline="\n") if path else sys.stdout
 
 
 def _build_named_matrix(args):
@@ -215,7 +213,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (np.linalg.LinAlgError, ArpackNoConvergence) as exc:
+        # LinAlgError subclasses ValueError but reports a numerical failure
+        print(f"hilbmat: numerical failure: {exc}", file=sys.stderr)
+        return 1
+    except ValueError as exc:
+        print(f"hilbmat: error: {exc}", file=sys.stderr)
+        return 2
 
 
 def entrypoint():

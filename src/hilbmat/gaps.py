@@ -4,8 +4,10 @@ The skew Hilbert matrix norm approaches pi from below; the gap pi - ||T_R||
 is bracketed between pi/(2R) and (pi e log R + 2 pi e^3)/R.  The upper
 bracket is certified constructively: a unit coefficient vector built from
 powers of the Dirichlet kernel concentrates its trigonometric polynomial
-near x = 0, and exact integer/trigonometric arithmetic turns its tail energy
-into a rigorous certificate for the Rayleigh quotient.
+near x = 0, and its tail energy bounds the Rayleigh quotient.  The kernel
+coefficients are exact integers and every integral is analytic, so the
+certificate is quadrature-free; the sums and the Rayleigh quotient are
+float64, so it is not interval-rigorous.
 
 The Hankel Hilbert matrix converges far more slowly (like 1/log^2 R), which
 the hankel sweep records without asserting any constant-level agreement.
@@ -22,11 +24,8 @@ import numpy as np
 
 from ._util import write_csv
 from .identities import INEQ_SLACK, ResidualReport, _report, probe_eigenvector_monotonicity
-from .spectra import (
-    hankel_hilbert_norm,
-    hilbert_toeplitz_apply,
-    toeplitz_hilbert_norm,
-)
+from .matrices import ToeplitzOperator
+from .spectra import hankel_hilbert_norm, toeplitz_hilbert_norm
 
 
 def hilbert_toeplitz_gap(R: int) -> float:
@@ -229,7 +228,7 @@ def build_witness(R: int) -> WitnessCertificate:
         np.array([float(b) for b in coeffs_n]) / sqrt_e0
         * np.exp(-1j * ls * gamma / 2.0)
     )
-    rayleigh = abs(complex(np.vdot(u, hilbert_toeplitz_apply(u))))
+    rayleigh = abs(complex(np.vdot(u, ToeplitzOperator.hilbert(R).matvec(u))))
 
     return WitnessCertificate(
         params=params,

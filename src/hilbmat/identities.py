@@ -11,7 +11,7 @@ checks carry a 1e-10 slack.  Conjectured bounds are recorded, never asserted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -563,16 +563,8 @@ def _instance_battery(seed: int, x, c, rng: np.random.Generator):
     out.append(check_row_norm_bounds(x))
     if R >= 2:
         out.append(check_montgomery_vaughan(x))
-    for i, r in enumerate(out):
-        details = dict(r.details)
-        details.setdefault("seed", seed)
-        details["R"] = R
-        out[i] = ResidualReport(
-            name=r.name, max_residual=r.max_residual, scale=r.scale,
-            tolerance=r.tolerance, passed=r.passed, applicable=r.applicable,
-            probe=r.probe, instance=r.instance, details=details,
-        )
-    return out
+    # a report's own seed wins; R is always the instance's
+    return [replace(r, details={"seed": seed, **r.details, "R": R}) for r in out]
 
 
 def run_suite(seeds: int = 100, max_R: int = 50, include_canonical: bool = True):
@@ -598,15 +590,7 @@ def run_suite(seeds: int = 100, max_R: int = 50, include_canonical: bool = True)
             sym = check_centered_eigenvector_symmetry(S)
             probe, _, _ = probe_eigenvector_monotonicity(S)
             for rep in (sym, probe):
-                details = dict(rep.details)
-                details.setdefault("seed", -1)
-                details.setdefault("R", 2 * S + 1)
-                reports.append(ResidualReport(
-                    name=rep.name, max_residual=rep.max_residual, scale=rep.scale,
-                    tolerance=rep.tolerance, passed=rep.passed,
-                    applicable=rep.applicable, probe=rep.probe,
-                    instance=rep.instance, details=details,
-                ))
+                reports.append(replace(rep, details={"seed": -1, "R": 2 * S + 1, **rep.details}))
     for seed in range(seeds):
         x, c, rng = random_instance(seed, max_R)
         reports.extend(_instance_battery(seed, x, c, rng))

@@ -1,8 +1,10 @@
 """Constructors for the structured matrices of the weighted Hilbert family.
 
-All builders return plain float64 ndarrays.  Skew-symmetric outputs are
-assembled from their strict upper triangle and mirrored with negation, so
-``M.T == -M`` and ``M.diagonal() == 0`` hold exactly rather than to roundoff.
+All builders return plain float64 ndarrays.  The Cauchy builders assemble
+their strict upper triangle and mirror it with negation; every Toeplitz-family
+matrix is read from one (column, row) pair by ``ToeplitzOperator``, and the
+skew Hilbert matrix T_R takes row = -column.  Either way ``M.T == -M`` and
+``M.diagonal() == 0`` hold exactly rather than to roundoff.
 Node vectors must be strictly increasing; sorting is the caller's job, which
 keeps gap computations O(R) and sign conventions unambiguous.
 """
@@ -12,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import matmul_toeplitz, toeplitz
 
 from ._util import write_csv
 
@@ -76,10 +79,38 @@ def weighted_cauchy_matrix(x, c) -> np.ndarray:
     return upper - upper.T
 
 
+class ToeplitzOperator:
+    """Toeplitz matrix with entry (m, n) = col[m - n] for m >= n and
+    row[n - m] for m < n; ``row[0]`` is ignored in favour of ``col[0]``.
+
+    ``dense()`` assembles the matrix; ``matvec(x)`` applies it to a real or
+    complex vector in O(R log R) through FFT-based circulant embedding.
+    """
+
+    def __init__(self, col, row):
+        self.col = np.asarray(col)
+        self.row = np.asarray(row)
+
+    @classmethod
+    def hilbert(cls, R: int) -> "ToeplitzOperator":
+        """Skew Hilbert matrix T_R: column 0, 1, 1/2, .., 1/(R-1), row = -column.
+
+        Matrix-free use is not bound by the dense size cap MAX_DIM.
+        """
+        col = np.zeros(R)
+        col[1:] = 1.0 / np.arange(1.0, R)
+        return cls(col, -col)
+
+    def dense(self) -> np.ndarray:
+        return toeplitz(self.col, self.row)
+
+    def matvec(self, x) -> np.ndarray:
+        return matmul_toeplitz((self.col, self.row), x)
+
+
 def hilbert_toeplitz(R) -> np.ndarray:
     """Finite skew Hilbert matrix: entries 1/(m - n), equal nodes 1..R."""
-    R = _check_dim(R)
-    return cauchy_matrix(np.arange(1.0, R + 1.0))
+    return ToeplitzOperator.hilbert(_check_dim(R)).dense()
 
 
 def hilbert_hankel(R) -> np.ndarray:
@@ -92,8 +123,8 @@ def hilbert_hankel(R) -> np.ndarray:
 def prolate_matrix(R, w) -> np.ndarray:
     """Symmetric Toeplitz matrix sin(2*pi*w*(m-n))/(m-n), diagonal 2*pi*w.
 
-    Requires 0 < w < 1/2.  Entries are looked up from a single first-row
-    table by |m - n|, so symmetry is exact.
+    Requires 0 < w < 1/2.  The first column doubles as the first row, so
+    symmetry is exact.
     """
     R = _check_dim(R)
     w = float(w)
@@ -104,8 +135,7 @@ def prolate_matrix(R, w) -> np.ndarray:
     vals[0] = 2.0 * np.pi * w
     if R > 1:
         vals[1:] = np.sin(2.0 * np.pi * w * k[1:]) / k[1:]
-    diff = np.abs(np.subtract.outer(np.arange(R), np.arange(R)))
-    return vals[diff]
+    return ToeplitzOperator(vals, vals).dense()
 
 
 def toeplitz_from_symbol(coeffs, R) -> np.ndarray:
@@ -123,8 +153,8 @@ def toeplitz_from_symbol(coeffs, R) -> np.ndarray:
         values = np.array([coeffs.get(int(r), 0.0) for r in offsets])
     if np.all(np.isreal(values)):
         values = values.real.astype(float)
-    diff = np.subtract.outer(np.arange(R), np.arange(R)) + (R - 1)
-    return values[diff]
+    # values[R - 1 + r] = c_r: the column runs r = 0..R-1, the row r = 0..-(R-1)
+    return ToeplitzOperator(values[R - 1:], values[R - 1::-1]).dense()
 
 
 def remove_index(M: np.ndarray, n: int) -> np.ndarray:

@@ -7,8 +7,8 @@ i*B, whose real eigenvalues are the signed mu's, and reports each pair once
 as a unit eigenvector u = v + i*w for +i*mu (so B w = mu v, B v = -mu w).
 
 Norm-only queries stay in real arithmetic via -B^2.  Large Toeplitz/Hankel
-instances get a matrix-free path: FFT-based matvecs
-(scipy.linalg.matmul_toeplitz) under a Lanczos extremal-eigenvalue solve.
+instances get a matrix-free path: the FFT-based products of
+matrices.ToeplitzOperator under a Lanczos extremal-eigenvalue solve.
 """
 
 from __future__ import annotations
@@ -17,10 +17,9 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import matmul_toeplitz
 from scipy.sparse.linalg import LinearOperator, eigsh
 
-from .matrices import hilbert_hankel, hilbert_toeplitz
+from .matrices import ToeplitzOperator, hilbert_hankel, hilbert_toeplitz
 
 # Relative threshold below which a computed mu is classified as zero.  The
 # determinant structure forces an exact zero eigenvalue for odd R, so the
@@ -218,18 +217,10 @@ def trace_power_norm_estimate(B, k: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _hilbert_toeplitz_colrow(R: int):
-    k = np.arange(R, dtype=float)
-    col = np.zeros(R)
-    col[1:] = 1.0 / k[1:]
-    return col, -col
-
-
-def _t_matvec(colrow, x):
-    return matmul_toeplitz(colrow, x)
-
-
-def _lanczos_top(op: LinearOperator, R: int, return_vector=False):
+def _lanczos_top(matvec, R: int, return_vector=False):
+    """Top eigenvalue (and unit eigenvector) of the symmetric R x R operator
+    whose product is ``matvec``."""
+    op = LinearOperator((R, R), matvec=matvec, dtype=float)
     v0 = np.full(R, 1.0 / np.sqrt(R))
     ncv = min(R, 64)
     if return_vector:
@@ -239,10 +230,9 @@ def _lanczos_top(op: LinearOperator, R: int, return_vector=False):
     return float(lam[0])
 
 
-def hilbert_toeplitz_apply(x) -> np.ndarray:
-    """Apply the skew Hilbert matrix of matching size to a vector, O(R log R)."""
-    x = np.asarray(x).reshape(-1)
-    return _t_matvec(_hilbert_toeplitz_colrow(x.size), x)
+def _neg_square(T: ToeplitzOperator):
+    """Product of S = -T^2, positive semidefinite for a real skew T."""
+    return lambda x: -T.matvec(T.matvec(x))
 
 
 @lru_cache(maxsize=None)
@@ -255,14 +245,8 @@ def toeplitz_hilbert_norm(R: int, dense_cutoff: int = DENSE_CUTOFF) -> float:
     """
     if R <= dense_cutoff:
         return spectral_norm(hilbert_toeplitz(R))
-    colrow = _hilbert_toeplitz_colrow(R)
-
-    def matvec(x):
-        x = np.asarray(x).reshape(-1)
-        return -_t_matvec(colrow, _t_matvec(colrow, x))
-
-    op = LinearOperator((R, R), matvec=matvec, dtype=float)
-    return float(np.sqrt(max(_lanczos_top(op, R), 0.0)))
+    lam = _lanczos_top(_neg_square(ToeplitzOperator.hilbert(R)), R)
+    return float(np.sqrt(max(lam, 0.0)))
 
 
 def toeplitz_hilbert_top_pair(R: int, dense_cutoff: int = DENSE_CUTOFF) -> EigenPair:
@@ -272,17 +256,11 @@ def toeplitz_hilbert_top_pair(R: int, dense_cutoff: int = DENSE_CUTOFF) -> Eigen
         if not dec.pairs:
             raise ValueError("matrix has no nonzero eigenvalues")
         return dec.pairs[0]
-    colrow = _hilbert_toeplitz_colrow(R)
-
-    def matvec(x):
-        x = np.asarray(x).reshape(-1)
-        return -_t_matvec(colrow, _t_matvec(colrow, x))
-
-    op = LinearOperator((R, R), matvec=matvec, dtype=float)
-    lam, q = _lanczos_top(op, R, return_vector=True)
+    T = ToeplitzOperator.hilbert(R)
+    lam, q = _lanczos_top(_neg_square(T), R, return_vector=True)
     mu = float(np.sqrt(max(lam, 0.0)))
     q = q / float(np.linalg.norm(q))
-    w = -_t_matvec(colrow, q) / mu
+    w = -T.matvec(q) / mu
     w /= float(np.linalg.norm(w))
     inv_sqrt2 = 1.0 / np.sqrt(2.0)
     return EigenPair(mu=mu, v=q * inv_sqrt2, w=w * inv_sqrt2)
@@ -298,13 +276,6 @@ def hankel_hilbert_norm(R: int, dense_cutoff: int = DENSE_CUTOFF) -> float:
     if R <= dense_cutoff:
         return spectral_norm(hilbert_hankel(R))
     m = np.arange(R, dtype=float)
-    col = 1.0 / (m + R)          # entries 1/(m + R - k) at k = 1 -> column 1/R..1/(2R-1)
-    row = 1.0 / (R - m)          # first row 1/R, 1/(R-1), .., 1
-    colrow = (col, row)
-
-    def matvec(x):
-        x = np.asarray(x).reshape(-1)
-        return matmul_toeplitz(colrow, x[::-1])
-
-    op = LinearOperator((R, R), matvec=matvec, dtype=float)
-    return _lanczos_top(op, R)
+    # T[m, k] = 1/(m - k + R): column 1/R..1/(2R-1), first row 1/R, 1/(R-1), .., 1
+    T = ToeplitzOperator(1.0 / (m + R), 1.0 / (R - m))
+    return _lanczos_top(lambda x: T.matvec(x[::-1]), R)

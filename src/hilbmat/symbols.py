@@ -148,12 +148,6 @@ class SymbolSeries:
         x = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
         return float(np.abs(self.eval(x)).max())
 
-    def is_real_symbol(self, tol: float = 1e-12) -> bool:
-        return all(
-            abs(self.coeff(r) - np.conj(self.coeff(-r))) <= tol
-            for r in range(0, self.K + 1)
-        )
-
 
 # ---------------------------------------------------------------------------
 # Trigonometric polynomials phi built from unit coefficient vectors.

@@ -1,5 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import hilbmat
 
 from hilbmat.cli import main
 
@@ -25,6 +32,37 @@ def test_bad_flags_exit_2():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["norm", "--R", "0"],
+    ["det", "--R", "20"],
+    ["norm", "--kind", "prolate", "--w", "0.7"],
+    ["witness", "--R", "5"],
+    ["sweep-gap", "--R-max", "1"],
+])
+def test_rejected_values_exit_2(argv):
+    src = str(Path(hilbmat.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-m", "hilbmat.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("hilbmat: error: ")
+    assert "Traceback" not in proc.stderr
+
+
+def test_numerical_failure_exits_1(capsys, monkeypatch):
+    # LinAlgError subclasses ValueError but is not a usage error
+    def fail(M):
+        raise np.linalg.LinAlgError("eigenvalues did not converge")
+
+    monkeypatch.setattr("hilbmat.cli.spectral_norm", fail)
+    assert run_cli(["norm", "--R", "3"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["hilbmat: numerical failure: eigenvalues did not converge"]
 
 
 def test_gen_matrix_stdout(capsys):

@@ -65,8 +65,14 @@ def test_hilbert_toeplitz_small():
 
 
 def test_hilbert_toeplitz_matches_integer_nodes():
-    R = 9
-    np.testing.assert_array_equal(hilbert_toeplitz(R), cauchy_matrix(np.arange(1.0, R + 1)))
+    # bitwise, signs of zeros included: T_R read from (col, -col) equals the
+    # Cauchy build on the nodes 1..R
+    for R in (1, 2, 9, 64, 300):
+        T = hilbert_toeplitz(R)
+        old = cauchy_matrix(np.arange(1.0, R + 1))
+        assert T.dtype == old.dtype
+        assert np.array_equal(T, old)
+        assert np.array_equal(np.signbit(T), np.signbit(old))
 
 
 def test_hilbert_hankel_is_corner_of_toeplitz():

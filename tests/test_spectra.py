@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from hilbmat.matrices import (
+    ToeplitzOperator,
     hilbert_hankel,
     hilbert_toeplitz,
     toeplitz_from_symbol,
@@ -9,7 +10,6 @@ from hilbmat.matrices import (
 )
 from hilbmat.spectra import (
     hankel_hilbert_norm,
-    hilbert_toeplitz_apply,
     skew_spectrum,
     spectral_norm,
     symmetric_eigen,
@@ -196,13 +196,36 @@ class TestTracePowerEstimate:
             trace_power_norm_estimate(B, 2)
 
 
+R_PARITY = 37
+_M = np.arange(R_PARITY, dtype=float)
+_SYMBOL = {0: 0.5, 1: 1.0 - 2.0j, 2: 0.25j, -1: -0.75, -3: 2.0 + 1.0j}
+
+
 class TestMatrixFreeNorms:
-    def test_toeplitz_apply_matches_dense(self):
-        R = 37
+    # (operator, reverse x first, dense reference, complex x)
+    @pytest.mark.parametrize("op,reverse,reference,complex_x", [
+        pytest.param(ToeplitzOperator.hilbert(R_PARITY), False,
+                     hilbert_toeplitz(R_PARITY), False, id="hilbert-real"),
+        pytest.param(ToeplitzOperator.hilbert(R_PARITY), False,
+                     hilbert_toeplitz(R_PARITY), True, id="hilbert-complex"),
+        # the pair hankel_hilbert_norm applies to the reversed vector
+        pytest.param(ToeplitzOperator(1.0 / (_M + R_PARITY), 1.0 / (R_PARITY - _M)), True,
+                     hilbert_hankel(R_PARITY), False, id="hankel-reversed"),
+        pytest.param(ToeplitzOperator([_SYMBOL.get(r, 0.0) for r in range(R_PARITY)],
+                                      [_SYMBOL.get(-r, 0.0) for r in range(R_PARITY)]),
+                     False, toeplitz_from_symbol(_SYMBOL, R_PARITY), True,
+                     id="complex-symbol"),
+    ])
+    def test_matvec_matches_dense(self, op, reverse, reference, complex_x):
         rng = np.random.default_rng(2)
-        v = rng.normal(size=R) + 1j * rng.normal(size=R)
-        np.testing.assert_allclose(hilbert_toeplitz_apply(v), hilbert_toeplitz(R) @ v,
-                                   atol=1e-12)
+        v = rng.normal(size=R_PARITY) + 1j * rng.normal(size=R_PARITY)
+        if not complex_x:
+            v = v.real.copy()
+        x = v[::-1] if reverse else v
+        dense = op.dense()
+        np.testing.assert_array_equal(dense[:, ::-1] if reverse else dense, reference)
+        np.testing.assert_allclose(op.matvec(x), dense @ x, atol=1e-12)
+        np.testing.assert_allclose(op.matvec(x), reference @ v, atol=1e-12)
 
     def test_lanczos_agrees_with_dense_toeplitz(self):
         R = 300
