@@ -28,7 +28,6 @@ from .spectra import (
 from .determinants import (
     det_lu,
     det_matching,
-    enumerate_matchings,
     newton_girard_power_sums,
     pfaffian,
     principal_minor_sum,
@@ -60,8 +59,8 @@ __all__ = [
     "skew_spectrum", "spectral_norm", "symmetric_eigen",
     "toeplitz_hilbert_norm", "toeplitz_hilbert_top_pair",
     "trace_power_norm_estimate",
-    "det_lu", "det_matching", "enumerate_matchings",
-    "newton_girard_power_sums", "pfaffian", "principal_minor_sum",
+    "det_lu", "det_matching", "newton_girard_power_sums", "pfaffian",
+    "principal_minor_sum",
     "SymbolSeries", "gs_rate_check", "prolate_gap", "quadratic_form",
     "ResidualReport", "run_suite", "write_reports_csv",
     "WitnessCertificate", "WitnessParams", "build_witness",

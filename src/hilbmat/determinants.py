@@ -1,62 +1,56 @@
 """Determinants of skew matrices by three independent routes.
 
-The primary route expands det(B) over canonical perfect matchings of
-{1, .., R}: for weighted-Cauchy matrices the determinant equals the sum over
-matchings of the product of squared matched entries (all cross terms cancel
-through the Cauchy cocycle identity), hence is a polynomial in the squared
-entries and vanishes identically for odd R.  Two oracles cross-check it: an
-LU determinant and a Pfaffian computed by skew elimination, whose square is
-the determinant of any even skew matrix.
+The primary route expands det(B) over perfect matchings of {1, .., R}: for
+weighted-Cauchy matrices the determinant equals the sum over matchings of
+the product of squared matched entries (all cross terms cancel through the
+Cauchy cocycle identity), i.e. the hafnian of B∘B, which vanishes for odd R.
+One recursion, ``_matching_sums``, computes it together with the principal-
+minor sums: it expands along the lowest free index and memoizes on the
+free-index bitmask for the length of one call, so no cache outlives the call
+and the work is bounded by 2^R states rather than (R-1)!! matchings.  Every
+term is a product of squares, hence nonnegative, so plain summation is
+accurate.  Two oracles cross-check it: an LU determinant and a Pfaffian
+computed by skew elimination, whose square is the determinant of any even
+skew matrix.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-from functools import lru_cache
 
 import numpy as np
 
 from .spectra import require_skew
 
-# (R-1)!! matchings: R = 16 means ~2e6 terms, the desk-scale knee.
+# Matching sums visit up to 2^R free-index masks; R = 16 is the tested size.
 MATCHING_CAP = 16
-# Principal-minor sums do binom(R, k) * (k-1)!! work; cap accordingly.
-MINOR_SUM_CAP = 12
 
 
-@lru_cache(maxsize=None)
-def enumerate_matchings(R: int) -> tuple:
-    """All canonical perfect matchings of {1, .., R} (1-based pairs).
+def _matching_sums(W) -> tuple:
+    """m[j] = sum over all j-edge matchings of the product of W[a, b] over
+    their edges, for j = 0..R//2 (W symmetric, only a < b is read).
 
-    Canonical means every pair is (m, n) with m < n and pairs are listed by
-    increasing first element, which the recursion (always match the smallest
-    free index first) produces without deduplication.
+    The lowest free index is either left out or matched to a later free
+    index; the memo on the free-index mask lives for this call only.
     """
-    if R % 2 != 0 or R < 2:
-        raise ValueError("perfect matchings need an even positive size")
-    if R > MATCHING_CAP:
-        raise ValueError(f"matching enumeration capped at R = {MATCHING_CAP}")
+    rows = np.asarray(W, dtype=float).tolist()
+    R = len(rows)
+    memo = {0: (1.0,)}
 
-    def rec(free: tuple) -> list:
-        if not free:
-            return [()]
-        head, rest = free[0], free[1:]
-        out = []
-        for i, partner in enumerate(rest):
-            remaining = rest[:i] + rest[i + 1 :]
-            for tail in rec(remaining):
-                out.append(((head, partner),) + tail)
-        return out
+    def rec(free: int) -> tuple:
+        if free not in memo:
+            a = (free & -free).bit_length() - 1
+            rest = free ^ (1 << a)
+            out = list(rec(rest))
+            out += [0.0] * (free.bit_count() // 2 + 1 - len(out))
+            for b in range(a + 1, R):
+                if rest >> b & 1:
+                    for j, v in enumerate(rec(rest ^ (1 << b))):
+                        out[j + 1] += rows[a][b] * v
+            memo[free] = tuple(out)
+        return memo[free]
 
-    return tuple(rec(tuple(range(1, R + 1))))
-
-
-@lru_cache(maxsize=None)
-def _matching_index_arrays(R: int):
-    matchings = enumerate_matchings(R)
-    arr = np.array(matchings, dtype=np.intp) - 1  # (n_match, R/2, 2), 0-based
-    return arr[:, :, 0], arr[:, :, 1]
+    return rec((1 << R) - 1)
 
 
 def det_matching(B, check: bool = False) -> float:
@@ -73,12 +67,7 @@ def det_matching(B, check: bool = False) -> float:
         return 0.0
     if R > MATCHING_CAP:
         raise ValueError(f"det_matching capped at R = {MATCHING_CAP}")
-    if R == 0:
-        return 1.0
-    im, jn = _matching_index_arrays(R)
-    b2 = B * B
-    terms = np.prod(b2[im, jn], axis=1)
-    value = math.fsum(terms.tolist())
+    value = _matching_sums(B * B)[R // 2]
     if check:
         ref = pfaffian(B) ** 2
         if abs(value - ref) > 1e-10 * max(1.0, abs(ref)):
@@ -133,23 +122,22 @@ def pfaffian(B) -> float:
 def principal_minor_sum(B, k: int) -> float:
     """Sum of all k x k principal minors, via the matching expansion.
 
-    Equals the k-th elementary symmetric function of the eigenvalues.  Odd k
-    gives exactly zero since every odd principal minor of a skew matrix
-    vanishes.
+    Each even principal minor of a weighted-Cauchy matrix is the matching sum
+    of its squared entries, so the total is the sum over all k/2-edge
+    matchings of {1, .., R}: one entry of the same recursion that gives
+    ``det_matching``.  Equals the k-th elementary symmetric function of the
+    eigenvalues.  Odd k gives exactly zero since every odd principal minor of
+    a skew matrix vanishes.
     """
     B = require_skew(B)
     R = B.shape[0]
     if not 1 <= k <= R:
         raise ValueError("minor order k must satisfy 1 <= k <= R")
-    if R > MINOR_SUM_CAP:
-        raise ValueError(f"principal_minor_sum capped at R = {MINOR_SUM_CAP}")
+    if R > MATCHING_CAP:
+        raise ValueError(f"principal_minor_sum capped at R = {MATCHING_CAP}")
     if k % 2 == 1:
         return 0.0
-    parts = []
-    for subset in itertools.combinations(range(R), k):
-        idx = np.fromiter(subset, dtype=np.intp)
-        parts.append(det_matching(B[np.ix_(idx, idx)]))
-    return math.fsum(parts)
+    return _matching_sums(B * B)[k // 2]
 
 
 def newton_girard_power_sums(sigmas, L: int) -> list:

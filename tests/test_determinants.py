@@ -1,12 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 
 from hilbmat.determinants import (
     MATCHING_CAP,
-    MINOR_SUM_CAP,
+    _matching_sums,
     det_lu,
     det_matching,
-    enumerate_matchings,
     newton_girard_power_sums,
     pfaffian,
     principal_minor_sum,
@@ -23,37 +24,16 @@ def random_weighted_instance(seed, R):
     return weighted_cauchy_matrix(x, c)
 
 
-class TestEnumerateMatchings:
-    def test_r2(self):
-        assert enumerate_matchings(2) == ((((1, 2),),))
-
-    def test_r4_exact_set(self):
-        got = set(enumerate_matchings(4))
-        assert got == {
-            ((1, 2), (3, 4)),
-            ((1, 3), (2, 4)),
-            ((1, 4), (2, 3)),
-        }
-
-    @pytest.mark.parametrize("R,count", [(2, 1), (4, 3), (6, 15), (8, 105)])
-    def test_double_factorial_counts(self, R, count):
-        matchings = enumerate_matchings(R)
-        assert len(matchings) == count
-        assert len(set(matchings)) == count  # no duplicates
-
-    def test_canonical_ordering(self):
-        for matching in enumerate_matchings(6):
-            firsts = [m for m, _ in matching]
-            assert firsts == sorted(firsts)
-            assert all(m < n for m, n in matching)
-            flat = sorted(i for pair in matching for i in pair)
-            assert flat == list(range(1, 7))
-
-    def test_rejects_odd_and_capped(self):
-        with pytest.raises(ValueError):
-            enumerate_matchings(5)
-        with pytest.raises(ValueError):
-            enumerate_matchings(MATCHING_CAP + 2)
+class TestMatchingSums:
+    @pytest.mark.parametrize("R", range(1, 9))
+    def test_counts_on_all_ones(self, R):
+        # j-edge matchings of R points: choose 2j of them, then (2j-1)!! pairings
+        counts = _matching_sums(np.ones((R, R)))
+        expected = [
+            math.comb(R, 2 * j) * math.factorial(2 * j) // (2**j * math.factorial(j))
+            for j in range(R // 2 + 1)
+        ]
+        assert counts == tuple(float(n) for n in expected)
 
 
 class TestDetMatching:
@@ -173,7 +153,7 @@ class TestPrincipalMinorSum:
 
     def test_full_order_equals_determinant(self):
         B = random_weighted_instance(2, 8)
-        assert principal_minor_sum(B, 8) == pytest.approx(det_matching(B), rel=1e-14)
+        assert principal_minor_sum(B, 8) == det_matching(B)
 
     def test_equals_elementary_symmetric_of_eigenvalues(self):
         from hilbmat.spectra import skew_spectrum
@@ -193,8 +173,11 @@ class TestPrincipalMinorSum:
             assert principal_minor_sum(B, k) == pytest.approx(e_k.real, rel=1e-9)
 
     def test_cap(self):
+        Z = np.zeros((MATCHING_CAP + 2, MATCHING_CAP + 2))
         with pytest.raises(ValueError):
-            principal_minor_sum(np.zeros((MINOR_SUM_CAP + 2, MINOR_SUM_CAP + 2)), 2)
+            principal_minor_sum(Z, 2)
+        with pytest.raises(ValueError):
+            det_matching(Z)
 
 
 class TestNewtonGirard:
@@ -242,3 +225,12 @@ class TestOracleAgreement:
         tol = 1e-10 * max(1.0, abs(lu))
         assert abs(matching - lu) <= tol
         assert abs(pf2 - matching) <= tol
+
+    @pytest.mark.parametrize("kind", ["random", "hilbert"])
+    def test_routes_agree_at_the_cap(self, kind):
+        R = MATCHING_CAP
+        B = random_weighted_instance(7, R) if kind == "random" else hilbert_toeplitz(R)
+        matching = det_matching(B)
+        for ref in (pfaffian(B) ** 2, det_lu(B)):
+            assert abs(matching - ref) <= 1e-10 * abs(ref)
+        assert principal_minor_sum(B, R) == matching
