@@ -24,6 +24,67 @@ def random_weighted_instance(seed, R):
     return weighted_cauchy_matrix(x, c)
 
 
+def enumerate_matchings(R):
+    """Reference list of the canonical perfect matchings of {1, .., R}: pairs
+    (m, n) with m < n, listed by increasing first element.  Kept here as an
+    independent oracle for ``_matching_sums``; the library never lists them."""
+
+    def rec(free):
+        if not free:
+            return [()]
+        head, rest = free[0], free[1:]
+        return [
+            ((head, partner),) + tail
+            for i, partner in enumerate(rest)
+            for tail in rec(rest[:i] + rest[i + 1 :])
+        ]
+
+    return tuple(rec(tuple(range(1, R + 1))))
+
+
+def assert_top_sum_is_expansion(R, seed=0):
+    # _matching_sums(W)[R/2] must be the explicit sum over the listed matchings
+    rng = np.random.default_rng(seed)
+    W = rng.uniform(0.1, 2.0, (R, R))
+    W = W + W.T
+    expansion = math.fsum(
+        math.prod(W[m - 1, n - 1] for m, n in matching) for matching in enumerate_matchings(R)
+    )
+    assert _matching_sums(W)[R // 2] == pytest.approx(expansion, rel=1e-14)
+
+
+class TestEnumerateMatchings:
+    def test_r2(self):
+        assert enumerate_matchings(2) == ((((1, 2),),))
+        assert_top_sum_is_expansion(2)
+
+    def test_r4_exact_set(self):
+        got = set(enumerate_matchings(4))
+        assert got == {
+            ((1, 2), (3, 4)),
+            ((1, 3), (2, 4)),
+            ((1, 4), (2, 3)),
+        }
+        assert_top_sum_is_expansion(4)
+
+    @pytest.mark.parametrize("R,count", [(2, 1), (4, 3), (6, 15), (8, 105)])
+    def test_double_factorial_counts(self, R, count):
+        matchings = enumerate_matchings(R)
+        assert len(matchings) == count
+        assert len(set(matchings)) == count  # no duplicates
+        assert _matching_sums(np.ones((R, R)))[R // 2] == float(count)
+        assert_top_sum_is_expansion(R, seed=R)
+
+    def test_canonical_ordering(self):
+        for matching in enumerate_matchings(6):
+            firsts = [m for m, _ in matching]
+            assert firsts == sorted(firsts)
+            assert all(m < n for m, n in matching)
+            flat = sorted(i for pair in matching for i in pair)
+            assert flat == list(range(1, 7))
+        assert_top_sum_is_expansion(6)
+
+
 class TestMatchingSums:
     @pytest.mark.parametrize("R", range(1, 9))
     def test_counts_on_all_ones(self, R):
