@@ -4,8 +4,11 @@ Every check is a pure function of its inputs returning a ResidualReport.
 Exact algebraic cancellations (the removed-index sum, the diagonal power
 recursion) are held to 1e-12 of a sum-of-absolute-terms scale, so heavy
 cancellation cannot produce false passes.  Identities mediated by computed
-eigenpairs inherit the eigensolver residual and are held to 1e-9.  Inequality
-checks carry a 1e-10 slack.  Conjectured bounds are recorded, never asserted.
+eigenpairs inherit the eigensolver residual and are held to 1e-9; each is
+evaluated on all of an instance's eigenpairs at once, one pair per column, and
+reports the worst pair's residual over that pair's scale (with scale 1).
+Inequality checks carry a 1e-10 slack.  Conjectured bounds are recorded, never
+asserted.
 """
 
 from __future__ import annotations
@@ -37,29 +40,26 @@ INEQ_SLACK = 1e-10      # slack for one-sided bounds
 DISTINCT_REL = 1e-8     # eigenvalue separation threshold, relative to the norm
 MIN_NODE_GAP = 1e-3     # enforced minimum separation of random nodes
 
-# An identity evaluated as a double-precision sum with absolute term mass m
-# cannot be verified below ~eps * m; eigenpair-mediated checks floor their
-# scale so the pass threshold never dips under 512 eps * m.  The floor only
-# matters for eigenvalues orders of magnitude below the norm, where the
-# nominal scale mu^2 ||u||_inf^2 collapses.
-EVAL_NOISE = 512 * np.finfo(float).eps
 
+def _floored_scales(nominal, mass, mus=None, norm_ub=None, separations=None):
+    """Per-pair scale floors for eigenpair-mediated identities.
 
-def _floored_scale(nominal: float, mass: float, tolerance: float) -> float:
-    return max(nominal, mass * EVAL_NOISE / tolerance)
-
-
-def _pair_floored_scale(nominal, mass, mu, norm_ub, separation, tolerance):
-    """Scale floor for eigenpair-mediated identities.
-
-    A computed eigenvector is accurate to eps * norm / gap, where gap is the
-    distance from its eigenvalue to the rest of the spectrum (at most 2 mu,
-    the distance to the partner -i mu).  The identity inherits that error
-    with sensitivity bounded by its absolute term mass.
+    An identity evaluated as a double-precision sum with absolute term mass m
+    cannot be verified below ~eps * m, so the pass threshold never dips under
+    512 eps * m.  With ``mus`` given, pairs with mu > 0 also inherit the
+    eigenvector error eps * norm / gap, where gap is the distance from mu to
+    the rest of the spectrum (at most 2 mu, the distance to the partner
+    -i mu), with sensitivity bounded by the term mass.  The floor only matters
+    for eigenvalues orders of magnitude below the norm, where the nominal
+    scale mu^2 ||u||_inf^2 collapses.
     """
-    sep = 2.0 * mu if separation is None else min(float(separation), 2.0 * mu)
-    cond = max(512.0, 8.0 * norm_ub / max(sep, 1e-300))
-    return max(nominal, mass * np.finfo(float).eps * cond / tolerance)
+    cond = 512.0
+    if mus is not None:
+        sep = 2.0 * mus if separations is None else np.minimum(separations, 2.0 * mus)
+        # zero modes (mu = 0) keep the plain floor: an infinite gap gives 512
+        sep = np.where(mus > 0, sep, np.inf)
+        cond = np.maximum(512.0, 8.0 * norm_ub / np.maximum(sep, 1e-300))
+    return np.maximum(nominal, mass * np.finfo(float).eps * cond / TOL_EIGEN)
 
 
 def _row_norm_upper_bound(B) -> float:
@@ -153,6 +153,8 @@ def random_weights(R: int, rng: np.random.Generator) -> np.ndarray:
 
 def random_instance(seed: int, max_R: int, min_R: int = 4):
     """Seeded (nodes, weights, generator) triple with R drawn in [min_R, max_R]."""
+    if max_R < min_R:
+        raise ValueError(f"max_R must be >= min_R ({min_R})")
     rng = np.random.default_rng(seed)
     R = int(rng.integers(min_R, max_R + 1))
     x = random_nodes(R, rng)
@@ -292,96 +294,115 @@ def check_norm_dominance(x, c, x2, c2) -> ResidualReport:
 # ---------------------------------------------------------------------------
 
 
-def check_eigenvector_amplitude_identity(x, c, pair: EigenPair,
-                                         separation=None) -> ResidualReport:
+def _stack(pairs):
+    """Eigenvalues and the R x p real and imaginary eigenvector parts, one
+    pair per column."""
+    if not pairs:
+        raise ValueError("at least one eigenpair is required")
+    mus = np.array([p.mu for p in pairs], dtype=float)
+    return mus, np.column_stack([p.v for p in pairs]), np.column_stack([p.w for p in pairs])
+
+
+def _worst_pair(name, residuals, scales, mus, **details) -> ResidualReport:
+    """One report for a batch of pairs: the worst residual over its scale."""
+    ratios = residuals / np.where(scales > 0, scales, 1.0)
+    j = int(np.argmax(ratios))
+    return _report(name, ratios[j], 1.0, TOL_EIGEN, mu=float(mus[j]),
+                   pairs_checked=ratios.size, **details)
+
+
+def check_eigenvector_amplitude_identity(x, c, pairs, separations=None) -> ResidualReport:
     """Squared amplitudes of an eigenvector satisfy, for every n,
 
     mu^2 |u_n|^2 = sum_m a_{m,n}^2 (c_n^2 c_m^2 |u_m|^2
                                      + 2 c_n^3 c_m Re(u_n conj(u_m))).
 
-    Zero modes are excluded: the natural scale mu^2 ||u||_inf^2 degenerates.
-    ``separation`` (distance from mu to the nearest other eigenvalue) feeds
-    the conditioning-aware scale floor; 2 mu is used when absent.
+    Evaluated on all ``pairs`` at once.  Zero modes are dropped: the natural
+    scale mu^2 ||u||_inf^2 degenerates; with none left the report is not
+    applicable.  ``separations[j]`` (distance from pair j's mu to the nearest
+    other eigenvalue) feeds the conditioning-aware scale floor; 2 mu is used
+    when absent.
     """
-    mu = pair.mu
-    if mu == 0.0:
-        return _report("eigenvector_amplitude", 0.0, 1.0, TOL_EIGEN,
-                       applicable=False, R=len(pair.v))
     x = np.asarray(x, dtype=float)
+    mus, V, W = _stack(pairs)
+    keep = mus != 0.0
+    if not keep.any():
+        return _report("eigenvector_amplitude", 0.0, 1.0, TOL_EIGEN,
+                       applicable=False, R=x.size)
+    mus, U = mus[keep], V[:, keep] + 1j * W[:, keep]
+    if separations is not None:
+        separations = np.asarray(separations, dtype=float)[keep]
     c = np.asarray(c, dtype=float)
+    cc = c[:, None]
     A = cauchy_matrix(x)
     A2 = A * A
-    u = pair.u
-    p = np.abs(u) ** 2
-    rhs = c**2 * (A2 @ (c**2 * p)) + 2.0 * c**3 * np.real(u * np.conj(A2 @ (c * u)))
-    lhs = mu**2 * p
-    residual = float(np.abs(lhs - rhs).max())
-    mass = float(
-        (c**2 * (A2 @ (c**2 * p))
-         + 2.0 * np.abs(c) ** 3 * (A2 @ (np.abs(c) * np.abs(u))) * np.abs(u)
-         + lhs).max()
-    )
+    P = np.abs(U) ** 2
+    energy = cc**2 * (A2 @ (cc**2 * P))
+    rhs = energy + 2.0 * cc**3 * np.real(U * np.conj(A2 @ (cc * U)))
+    lhs = mus**2 * P
+    residuals = np.abs(lhs - rhs).max(axis=0)
+    mass = (energy
+            + 2.0 * np.abs(cc) ** 3 * (A2 @ (np.abs(cc) * np.abs(U))) * np.abs(U)
+            + lhs).max(axis=0)
     norm_ub = _row_norm_upper_bound(weighted_cauchy_matrix(x, c))
-    scale = _pair_floored_scale(mu**2 * float(p.max()), mass, mu, norm_ub,
-                                separation, TOL_EIGEN)
-    return _report("eigenvector_amplitude", residual, scale, TOL_EIGEN,
-                   R=x.size, mu=mu)
+    scales = _floored_scales(mus**2 * P.max(axis=0), mass, mus, norm_ub, separations)
+    return _worst_pair("eigenvector_amplitude", residuals, scales, mus, R=x.size)
 
 
-def check_real_imag_coupling(x, c, pair: EigenPair, separation=None) -> ResidualReport:
+def check_real_imag_coupling(x, c, pairs, separations=None) -> ResidualReport:
     """Real and imaginary parts of an eigenvector are coupled entrywise:
 
     mu^2 v_n^2 = sum_m b_{n,m}^2 w_m^2
                  + 2 c_n^2 sum_{m != n} a_{n,m} w_m (mu v_m - b_{m,n} w_n),
 
-    and for mu != 0 the two parts carry equal norm.  The norm-split defect is
-    folded into the residual so that ``passed`` covers both statements; raw
-    values are recorded in the details.
+    and for mu != 0 the two parts carry equal norm.  Evaluated on all
+    ``pairs`` at once; ``separations`` as for the amplitude identity.  The
+    norm-split defect is folded into each pair's residual so that ``passed``
+    covers both statements; the largest raw values are recorded in the
+    details.
     """
     x = np.asarray(x, dtype=float)
     c = np.asarray(c, dtype=float)
+    c2 = c[:, None] ** 2
+    mus, V, W = _stack(pairs)
     B = weighted_cauchy_matrix(x, c)
     A = cauchy_matrix(x)
-    v, w, mu = pair.v, pair.w, pair.mu
-    rhs = (B * B) @ (w**2) + 2.0 * c**2 * (
-        mu * (A @ (w * v)) - w * ((A * B.T) @ w)
-    )
-    lhs = mu**2 * v**2
-    residual = float(np.abs(lhs - rhs).max())
-    aw = np.abs(w)
-    mass = float(
-        ((B * B) @ (w**2)
-         + 2.0 * c**2 * (mu * (np.abs(A) @ (aw * np.abs(v)))
-                         + aw * ((np.abs(A) * np.abs(B.T)) @ aw))
-         + np.abs(lhs)).max()
-    )
-    if mu > 0:
-        scale = _pair_floored_scale(mu**2 * float((np.abs(pair.u) ** 2).max()),
-                                    mass, mu, _row_norm_upper_bound(B),
-                                    separation, TOL_EIGEN)
-    else:
-        scale = _floored_scale(1.0, mass, TOL_EIGEN)
-    norm_split = abs(float(np.linalg.norm(v)) - float(np.linalg.norm(w))) if mu > 0 else 0.0
+    energy = (B * B) @ (W**2)
+    rhs = energy + 2.0 * c2 * (mus * (A @ (W * V)) - W * ((A * B.T) @ W))
+    lhs = mus**2 * V**2
+    residuals = np.abs(lhs - rhs).max(axis=0)
+    aW = np.abs(W)
+    mass = (energy
+            + 2.0 * c2 * (mus * (np.abs(A) @ (aW * np.abs(V)))
+                          + aW * ((np.abs(A) * np.abs(B.T)) @ aW))
+            + np.abs(lhs)).max(axis=0)
+    nonzero = mus > 0
+    nominal = np.where(nonzero, mus**2 * (np.abs(V + 1j * W) ** 2).max(axis=0), 1.0)
+    scales = _floored_scales(nominal, mass, mus, _row_norm_upper_bound(B), separations)
+    norm_split = np.where(
+        nonzero, np.abs(np.linalg.norm(V, axis=0) - np.linalg.norm(W, axis=0)), 0.0)
     # rescale the norm-split defect onto the identity tolerance
-    folded = max(residual, norm_split * (TOL_EIGEN * scale) / 1e-10)
-    return _report("real_imag_coupling", folded, scale, TOL_EIGEN,
-                   R=x.size, mu=mu, identity_residual=residual,
-                   norm_split=norm_split)
+    folded = np.maximum(residuals, norm_split * (TOL_EIGEN * scales) / 1e-10)
+    return _worst_pair("real_imag_coupling", folded, scales, mus, R=x.size,
+                       identity_residual=float(residuals.max()),
+                       norm_split=float(norm_split.max()))
 
 
-def check_weighted_sum_identity(c, pair: EigenPair) -> ResidualReport:
+def check_weighted_sum_identity(c, pairs) -> ResidualReport:
     """The weighted component sum of an eigenvector collapses:
 
-    |sum_r c_r u_r|^2 = sum_r |c_r u_r|^2.
+    |sum_r c_r u_r|^2 = sum_r |c_r u_r|^2,
+
+    evaluated on all ``pairs`` at once.
     """
     c = np.asarray(c, dtype=float)
-    u = pair.u
-    lhs = abs(np.sum(c * u)) ** 2
-    rhs = float(np.sum(c**2 * np.abs(u) ** 2))
-    mass = float(np.sum(np.abs(c) * np.abs(u))) ** 2 + rhs
-    scale = _floored_scale(rhs, mass, TOL_EIGEN)
-    return _report("weighted_sum_identity", abs(lhs - rhs), scale, TOL_EIGEN,
-                   R=c.size, mu=pair.mu)
+    mus, V, W = _stack(pairs)
+    U = V + 1j * W
+    lhs = np.abs(c @ U) ** 2
+    rhs = c**2 @ (np.abs(U) ** 2)
+    mass = (np.abs(c) @ np.abs(U)) ** 2 + rhs
+    return _worst_pair("weighted_sum_identity", np.abs(lhs - rhs),
+                       _floored_scales(rhs, mass), mus, R=c.size)
 
 
 def check_eigenvalue_distinctness(x, c, dec: SpectralDecomposition | None = None) -> ResidualReport:
@@ -507,20 +528,6 @@ def probe_eigenvector_monotonicity(S: int):
 # ---------------------------------------------------------------------------
 
 
-def _merge_pair_checks(name, reports) -> ResidualReport:
-    """Fold per-eigenpair reports into one, as the worst normalized residual."""
-    applicable = [r for r in reports if r.applicable]
-    if not applicable:
-        base = reports[0]
-        return _report(name, 0.0, 1.0, base.tolerance, applicable=False,
-                       **reports[0].details)
-    worst = max(r.max_residual / r.scale for r in applicable)
-    tol = applicable[0].tolerance
-    details = dict(applicable[0].details)
-    details["pairs_checked"] = len(applicable)
-    return _report(name, worst, 1.0, tol, **details)
-
-
 def _instance_battery(seed: int, x, c, rng: np.random.Generator):
     R = x.size
     B = weighted_cauchy_matrix(x, c)
@@ -536,29 +543,17 @@ def _instance_battery(seed: int, x, c, rng: np.random.Generator):
         check_norm_dominance(x * (1.0 + rng.uniform(0.1, 2.0)), c, x, c),
     ]
     dec = skew_spectrum(B)
-    nonzero = dec.pairs
-    evs = dec.signed_eigenvalues()
-
-    def separation(p):
-        return float(np.sort(np.abs(evs - p.mu))[1]) if evs.size > 1 else None
-
-    all_pairs = list(nonzero) + [
+    pairs = list(dec.pairs) + [
         EigenPair(0.0, dec.zero_vectors[:, j], np.zeros(R))
         for j in range(dec.zero_multiplicity)
     ]
-    out.append(_merge_pair_checks(
-        "eigenvector_amplitude",
-        [check_eigenvector_amplitude_identity(x, c, p, separation(p)) for p in nonzero] or
-        [check_eigenvector_amplitude_identity(x, c, EigenPair(0.0, np.zeros(R), np.zeros(R)))],
-    ))
-    out.append(_merge_pair_checks(
-        "real_imag_coupling",
-        [check_real_imag_coupling(x, c, p, separation(p)) for p in all_pairs],
-    ))
-    out.append(_merge_pair_checks(
-        "weighted_sum_identity",
-        [check_weighted_sum_identity(c, p) for p in all_pairs],
-    ))
+    mus = np.array([p.mu for p in pairs])
+    evs = dec.signed_eigenvalues()
+    # distance from each pair's mu to the nearest other eigenvalue
+    seps = np.sort(np.abs(evs - mus[:, None]), axis=1)[:, 1] if R > 1 else None
+    out.append(check_eigenvector_amplitude_identity(x, c, pairs, seps))
+    out.append(check_real_imag_coupling(x, c, pairs, seps))
+    out.append(check_weighted_sum_identity(c, pairs))
     out.append(check_eigenvalue_distinctness(x, c, dec))
     out.append(check_row_norm_bounds(x))
     if R >= 2:
@@ -575,6 +570,8 @@ def run_suite(seeds: int = 100, max_R: int = 50, include_canonical: bool = True)
     eigenvector checks.  Deterministic: the same arguments reproduce
     bit-identical reports.
     """
+    if seeds < 0:
+        raise ValueError("seeds must be >= 0")
     reports: list[ResidualReport] = []
     if include_canonical:
         for R in CANONICAL_SIZES:

@@ -61,11 +61,7 @@ def _check_dim(R) -> int:
 def cauchy_matrix(x) -> np.ndarray:
     """Skew matrix with entries 1/(x_m - x_n) off the diagonal, 0 on it."""
     x = as_nodes(x)
-    R = x.size
-    upper = np.zeros((R, R))
-    iu, ju = np.triu_indices(R, k=1)
-    upper[iu, ju] = 1.0 / (x[iu] - x[ju])
-    return upper - upper.T
+    return weighted_cauchy_matrix(x, np.ones(x.size))
 
 
 def weighted_cauchy_matrix(x, c) -> np.ndarray:

@@ -236,22 +236,22 @@ def _neg_square(T: ToeplitzOperator):
 
 
 @lru_cache(maxsize=None)
-def toeplitz_hilbert_norm(R: int, dense_cutoff: int = DENSE_CUTOFF) -> float:
+def toeplitz_hilbert_norm(R: int) -> float:
     """Spectral norm of the R x R skew Hilbert matrix.
 
     Dense solve below the cutoff; above it, Lanczos on S = -T^2 with
     FFT-based Toeplitz matvecs (O(R log R) per iteration).  Values are
     memoized: gap sweeps and bound checks revisit the same sizes.
     """
-    if R <= dense_cutoff:
+    if R <= DENSE_CUTOFF:
         return spectral_norm(hilbert_toeplitz(R))
     lam = _lanczos_top(_neg_square(ToeplitzOperator.hilbert(R)), R)
     return float(np.sqrt(max(lam, 0.0)))
 
 
-def toeplitz_hilbert_top_pair(R: int, dense_cutoff: int = DENSE_CUTOFF) -> EigenPair:
+def toeplitz_hilbert_top_pair(R: int) -> EigenPair:
     """Top eigenpair of the R x R skew Hilbert matrix."""
-    if R <= dense_cutoff:
+    if R <= DENSE_CUTOFF:
         dec = skew_spectrum(hilbert_toeplitz(R))
         if not dec.pairs:
             raise ValueError("matrix has no nonzero eigenvalues")
@@ -267,13 +267,13 @@ def toeplitz_hilbert_top_pair(R: int, dense_cutoff: int = DENSE_CUTOFF) -> Eigen
 
 
 @lru_cache(maxsize=None)
-def hankel_hilbert_norm(R: int, dense_cutoff: int = DENSE_CUTOFF) -> float:
+def hankel_hilbert_norm(R: int) -> float:
     """Spectral norm of the R x R symmetric Hilbert matrix 1/(m+n-1).
 
     The matrix is positive definite, so the norm is its top eigenvalue.  The
     matrix-free path evaluates H x = T (reverse x) with a Toeplitz T.
     """
-    if R <= dense_cutoff:
+    if R <= DENSE_CUTOFF:
         return spectral_norm(hilbert_hankel(R))
     m = np.arange(R, dtype=float)
     # T[m, k] = 1/(m - k + R): column 1/R..1/(2R-1), first row 1/R, 1/(R-1), .., 1

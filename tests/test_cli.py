@@ -40,6 +40,8 @@ def test_bad_flags_exit_2():
     ["norm", "--kind", "prolate", "--w", "0.7"],
     ["witness", "--R", "5"],
     ["sweep-gap", "--R-max", "1"],
+    ["verify", "--seeds", "-1"],
+    ["verify", "--max-R", "3"],
 ])
 def test_rejected_values_exit_2(argv):
     src = str(Path(hilbmat.__file__).resolve().parent.parent)

@@ -179,14 +179,14 @@ class TestEigenpairIdentities:
             u, mu = p.u, p.mu
             rhs = A2 @ (np.abs(u) ** 2) + 2.0 * np.real(u * np.conj(A2 @ u))
             np.testing.assert_allclose(mu**2 * np.abs(u) ** 2, rhs, atol=1e-12)
-            rep = check_eigenvector_amplitude_identity(x, np.ones(5), p)
+            rep = check_eigenvector_amplitude_identity(x, np.ones(5), [p])
             assert rep.passed
 
     def test_t3_top_pair(self):
         x = np.arange(1.0, 4.0)
         c = np.ones(3)
         dec = skew_spectrum(weighted_cauchy_matrix(x, c))
-        rep = check_eigenvector_amplitude_identity(x, c, dec.pairs[0])
+        rep = check_eigenvector_amplitude_identity(x, c, [dec.pairs[0]])
         assert rep.passed and rep.max_residual <= 1e-10 * rep.scale
 
     @pytest.mark.parametrize("seed", [0, 3, 11])
@@ -198,7 +198,7 @@ class TestEigenpairIdentities:
         evs = dec.signed_eigenvalues()
         for p in dec.pairs:
             sep = float(np.sort(np.abs(evs - p.mu))[1])
-            assert check_eigenvector_amplitude_identity(x, c, p, sep).passed
+            assert check_eigenvector_amplitude_identity(x, c, [p], [sep]).passed
 
     def test_coupling_zero_mode_exact(self):
         x = np.arange(1.0, 6.0)
@@ -206,7 +206,7 @@ class TestEigenpairIdentities:
         dec = skew_spectrum(weighted_cauchy_matrix(x, c))
         assert dec.zero_multiplicity == 1
         pair = EigenPair(0.0, dec.zero_vectors[:, 0], np.zeros(5))
-        rep = check_real_imag_coupling(x, c, pair)
+        rep = check_real_imag_coupling(x, c, [pair])
         assert rep.passed
         assert rep.details["identity_residual"] == 0.0  # w = 0 exactly
 
@@ -214,7 +214,7 @@ class TestEigenpairIdentities:
         x = np.arange(1.0, 6.0)
         c = np.ones(5)
         dec = skew_spectrum(weighted_cauchy_matrix(x, c))
-        rep = check_real_imag_coupling(x, c, dec.pairs[0])
+        rep = check_real_imag_coupling(x, c, [dec.pairs[0]])
         assert rep.passed
         assert rep.details["norm_split"] <= 1e-10
 
@@ -225,18 +225,18 @@ class TestEigenpairIdentities:
         c = random_weights(10, rng)
         dec = skew_spectrum(weighted_cauchy_matrix(x, c))
         for p in dec.pairs:
-            assert check_real_imag_coupling(x, c, p).passed
+            assert check_real_imag_coupling(x, c, [p]).passed
 
     def test_weighted_sum_r1(self):
         pair = EigenPair(0.0, np.array([1.0]), np.array([0.0]))
-        assert check_weighted_sum_identity(np.array([2.0]), pair).passed
+        assert check_weighted_sum_identity(np.array([2.0]), [pair]).passed
 
     def test_weighted_sum_t3_unit_weights(self):
         x = np.arange(1.0, 4.0)
         dec = skew_spectrum(cauchy_matrix(x))
         u = dec.pairs[0].u
         assert abs(np.sum(u)) ** 2 == pytest.approx(np.sum(np.abs(u) ** 2), abs=1e-12)
-        assert check_weighted_sum_identity(np.ones(3), dec.pairs[0]).passed
+        assert check_weighted_sum_identity(np.ones(3), [dec.pairs[0]]).passed
 
     def test_weighted_sum_random_r15_all_pairs(self):
         rng = np.random.default_rng(123)
@@ -248,7 +248,29 @@ class TestEigenpairIdentities:
             for j in range(dec.zero_multiplicity)
         ]
         for p in pairs:
-            assert check_weighted_sum_identity(c, p).passed
+            assert check_weighted_sum_identity(c, [p]).passed
+
+    def test_one_bad_pair_fails_the_batch(self):
+        rng = np.random.default_rng(5)
+        x = random_nodes(12, rng)
+        c = random_weights(12, rng)
+        pairs = skew_spectrum(weighted_cauchy_matrix(x, c)).pairs
+        checks = [
+            lambda ps: check_eigenvector_amplitude_identity(x, c, ps),
+            lambda ps: check_real_imag_coupling(x, c, ps),
+            lambda ps: check_weighted_sum_identity(c, ps),
+        ]
+        for check in checks:
+            rep = check(pairs)
+            assert rep.passed and rep.details["pairs_checked"] == len(pairs)
+        bad = list(pairs)
+        v = bad[2].v.copy()
+        v[0] += 1e-6
+        bad[2] = EigenPair(bad[2].mu, v, bad[2].w)
+        for check in checks:
+            assert not check(bad).passed
+        zero_modes = [EigenPair(0.0, np.eye(12)[:, j], np.zeros(12)) for j in range(2)]
+        assert not check_eigenvector_amplitude_identity(x, c, zero_modes).applicable
 
 
 class TestEigenvalueDistinctness:
