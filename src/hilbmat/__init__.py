@@ -33,7 +33,8 @@ from .determinants import (
     principal_minor_sum,
 )
 from .symbols import SymbolSeries, gs_rate_check, prolate_gap, quadratic_form
-from .identities import ResidualReport, run_suite, write_reports_csv
+from .identities import run_suite, write_reports_csv
+from .reports import ResidualReport
 from .gaps import (
     WitnessCertificate,
     WitnessParams,

@@ -74,14 +74,12 @@ def cmd_verify(args) -> int:
     reports = identities.run_suite(seeds=args.seeds, max_R=args.max_R)
     target = args.out if args.out else sys.stdout
     identities.write_reports_csv(reports, target)
-    failed = [r for r in reports if r.applicable and not r.probe and not r.passed]
-    if failed:
-        for r in failed:
-            print(f"FAILED {r.name}: residual={fmt17(r.max_residual)} "
-                  f"tol*scale={fmt17(r.tolerance * r.scale)} {r.details}",
-                  file=sys.stderr)
-        return 1
-    return 0
+    failed = [r for r in reports if r.failed]
+    for r in failed:
+        print(f"FAILED {r.name}: residual={fmt17(r.max_residual)} "
+              f"tol*scale={fmt17(r.tolerance * r.scale)} {r.details}",
+              file=sys.stderr)
+    return 1 if failed else 0
 
 
 def cmd_sweep_gap(args) -> int:
@@ -91,7 +89,7 @@ def cmd_sweep_gap(args) -> int:
 
 
 def cmd_eigvec_profile(args) -> int:
-    report, offsets, amp = gaps.figure2_profile(args.S)
+    report, offsets, amp = identities.probe_eigenvector_monotonicity(args.S)
     gaps.write_figure2_csv(offsets, amp, args.out if args.out else sys.stdout)
     print(f"conjecture_holds={report.details['conjecture_holds']} "
           f"monotone_decay_from_center={report.details['monotone_decay_from_center']} "
@@ -100,17 +98,12 @@ def cmd_eigvec_profile(args) -> int:
 
 
 def cmd_witness(args) -> int:
-    certs = gaps.sweep_witness(args.R)
+    certs = [gaps.build_witness(R) for R in args.R]
     gaps.write_witness_csv(certs, args.out if args.out else sys.stdout)
-    bad = [c for c in certs
-           if c.epsilon > c.epsilon_bound
-           or c.rayleigh > c.norm_t + 1e-9
-           or np.pi - c.rayleigh > c.gap_bound + 1e-9]
-    if bad:
-        for c in bad:
-            print(f"FAILED witness certificate at R={c.params.R}", file=sys.stderr)
-        return 1
-    return 0
+    failed = [c for c in certs if gaps.check_witness(c).failed]
+    for c in failed:
+        print(f"FAILED witness certificate at R={c.params.R}", file=sys.stderr)
+    return 1 if failed else 0
 
 
 def cmd_prolate_gap(args) -> int:

@@ -7,7 +7,8 @@ powers of the Dirichlet kernel concentrates its trigonometric polynomial
 near x = 0, and its tail energy bounds the Rayleigh quotient.  The kernel
 coefficients are exact integers and every integral is analytic, so the
 certificate is quadrature-free; the sums and the Rayleigh quotient are
-float64, so it is not interval-rigorous.
+float64, so it is not interval-rigorous.  ``check_witness`` holds its three
+inequalities with no slack; the gap lower bounds carry INEQ_SLACK.
 
 The Hankel Hilbert matrix converges far more slowly (like 1/log^2 R), which
 the hankel sweep records without asserting any constant-level agreement.
@@ -23,8 +24,8 @@ from fractions import Fraction
 import numpy as np
 
 from ._util import write_csv
-from .identities import INEQ_SLACK, ResidualReport, _report, probe_eigenvector_monotonicity
 from .matrices import ToeplitzOperator
+from .reports import INEQ_SLACK, ResidualReport, residual_report
 from .spectra import hankel_hilbert_norm, toeplitz_hilbert_norm
 
 
@@ -64,8 +65,8 @@ def check_odd_gap_lower_bound(S: int) -> ResidualReport:
         norm**2 - (np.pi**2 - 6.0 / (S + 1)),
         3.0 / (np.pi * (S + 1)) - gap,
     )
-    return _report("odd_gap_lower_bound", violation, 1.0, INEQ_SLACK,
-                   R=R, S=S, norm=norm, gap=gap)
+    return residual_report("odd_gap_lower_bound", violation, 1.0, INEQ_SLACK,
+                           R=R, S=S, norm=norm, gap=gap)
 
 
 def check_universal_gap_lower_bound(R: int) -> ResidualReport:
@@ -74,8 +75,8 @@ def check_universal_gap_lower_bound(R: int) -> ResidualReport:
         raise ValueError("R must be >= 1")
     gap = hilbert_toeplitz_gap(R)
     violation = max(0.0, np.pi / (2.0 * R) - gap)
-    return _report("universal_gap_lower_bound", violation, 1.0, INEQ_SLACK,
-                   R=R, gap=gap)
+    return residual_report("universal_gap_lower_bound", violation, 1.0, INEQ_SLACK,
+                           R=R, gap=gap)
 
 
 # ---------------------------------------------------------------------------
@@ -132,8 +133,8 @@ def check_central_coefficient_bounds(M: int, N: int) -> ResidualReport:
     lower_ok = M ** (2 * N) <= b * (N * (M - 1) + 1)
     upper_ok = b <= M ** (2 * N - 1)
     ok = lower_ok and upper_ok
-    return _report("central_coefficient_bounds", 0.0 if ok else 1.0, 1.0, 0.0,
-                   M=M, N=N, lower_ok=lower_ok, upper_ok=upper_ok)
+    return residual_report("central_coefficient_bounds", 0.0 if ok else 1.0, 1.0, 0.0,
+                           M=M, N=N, lower_ok=lower_ok, upper_ok=upper_ok)
 
 
 @dataclass(frozen=True)
@@ -245,6 +246,18 @@ def build_witness(R: int) -> WitnessCertificate:
     )
 
 
+def check_witness(cert: WitnessCertificate) -> ResidualReport:
+    """The certificate's three inequalities, held exactly (tolerance 0):
+
+    epsilon <= epsilon_bound,  rayleigh <= ||T_R||,  pi - rayleigh <= gap_bound.
+    """
+    violation = max(0.0, cert.epsilon - cert.epsilon_bound,
+                    cert.rayleigh - cert.norm_t,
+                    (np.pi - cert.rayleigh) - cert.gap_bound)
+    return residual_report("witness_certificate", violation, 1.0, 0.0,
+                           R=cert.params.R)
+
+
 # ---------------------------------------------------------------------------
 # Sweeps and CSV emission.
 # ---------------------------------------------------------------------------
@@ -287,19 +300,9 @@ def write_figure1_csv(rows, target):
     write_csv(target, ["R", "norm", "gap", "rescaled_gap"], rows)
 
 
-def figure2_profile(S: int):
-    """Amplitude profile of the top eigenvector of the (2S+1)-dim skew
-    Hilbert matrix; returns (report, offsets, amplitudes)."""
-    return probe_eigenvector_monotonicity(S)
-
-
 def write_figure2_csv(offsets, amplitudes, target):
     write_csv(target, ["n", "abs_u_n"],
               ((int(n), float(a)) for n, a in zip(offsets, amplitudes)))
-
-
-def sweep_witness(R_values):
-    return [build_witness(int(R)) for R in R_values]
 
 
 def write_witness_csv(certs, target):
@@ -316,6 +319,8 @@ def write_witness_csv(certs, target):
 
 def sweep_hankel(R_max: int = 500, threads: int = 1):
     """Rows (R, norm, gap, wilf_ratio) for the Hankel Hilbert matrices."""
+    if R_max < 1:
+        raise ValueError("R_max must be >= 1")
 
     def one(R):
         norm = hankel_hilbert_norm(R)

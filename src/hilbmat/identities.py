@@ -1,20 +1,20 @@
 """Numeric certification of the algebraic identities of the matrix family.
 
-Every check is a pure function of its inputs returning a ResidualReport.
-Exact algebraic cancellations (the removed-index sum, the diagonal power
-recursion) are held to 1e-12 of a sum-of-absolute-terms scale, so heavy
-cancellation cannot produce false passes.  Identities mediated by computed
-eigenpairs inherit the eigensolver residual and are held to 1e-9; each is
-evaluated on all of an instance's eigenpairs at once, one pair per column, and
-reports the worst pair's residual over that pair's scale (with scale 1).
-Inequality checks carry a 1e-10 slack.  Conjectured bounds are recorded, never
-asserted.
+Every check is a pure function of its inputs returning a ResidualReport
+(module ``reports``).  Exact algebraic cancellations (the removed-index sum,
+the diagonal power recursion) are held to TOL_EXACT = 1e-12 of a
+sum-of-absolute-terms scale, so heavy cancellation cannot produce false
+passes.  Identities mediated by computed eigenpairs inherit the eigensolver
+residual and are held to TOL_EIGEN = 1e-9; each is evaluated on all of an
+instance's eigenpairs at once, one pair per column, and reports the worst
+pair's residual over that pair's scale (with scale 1).  Inequality checks
+carry INEQ_SLACK.  Conjectured bounds are recorded, never asserted.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -33,10 +33,10 @@ from .spectra import (
     toeplitz_hilbert_top_pair,
 )
 from ._util import write_csv
+from .reports import INEQ_SLACK, ResidualReport, residual_report
 
 TOL_EXACT = 1e-12       # pure cancellation identities
 TOL_EIGEN = 1e-9        # identities evaluated on computed eigenpairs
-INEQ_SLACK = 1e-10      # slack for one-sided bounds
 DISTINCT_REL = 1e-8     # eigenvalue separation threshold, relative to the norm
 MIN_NODE_GAP = 1e-3     # enforced minimum separation of random nodes
 
@@ -66,50 +66,8 @@ def _row_norm_upper_bound(B) -> float:
     """sqrt(3 * max row energy), a proven upper bound for the spectral norm."""
     return float(np.sqrt(3.0 * (B * B).sum(axis=1).max()))
 
+
 CANONICAL_SIZES = (2, 3, 4, 5, 8, 13, 21, 34, 50)
-
-
-@dataclass(frozen=True)
-class ResidualReport:
-    """Outcome of one identity check.
-
-    ``passed`` is equivalent to ``max_residual <= tolerance * scale``.
-    ``applicable`` is False when a hypothesis of the identity is not met
-    (recorded, not a failure); ``probe`` marks conjecture probes whose
-    outcome is reported but never asserted.
-    """
-
-    name: str
-    max_residual: float
-    scale: float
-    tolerance: float
-    passed: bool
-    applicable: bool = True
-    probe: bool = False
-    instance: str = ""
-    details: dict = field(default_factory=dict)
-
-
-def _report(name, residual, scale, tolerance, applicable=True, probe=False,
-            instance="", **details) -> ResidualReport:
-    scale = float(scale) if scale > 0 else 1.0
-    residual = float(residual)
-    return ResidualReport(
-        name=name,
-        max_residual=residual,
-        scale=scale,
-        tolerance=float(tolerance),
-        passed=bool(residual <= tolerance * scale),
-        applicable=applicable,
-        probe=probe,
-        instance=instance,
-        details=details,
-    )
-
-
-def asserted_ok(reports) -> bool:
-    """True when every applicable, non-probe report passed."""
-    return all(r.passed for r in reports if r.applicable and not r.probe)
 
 
 def write_reports_csv(reports, target):
@@ -193,8 +151,8 @@ def check_removed_index_cancellation(B, n: int, k: int) -> ResidualReport:
     P_abs = np.linalg.matrix_power(np.abs(Bm), k)
     mass = np.outer(np.abs(row), np.abs(col)) * P_abs
     np.fill_diagonal(mass, 0.0)
-    return _report("removed_index_cancellation", abs(S), float(mass.sum()),
-                   TOL_EXACT, R=R, n=n, k=k)
+    return residual_report("removed_index_cancellation", abs(S), float(mass.sum()),
+                            TOL_EXACT, R=R, n=n, k=k)
 
 
 def check_diagonal_power_recursion(B, n: int, k: int) -> ResidualReport:
@@ -235,8 +193,8 @@ def check_diagonal_power_recursion(B, n: int, k: int) -> ResidualReport:
     rhs = math.fsum(pieces)
     # the monomial mass (powers of |entries|) keeps the scale meaningful
     # even when both sides cancel to zero, e.g. for odd k
-    return _report("diagonal_power_recursion", abs(lhs - rhs), mass, TOL_EXACT,
-                   R=R, n=n, k=k)
+    return residual_report("diagonal_power_recursion", abs(lhs - rhs), mass, TOL_EXACT,
+                            R=R, n=n, k=k)
 
 
 def check_even_power_positivity(x, c, k: int, trials: int = 3, seed: int = 0) -> ResidualReport:
@@ -265,8 +223,8 @@ def check_even_power_positivity(x, c, k: int, trials: int = 3, seed: int = 0) ->
         scaled = signed_diag(c * factors)
         scale = max(scale, float(np.abs(scaled).max(initial=0.0)))
         worst = max(worst, float((base - scaled).max(initial=0.0)))
-    return _report("even_power_positivity", worst, scale, TOL_EXACT,
-                   R=x.size, k=k, trials=trials, seed=seed)
+    return residual_report("even_power_positivity", worst, scale, TOL_EXACT,
+                            R=x.size, k=k, trials=trials, seed=seed)
 
 
 def check_norm_dominance(x, c, x2, c2) -> ResidualReport:
@@ -281,12 +239,12 @@ def check_norm_dominance(x, c, x2, c2) -> ResidualReport:
         raise ValueError("dominance pairs must have equal dimension")
     margin = 1e-12 * max(1.0, float(np.abs(B2).max(initial=0.0)))
     if float((np.abs(B) - np.abs(B2)).max(initial=0.0)) > margin:
-        return _report("norm_dominance", 0.0, 1.0, INEQ_SLACK, applicable=False,
-                       R=B.shape[0])
+        return residual_report("norm_dominance", 0.0, 1.0, INEQ_SLACK, applicable=False,
+                                R=B.shape[0])
     n1 = spectral_norm(B)
     n2 = spectral_norm(B2)
-    return _report("norm_dominance", max(0.0, n1 - n2), 1.0, INEQ_SLACK,
-                   R=B.shape[0], norm_small=n1, norm_big=n2)
+    return residual_report("norm_dominance", max(0.0, n1 - n2), 1.0, INEQ_SLACK,
+                            R=B.shape[0], norm_small=n1, norm_big=n2)
 
 
 # ---------------------------------------------------------------------------
@@ -307,8 +265,8 @@ def _worst_pair(name, residuals, scales, mus, **details) -> ResidualReport:
     """One report for a batch of pairs: the worst residual over its scale."""
     ratios = residuals / np.where(scales > 0, scales, 1.0)
     j = int(np.argmax(ratios))
-    return _report(name, ratios[j], 1.0, TOL_EIGEN, mu=float(mus[j]),
-                   pairs_checked=ratios.size, **details)
+    return residual_report(name, ratios[j], 1.0, TOL_EIGEN, mu=float(mus[j]),
+                            pairs_checked=ratios.size, **details)
 
 
 def check_eigenvector_amplitude_identity(x, c, pairs, separations=None) -> ResidualReport:
@@ -327,8 +285,8 @@ def check_eigenvector_amplitude_identity(x, c, pairs, separations=None) -> Resid
     mus, V, W = _stack(pairs)
     keep = mus != 0.0
     if not keep.any():
-        return _report("eigenvector_amplitude", 0.0, 1.0, TOL_EIGEN,
-                       applicable=False, R=x.size)
+        return residual_report("eigenvector_amplitude", 0.0, 1.0, TOL_EIGEN,
+                                applicable=False, R=x.size)
     mus, U = mus[keep], V[:, keep] + 1j * W[:, keep]
     if separations is not None:
         separations = np.asarray(separations, dtype=float)[keep]
@@ -410,18 +368,18 @@ def check_eigenvalue_distinctness(x, c, dec: SpectralDecomposition | None = None
     x = np.asarray(x, dtype=float)
     c = np.asarray(c, dtype=float)
     if np.any(c == 0.0):
-        return _report("eigenvalue_distinctness", 0.0, 1.0, 0.0,
-                       applicable=False, R=x.size)
+        return residual_report("eigenvalue_distinctness", 0.0, 1.0, 0.0,
+                                applicable=False, R=x.size)
     if dec is None:
         dec = skew_spectrum(weighted_cauchy_matrix(x, c))
     evs = dec.signed_eigenvalues()
     if evs.size < 2:
-        return _report("eigenvalue_distinctness", 0.0, 1.0, 0.0, R=x.size,
-                       min_gap=float("inf"))
+        return residual_report("eigenvalue_distinctness", 0.0, 1.0, 0.0, R=x.size,
+                                min_gap=float("inf"))
     min_gap = float(np.diff(evs).min())
     threshold = DISTINCT_REL * dec.norm
-    return _report("eigenvalue_distinctness", max(0.0, threshold - min_gap),
-                   1.0, 0.0, R=x.size, min_gap=min_gap, threshold=threshold)
+    return residual_report("eigenvalue_distinctness", max(0.0, threshold - min_gap),
+                            1.0, 0.0, R=x.size, min_gap=min_gap, threshold=threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -438,8 +396,8 @@ def check_row_norm_bounds(x) -> ResidualReport:
     row_energy = float((A * A).sum(axis=1).max())
     n2 = spectral_norm(A) ** 2
     violation = max(0.0, row_energy - n2, n2 - 3.0 * row_energy)
-    return _report("row_norm_bounds", violation, max(1.0, n2), INEQ_SLACK,
-                   R=A.shape[0], row_energy=row_energy, norm_sq=n2)
+    return residual_report("row_norm_bounds", violation, max(1.0, n2), INEQ_SLACK,
+                            R=A.shape[0], row_energy=row_energy, norm_sq=n2)
 
 
 def check_montgomery_vaughan(x) -> ResidualReport:
@@ -455,9 +413,9 @@ def check_montgomery_vaughan(x) -> ResidualReport:
     norm_b = spectral_norm(weighted_cauchy_matrix(x, np.sqrt(gaps.per_node)))
     bound_a = np.pi / gaps.delta
     violation = max(0.0, norm_a - bound_a, norm_b - 1.5 * np.pi)
-    return _report("montgomery_vaughan", violation, max(1.0, bound_a), INEQ_SLACK,
-                   R=x.size, norm_a=norm_a, norm_b=norm_b, delta=gaps.delta,
-                   pi_bound_holds=bool(norm_b <= np.pi))
+    return residual_report("montgomery_vaughan", violation, max(1.0, bound_a), INEQ_SLACK,
+                            R=x.size, norm_a=norm_a, norm_b=norm_b, delta=gaps.delta,
+                            pi_bound_holds=bool(norm_b <= np.pi))
 
 
 # ---------------------------------------------------------------------------
@@ -491,8 +449,8 @@ def check_centered_eigenvector_symmetry(S: int) -> ResidualReport:
         un = 1j * u / center
         resid = float(np.abs(un[S::-1] + np.conj(un[S:])).max())
         worst = max(worst, resid / float(np.abs(un).max()))
-    return _report("centered_symmetry", worst, 1.0, TOL_EIGEN, R=R, S=S,
-                   checked=len(vectors) - skipped, skipped=skipped)
+    return residual_report("centered_symmetry", worst, 1.0, TOL_EIGEN, R=R, S=S,
+                            checked=len(vectors) - skipped, skipped=skipped)
 
 
 def probe_eigenvector_monotonicity(S: int):
@@ -515,11 +473,11 @@ def probe_eigenvector_monotonicity(S: int):
     decays = bool(np.all(np.diff(upper) < 0.0)) if S >= 1 else True
     center_minimal = bool(int(np.argmin(amp)) == S)
     center_maximal = bool(int(np.argmax(amp)) == S)
-    report = _report("eigenvector_monotonicity_probe", 0.0, 1.0, 1.0, probe=True,
-                     R=R, S=S, mu=pair.mu, conjecture_holds=holds,
-                     monotone_decay_from_center=decays,
-                     center_minimal=center_minimal,
-                     center_maximal=center_maximal)
+    report = residual_report("eigenvector_monotonicity_probe", 0.0, 1.0, 1.0, probe=True,
+                              R=R, S=S, mu=pair.mu, conjecture_holds=holds,
+                              monotone_decay_from_center=decays,
+                              center_minimal=center_minimal,
+                              center_maximal=center_maximal)
     return report, offsets, amp
 
 

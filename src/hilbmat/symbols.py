@@ -107,12 +107,6 @@ class SymbolSeries:
             f"coefficient c_{r} undefined: band is |r| <= {self.K} and no closed form"
         )
 
-    def with_band(self, K: int) -> "SymbolSeries":
-        """Same symbol with coefficients materialized out to |r| <= K."""
-        coeffs = {r: self.coeff(r) for r in range(-K, K + 1)}
-        coeffs = {r: v for r, v in coeffs.items() if v != 0.0}
-        return SymbolSeries(coeffs=coeffs, K=K, kind=self.kind, w=self.w)
-
     # -- evaluation ----------------------------------------------------------
 
     def eval(self, x):
@@ -136,17 +130,6 @@ class SymbolSeries:
         for r, c in self.coeffs.items():
             out += c * np.exp(1j * r * x)
         return out if out.ndim else complex(out)
-
-    def sup_abs(self, samples: int = 8192) -> float:
-        """Supremum of |f| over [0, 2*pi] (exact for the tagged kinds)."""
-        if self.kind in ("hilbert", "prolate"):
-            return float(np.pi)
-        if self.kind == "cosine":
-            return 2.0
-        if self.kind == "constant":
-            return abs(self.coeffs.get(0, 0.0))
-        x = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
-        return float(np.abs(self.eval(x)).max())
 
 
 # ---------------------------------------------------------------------------
@@ -315,6 +298,8 @@ def prolate_gap(w: float, R_list):
     """
     if not 0.0 < w < 0.5:
         raise ValueError("bandwidth w must lie in (0, 1/2)")
+    if len(R_list) == 0:
+        raise ValueError("R_list must not be empty")
     rows = []
     for R in R_list:
         norm = spectral_norm(prolate_matrix(int(R), w))

@@ -17,22 +17,22 @@ from hilbmat.determinants import det_lu, det_matching, pfaffian
 from hilbmat.gaps import (
     build_witness,
     central_coefficient,
-    figure2_profile,
     sweep_figure1,
     write_figure1_csv,
     write_figure2_csv,
 )
 from hilbmat.identities import (
-    asserted_ok,
     check_centered_eigenvector_symmetry,
     check_montgomery_vaughan,
     check_norm_dominance,
+    probe_eigenvector_monotonicity,
     random_instance,
     random_nodes,
     random_weights,
     run_suite,
 )
 from hilbmat.matrices import hilbert_toeplitz, weighted_cauchy_matrix
+from hilbmat.reports import asserted_ok
 from hilbmat.spectra import hankel_hilbert_norm, spectral_norm, toeplitz_hilbert_norm
 from hilbmat.symbols import SymbolSeries, gs_rate_check, quadratic_form
 
@@ -50,7 +50,7 @@ def outdir(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def profile_s1000():
-    return figure2_profile(1000)
+    return probe_eigenvector_monotonicity(1000)
 
 
 def test_criterion_01_closed_form_spectra():

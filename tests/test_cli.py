@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -9,6 +10,8 @@ import pytest
 import hilbmat
 
 from hilbmat.cli import main
+from hilbmat.gaps import build_witness
+from hilbmat.reports import ResidualReport
 
 
 def run_cli(args):
@@ -42,6 +45,8 @@ def test_bad_flags_exit_2():
     ["sweep-gap", "--R-max", "1"],
     ["verify", "--seeds", "-1"],
     ["verify", "--max-R", "3"],
+    ["hankel-gap", "--R-max", "0"],
+    ["prolate-gap", "--R-min", "5", "--R-max", "2"],
 ])
 def test_rejected_values_exit_2(argv):
     src = str(Path(hilbmat.__file__).resolve().parent.parent)
@@ -65,6 +70,28 @@ def test_numerical_failure_exits_1(capsys, monkeypatch):
     assert run_cli(["norm", "--R", "3"]) == 1
     err = capsys.readouterr().err.splitlines()
     assert err == ["hilbmat: numerical failure: eigenvalues did not converge"]
+
+
+def test_verify_failure_exits_1(capsys, monkeypatch):
+    # only the applicable, non-probe failure counts
+    bad = ResidualReport("bad", 1.0, 1.0, 0.0, passed=False)
+    probe = dataclasses.replace(bad, name="probe", probe=True)
+    moot = dataclasses.replace(bad, name="moot", applicable=False)
+    monkeypatch.setattr("hilbmat.identities.run_suite",
+                        lambda seeds, max_R: [bad, probe, moot])
+    assert run_cli(["verify"]) == 1
+    captured = capsys.readouterr()
+    assert len(captured.out.splitlines()) == 4  # header plus every report
+    failed = [line for line in captured.err.splitlines() if line.startswith("FAILED")]
+    assert len(failed) == 1 and failed[0].startswith("FAILED bad: ")
+
+
+def test_witness_failure_exits_1(capsys, monkeypatch):
+    cert = build_witness(100)
+    broken = dataclasses.replace(cert, epsilon=cert.epsilon_bound * 2.0)
+    monkeypatch.setattr("hilbmat.gaps.build_witness", lambda R: broken)
+    assert run_cli(["witness", "--R", "100"]) == 1
+    assert capsys.readouterr().err.splitlines() == ["FAILED witness certificate at R=100"]
 
 
 def test_gen_matrix_stdout(capsys):

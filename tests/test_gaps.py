@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import math
 
@@ -8,11 +9,11 @@ from hilbmat.gaps import (
     WitnessCertificate,
     build_witness,
     central_coefficient,
+    check_witness,
     check_central_coefficient_bounds,
     check_odd_gap_lower_bound,
     check_universal_gap_lower_bound,
     figure1_r_values,
-    figure2_profile,
     hilbert_hankel_gap,
     hilbert_toeplitz_gap,
     rescaled_gap,
@@ -24,6 +25,7 @@ from hilbmat.gaps import (
     write_hankel_csv,
     write_witness_csv,
 )
+from hilbmat.identities import probe_eigenvector_monotonicity
 from hilbmat.spectra import hankel_hilbert_norm, toeplitz_hilbert_norm
 
 
@@ -145,6 +147,21 @@ class TestWitness:
         assert cert.rayleigh <= cert.norm_t + 1e-12
         assert np.pi - cert.rayleigh <= cert.gap_bound + 1e-9
 
+    def test_check_witness(self):
+        cert = build_witness(100)
+        report = check_witness(cert)
+        assert report.passed and not report.failed
+        assert report.max_residual == 0.0 and report.tolerance == 0.0
+        assert report.details["R"] == 100
+        for bad in (
+            dataclasses.replace(cert, epsilon=cert.epsilon_bound * 1.5),
+            dataclasses.replace(cert, rayleigh=cert.norm_t + 1e-12),
+            dataclasses.replace(cert, gap_bound=np.pi - cert.rayleigh - 1e-12),
+        ):
+            report = check_witness(bad)
+            assert report.failed
+            assert report.max_residual > 0.0
+
     @pytest.mark.parametrize("R", [100, 1000])
     def test_final_closed_form_bound(self, R):
         cert = build_witness(R)
@@ -215,7 +232,7 @@ class TestSweeps:
         assert a == b
 
     def test_figure2_profile_small(self):
-        report, offsets, amp = figure2_profile(5)
+        report, offsets, amp = probe_eigenvector_monotonicity(5)
         assert offsets.tolist() == list(range(-5, 6))
         assert amp.shape == (11,)
         buf = io.StringIO()

@@ -6,8 +6,6 @@ import pytest
 
 from hilbmat.identities import (
     MIN_NODE_GAP,
-    ResidualReport,
-    asserted_ok,
     check_centered_eigenvector_symmetry,
     check_diagonal_power_recursion,
     check_eigenvalue_distinctness,
@@ -27,6 +25,7 @@ from hilbmat.identities import (
     write_reports_csv,
 )
 from hilbmat.matrices import cauchy_matrix, hilbert_toeplitz, weighted_cauchy_matrix
+from hilbmat.reports import ResidualReport, asserted_ok
 from hilbmat.spectra import EigenPair, skew_spectrum, spectral_norm
 
 

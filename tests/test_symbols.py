@@ -33,7 +33,6 @@ class TestSymbolEval:
         assert s.eval(0.0) == 0.0
         assert s.eval(2 * np.pi) == 0.0
         assert s.eval(np.pi / 2) == 1j * np.pi / 2
-        assert s.sup_abs() == np.pi
 
     def test_prolate_band_indicator(self):
         s = SymbolSeries.prolate(0.25, 8)
@@ -61,8 +60,6 @@ class TestSymbolEval:
         untagged = SymbolSeries.from_coeffs({1: 1.0, -1: 1.0})
         with pytest.raises(ValueError):
             untagged.coeff(2)
-        widened = s.with_band(6)
-        assert widened.coeff(6) == pytest.approx(1.0 / 6.0)
 
     def test_hilbert_coefficients_converge_to_sawtooth(self):
         # partial Fourier sums approach i(pi - x) away from the jump
