@@ -20,6 +20,13 @@ from .determinants import det_lu, det_matching, pfaffian
 from .spectra import spectral_norm
 
 
+def _seeded_instance(R, seed):
+    """Nodes and weights of the weighted-Cauchy instance drawn from ``seed``."""
+    rng = np.random.default_rng(seed)
+    x = identities.random_nodes(R, rng)
+    return x, identities.random_weights(R, rng)
+
+
 def _build_named_matrix(args):
     kind = args.kind
     if kind == "T":
@@ -30,11 +37,9 @@ def _build_named_matrix(args):
         return matrices.prolate_matrix(args.R, args.w)
     if kind == "cosine":
         return matrices.toeplitz_from_symbol(symbols.SymbolSeries.cosine(), args.R)
-    rng = np.random.default_rng(args.seed)
-    x = identities.random_nodes(args.R, rng)
+    x, c = _seeded_instance(args.R, args.seed)
     if kind == "A":
         return matrices.cauchy_matrix(x)
-    c = identities.random_weights(args.R, rng)
     return matrices.weighted_cauchy_matrix(x, c)
 
 
@@ -57,10 +62,7 @@ def cmd_det(args) -> int:
     if args.T is not None:
         B = matrices.hilbert_toeplitz(args.T)
     else:
-        rng = np.random.default_rng(args.seed)
-        x = identities.random_nodes(args.R, rng)
-        c = identities.random_weights(args.R, rng)
-        B = matrices.weighted_cauchy_matrix(x, c)
+        B = matrices.weighted_cauchy_matrix(*_seeded_instance(args.R, args.seed))
     matching = det_matching(B)
     lu = det_lu(B)
     print(f"matching={fmt17(matching)}")

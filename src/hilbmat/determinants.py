@@ -20,6 +20,7 @@ import math
 
 import numpy as np
 
+from .matrices import as_square
 from .spectra import require_skew
 
 # Matching sums visit up to 2^R free-index masks; R = 16 is the tested size.
@@ -81,9 +82,7 @@ def det_matching(B, check: bool = False) -> float:
 
 def det_lu(M) -> float:
     """Determinant via partially pivoted LU factorization (oracle route)."""
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError("matrix must be square")
+    M = as_square(M, dtype=float)
     if M.shape[0] == 0:
         return 1.0
     return float(np.linalg.det(M))

@@ -289,9 +289,7 @@ def sweep_figure1(R_max: int = 10000, dense: bool = False, threads: int = 1):
     """Rows (R, norm, gap, rescaled_gap) over the sweep grid, in R order."""
 
     def one(R):
-        norm = toeplitz_hilbert_norm(R)
-        gap = float(np.pi - norm)
-        return (R, float(norm), gap, gap * R / math.log(R))
+        return (R, toeplitz_hilbert_norm(R), hilbert_toeplitz_gap(R), rescaled_gap(R))
 
     return _map_maybe_parallel(one, figure1_r_values(R_max, dense), threads)
 
@@ -323,10 +321,8 @@ def sweep_hankel(R_max: int = 500, threads: int = 1):
         raise ValueError("R_max must be >= 1")
 
     def one(R):
-        norm = hankel_hilbert_norm(R)
-        gap = float(np.pi - norm)
-        ratio = gap / (np.pi**5 / (2.0 * math.log(R) ** 2)) if R >= 2 else float("nan")
-        return (R, float(norm), gap, float(ratio))
+        gap, ratio = hilbert_hankel_gap(R)
+        return (R, hankel_hilbert_norm(R), gap, float("nan") if ratio is None else ratio)
 
     return _map_maybe_parallel(one, range(1, R_max + 1), threads)
 

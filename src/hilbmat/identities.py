@@ -520,7 +520,7 @@ def _instance_battery(seed: int, x, c, rng: np.random.Generator):
     return [replace(r, details={"seed": seed, **r.details, "R": R}) for r in out]
 
 
-def run_suite(seeds: int = 100, max_R: int = 50, include_canonical: bool = True):
+def run_suite(seeds: int = 100, max_R: int = 50):
     """Run the full identity suite; returns the list of ResidualReports.
 
     ``seeds`` seeded random weighted-Cauchy instances with dimension drawn in
@@ -531,21 +531,20 @@ def run_suite(seeds: int = 100, max_R: int = 50, include_canonical: bool = True)
     if seeds < 0:
         raise ValueError("seeds must be >= 0")
     reports: list[ResidualReport] = []
-    if include_canonical:
-        for R in CANONICAL_SIZES:
-            if R > max_R:
-                continue
-            x = np.arange(1.0, R + 1.0)
-            c = np.ones(R)
-            rng = np.random.default_rng(10_000 + R)
-            reports.extend(_instance_battery(-1, x, c, rng))
-        for S in (1, 5, 10):
-            if 2 * S + 1 > max(max_R, 3):
-                continue
-            sym = check_centered_eigenvector_symmetry(S)
-            probe, _, _ = probe_eigenvector_monotonicity(S)
-            for rep in (sym, probe):
-                reports.append(replace(rep, details={"seed": -1, "R": 2 * S + 1, **rep.details}))
+    for R in CANONICAL_SIZES:
+        if R > max_R:
+            continue
+        x = np.arange(1.0, R + 1.0)
+        c = np.ones(R)
+        rng = np.random.default_rng(10_000 + R)
+        reports.extend(_instance_battery(-1, x, c, rng))
+    for S in (1, 5, 10):
+        if 2 * S + 1 > max(max_R, 3):
+            continue
+        sym = check_centered_eigenvector_symmetry(S)
+        probe, _, _ = probe_eigenvector_monotonicity(S)
+        for rep in (sym, probe):
+            reports.append(replace(rep, details={"seed": -1, "R": 2 * S + 1, **rep.details}))
     for seed in range(seeds):
         x, c, rng = random_instance(seed, max_R)
         reports.extend(_instance_battery(seed, x, c, rng))

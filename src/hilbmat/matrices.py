@@ -58,6 +58,31 @@ def _check_dim(R) -> int:
     return int(R)
 
 
+def as_square(M, dtype=None) -> np.ndarray:
+    """``M`` as an ndarray (cast to ``dtype`` when given); must be a square matrix."""
+    M = np.asarray(M, dtype=dtype)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise ValueError("matrix must be square")
+    return M
+
+
+def hilbert_coeffs(r) -> np.ndarray:
+    """Skew Hilbert coefficients c_r = 1/r at integer offsets r, with c_0 = 0."""
+    r = np.asarray(r, dtype=float)
+    return np.divide(1.0, r, out=np.zeros(r.shape), where=r != 0)
+
+
+def prolate_coeffs(r, w) -> np.ndarray:
+    """Prolate coefficients c_r = sin(2*pi*w*r)/r at integer offsets r, with
+    c_0 = 2*pi*w.  Requires 0 < w < 1/2; c_{-r} = c_r exactly."""
+    w = float(w)
+    if not 0.0 < w < 0.5:
+        raise ValueError("bandwidth w must lie in the open interval (0, 1/2)")
+    r = np.asarray(r, dtype=float)
+    return np.divide(np.sin(2.0 * np.pi * w * r), r,
+                     out=np.full(r.shape, 2.0 * np.pi * w), where=r != 0)
+
+
 def cauchy_matrix(x) -> np.ndarray:
     """Skew matrix with entries 1/(x_m - x_n) off the diagonal, 0 on it."""
     x = as_nodes(x)
@@ -93,8 +118,7 @@ class ToeplitzOperator:
 
         Matrix-free use is not bound by the dense size cap MAX_DIM.
         """
-        col = np.zeros(R)
-        col[1:] = 1.0 / np.arange(1.0, R)
+        col = hilbert_coeffs(np.arange(R))
         return cls(col, -col)
 
     def dense(self) -> np.ndarray:
@@ -122,15 +146,7 @@ def prolate_matrix(R, w) -> np.ndarray:
     Requires 0 < w < 1/2.  The first column doubles as the first row, so
     symmetry is exact.
     """
-    R = _check_dim(R)
-    w = float(w)
-    if not 0.0 < w < 0.5:
-        raise ValueError("bandwidth w must lie in the open interval (0, 1/2)")
-    k = np.arange(R, dtype=float)
-    vals = np.empty(R)
-    vals[0] = 2.0 * np.pi * w
-    if R > 1:
-        vals[1:] = np.sin(2.0 * np.pi * w * k[1:]) / k[1:]
+    vals = prolate_coeffs(np.arange(_check_dim(R)), w)
     return ToeplitzOperator(vals, vals).dense()
 
 
@@ -155,10 +171,8 @@ def toeplitz_from_symbol(coeffs, R) -> np.ndarray:
 
 def remove_index(M: np.ndarray, n: int) -> np.ndarray:
     """Principal submatrix with 1-based row and column n removed."""
-    M = np.asarray(M)
+    M = as_square(M)
     R = M.shape[0]
-    if M.ndim != 2 or M.shape[1] != R:
-        raise ValueError("matrix must be square")
     if not 1 <= n <= R:
         raise ValueError(f"index {n} out of range 1..{R}")
     return np.delete(np.delete(M, n - 1, axis=0), n - 1, axis=1)

@@ -19,7 +19,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, eigsh
 
-from .matrices import ToeplitzOperator, hilbert_hankel, hilbert_toeplitz
+from .matrices import ToeplitzOperator, as_square, hilbert_hankel, hilbert_toeplitz
 
 # Relative threshold below which a computed mu is classified as zero.  The
 # determinant structure forces an exact zero eigenvalue for odd R, so the
@@ -39,10 +39,8 @@ def default_tol(R: int) -> float:
 
 
 def require_skew(B, tol=None) -> np.ndarray:
-    B = np.asarray(B, dtype=float)
+    B = as_square(B, dtype=float)
     R = B.shape[0]
-    if B.ndim != 2 or B.shape[1] != R:
-        raise ValueError("matrix must be square")
     tol = default_tol(R) if tol is None else tol
     scale = max(1.0, float(np.abs(B).max(initial=0.0)))
     if float(np.abs(B + B.T).max(initial=0.0)) > tol * scale:
@@ -51,10 +49,8 @@ def require_skew(B, tol=None) -> np.ndarray:
 
 
 def require_hermitian(S, tol=None) -> np.ndarray:
-    S = np.asarray(S)
+    S = as_square(S)
     R = S.shape[0]
-    if S.ndim != 2 or S.shape[1] != R:
-        raise ValueError("matrix must be square")
     tol = default_tol(R) if tol is None else tol
     scale = max(1.0, float(np.abs(S).max(initial=0.0)))
     if float(np.abs(S - S.conj().T).max(initial=0.0)) > tol * scale:
@@ -173,10 +169,8 @@ def skew_spectrum(B, tol=None) -> SpectralDecomposition:
 
 def spectral_norm(M) -> float:
     """Largest eigenvalue magnitude of a symmetric/Hermitian or skew matrix."""
-    M = np.asarray(M)
+    M = as_square(M)
     R = M.shape[0]
-    if M.ndim != 2 or M.shape[1] != R:
-        raise ValueError("matrix must be square")
     if R == 0:
         return 0.0
     scale = max(1.0, float(np.abs(M).max(initial=0.0)))

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._util import write_csv
-from .matrices import prolate_matrix, toeplitz_from_symbol
+from .matrices import hilbert_coeffs, prolate_coeffs, prolate_matrix, toeplitz_from_symbol
 from .spectra import spectral_norm
 
 # Uniform-grid quadrature on [0, 2*pi] is exact for trigonometric polynomials
@@ -69,18 +69,14 @@ class SymbolSeries:
 
     @classmethod
     def hilbert(cls, K: int) -> "SymbolSeries":
-        coeffs = {r: 1.0 / r for r in range(-K, K + 1) if r != 0}
+        r = np.arange(-K, K + 1)
+        coeffs = dict(zip(r.tolist(), hilbert_coeffs(r).tolist()))
         return cls(coeffs=coeffs, K=K, kind="hilbert")
 
     @classmethod
     def prolate(cls, w: float, K: int) -> "SymbolSeries":
-        if not 0.0 < w < 0.5:
-            raise ValueError("bandwidth w must lie in (0, 1/2)")
-        coeffs = {0: 2.0 * np.pi * w}
-        for r in range(1, K + 1):
-            val = np.sin(2.0 * np.pi * w * r) / r
-            coeffs[r] = val
-            coeffs[-r] = val
+        r = np.arange(-K, K + 1)
+        coeffs = dict(zip(r.tolist(), prolate_coeffs(r, w).tolist()))
         return cls(coeffs=coeffs, K=K, kind="prolate", w=w)
 
     @classmethod
@@ -98,9 +94,9 @@ class SymbolSeries:
         if abs(r) <= self.K:
             return self.coeffs.get(r, 0.0)
         if self.kind == "hilbert":
-            return 1.0 / r
+            return float(hilbert_coeffs(r))
         if self.kind == "prolate":
-            return np.sin(2.0 * np.pi * self.w * r) / r
+            return float(prolate_coeffs(r, self.w))
         if self.kind in ("cosine", "constant"):
             return 0.0
         raise ValueError(
@@ -207,19 +203,16 @@ def integral_side(series: SymbolSeries, u) -> complex:
     return grid_quadrature(series, u)
 
 
-def quadratic_form(series: SymbolSeries, u, C=None):
+def quadratic_form(series: SymbolSeries, u):
     """Both sides of the quadratic-form identity u* C_R u = integral f |phi|^2.
 
-    Returns ``(matrix_side, integral_side)``.  ``C`` may supply a prebuilt
-    Toeplitz matrix; otherwise it is generated from the series.
+    Returns ``(matrix_side, integral_side)``; C_R is built from the series.
     """
     u = np.asarray(u, dtype=complex)
     norm = float(np.linalg.norm(u))
     if abs(norm - 1.0) > 1e-10:
         raise ValueError("coefficient vector must have unit Euclidean norm")
-    R = u.size
-    if C is None:
-        C = toeplitz_from_symbol(series, R)
+    C = toeplitz_from_symbol(series, u.size)
     matrix = complex(np.vdot(u, C @ u))
     return matrix, integral_side(series, u)
 
@@ -235,8 +228,6 @@ def _smooth_symbol_peak(series: SymbolSeries, samples: int = 8192):
     Returns None when the symbol is degenerate for the rate law (vanishing
     curvature at the peak, e.g. a constant symbol).
     """
-    if series.kind == "cosine":
-        return 2.0, 0.0, -2.0
     x = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
     fx = series.eval(x).real
     j = int(np.argmax(fx))
@@ -296,8 +287,7 @@ def prolate_gap(w: float, R_list):
     ``(rows, slope)`` with rows (R, gap, log_gap); slope is None when fewer
     than two rows stay above the floor.
     """
-    if not 0.0 < w < 0.5:
-        raise ValueError("bandwidth w must lie in (0, 1/2)")
+    prolate_coeffs(0, w)  # rejects a bad bandwidth before any solve
     if len(R_list) == 0:
         raise ValueError("R_list must not be empty")
     rows = []

@@ -47,6 +47,7 @@ def test_bad_flags_exit_2():
     ["verify", "--max-R", "3"],
     ["hankel-gap", "--R-max", "0"],
     ["prolate-gap", "--R-min", "5", "--R-max", "2"],
+    ["prolate-gap", "--w", "0.7"],
 ])
 def test_rejected_values_exit_2(argv):
     src = str(Path(hilbmat.__file__).resolve().parent.parent)

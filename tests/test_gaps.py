@@ -222,6 +222,8 @@ class TestSweeps:
             assert 0 < norm < np.pi
             assert gap == pytest.approx(np.pi - norm, abs=0)
             assert rescaled > 0
+            assert (norm, gap, rescaled) == (
+                toeplitz_hilbert_norm(R), hilbert_toeplitz_gap(R), rescaled_gap(R))
         buf = io.StringIO()
         write_figure1_csv(rows, buf)
         assert buf.getvalue().splitlines()[0] == "R,norm,gap,rescaled_gap"
@@ -248,6 +250,13 @@ class TestSweeps:
         assert all(g2 < g1 for g1, g2 in zip(gaps, gaps[1:]))
         assert math.isnan(rows[0][3])  # no ratio at R = 1
         assert rows[5][3] > 0
+        for R, norm, gap, ratio in rows:
+            expected_gap, expected_ratio = hilbert_hankel_gap(R)
+            assert (norm, gap) == (hankel_hilbert_norm(R), expected_gap)
+            if R == 1:
+                assert expected_ratio is None and math.isnan(ratio)
+            else:
+                assert ratio == expected_ratio
         buf = io.StringIO()
         write_hankel_csv(rows, buf)
         assert buf.getvalue().splitlines()[0] == "R,norm,gap,wilf_ratio"

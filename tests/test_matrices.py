@@ -3,6 +3,7 @@ import io
 import numpy as np
 import pytest
 
+from hilbmat.determinants import det_lu, det_matching, pfaffian
 from hilbmat.matrices import (
     GapReport,
     MAX_DIM,
@@ -16,6 +17,7 @@ from hilbmat.matrices import (
     weighted_cauchy_matrix,
     write_matrix_csv,
 )
+from hilbmat.spectra import require_hermitian, require_skew, skew_spectrum, spectral_norm
 from hilbmat.symbols import SymbolSeries
 
 
@@ -120,17 +122,41 @@ def test_toeplitz_convention_entry_is_c_of_m_minus_n():
     assert C[0, 1] == 7.0
 
 
-def test_toeplitz_hilbert_symbol_reproduces_skew_hilbert():
-    R = 6
-    series = SymbolSeries.hilbert(K=R - 1)
-    np.testing.assert_allclose(toeplitz_from_symbol(series, R), hilbert_toeplitz(R),
-                               rtol=0, atol=0)
+@pytest.mark.parametrize("family, R, K, w", [
+    pytest.param("hilbert", 6, 5, None, id="hilbert-R6-K5"),
+    pytest.param("hilbert", 9, 3, None, id="hilbert-R9-K3"),
+    pytest.param("hilbert", 40, 0, None, id="hilbert-R40-K0"),
+    pytest.param("prolate", 6, 5, 0.2, id="prolate-R6-K5-w0.2"),
+    pytest.param("prolate", 12, 11, 0.2, id="prolate-R12-K11-w0.2"),
+    pytest.param("prolate", 12, 4, 0.1, id="prolate-R12-K4-w0.1"),
+    pytest.param("prolate", 30, 7, 0.37, id="prolate-R30-K7-w0.37"),
+    pytest.param("prolate", 40, 39, 0.49, id="prolate-R40-K39-w0.49"),
+])
+def test_toeplitz_symbol_reproduces_closed_form(family, R, K, w):
+    # K < R - 1 reads the outer coefficients from SymbolSeries.coeff's
+    # closed-form extension; either way the entries match bit for bit
+    if family == "hilbert":
+        series, expected = SymbolSeries.hilbert(K), hilbert_toeplitz(R)
+    else:
+        series, expected = SymbolSeries.prolate(w, K), prolate_matrix(R, w)
+    C = toeplitz_from_symbol(series, R)
+    np.testing.assert_array_equal(C, expected)
+    np.testing.assert_array_equal(np.signbit(C), np.signbit(expected))
 
 
 def test_toeplitz_missing_coefficient_errors():
     series = SymbolSeries.from_coeffs({0: 1.0, 1: 0.5, -1: 0.5}, K=1)
     with pytest.raises(ValueError):
         toeplitz_from_symbol(series, 4)
+
+
+@pytest.mark.parametrize("fn", [spectral_norm, require_skew, require_hermitian, skew_spectrum,
+                                remove_index, pfaffian, det_matching, det_lu],
+                         ids=lambda fn: fn.__name__)
+def test_zero_dim_input_is_not_square(fn):
+    args = (1,) if fn is remove_index else ()  # the index to remove
+    with pytest.raises(ValueError, match="^matrix must be square$"):
+        fn(np.float64(2.0), *args)
 
 
 def test_remove_index_examples():

@@ -119,8 +119,7 @@ class TestQuadraticForm:
     @pytest.mark.parametrize("seed", range(3))
     def test_prolate_symbol_exact_integral(self, seed):
         u = random_unit_vector(12, 10 + seed)
-        C = prolate_matrix(12, 0.2)
-        m, i = quadratic_form(SymbolSeries.prolate(0.2, 11), u, C=C)
+        m, i = quadratic_form(SymbolSeries.prolate(0.2, 11), u)
         assert abs(m - i) <= 1e-8
 
     def test_rejects_non_unit_vector(self):
@@ -153,7 +152,7 @@ class TestNormBoundedBySymbol:
         np.testing.assert_array_equal(C, C.conj().T)
         assert spectral_norm(C) <= 2.0
         u = random_unit_vector(12, 5)
-        m, i = quadratic_form(s, u, C=C)
+        m, i = quadratic_form(s, u)
         assert abs(m - i) <= 1e-10
 
 
