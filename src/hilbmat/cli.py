@@ -44,11 +44,7 @@ def _build_named_matrix(args):
 
 
 def cmd_gen(args) -> int:
-    M = _build_named_matrix(args)
-    if args.out:
-        matrices.write_matrix_csv(M, args.out)
-    else:
-        matrices.write_matrix_csv(M, sys.stdout)
+    matrices.write_matrix_csv(_build_named_matrix(args), args.out)
     return 0
 
 
@@ -74,8 +70,7 @@ def cmd_det(args) -> int:
 
 def cmd_verify(args) -> int:
     reports = identities.run_suite(seeds=args.seeds, max_R=args.max_R)
-    target = args.out if args.out else sys.stdout
-    identities.write_reports_csv(reports, target)
+    identities.write_reports_csv(reports, args.out)
     failed = [r for r in reports if r.failed]
     for r in failed:
         print(f"FAILED {r.name}: residual={fmt17(r.max_residual)} "
@@ -86,13 +81,13 @@ def cmd_verify(args) -> int:
 
 def cmd_sweep_gap(args) -> int:
     rows = gaps.sweep_figure1(R_max=args.R_max, dense=args.dense, threads=args.threads)
-    gaps.write_figure1_csv(rows, args.out if args.out else sys.stdout)
+    gaps.write_figure1_csv(rows, args.out)
     return 0
 
 
 def cmd_eigvec_profile(args) -> int:
     report, offsets, amp = identities.probe_eigenvector_monotonicity(args.S)
-    gaps.write_figure2_csv(offsets, amp, args.out if args.out else sys.stdout)
+    gaps.write_figure2_csv(offsets, amp, args.out)
     print(f"conjecture_holds={report.details['conjecture_holds']} "
           f"monotone_decay_from_center={report.details['monotone_decay_from_center']} "
           f"center_maximal={report.details['center_maximal']}", file=sys.stderr)
@@ -101,7 +96,7 @@ def cmd_eigvec_profile(args) -> int:
 
 def cmd_witness(args) -> int:
     certs = [gaps.build_witness(R) for R in args.R]
-    gaps.write_witness_csv(certs, args.out if args.out else sys.stdout)
+    gaps.write_witness_csv(certs, args.out)
     failed = [c for c in certs if gaps.check_witness(c).failed]
     for c in failed:
         print(f"FAILED witness certificate at R={c.params.R}", file=sys.stderr)
@@ -111,7 +106,7 @@ def cmd_witness(args) -> int:
 def cmd_prolate_gap(args) -> int:
     R_list = range(args.R_min, args.R_max + 1)
     rows, slope = symbols.prolate_gap(args.w, R_list)
-    symbols.write_prolate_csv(rows, args.out if args.out else sys.stdout)
+    symbols.write_prolate_csv(rows, args.out)
     if slope is not None:
         print(f"fit_slope={fmt17(slope)}", file=sys.stderr)
     return 0
@@ -119,13 +114,13 @@ def cmd_prolate_gap(args) -> int:
 
 def cmd_hankel_gap(args) -> int:
     rows = gaps.sweep_hankel(R_max=args.R_max, threads=args.threads)
-    gaps.write_hankel_csv(rows, args.out if args.out else sys.stdout)
+    gaps.write_hankel_csv(rows, args.out)
     return 0
 
 
 def cmd_gs_rate(args) -> int:
     rows, _ = symbols.gs_rate_check(symbols.SymbolSeries.cosine(), args.R)
-    symbols.write_gs_rate_csv(rows, args.out if args.out else sys.stdout)
+    symbols.write_gs_rate_csv(rows, args.out)
     return 0
 
 
@@ -143,10 +138,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--R", type=int, default=10)
         p.add_argument("--w", type=float, default=0.25)
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--out", default=None)
 
     p = sub.add_parser("gen", help="emit a matrix as CSV")
     add_matrix_flags(p)
+    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("norm", help="print a spectral norm")
@@ -208,6 +203,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if hasattr(args, "out"):  # the command's CSV goes there, or to stdout
+        args.out = args.out or sys.stdout
     try:
         return args.func(args)
     except (np.linalg.LinAlgError, ArpackNoConvergence) as exc:

@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -188,12 +187,6 @@ def witness_params(R: int) -> WitnessParams:
     return WitnessParams(R=int(R), M=M, N=N, gamma=gamma)
 
 
-def _int_ratio(num: int, den: int) -> float:
-    if max(num, den) <= 2**53:
-        return num / den
-    return float(Fraction(num, den))
-
-
 def build_witness(R: int) -> WitnessCertificate:
     """Build the witness vector for T_R and certify its Rayleigh quotient."""
     params = witness_params(R)
@@ -203,7 +196,8 @@ def build_witness(R: int) -> WitnessCertificate:
     coeffs_n = _ones_power(M, N)          # integer coefficients, degree L
     coeffs_2n = _ones_power(M, 2 * N)     # autocorrelation via palindromy
     e0 = coeffs_2n[L]
-    ratios = np.array([_int_ratio(coeffs_2n[L + k], e0) for k in range(1, L + 1)])
+    # int / int is correctly rounded at any size
+    ratios = np.array([coeffs_2n[L + k] / e0 for k in range(1, L + 1)])
     ks = np.arange(1, L + 1, dtype=float)
     sine_sum = float(np.sum(ratios * np.sin(ks * gamma / 2.0) / ks))
 

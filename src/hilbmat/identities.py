@@ -125,6 +125,15 @@ def random_instance(seed: int, max_R: int, min_R: int = 4):
 # ---------------------------------------------------------------------------
 
 
+def _cross_terms(B, n: int, k: int) -> np.ndarray:
+    """Terms b_{n,l} b_{m,n} (B_{-n}^k)_{l,m} over l, m != n, zero for l = m."""
+    Bm = remove_index(B, n)
+    idx = np.delete(np.arange(B.shape[0]), n - 1)
+    terms = np.outer(B[n - 1, idx], B[idx, n - 1]) * np.linalg.matrix_power(Bm, k)
+    np.fill_diagonal(terms, 0.0)
+    return terms
+
+
 def check_removed_index_cancellation(B, n: int, k: int) -> ResidualReport:
     """Cross terms around a removed index cancel exactly:
 
@@ -133,26 +142,31 @@ def check_removed_index_cancellation(B, n: int, k: int) -> ResidualReport:
     of absolute terms.
     """
     B = np.asarray(B, dtype=float)
-    R = B.shape[0]
-    if not 1 <= n <= R:
-        raise ValueError(f"index {n} out of range 1..{R}")
     if k < 1:
         raise ValueError("power k must be >= 1")
+    S = math.fsum(_cross_terms(B, n, k).ravel().tolist())
+    # scale from the same terms on |entries|: the full monomial mass of the
+    # expanded sum, immune to cancellation inside the computed matrix power
+    mass = float(_cross_terms(np.abs(B), n, k).sum())
+    return residual_report("removed_index_cancellation", abs(S), mass,
+                            TOL_EXACT, R=B.shape[0], n=n, k=k)
+
+
+def _recursion_terms(B, n: int, k: int):
+    """(B^k)_{n,n} and, for r = 0..k-2, the pair of the summands
+    b_{n,l}^2 (B_{-n}^r)_{l,l} over l != n and their factor (B^{k-r-2})_{n,n}."""
     Bm = remove_index(B, n)
-    P = np.linalg.matrix_power(Bm, k)
-    idx = np.delete(np.arange(R), n - 1)
-    row = B[n - 1, idx]
-    col = B[idx, n - 1]
-    terms = np.outer(row, col) * P
-    np.fill_diagonal(terms, 0.0)
-    S = math.fsum(terms.ravel().tolist())
-    # scale from |entries| powers: the full monomial mass of the expanded
-    # sum, immune to cancellation inside the computed matrix power
-    P_abs = np.linalg.matrix_power(np.abs(Bm), k)
-    mass = np.outer(np.abs(row), np.abs(col)) * P_abs
-    np.fill_diagonal(mass, 0.0)
-    return residual_report("removed_index_cancellation", abs(S), float(mass.sum()),
-                            TOL_EXACT, R=R, n=n, k=k)
+    pows = [np.eye(B.shape[0])]
+    for _ in range(k):
+        pows.append(pows[-1] @ B)
+    pows_m = [np.eye(Bm.shape[0])]
+    for _ in range(k - 2):
+        pows_m.append(pows_m[-1] @ Bm)
+    b2 = np.delete(B[n - 1], n - 1) ** 2
+    return float(pows[k][n - 1, n - 1]), [
+        (b2 * np.diagonal(pows_m[r]), float(pows[k - r - 2][n - 1, n - 1]))
+        for r in range(k - 1)
+    ]
 
 
 def check_diagonal_power_recursion(B, n: int, k: int) -> ResidualReport:
@@ -162,39 +176,17 @@ def check_diagonal_power_recursion(B, n: int, k: int) -> ResidualReport:
                   (B^{k-r-2})_{n,n}   for k >= 2.
     """
     B = np.asarray(B, dtype=float)
-    R = B.shape[0]
-    if not 1 <= n <= R:
-        raise ValueError(f"index {n} out of range 1..{R}")
     if k < 2:
         raise ValueError("power k must be >= 2")
-    Babs = np.abs(B)
-    pows_B = [np.eye(R)]
-    pows_B_abs = [np.eye(R)]
-    for _ in range(k):
-        pows_B.append(pows_B[-1] @ B)
-        pows_B_abs.append(pows_B_abs[-1] @ Babs)
-    Bm = remove_index(B, n)
-    Bm_abs = np.abs(Bm)
-    pows_Bm = [np.eye(R - 1)]
-    pows_Bm_abs = [np.eye(R - 1)]
-    for _ in range(max(k - 2, 0)):
-        pows_Bm.append(pows_Bm[-1] @ Bm)
-        pows_Bm_abs.append(pows_Bm_abs[-1] @ Bm_abs)
-    idx = np.delete(np.arange(R), n - 1)
-    b2 = B[n - 1, idx] ** 2
-    lhs = float(pows_B[k][n - 1, n - 1])
-    pieces = []
-    mass = float(pows_B_abs[k][n - 1, n - 1])
-    for r in range(k - 1):
-        coeff = float(pows_B[k - r - 2][n - 1, n - 1])
-        pieces.extend((-b2 * np.diagonal(pows_Bm[r]) * coeff).tolist())
-        coeff_abs = float(pows_B_abs[k - r - 2][n - 1, n - 1])
-        mass += float(np.sum(b2 * np.diagonal(pows_Bm_abs[r]))) * coeff_abs
-    rhs = math.fsum(pieces)
-    # the monomial mass (powers of |entries|) keeps the scale meaningful
-    # even when both sides cancel to zero, e.g. for odd k
+    lhs, terms = _recursion_terms(B, n, k)
+    rhs = -math.fsum(x for t, coeff in terms for x in (t * coeff).tolist())
+    # the monomial mass (the same terms on |entries|) keeps the scale
+    # meaningful even when both sides cancel to zero, e.g. for odd k
+    mass, terms_abs = _recursion_terms(np.abs(B), n, k)
+    for t, coeff in terms_abs:
+        mass += float(np.sum(t)) * coeff
     return residual_report("diagonal_power_recursion", abs(lhs - rhs), mass, TOL_EXACT,
-                            R=R, n=n, k=k)
+                            R=B.shape[0], n=n, k=k)
 
 
 def check_even_power_positivity(x, c, k: int, trials: int = 3, seed: int = 0) -> ResidualReport:

@@ -6,9 +6,11 @@ weighted-Cauchy case.  The decomposition diagonalizes the Hermitian matrix
 i*B, whose real eigenvalues are the signed mu's, and reports each pair once
 as a unit eigenvector u = v + i*w for +i*mu (so B w = mu v, B v = -mu w).
 
-Norm-only queries stay in real arithmetic via -B^2.  Large Toeplitz/Hankel
-instances get a matrix-free path: the FFT-based products of
-matrices.ToeplitzOperator under a Lanczos extremal-eigenvalue solve.
+Norm-only queries stay in real arithmetic via -B^2.  ||T_R||, ||H_R|| and
+the top pair of T_R take one solve route, ``_top_eigen``, which holds the
+only dense/Lanczos decision: dense solves up to a size cutoff, Lanczos on
+the FFT-based products of matrices.ToeplitzOperator above it.  The top pair
+is built from the top eigenvector of -T_R^2 at every size.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .matrices import ToeplitzOperator, as_square, hilbert_hankel, hilbert_toepl
 # threshold only needs to absorb roundoff.
 ZERO_MU_REL = 1e-10
 
-# Matrix-free Lanczos takes over above this size for T_R / H_R norms.
+# Matrix-free Lanczos takes over above this size in ``_top_eigen``.
 DENSE_CUTOFF = 256
 
 # 1e-11 relative eigenvalue tolerance keeps norms accurate to ~1e-11 while
@@ -38,22 +40,29 @@ def default_tol(R: int) -> float:
     return 1e-12 * max(R, 1)
 
 
+def _within_tol(D, M, tol=None) -> bool:
+    """max |D| <= tol * max(1, max |M|); ``tol`` defaults by the size of M."""
+    tol = default_tol(M.shape[0]) if tol is None else tol
+    scale = max(1.0, float(np.abs(M).max(initial=0.0)))
+    return float(np.abs(D).max(initial=0.0)) <= tol * scale
+
+
+def _neg_square(B) -> np.ndarray:
+    """-B^2 of a dense real skew B, symmetrized: positive semidefinite."""
+    S = -(B @ B)
+    return 0.5 * (S + S.T)
+
+
 def require_skew(B, tol=None) -> np.ndarray:
     B = as_square(B, dtype=float)
-    R = B.shape[0]
-    tol = default_tol(R) if tol is None else tol
-    scale = max(1.0, float(np.abs(B).max(initial=0.0)))
-    if float(np.abs(B + B.T).max(initial=0.0)) > tol * scale:
+    if not _within_tol(B + B.T, B, tol):
         raise ValueError("matrix is not skew-symmetric")
     return B
 
 
 def require_hermitian(S, tol=None) -> np.ndarray:
     S = as_square(S)
-    R = S.shape[0]
-    tol = default_tol(R) if tol is None else tol
-    scale = max(1.0, float(np.abs(S).max(initial=0.0)))
-    if float(np.abs(S - S.conj().T).max(initial=0.0)) > tol * scale:
+    if not _within_tol(S - S.conj().T, S, tol):
         raise ValueError("matrix is not symmetric/Hermitian")
     return S
 
@@ -170,18 +179,13 @@ def skew_spectrum(B, tol=None) -> SpectralDecomposition:
 def spectral_norm(M) -> float:
     """Largest eigenvalue magnitude of a symmetric/Hermitian or skew matrix."""
     M = as_square(M)
-    R = M.shape[0]
-    if R == 0:
+    if M.shape[0] == 0:
         return 0.0
-    scale = max(1.0, float(np.abs(M).max(initial=0.0)))
-    atol = default_tol(R) * scale
-    if float(np.abs(M - M.conj().T).max(initial=0.0)) <= atol:
+    if _within_tol(M - M.conj().T, M):
         values = np.linalg.eigvalsh(M)
         return float(np.abs(values).max())
-    if not np.iscomplexobj(M) and float(np.abs(M + M.T).max(initial=0.0)) <= atol:
-        S = -(M @ M)
-        S = 0.5 * (S + S.T)
-        top = float(np.linalg.eigvalsh(S)[-1])
+    if not np.iscomplexobj(M) and _within_tol(M + M.T, M):
+        top = float(np.linalg.eigvalsh(_neg_square(M))[-1])
         return float(np.sqrt(max(top, 0.0)))
     raise ValueError("spectral_norm expects a symmetric/Hermitian or skew matrix")
 
@@ -207,54 +211,57 @@ def trace_power_norm_estimate(B, k: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Matrix-free norms for the classical Toeplitz/Hankel Hilbert matrices.
+# Norms and the top pair of the classical Toeplitz/Hankel Hilbert matrices.
 # ---------------------------------------------------------------------------
 
 
-def _lanczos_top(matvec, R: int, return_vector=False):
-    """Top eigenvalue (and unit eigenvector) of the symmetric R x R operator
-    whose product is ``matvec``."""
-    op = LinearOperator((R, R), matvec=matvec, dtype=float)
-    v0 = np.full(R, 1.0 / np.sqrt(R))
-    ncv = min(R, 64)
-    if return_vector:
+def _top_eigen(dense, matvec, R: int, square=False, vector=False):
+    """Top eigenvalue of the positive semidefinite S = A (S = -A^2 when
+    ``square``) for A given by ``dense()`` and ``matvec``; with ``vector``,
+    ``(eigenvalue, q, A q)`` for a unit top eigenvector q.  The one solver
+    choice: dense up to DENSE_CUTOFF, Lanczos above.  A q is taken on the
+    same side, so all-dense runs never load the FFT."""
+    if R <= DENSE_CUTOFF:
+        A = dense()
+        S = _neg_square(A) if square else A
+        if not vector:
+            return spectral_norm(S)
+        values, vectors = symmetric_eigen(S)
+        lam, q, apply = values[0], vectors[:, 0], A.__matmul__
+    else:
+        op = LinearOperator((R, R), matvec=(lambda x: -matvec(matvec(x))) if square
+                            else matvec, dtype=float)
+        v0 = np.full(R, 1.0 / np.sqrt(R))
+        ncv = min(R, 64)
+        if not vector:
+            lam = eigsh(op, v0=v0, ncv=ncv, return_eigenvectors=False, **_LANCZOS_OPTS)
+            return float(lam[0])
         lam, vec = eigsh(op, v0=v0, ncv=ncv, **_LANCZOS_OPTS)
-        return float(lam[0]), vec[:, 0]
-    lam = eigsh(op, v0=v0, ncv=ncv, return_eigenvectors=False, **_LANCZOS_OPTS)
-    return float(lam[0])
-
-
-def _neg_square(T: ToeplitzOperator):
-    """Product of S = -T^2, positive semidefinite for a real skew T."""
-    return lambda x: -T.matvec(T.matvec(x))
+        lam, q, apply = lam[0], vec[:, 0], matvec
+    q = q / float(np.linalg.norm(q))
+    return float(lam), q, apply(q)
 
 
 @lru_cache(maxsize=None)
 def toeplitz_hilbert_norm(R: int) -> float:
-    """Spectral norm of the R x R skew Hilbert matrix.
-
-    Dense solve below the cutoff; above it, Lanczos on S = -T^2 with
-    FFT-based Toeplitz matvecs (O(R log R) per iteration).  Values are
-    memoized: gap sweeps and bound checks revisit the same sizes.
+    """Spectral norm of the R x R skew Hilbert matrix: sqrt of the top
+    eigenvalue of S = -T^2, by Lanczos with O(R log R) matvecs at large R.
+    Values are memoized: gap sweeps and bound checks revisit the same sizes.
     """
-    if R <= DENSE_CUTOFF:
-        return spectral_norm(hilbert_toeplitz(R))
-    lam = _lanczos_top(_neg_square(ToeplitzOperator.hilbert(R)), R)
+    lam = _top_eigen(lambda: hilbert_toeplitz(R), ToeplitzOperator.hilbert(R).matvec, R,
+                     square=True)
     return float(np.sqrt(max(lam, 0.0)))
 
 
 def toeplitz_hilbert_top_pair(R: int) -> EigenPair:
-    """Top eigenpair of the R x R skew Hilbert matrix."""
-    if R <= DENSE_CUTOFF:
-        dec = skew_spectrum(hilbert_toeplitz(R))
-        if not dec.pairs:
-            raise ValueError("matrix has no nonzero eigenvalues")
-        return dec.pairs[0]
-    T = ToeplitzOperator.hilbert(R)
-    lam, q = _lanczos_top(_neg_square(T), R, return_vector=True)
+    """Top eigenpair of the R x R skew Hilbert matrix: v = q / sqrt(2) and
+    w = -T q / (mu sqrt(2)) from the unit top eigenvector q of -T^2."""
+    lam, q, Tq = _top_eigen(lambda: hilbert_toeplitz(R), ToeplitzOperator.hilbert(R).matvec,
+                            R, square=True, vector=True)
     mu = float(np.sqrt(max(lam, 0.0)))
-    q = q / float(np.linalg.norm(q))
-    w = -T.matvec(q) / mu
+    if mu == 0.0:
+        raise ValueError("matrix has no nonzero eigenvalues")
+    w = -Tq / mu
     w /= float(np.linalg.norm(w))
     inv_sqrt2 = 1.0 / np.sqrt(2.0)
     return EigenPair(mu=mu, v=q * inv_sqrt2, w=w * inv_sqrt2)
@@ -265,11 +272,9 @@ def hankel_hilbert_norm(R: int) -> float:
     """Spectral norm of the R x R symmetric Hilbert matrix 1/(m+n-1).
 
     The matrix is positive definite, so the norm is its top eigenvalue.  The
-    matrix-free path evaluates H x = T (reverse x) with a Toeplitz T.
+    matrix-free product evaluates H x = T (reverse x) with a Toeplitz T.
     """
-    if R <= DENSE_CUTOFF:
-        return spectral_norm(hilbert_hankel(R))
     m = np.arange(R, dtype=float)
     # T[m, k] = 1/(m - k + R): column 1/R..1/(2R-1), first row 1/R, 1/(R-1), .., 1
     T = ToeplitzOperator(1.0 / (m + R), 1.0 / (R - m))
-    return _lanczos_top(lambda x: T.matvec(x[::-1]), R)
+    return _top_eigen(lambda: hilbert_hankel(R), lambda x: T.matvec(x[::-1]), R)

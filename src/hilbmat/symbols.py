@@ -40,10 +40,11 @@ GAP_FLOOR = 1e-13
 class SymbolSeries:
     """Fourier coefficients c_r for |r| <= K, optionally with a closed form.
 
-    ``kind`` tags an exact evaluator: "hilbert" (sawtooth i*(pi - x)),
-    "prolate" (band indicator of height pi, bandwidth parameter ``w``), or
-    "cosine" (2 cos x).  Tagged series can extend their coefficient band on
-    demand; untagged series are undefined beyond K.
+    ``kind`` tags a closed form: "hilbert" (sawtooth i*(pi - x)) and
+    "prolate" (band indicator of height pi, bandwidth parameter ``w``) are
+    evaluated exactly; "cosine" (2 cos x) and "constant" are finite, so their
+    coefficient sum is already exact.  Tagged series can extend their
+    coefficient band on demand; untagged series are undefined beyond K.
     """
 
     coeffs: dict
@@ -106,7 +107,8 @@ class SymbolSeries:
     # -- evaluation ----------------------------------------------------------
 
     def eval(self, x):
-        """Symbol value(s) at x in [0, 2*pi]: closed form when tagged."""
+        """Symbol value(s) at x in [0, 2*pi]: the closed form of a hilbert or
+        prolate series, the coefficient sum otherwise."""
         x = np.asarray(x, dtype=float)
         if np.any((x < 0.0) | (x > 2.0 * np.pi)):
             raise ValueError("x must lie in [0, 2*pi]")
@@ -118,9 +120,6 @@ class SymbolSeries:
         if self.kind == "prolate":
             band = (x <= 2.0 * np.pi * self.w) | (x >= 2.0 * np.pi * (1.0 - self.w))
             out = np.where(band, np.pi, 0.0).astype(complex)
-            return out if out.ndim else complex(out)
-        if self.kind == "cosine":
-            out = 2.0 * np.cos(x) + 0.0j
             return out if out.ndim else complex(out)
         out = np.zeros_like(x, dtype=complex)
         for r, c in self.coeffs.items():

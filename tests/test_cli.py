@@ -37,6 +37,17 @@ def test_bad_flags_exit_2():
     assert exc.value.code == 2
 
 
+def test_out_only_where_a_csv_is_written(tmp_path):
+    # norm prints one number; --out is a gen flag, not a shared matrix flag
+    target = tmp_path / "norm.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["norm", "--out", str(target)])
+    assert exc.value.code == 2
+    assert not target.exists()
+    assert main(["gen", "--kind", "T", "--R", "3", "--out", str(target)]) == 0
+    assert target.read_text().splitlines()[0] == "c0,c1,c2"
+
+
 @pytest.mark.parametrize("argv", [
     ["norm", "--R", "0"],
     ["det", "--R", "20"],
@@ -48,6 +59,7 @@ def test_bad_flags_exit_2():
     ["hankel-gap", "--R-max", "0"],
     ["prolate-gap", "--R-min", "5", "--R-max", "2"],
     ["prolate-gap", "--w", "0.7"],
+    ["eigvec-profile", "--S", "0"],
 ])
 def test_rejected_values_exit_2(argv):
     src = str(Path(hilbmat.__file__).resolve().parent.parent)

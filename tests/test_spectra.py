@@ -1,5 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import hilbmat
 
 from hilbmat.matrices import (
     ToeplitzOperator,
@@ -157,6 +164,14 @@ class TestSpectralNorm:
         with pytest.raises(ValueError):
             spectral_norm(np.array([[1.0, 2.0], [3.0, 4.0]]))
 
+    @pytest.mark.parametrize("solve", [skew_spectrum, symmetric_eigen, spectral_norm])
+    def test_nan_input_fails_the_symmetry_check(self, solve):
+        # one tolerance predicate: a NaN defect is never within tolerance,
+        # so no solver reaches LAPACK with it
+        with pytest.raises(ValueError) as exc:
+            solve(np.full((2, 2), np.nan))
+        assert type(exc.value) is ValueError
+
 
 class TestTracePowerEstimate:
     @pytest.mark.parametrize("k", [1, 3, 20])
@@ -247,3 +262,28 @@ class TestMatrixFreeNorms:
         B = hilbert_toeplitz(R)
         assert np.linalg.norm(B @ pair.w - pair.mu * pair.v) <= 1e-9
         assert np.linalg.norm(B @ pair.v + pair.mu * pair.w) <= 1e-9
+
+    @pytest.mark.parametrize("R", [3, 21, 201, 256, 257])
+    def test_top_pair_across_cutoff(self, R):
+        # one construction on both sides of the dense/Lanczos cutoff
+        pair = toeplitz_hilbert_top_pair(R)
+        B = hilbert_toeplitz(R)
+        assert np.linalg.norm(B @ pair.w - pair.mu * pair.v) <= 1e-9
+        assert np.linalg.norm(B @ pair.v + pair.mu * pair.w) <= 1e-9
+        assert np.linalg.norm(pair.v) == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-12)
+        assert np.linalg.norm(pair.w) == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-12)
+        # the modulus does not depend on the phase
+        reference = skew_spectrum(B).pairs[0]
+        np.testing.assert_allclose(np.abs(pair.u), np.abs(reference.u), rtol=0, atol=1e-12)
+
+    def test_dense_top_pair_loads_no_module(self):
+        # T q is taken by the dense product below the cutoff: a dense-only
+        # run (such as `verify`) must not pay for importing the FFT
+        code = ("import sys; from hilbmat.spectra import toeplitz_hilbert_top_pair as f; "
+                "before = set(sys.modules); f(21); print(sorted(set(sys.modules) - before))")
+        src = str(Path(hilbmat.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=120, check=True)
+        assert proc.stdout.strip() == "[]"
