@@ -273,7 +273,9 @@ def figure1_r_values(R_max: int = 10000, dense: bool = False) -> list:
 
 
 def _map_maybe_parallel(fn, items, threads: int):
-    if threads and threads > 1:
+    if threads < 1:
+        raise ValueError("threads must be >= 1")
+    if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(fn, items))
     return [fn(item) for item in items]

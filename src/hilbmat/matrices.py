@@ -154,13 +154,14 @@ def toeplitz_from_symbol(coeffs, R) -> np.ndarray:
     """Toeplitz matrix with entry (m, n) = c_{m-n}.
 
     ``coeffs`` is either a mapping r -> c_r (absent keys are zero) or an
-    object with a ``coeff(r)`` method (see symbols.SymbolSeries), which must
-    be able to produce every coefficient with |r| <= R - 1.
+    object whose ``coeff`` method maps an integer array of offsets to their
+    coefficients (see symbols.SymbolSeries); it is called once, with every
+    offset |r| <= R - 1.
     """
     R = _check_dim(R)
     offsets = np.arange(-(R - 1), R)
     if hasattr(coeffs, "coeff"):
-        values = np.array([coeffs.coeff(int(r)) for r in offsets])
+        values = coeffs.coeff(offsets)
     else:
         values = np.array([coeffs.get(int(r), 0.0) for r in offsets])
     if np.all(np.isreal(values)):

@@ -28,7 +28,6 @@ class ResidualReport:
     passed: bool
     applicable: bool = True
     probe: bool = False
-    instance: str = ""
     details: dict = field(default_factory=dict)
 
     @property
@@ -38,15 +37,14 @@ class ResidualReport:
 
 
 def residual_report(name, residual, scale, tolerance, applicable=True, probe=False,
-                    instance="", **details) -> ResidualReport:
+                    **details) -> ResidualReport:
     """A report with ``passed`` decided here; a scale <= 0 counts as 1."""
     scale = float(scale) if scale > 0 else 1.0
     residual = float(residual)
     return ResidualReport(name=name, max_residual=residual, scale=scale,
                           tolerance=float(tolerance),
                           passed=bool(residual <= tolerance * scale),
-                          applicable=applicable, probe=probe, instance=instance,
-                          details=details)
+                          applicable=applicable, probe=probe, details=details)
 
 
 def asserted_ok(reports) -> bool:

@@ -5,6 +5,12 @@ mu >= 0, plus a zero eigenvalue of multiplicity R mod 2 in the generic
 weighted-Cauchy case.  The decomposition diagonalizes the Hermitian matrix
 i*B, whose real eigenvalues are the signed mu's, and reports each pair once
 as a unit eigenvector u = v + i*w for +i*mu (so B w = mu v, B v = -mu w).
+One threshold, ZERO_MU_REL times the norm, classifies the eigenvalues:
+above it a pair's +mu, within it of zero a zero mode.
+
+Every check that a matrix is skew or symmetric/Hermitian uses the fixed
+relative tolerance 1e-12 * R (R the dimension, at least 1) times
+max(1, max |entry|); it cannot be set.
 
 Norm-only queries stay in real arithmetic via -B^2.  ||T_R||, ||H_R|| and
 the top pair of T_R take one solve route, ``_top_eigen``, which holds the
@@ -36,15 +42,10 @@ DENSE_CUTOFF = 256
 _LANCZOS_OPTS = dict(k=1, which="LA", tol=1e-11, maxiter=20000)
 
 
-def default_tol(R: int) -> float:
-    return 1e-12 * max(R, 1)
-
-
-def _within_tol(D, M, tol=None) -> bool:
-    """max |D| <= tol * max(1, max |M|); ``tol`` defaults by the size of M."""
-    tol = default_tol(M.shape[0]) if tol is None else tol
+def _within_tol(D, M) -> bool:
+    """max |D| <= 1e-12 * max(R, 1) * max(1, max |M|) for the size R of M."""
     scale = max(1.0, float(np.abs(M).max(initial=0.0)))
-    return float(np.abs(D).max(initial=0.0)) <= tol * scale
+    return float(np.abs(D).max(initial=0.0)) <= 1e-12 * max(M.shape[0], 1) * scale
 
 
 def _neg_square(B) -> np.ndarray:
@@ -53,16 +54,16 @@ def _neg_square(B) -> np.ndarray:
     return 0.5 * (S + S.T)
 
 
-def require_skew(B, tol=None) -> np.ndarray:
+def require_skew(B) -> np.ndarray:
     B = as_square(B, dtype=float)
-    if not _within_tol(B + B.T, B, tol):
+    if not _within_tol(B + B.T, B):
         raise ValueError("matrix is not skew-symmetric")
     return B
 
 
-def require_hermitian(S, tol=None) -> np.ndarray:
+def require_hermitian(S) -> np.ndarray:
     S = as_square(S)
-    if not _within_tol(S - S.conj().T, S, tol):
+    if not _within_tol(S - S.conj().T, S):
         raise ValueError("matrix is not symmetric/Hermitian")
     return S
 
@@ -94,10 +95,6 @@ class SpectralDecomposition:
     zero_vectors: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
 
     @property
-    def dim(self) -> int:
-        return 2 * len(self.pairs) + self.zero_multiplicity
-
-    @property
     def mus(self) -> np.ndarray:
         return np.array([p.mu for p in self.pairs])
 
@@ -111,69 +108,62 @@ class SpectralDecomposition:
         return np.sort(np.concatenate([mus, -mus, np.zeros(self.zero_multiplicity)]))
 
 
-def symmetric_eigen(S, tol=None):
+def symmetric_eigen(S):
     """Dense symmetric/Hermitian eigendecomposition, eigenvalues descending.
 
     Returns ``(values, vectors)`` with ``vectors[:, j]`` the unit eigenvector
     for ``values[j]``.  Raises ValueError for non-symmetric input and lets the
     LAPACK non-convergence error (np.linalg.LinAlgError) propagate.
     """
-    S = require_hermitian(S, tol)
+    S = require_hermitian(S)
     values, vectors = np.linalg.eigh(S)
     return values[::-1].copy(), vectors[:, ::-1].copy()
 
 
-def _fix_phase(u: np.ndarray) -> np.ndarray:
-    """Rotate a complex vector so its largest-magnitude component is real > 0."""
-    j = int(np.argmax(np.abs(u)))
-    a = abs(u[j])
-    return u if a == 0.0 else u * (np.conj(u[j]) / a)
+def _peak_positive(M) -> np.ndarray:
+    """Scale each column of M by a unit factor that makes its
+    largest-magnitude entry real and positive."""
+    p = M[np.abs(M).argmax(axis=0), np.arange(M.shape[1])]
+    # |p| is taken by hypot, as numpy's scalar abs takes it; its complex-array
+    # abs can differ in the last bit
+    return M * (np.conj(p) / np.hypot(p.real, p.imag))
 
 
-def skew_spectrum(B, tol=None) -> SpectralDecomposition:
+def skew_spectrum(B) -> SpectralDecomposition:
     """Decompose a real skew matrix into +/- i*mu eigenpairs and zero modes.
 
     Works on the Hermitian matrix i*B, whose eigenvalues are the signed mu's:
     that keeps eigenvalue gaps linear (the alternative of diagonalizing -B^2
     compresses small gaps quadratically and measurably degrades the
-    eigenvectors of small eigenvalues).  For an eigenvalue mu > 0 the
-    conjugate of the i*B eigenvector is the +i*mu eigenvector of B; its phase
-    is fixed by making the largest-magnitude component real positive.
+    eigenvectors of small eigenvalues).  One threshold, ZERO_MU_REL times
+    the norm, splits the eigenvalues: above it the +mu of a pair, within it
+    of zero a zero mode.  For mu > 0 the conjugate of the i*B eigenvector is
+    the +i*mu eigenvector of B.  Every pair vector and kernel basis vector
+    is phased so its largest-magnitude component is real positive.
     """
-    B = require_skew(B, tol)
+    B = require_skew(B)
     R = B.shape[0]
+    if R == 0:
+        return SpectralDecomposition(pairs=[], zero_multiplicity=0)
     lam, U = np.linalg.eigh(1j * B)  # ascending real eigenvalues -mu..+mu
-    norm = float(max(abs(lam[0]), abs(lam[-1]))) if R else 0.0
-    zero_thr = ZERO_MU_REL * norm
-
-    pairs: list[EigenPair] = []
-    for j in range(R - 1, -1, -1):
-        if lam[j] <= zero_thr:
-            break
-        u = _fix_phase(np.conj(U[:, j]))
-        pairs.append(EigenPair(mu=float(lam[j]), v=u.real.copy(), w=u.imag.copy()))
-
-    zero_idx = [j for j in range(R) if abs(lam[j]) <= zero_thr]
-    if 2 * len(pairs) + len(zero_idx) != R:
+    thr = ZERO_MU_REL * float(max(abs(lam[0]), abs(lam[-1])))
+    top, zero = lam > thr, np.abs(lam) <= thr
+    if 2 * top.sum() + zero.sum() != R:
         raise np.linalg.LinAlgError(
             "eigenvalue pairing failed to account for the full spectrum"
         )
-    if zero_idx:
-        # real orthonormal kernel basis from the real/imag parts of the
-        # complex kernel vectors (the kernel of a real matrix is real)
-        cols = []
-        for j in zero_idx:
-            cols.append(U[:, j].real)
-            cols.append(U[:, j].imag)
-        left, sing, _ = np.linalg.svd(np.column_stack(cols), full_matrices=False)
-        zeros = left[:, : len(zero_idx)]
-        signs = np.where(zeros[np.abs(zeros).argmax(axis=0), np.arange(zeros.shape[1])] < 0, -1.0, 1.0)
-        zeros = zeros * signs
-    else:
-        zeros = np.zeros((R, 0))
-    return SpectralDecomposition(
-        pairs=pairs, zero_multiplicity=len(zero_idx), zero_vectors=zeros
-    )
+    P = _peak_positive(np.conj(U[:, top][:, ::-1]))  # mu descending
+    pairs = [EigenPair(mu=mu, v=v, w=w) for mu, v, w in
+             zip(lam[top][::-1].tolist(), P.real.T.copy(), P.imag.T.copy())]
+    # real orthonormal kernel basis from the real/imag parts of the complex
+    # kernel vectors (the kernel of a real matrix is real), interleaved
+    # Re z0, Im z0, Re z1, ...: a kernel of dimension >= 2 gets its basis
+    # from the SVD, which depends on the column order
+    Z = U[:, zero]
+    left = np.linalg.svd(np.stack([Z.real, Z.imag], axis=2).reshape(R, -1),
+                         full_matrices=False)[0]
+    return SpectralDecomposition(pairs=pairs, zero_multiplicity=Z.shape[1],
+                                 zero_vectors=_peak_positive(left[:, :Z.shape[1]]))
 
 
 def spectral_norm(M) -> float:

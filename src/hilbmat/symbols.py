@@ -35,6 +35,9 @@ GRID_POINTS_EXTRA = 64
 # Double precision floor for gap measurements pi - |largest eigenvalue|.
 GAP_FLOOR = 1e-13
 
+# Grid on which _smooth_symbol_peak locates the maximum before Newton refines it.
+_PEAK_GRID_POINTS = 8192
+
 
 @dataclass(frozen=True)
 class SymbolSeries:
@@ -90,19 +93,24 @@ class SymbolSeries:
 
     # -- coefficient access --------------------------------------------------
 
-    def coeff(self, r: int):
-        r = int(r)
-        if abs(r) <= self.K:
-            return self.coeffs.get(r, 0.0)
+    def coeff(self, r):
+        """c_r at an integer offset r, or elementwise at an integer array of
+        offsets (a scalar for a scalar r).  A hilbert or prolate series takes
+        every offset from its closed form; the finite kinds are 0 beyond the
+        band, and an untagged series is undefined there."""
+        r = np.asarray(r, dtype=np.int64)
         if self.kind == "hilbert":
-            return float(hilbert_coeffs(r))
-        if self.kind == "prolate":
-            return float(prolate_coeffs(r, self.w))
-        if self.kind in ("cosine", "constant"):
-            return 0.0
-        raise ValueError(
-            f"coefficient c_{r} undefined: band is |r| <= {self.K} and no closed form"
-        )
+            out = hilbert_coeffs(r)
+        elif self.kind == "prolate":
+            out = prolate_coeffs(r, self.w)
+        else:
+            outside = np.abs(r) > self.K
+            if self.kind not in ("cosine", "constant") and outside.any():
+                raise ValueError(f"coefficient c_{r[outside].flat[0]} undefined: band is "
+                                 f"|r| <= {self.K} and no closed form")
+            band = np.array([self.coeffs.get(k, 0.0) for k in range(-self.K, self.K + 1)])
+            out = np.where(outside, 0.0, band[np.clip(r, -self.K, self.K) + self.K])
+        return out if out.ndim else out.item()
 
     # -- evaluation ----------------------------------------------------------
 
@@ -221,19 +229,19 @@ def quadratic_form(series: SymbolSeries, u):
 # ---------------------------------------------------------------------------
 
 
-def _smooth_symbol_peak(series: SymbolSeries, samples: int = 8192):
+def _smooth_symbol_peak(series: SymbolSeries):
     """(max value, argmax, second derivative) of a smooth real symbol.
 
     Returns None when the symbol is degenerate for the rate law (vanishing
     curvature at the peak, e.g. a constant symbol).
     """
-    x = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
+    x = np.linspace(0.0, 2.0 * np.pi, _PEAK_GRID_POINTS, endpoint=False)
     fx = series.eval(x).real
     j = int(np.argmax(fx))
     x0 = float(x[j])
     # Newton refinement on f' using the analytic derivatives of the series.
-    rs = np.array([r for r in range(-series.K, series.K + 1)])
-    cs = np.array([series.coeff(int(r)) for r in rs])
+    rs = np.arange(-series.K, series.K + 1)
+    cs = series.coeff(rs)
     for _ in range(60):
         e = np.exp(1j * rs * x0)
         d1 = float(np.sum(1j * rs * cs * e).real)

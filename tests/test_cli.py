@@ -60,6 +60,9 @@ def test_out_only_where_a_csv_is_written(tmp_path):
     ["prolate-gap", "--R-min", "5", "--R-max", "2"],
     ["prolate-gap", "--w", "0.7"],
     ["eigvec-profile", "--S", "0"],
+    ["sweep-gap", "--R-max", "20", "--threads", "0"],
+    ["sweep-gap", "--threads", "-3"],
+    ["hankel-gap", "--R-max", "5", "--threads", "-1"],
 ])
 def test_rejected_values_exit_2(argv):
     src = str(Path(hilbmat.__file__).resolve().parent.parent)

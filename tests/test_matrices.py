@@ -126,11 +126,13 @@ def test_toeplitz_convention_entry_is_c_of_m_minus_n():
     pytest.param("hilbert", 6, 5, None, id="hilbert-R6-K5"),
     pytest.param("hilbert", 9, 3, None, id="hilbert-R9-K3"),
     pytest.param("hilbert", 40, 0, None, id="hilbert-R40-K0"),
+    pytest.param("hilbert", 300, 1, None, id="hilbert-R300-K1"),
     pytest.param("prolate", 6, 5, 0.2, id="prolate-R6-K5-w0.2"),
     pytest.param("prolate", 12, 11, 0.2, id="prolate-R12-K11-w0.2"),
     pytest.param("prolate", 12, 4, 0.1, id="prolate-R12-K4-w0.1"),
     pytest.param("prolate", 30, 7, 0.37, id="prolate-R30-K7-w0.37"),
     pytest.param("prolate", 40, 39, 0.49, id="prolate-R40-K39-w0.49"),
+    pytest.param("prolate", 300, 2, 0.2, id="prolate-R300-K2-w0.2"),
 ])
 def test_toeplitz_symbol_reproduces_closed_form(family, R, K, w):
     # K < R - 1 reads the outer coefficients from SymbolSeries.coeff's

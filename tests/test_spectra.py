@@ -146,6 +146,41 @@ class TestSkewSpectrum:
         with pytest.raises(ValueError):
             skew_spectrum(np.array([[0.0, 1.0], [1.0, 0.0]]))
 
+    def test_edge_shapes(self):
+        empty = skew_spectrum(np.zeros((0, 0)))
+        assert empty.pairs == [] and empty.zero_multiplicity == 0
+        assert empty.zero_vectors.shape == (0, 0)
+        one = skew_spectrum(np.zeros((1, 1)))
+        assert one.pairs == [] and one.zero_multiplicity == 1
+        np.testing.assert_array_equal(one.zero_vectors, [[1.0]])
+        zero3 = skew_spectrum(np.zeros((3, 3)))
+        assert zero3.pairs == [] and zero3.zero_multiplicity == 3
+        np.testing.assert_array_equal(zero3.zero_vectors, np.eye(3))
+
+    def test_kernel_basis_multiplicity(self):
+        # two zero weights leave a generic 4 x 4 block: a 2-dim kernel
+        x = np.array([0.0, 1.0, 2.5, 4.0, 4.5, 7.0])
+        c = np.array([1.0, 0.0, -2.0, 0.7, 0.0, 1.3])
+        B = weighted_cauchy_matrix(x, c)
+        dec = skew_spectrum(B)
+        Z = dec.zero_vectors
+        assert dec.zero_multiplicity == 2 and Z.shape == (6, 2)
+        assert not np.iscomplexobj(Z)
+        np.testing.assert_allclose(Z.T @ Z, np.eye(2), atol=1e-14)
+        assert np.linalg.norm(B @ Z) <= 1e-12 * dec.norm
+        assert np.all(Z[np.abs(Z).argmax(axis=0), [0, 1]] > 0.0)
+
+    @pytest.mark.parametrize("R", [2, 7, 20, 41])
+    def test_pair_phase_rule(self, R):
+        rng = np.random.default_rng(100 + R)
+        x = np.sort(rng.uniform(0, 10 * R, R))
+        c = rng.uniform(0.1, 2.0, R) * rng.choice([-1.0, 1.0], R)
+        for B in (weighted_cauchy_matrix(x, c), hilbert_toeplitz(R)):
+            for p in skew_spectrum(B).pairs:
+                peak = p.u[np.argmax(np.abs(p.u))]
+                assert peak.real > 0.0
+                assert abs(peak.imag) <= 1e-15 * peak.real
+
 
 class TestSpectralNorm:
     def test_hilbert_toeplitz_small_closed_forms(self):

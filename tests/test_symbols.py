@@ -61,6 +61,24 @@ class TestSymbolEval:
         with pytest.raises(ValueError):
             untagged.coeff(2)
 
+    @pytest.mark.parametrize("series", [
+        SymbolSeries.hilbert(3), SymbolSeries.prolate(0.2, 3), SymbolSeries.cosine(),
+        SymbolSeries.constant(2.5), SymbolSeries.from_coeffs({0: 2.0, 1: 1j, -1: -1j}, K=4),
+    ], ids=["hilbert", "prolate", "cosine", "constant", "untagged"])
+    def test_coeff_array_matches_offsets(self, series):
+        # tagged series answer far beyond the band; untagged ones only inside it
+        reach = 300 if series.kind else series.K
+        rs = np.arange(-reach, reach + 1)
+        values = series.coeff(rs)
+        assert values.shape == rs.shape
+        scalars = [series.coeff(int(r)) for r in rs]
+        assert all(isinstance(v, (float, complex)) for v in scalars)
+        np.testing.assert_array_equal(values, scalars)
+        np.testing.assert_array_equal(np.signbit(values.real), np.signbit(np.real(scalars)))
+        if series.kind is None:
+            with pytest.raises(ValueError, match="c_5 undefined"):
+                series.coeff(np.array([0, 1, 5]))
+
     def test_hilbert_coefficients_converge_to_sawtooth(self):
         # partial Fourier sums approach i(pi - x) away from the jump
         x = 2.0
