@@ -17,7 +17,7 @@ from scipy.sparse.linalg import ArpackNoConvergence
 from . import gaps, identities, matrices, symbols
 from ._util import fmt17
 from .determinants import det_lu, det_matching, pfaffian
-from .spectra import spectral_norm
+from .spectra import hankel_hilbert_norm, spectral_norm, toeplitz_hilbert_norm
 
 
 def _seeded_instance(R, seed):
@@ -49,8 +49,10 @@ def cmd_gen(args) -> int:
 
 
 def cmd_norm(args) -> int:
-    M = _build_named_matrix(args)
-    print(fmt17(spectral_norm(M)))
+    # T and H take the memoized solve route of the gap sweeps, not a dense build
+    route = {"T": toeplitz_hilbert_norm, "H": hankel_hilbert_norm}.get(args.kind)
+    norm = route(matrices.as_dim(args.R)) if route else spectral_norm(_build_named_matrix(args))
+    print(fmt17(norm))
     return 0
 
 

@@ -1,6 +1,7 @@
 """Constructors for the structured matrices of the weighted Hilbert family.
 
-All builders return plain float64 ndarrays.  The Cauchy builders assemble
+Builders return plain float64 ndarrays, except that ``toeplitz_from_symbol``
+returns a complex matrix for a complex symbol.  The Cauchy builders assemble
 their strict upper triangle and mirror it with negation; every Toeplitz-family
 matrix is read from one (column, row) pair by ``ToeplitzOperator``, and the
 skew Hilbert matrix T_R takes row = -column.  Either way ``M.T == -M`` and
@@ -48,7 +49,8 @@ def as_weights(values, R: int) -> np.ndarray:
     return c
 
 
-def _check_dim(R) -> int:
+def as_dim(R) -> int:
+    """Validate a matrix dimension: an integer with 1 <= R <= MAX_DIM."""
     if not isinstance(R, (int, np.integer)):
         raise ValueError("dimension must be an integer")
     if R < 1:
@@ -130,12 +132,12 @@ class ToeplitzOperator:
 
 def hilbert_toeplitz(R) -> np.ndarray:
     """Finite skew Hilbert matrix: entries 1/(m - n), equal nodes 1..R."""
-    return ToeplitzOperator.hilbert(_check_dim(R)).dense()
+    return ToeplitzOperator.hilbert(as_dim(R)).dense()
 
 
 def hilbert_hankel(R) -> np.ndarray:
     """Finite symmetric Hilbert matrix: entries 1/(m + n - 1)."""
-    R = _check_dim(R)
+    R = as_dim(R)
     idx = np.arange(R, dtype=float)
     return 1.0 / (idx[:, None] + idx[None, :] + 1.0)
 
@@ -146,7 +148,7 @@ def prolate_matrix(R, w) -> np.ndarray:
     Requires 0 < w < 1/2.  The first column doubles as the first row, so
     symmetry is exact.
     """
-    vals = prolate_coeffs(np.arange(_check_dim(R)), w)
+    vals = prolate_coeffs(np.arange(as_dim(R)), w)
     return ToeplitzOperator(vals, vals).dense()
 
 
@@ -158,7 +160,7 @@ def toeplitz_from_symbol(coeffs, R) -> np.ndarray:
     coefficients (see symbols.SymbolSeries); it is called once, with every
     offset |r| <= R - 1.
     """
-    R = _check_dim(R)
+    R = as_dim(R)
     offsets = np.arange(-(R - 1), R)
     if hasattr(coeffs, "coeff"):
         values = coeffs.coeff(offsets)

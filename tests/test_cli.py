@@ -9,9 +9,11 @@ import pytest
 
 import hilbmat
 
+from hilbmat._util import fmt17
 from hilbmat.cli import main
 from hilbmat.gaps import build_witness
 from hilbmat.reports import ResidualReport
+from hilbmat.spectra import hankel_hilbert_norm, toeplitz_hilbert_norm
 
 
 def run_cli(args):
@@ -50,7 +52,7 @@ def test_out_only_where_a_csv_is_written(tmp_path):
 
 @pytest.mark.parametrize("argv", [
     ["norm", "--R", "0"],
-    ["det", "--R", "20"],
+    ["det", "--R", "24"],
     ["norm", "--kind", "prolate", "--w", "0.7"],
     ["witness", "--R", "5"],
     ["sweep-gap", "--R-max", "1"],
@@ -63,6 +65,8 @@ def test_out_only_where_a_csv_is_written(tmp_path):
     ["sweep-gap", "--R-max", "20", "--threads", "0"],
     ["sweep-gap", "--threads", "-3"],
     ["hankel-gap", "--R-max", "5", "--threads", "-1"],
+    ["norm", "--kind", "T", "--R", "20001"],
+    ["norm", "--kind", "H", "--R", "20001"],
 ])
 def test_rejected_values_exit_2(argv):
     src = str(Path(hilbmat.__file__).resolve().parent.parent)
@@ -83,7 +87,7 @@ def test_numerical_failure_exits_1(capsys, monkeypatch):
         raise np.linalg.LinAlgError("eigenvalues did not converge")
 
     monkeypatch.setattr("hilbmat.cli.spectral_norm", fail)
-    assert run_cli(["norm", "--R", "3"]) == 1
+    assert run_cli(["norm", "--kind", "A", "--R", "3"]) == 1
     err = capsys.readouterr().err.splitlines()
     assert err == ["hilbmat: numerical failure: eigenvalues did not converge"]
 
@@ -123,6 +127,15 @@ def test_norm_t3(capsys):
     assert float(capsys.readouterr().out.strip()) == pytest.approx(1.5, abs=1e-12)
 
 
+@pytest.mark.parametrize("R", [5, 256, 257, 1000])
+@pytest.mark.parametrize("kind,norm", [("T", toeplitz_hilbert_norm),
+                                       ("H", hankel_hilbert_norm)])
+def test_norm_reads_the_solve_route(capsys, kind, norm, R):
+    # the same value as sweep-gap and hankel-gap, on both sides of the cutoff
+    assert run_cli(["norm", "--kind", kind, "--R", str(R)]) == 0
+    assert capsys.readouterr().out == fmt17(norm(R)) + "\n"
+
+
 @pytest.mark.parametrize("kind,upper", [
     ("H", np.pi),        # Hankel Hilbert norms stay below pi
     ("prolate", np.pi),  # band indicator height
@@ -150,6 +163,11 @@ def test_det_random_even(capsys):
     assert run_cli(["det", "--R", "6", "--seed", "4"]) == 0
     out = dict(line.split("=") for line in capsys.readouterr().out.strip().splitlines())
     assert float(out["matching"]) == pytest.approx(float(out["lu"]), rel=1e-9)
+
+
+def test_det_odd_beyond_the_cap(capsys):
+    assert run_cli(["det", "--R", "23"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "matching=0"
 
 
 def test_verify_small_suite(tmp_path):

@@ -102,6 +102,9 @@ class TestDetMatching:
         for R in (1, 3, 5, 7, 11):
             assert det_matching(random_weighted_instance(R, R)) == 0.0
 
+    def test_empty_matrix_is_one(self):
+        assert det_matching(np.zeros((0, 0))) == 1.0
+
     def test_r2_single_entry_squared(self):
         B = random_weighted_instance(0, 2)
         assert det_matching(B) == pytest.approx(B[0, 1] ** 2, rel=1e-15)
@@ -207,6 +210,14 @@ class TestPrincipalMinorSum:
         assert principal_minor_sum(B, 1) == 0.0
         assert principal_minor_sum(B, 3) == 0.0
         assert principal_minor_sum(B, 5) == 0.0
+
+    def test_order_zero_is_one(self):
+        assert principal_minor_sum(random_weighted_instance(3, 6), 0) == 1.0
+
+    def test_odd_orders_vanish_beyond_the_cap(self):
+        B = random_weighted_instance(5, MATCHING_CAP + 2)
+        assert principal_minor_sum(B, 1) == 0.0
+        assert principal_minor_sum(B, MATCHING_CAP + 1) == 0.0
 
     def test_t3_order_two(self):
         # three 2x2 principal minors: b12^2 + b13^2 + b23^2
