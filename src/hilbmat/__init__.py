@@ -15,7 +15,6 @@ from .matrices import (
     write_matrix_csv,
 )
 from .spectra import (
-    EigenPair,
     SpectralDecomposition,
     hankel_hilbert_norm,
     skew_spectrum,
@@ -56,7 +55,7 @@ __all__ = [
     "GapReport", "cauchy_matrix", "hilbert_hankel", "hilbert_toeplitz",
     "min_gaps", "prolate_matrix", "remove_index", "toeplitz_from_symbol",
     "weighted_cauchy_matrix", "write_matrix_csv", "ToeplitzOperator",
-    "EigenPair", "SpectralDecomposition", "hankel_hilbert_norm",
+    "SpectralDecomposition", "hankel_hilbert_norm",
     "skew_spectrum", "spectral_norm", "symmetric_eigen",
     "toeplitz_hilbert_norm", "toeplitz_hilbert_top_pair",
     "trace_power_norm_estimate",

@@ -5,10 +5,11 @@ Every check is a pure function of its inputs returning a ResidualReport
 the diagonal power recursion) are held to TOL_EXACT = 1e-12 of a
 sum-of-absolute-terms scale, so heavy cancellation cannot produce false
 passes.  Identities mediated by computed eigenpairs inherit the eigensolver
-residual and are held to TOL_EIGEN = 1e-9; each is evaluated on all of an
-instance's eigenpairs at once, one pair per column, and reports the worst
-pair's residual over that pair's scale (with scale 1).  Inequality checks
-carry INEQ_SLACK.  Conjectured bounds are recorded, never asserted.
+residual and are held to TOL_EIGEN = 1e-9; each takes a
+spectra.SpectralDecomposition, is evaluated on all of its eigenpair columns
+at once (zero modes last, at mu = 0), and reports the worst pair's residual
+over that pair's scale (with scale 1).  Inequality checks carry INEQ_SLACK.
+Conjectured bounds are recorded, never asserted.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from .matrices import (
     weighted_cauchy_matrix,
 )
 from .spectra import (
-    EigenPair,
     SpectralDecomposition,
     skew_spectrum,
     spectral_norm,
@@ -41,23 +41,26 @@ DISTINCT_REL = 1e-8     # eigenvalue separation threshold, relative to the norm
 MIN_NODE_GAP = 1e-3     # enforced minimum separation of random nodes
 
 
-def _floored_scales(nominal, mass, mus=None, norm_ub=None, separations=None):
+def _floored_scales(nominal, mass, mus=None, norm_ub=None, evs=None):
     """Per-pair scale floors for eigenpair-mediated identities.
 
     An identity evaluated as a double-precision sum with absolute term mass m
     cannot be verified below ~eps * m, so the pass threshold never dips under
     512 eps * m.  With ``mus`` given, pairs with mu > 0 also inherit the
     eigenvector error eps * norm / gap, where gap is the distance from mu to
-    the rest of the spectrum (at most 2 mu, the distance to the partner
-    -i mu), with sensitivity bounded by the term mass.  The floor only matters
-    for eigenvalues orders of magnitude below the norm, where the nominal
-    scale mu^2 ||u||_inf^2 collapses.
+    the nearest other of the signed eigenvalues ``evs`` (at most 2 mu, the
+    distance to the partner -i mu), with sensitivity bounded by the term
+    mass.  The floor only matters for eigenvalues orders of magnitude below
+    the norm, where the nominal scale mu^2 ||u||_inf^2 collapses.
     """
     cond = 512.0
     if mus is not None:
-        sep = 2.0 * mus if separations is None else np.minimum(separations, 2.0 * mus)
         # zero modes (mu = 0) keep the plain floor: an infinite gap gives 512
-        sep = np.where(mus > 0, sep, np.inf)
+        pos = mus > 0
+        sep = np.full(mus.shape, np.inf)
+        if pos.any():
+            # the nearest distance is mu's own, 0: the gap is the second nearest
+            sep[pos] = np.sort(np.abs(evs - mus[pos, None]), axis=1)[:, 1]
         cond = np.maximum(512.0, 8.0 * norm_ub / np.maximum(sep, 1e-300))
     return np.maximum(nominal, mass * np.finfo(float).eps * cond / TOL_EIGEN)
 
@@ -244,44 +247,34 @@ def check_norm_dominance(x, c, x2, c2) -> ResidualReport:
 # ---------------------------------------------------------------------------
 
 
-def _stack(pairs):
-    """Eigenvalues and the R x p real and imaginary eigenvector parts, one
-    pair per column."""
-    if not pairs:
-        raise ValueError("at least one eigenpair is required")
-    mus = np.array([p.mu for p in pairs], dtype=float)
-    return mus, np.column_stack([p.v for p in pairs]), np.column_stack([p.w for p in pairs])
-
-
 def _worst_pair(name, residuals, scales, mus, **details) -> ResidualReport:
     """One report for a batch of pairs: the worst residual over its scale."""
+    if not mus.size:
+        raise ValueError("at least one eigenpair is required")
     ratios = residuals / np.where(scales > 0, scales, 1.0)
     j = int(np.argmax(ratios))
     return residual_report(name, ratios[j], 1.0, TOL_EIGEN, mu=float(mus[j]),
                             pairs_checked=ratios.size, **details)
 
 
-def check_eigenvector_amplitude_identity(x, c, pairs, separations=None) -> ResidualReport:
+def check_eigenvector_amplitude_identity(x, c, dec: SpectralDecomposition) -> ResidualReport:
     """Squared amplitudes of an eigenvector satisfy, for every n,
 
     mu^2 |u_n|^2 = sum_m a_{m,n}^2 (c_n^2 c_m^2 |u_m|^2
                                      + 2 c_n^3 c_m Re(u_n conj(u_m))).
 
-    Evaluated on all ``pairs`` at once.  Zero modes are dropped: the natural
-    scale mu^2 ||u||_inf^2 degenerates; with none left the report is not
-    applicable.  ``separations[j]`` (distance from pair j's mu to the nearest
-    other eigenvalue) feeds the conditioning-aware scale floor; 2 mu is used
-    when absent.
+    Evaluated on every column of ``dec`` at once.  Zero modes are dropped:
+    the natural scale mu^2 ||u||_inf^2 degenerates; with none left the
+    report is not applicable.  Each pair's distance to the nearest other
+    eigenvalue of ``dec`` feeds the conditioning-aware scale floor; for a
+    one-column ``dec`` that is 2 mu.
     """
     x = np.asarray(x, dtype=float)
-    mus, V, W = _stack(pairs)
-    keep = mus != 0.0
+    keep = dec.mus != 0.0
     if not keep.any():
         return residual_report("eigenvector_amplitude", 0.0, 1.0, TOL_EIGEN,
                                 applicable=False, R=x.size)
-    mus, U = mus[keep], V[:, keep] + 1j * W[:, keep]
-    if separations is not None:
-        separations = np.asarray(separations, dtype=float)[keep]
+    mus, U = dec.mus[keep], dec.U[:, keep]
     c = np.asarray(c, dtype=float)
     cc = c[:, None]
     A = cauchy_matrix(x)
@@ -295,26 +288,27 @@ def check_eigenvector_amplitude_identity(x, c, pairs, separations=None) -> Resid
             + 2.0 * np.abs(cc) ** 3 * (A2 @ (np.abs(cc) * np.abs(U))) * np.abs(U)
             + lhs).max(axis=0)
     norm_ub = _row_norm_upper_bound(weighted_cauchy_matrix(x, c))
-    scales = _floored_scales(mus**2 * P.max(axis=0), mass, mus, norm_ub, separations)
+    scales = _floored_scales(mus**2 * P.max(axis=0), mass, mus, norm_ub,
+                             dec.signed_eigenvalues())
     return _worst_pair("eigenvector_amplitude", residuals, scales, mus, R=x.size)
 
 
-def check_real_imag_coupling(x, c, pairs, separations=None) -> ResidualReport:
+def check_real_imag_coupling(x, c, dec: SpectralDecomposition) -> ResidualReport:
     """Real and imaginary parts of an eigenvector are coupled entrywise:
 
     mu^2 v_n^2 = sum_m b_{n,m}^2 w_m^2
                  + 2 c_n^2 sum_{m != n} a_{n,m} w_m (mu v_m - b_{m,n} w_n),
 
-    and for mu != 0 the two parts carry equal norm.  Evaluated on all
-    ``pairs`` at once; ``separations`` as for the amplitude identity.  The
-    norm-split defect is folded into each pair's residual so that ``passed``
-    covers both statements; the largest raw values are recorded in the
-    details.
+    and for mu != 0 the two parts carry equal norm.  Evaluated on every
+    column of ``dec`` at once, zero modes included; the scale floor as for
+    the amplitude identity.  The norm-split defect is folded into each
+    pair's residual so that ``passed`` covers both statements; the largest
+    raw values are recorded in the details.
     """
     x = np.asarray(x, dtype=float)
     c = np.asarray(c, dtype=float)
     c2 = c[:, None] ** 2
-    mus, V, W = _stack(pairs)
+    mus, V, W = dec.mus, dec.V, dec.W
     B = weighted_cauchy_matrix(x, c)
     A = cauchy_matrix(x)
     energy = (B * B) @ (W**2)
@@ -327,51 +321,49 @@ def check_real_imag_coupling(x, c, pairs, separations=None) -> ResidualReport:
                           + aW * ((np.abs(A) * np.abs(B.T)) @ aW))
             + np.abs(lhs)).max(axis=0)
     nonzero = mus > 0
-    nominal = np.where(nonzero, mus**2 * (np.abs(V + 1j * W) ** 2).max(axis=0), 1.0)
-    scales = _floored_scales(nominal, mass, mus, _row_norm_upper_bound(B), separations)
+    nominal = np.where(nonzero, mus**2 * (np.abs(dec.U) ** 2).max(axis=0), 1.0)
+    scales = _floored_scales(nominal, mass, mus, _row_norm_upper_bound(B),
+                             dec.signed_eigenvalues())
     norm_split = np.where(
         nonzero, np.abs(np.linalg.norm(V, axis=0) - np.linalg.norm(W, axis=0)), 0.0)
     # rescale the norm-split defect onto the identity tolerance
     folded = np.maximum(residuals, norm_split * (TOL_EIGEN * scales) / 1e-10)
     return _worst_pair("real_imag_coupling", folded, scales, mus, R=x.size,
-                       identity_residual=float(residuals.max()),
-                       norm_split=float(norm_split.max()))
+                       identity_residual=float(residuals.max(initial=0.0)),
+                       norm_split=float(norm_split.max(initial=0.0)))
 
 
-def check_weighted_sum_identity(c, pairs) -> ResidualReport:
+def check_weighted_sum_identity(c, dec: SpectralDecomposition) -> ResidualReport:
     """The weighted component sum of an eigenvector collapses:
 
     |sum_r c_r u_r|^2 = sum_r |c_r u_r|^2,
 
-    evaluated on all ``pairs`` at once.
+    evaluated on every column of ``dec`` at once, zero modes included.
     """
     c = np.asarray(c, dtype=float)
-    mus, V, W = _stack(pairs)
-    U = V + 1j * W
+    U = dec.U
     lhs = np.abs(c @ U) ** 2
     rhs = c**2 @ (np.abs(U) ** 2)
     mass = (np.abs(c) @ np.abs(U)) ** 2 + rhs
     return _worst_pair("weighted_sum_identity", np.abs(lhs - rhs),
-                       _floored_scales(rhs, mass), mus, R=c.size)
+                       _floored_scales(rhs, mass), dec.mus, R=c.size)
 
 
-def check_eigenvalue_distinctness(x, c, dec: SpectralDecomposition | None = None) -> ResidualReport:
-    """All R eigenvalues are distinct whenever every weight is nonzero."""
-    x = np.asarray(x, dtype=float)
+def check_eigenvalue_distinctness(c, dec: SpectralDecomposition) -> ResidualReport:
+    """All R eigenvalues are distinct whenever every weight is nonzero:
+    ``dec`` is the spectrum of a weighted-Cauchy matrix with weights ``c``."""
     c = np.asarray(c, dtype=float)
     if np.any(c == 0.0):
         return residual_report("eigenvalue_distinctness", 0.0, 1.0, 0.0,
-                                applicable=False, R=x.size)
-    if dec is None:
-        dec = skew_spectrum(weighted_cauchy_matrix(x, c))
+                                applicable=False, R=c.size)
     evs = dec.signed_eigenvalues()
     if evs.size < 2:
-        return residual_report("eigenvalue_distinctness", 0.0, 1.0, 0.0, R=x.size,
+        return residual_report("eigenvalue_distinctness", 0.0, 1.0, 0.0, R=c.size,
                                 min_gap=float("inf"))
     min_gap = float(np.diff(evs).min())
     threshold = DISTINCT_REL * dec.norm
     return residual_report("eigenvalue_distinctness", max(0.0, threshold - min_gap),
-                            1.0, 0.0, R=x.size, min_gap=min_gap, threshold=threshold)
+                            1.0, 0.0, R=c.size, min_gap=min_gap, threshold=threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -426,8 +418,7 @@ def check_centered_eigenvector_symmetry(S: int) -> ResidualReport:
     if S < 0:
         raise ValueError("S must be >= 0")
     R = 2 * S + 1
-    dec = skew_spectrum(hilbert_toeplitz(R))
-    U = np.column_stack([p.u for p in dec.pairs] + [dec.zero_vectors])
+    U = skew_spectrum(hilbert_toeplitz(R)).U
     center = U[S]
     phaseable = np.abs(center) > 1e-8 * np.abs(U).max(axis=0)
     N = 1j * U[:, phaseable] / center[phaseable]
@@ -447,8 +438,8 @@ def probe_eigenvector_monotonicity(S: int):
     if S < 0:
         raise ValueError("S must be >= 0")
     R = 2 * S + 1
-    pair = toeplitz_hilbert_top_pair(R)
-    amp = np.abs(pair.u)
+    top = toeplitz_hilbert_top_pair(R)
+    amp = np.abs(top.U[:, 0])
     offsets = np.arange(-S, S + 1)
     upper = amp[S:]
     holds = bool(np.all(np.diff(upper) > 0.0)) if S >= 1 else True
@@ -458,7 +449,7 @@ def probe_eigenvector_monotonicity(S: int):
     center_minimal = bool(int(np.argmin(amp)) == S)
     center_maximal = bool(int(np.argmax(amp)) == S)
     report = residual_report("eigenvector_monotonicity_probe", 0.0, 1.0, 1.0, probe=True,
-                              R=R, S=S, mu=pair.mu, conjecture_holds=holds,
+                              R=R, S=S, mu=top.norm, conjecture_holds=holds,
                               monotone_decay_from_center=decays,
                               center_minimal=center_minimal,
                               center_maximal=center_maximal)
@@ -485,18 +476,10 @@ def _instance_battery(seed: int, x, c, rng: np.random.Generator):
         check_norm_dominance(x * (1.0 + rng.uniform(0.1, 2.0)), c, x, c),
     ]
     dec = skew_spectrum(B)
-    pairs = list(dec.pairs) + [
-        EigenPair(0.0, dec.zero_vectors[:, j], np.zeros(R))
-        for j in range(dec.zero_multiplicity)
-    ]
-    mus = np.array([p.mu for p in pairs])
-    evs = dec.signed_eigenvalues()
-    # distance from each pair's mu to the nearest other eigenvalue
-    seps = np.sort(np.abs(evs - mus[:, None]), axis=1)[:, 1]
-    out.append(check_eigenvector_amplitude_identity(x, c, pairs, seps))
-    out.append(check_real_imag_coupling(x, c, pairs, seps))
-    out.append(check_weighted_sum_identity(c, pairs))
-    out.append(check_eigenvalue_distinctness(x, c, dec))
+    out.append(check_eigenvector_amplitude_identity(x, c, dec))
+    out.append(check_real_imag_coupling(x, c, dec))
+    out.append(check_weighted_sum_identity(c, dec))
+    out.append(check_eigenvalue_distinctness(c, dec))
     out.append(check_row_norm_bounds(x))
     out.append(check_montgomery_vaughan(x))
     # a report's own seed wins; R is always the instance's

@@ -3,10 +3,11 @@
 A real skew matrix B has purely imaginary eigenvalues in pairs +/- i*mu with
 mu >= 0, plus a zero eigenvalue of multiplicity R mod 2 in the generic
 weighted-Cauchy case.  The decomposition diagonalizes the Hermitian matrix
-i*B, whose real eigenvalues are the signed mu's, and reports each pair once
-as a unit eigenvector u = v + i*w for +i*mu (so B w = mu v, B v = -mu w).
-One threshold, ZERO_MU_REL times the norm, classifies the eigenvalues:
-above it a pair's +mu, within it of zero a zero mode.
+i*B, whose real eigenvalues are the signed mu's, and stores each pair once
+as a column of V and W: u = v + i*w is a unit eigenvector for +i*mu (so
+B w = mu v, B v = -mu w).  Zero modes follow the pairs as columns with
+mu = 0 and w = 0.  One threshold, ZERO_MU_REL times the norm, classifies
+the eigenvalues: above it a pair's +mu, within it of zero a zero mode.
 
 Every check that a matrix is skew or symmetric/Hermitian uses the fixed
 relative tolerance 1e-12 * R (R the dimension, at least 1) times
@@ -21,7 +22,7 @@ is built from the top eigenvector of -T_R^2 at every size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -69,43 +70,36 @@ def require_hermitian(S) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class EigenPair:
-    """One +/- i*mu eigenvalue pair of a real skew matrix.
+class SpectralDecomposition:
+    """Eigenpairs of a real skew matrix B, one per column.
 
-    The unit eigenvector for +i*mu is u = v + i*w, so B w = mu v and
-    B v = -mu w.  For mu != 0 the real and imaginary parts carry equal
-    Euclidean norm 1/sqrt(2).
+    ``mus`` is descending; column j of U = V + i*W is a unit eigenvector for
+    +i*mus[j], so B W = V diag(mus) and B V = -W diag(mus).  A column with
+    mu > 0 stands for the pair +/- i*mu, its real and imaginary parts of
+    equal norm 1/sqrt(2).  Zero modes come last, with mu == 0.0 exactly, the
+    real kernel basis in V and W = 0.  V and W are C-contiguous.
     """
 
-    mu: float
-    v: np.ndarray
-    w: np.ndarray
+    mus: np.ndarray
+    V: np.ndarray
+    W: np.ndarray
 
     @property
-    def u(self) -> np.ndarray:
-        return self.v + 1j * self.w
-
-
-@dataclass(frozen=True)
-class SpectralDecomposition:
-    """Full spectrum of a real skew matrix: pairs sorted by mu descending."""
-
-    pairs: list[EigenPair]
-    zero_multiplicity: int
-    zero_vectors: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
-
-    @property
-    def mus(self) -> np.ndarray:
-        return np.array([p.mu for p in self.pairs])
+    def U(self) -> np.ndarray:
+        return self.V + 1j * self.W
 
     @property
     def norm(self) -> float:
-        return self.pairs[0].mu if self.pairs else 0.0
+        return float(self.mus[0]) if self.mus.size else 0.0
+
+    @property
+    def zero_multiplicity(self) -> int:
+        return int(np.count_nonzero(self.mus == 0.0))
 
     def signed_eigenvalues(self) -> np.ndarray:
-        """All R imaginary parts: +mu_j, -mu_j and the zeros, sorted."""
-        mus = self.mus
-        return np.sort(np.concatenate([mus, -mus, np.zeros(self.zero_multiplicity)]))
+        """Imaginary parts of the eigenvalues: +mu and -mu for each mu > 0,
+        0 for each zero mode, sorted."""
+        return np.sort(np.concatenate([self.mus, -self.mus[self.mus > 0]]))
 
 
 def symmetric_eigen(S):
@@ -144,7 +138,7 @@ def skew_spectrum(B) -> SpectralDecomposition:
     B = require_skew(B)
     R = B.shape[0]
     if R == 0:
-        return SpectralDecomposition(pairs=[], zero_multiplicity=0)
+        return SpectralDecomposition(np.zeros(0), np.zeros((0, 0)), np.zeros((0, 0)))
     lam, U = np.linalg.eigh(1j * B)  # ascending real eigenvalues -mu..+mu
     thr = ZERO_MU_REL * float(max(abs(lam[0]), abs(lam[-1])))
     top, zero = lam > thr, np.abs(lam) <= thr
@@ -153,8 +147,6 @@ def skew_spectrum(B) -> SpectralDecomposition:
             "eigenvalue pairing failed to account for the full spectrum"
         )
     P = _peak_positive(np.conj(U[:, top][:, ::-1]))  # mu descending
-    pairs = [EigenPair(mu=mu, v=v, w=w) for mu, v, w in
-             zip(lam[top][::-1].tolist(), P.real.T.copy(), P.imag.T.copy())]
     # real orthonormal kernel basis from the real/imag parts of the complex
     # kernel vectors (the kernel of a real matrix is real), interleaved
     # Re z0, Im z0, Re z1, ...: a kernel of dimension >= 2 gets its basis
@@ -162,8 +154,12 @@ def skew_spectrum(B) -> SpectralDecomposition:
     Z = U[:, zero]
     left = np.linalg.svd(np.stack([Z.real, Z.imag], axis=2).reshape(R, -1),
                          full_matrices=False)[0]
-    return SpectralDecomposition(pairs=pairs, zero_multiplicity=Z.shape[1],
-                                 zero_vectors=_peak_positive(left[:, :Z.shape[1]]))
+    K = _peak_positive(left[:, :Z.shape[1]])
+    # C order: the identity checks' matrix products round by memory layout
+    return SpectralDecomposition(
+        mus=np.concatenate([lam[top][::-1], np.zeros(K.shape[1])]),
+        V=np.ascontiguousarray(np.hstack([P.real, K])),
+        W=np.ascontiguousarray(np.hstack([P.imag, np.zeros_like(K)])))
 
 
 def spectral_norm(M) -> float:
@@ -243,9 +239,10 @@ def toeplitz_hilbert_norm(R: int) -> float:
     return float(np.sqrt(max(lam, 0.0)))
 
 
-def toeplitz_hilbert_top_pair(R: int) -> EigenPair:
-    """Top eigenpair of the R x R skew Hilbert matrix: v = q / sqrt(2) and
-    w = -T q / (mu sqrt(2)) from the unit top eigenvector q of -T^2."""
+def toeplitz_hilbert_top_pair(R: int) -> SpectralDecomposition:
+    """Top eigenpair of the R x R skew Hilbert matrix as a one-column
+    decomposition: v = q / sqrt(2) and w = -T q / (mu sqrt(2)) from the unit
+    top eigenvector q of -T^2."""
     lam, q, Tq = _top_eigen(lambda: hilbert_toeplitz(R), ToeplitzOperator.hilbert(R).matvec,
                             R, square=True, vector=True)
     mu = float(np.sqrt(max(lam, 0.0)))
@@ -254,7 +251,8 @@ def toeplitz_hilbert_top_pair(R: int) -> EigenPair:
     w = -Tq / mu
     w /= float(np.linalg.norm(w))
     inv_sqrt2 = 1.0 / np.sqrt(2.0)
-    return EigenPair(mu=mu, v=q * inv_sqrt2, w=w * inv_sqrt2)
+    return SpectralDecomposition(np.array([mu]), (q * inv_sqrt2)[:, None],
+                                 (w * inv_sqrt2)[:, None])
 
 
 @lru_cache(maxsize=None)

@@ -97,8 +97,13 @@ class SymbolSeries:
         """c_r at an integer offset r, or elementwise at an integer array of
         offsets (a scalar for a scalar r).  A hilbert or prolate series takes
         every offset from its closed form; the finite kinds are 0 beyond the
-        band, and an untagged series is undefined there."""
-        r = np.asarray(r, dtype=np.int64)
+        band, and an untagged series is undefined there.  A non-integral
+        offset is a ValueError."""
+        r = np.asarray(r)
+        if not np.issubdtype(r.dtype, np.integer) and not np.all(
+                np.isfinite(r) & (np.floor(r) == r)):
+            raise ValueError("coefficient offsets must be integers")
+        r = r.astype(np.int64)
         if self.kind == "hilbert":
             out = hilbert_coeffs(r)
         elif self.kind == "prolate":

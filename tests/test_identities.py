@@ -1,4 +1,5 @@
 import io
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -26,7 +27,12 @@ from hilbmat.identities import (
 )
 from hilbmat.matrices import cauchy_matrix, hilbert_toeplitz, weighted_cauchy_matrix
 from hilbmat.reports import ResidualReport, asserted_ok
-from hilbmat.spectra import EigenPair, skew_spectrum, spectral_norm
+from hilbmat.spectra import SpectralDecomposition, skew_spectrum, spectral_norm
+
+
+def columns(dec, idx):
+    """The decomposition of the eigenpair columns ``idx`` of ``dec``."""
+    return SpectralDecomposition(dec.mus[idx], dec.V[:, idx], dec.W[:, idx])
 
 
 def farey_nodes(order):
@@ -174,18 +180,18 @@ class TestEigenpairIdentities:
         x = np.arange(1.0, 6.0)
         dec = skew_spectrum(cauchy_matrix(x))
         A2 = cauchy_matrix(x) ** 2
-        for p in dec.pairs:
-            u, mu = p.u, p.mu
+        for j in np.flatnonzero(dec.mus > 0):
+            u, mu = dec.U[:, j], dec.mus[j]
             rhs = A2 @ (np.abs(u) ** 2) + 2.0 * np.real(u * np.conj(A2 @ u))
             np.testing.assert_allclose(mu**2 * np.abs(u) ** 2, rhs, atol=1e-12)
-            rep = check_eigenvector_amplitude_identity(x, np.ones(5), [p])
+            rep = check_eigenvector_amplitude_identity(x, np.ones(5), columns(dec, [j]))
             assert rep.passed
 
     def test_t3_top_pair(self):
         x = np.arange(1.0, 4.0)
         c = np.ones(3)
         dec = skew_spectrum(weighted_cauchy_matrix(x, c))
-        rep = check_eigenvector_amplitude_identity(x, c, [dec.pairs[0]])
+        rep = check_eigenvector_amplitude_identity(x, c, columns(dec, [0]))
         assert rep.passed and rep.max_residual <= 1e-10 * rep.scale
 
     @pytest.mark.parametrize("seed", [0, 3, 11])
@@ -194,18 +200,15 @@ class TestEigenpairIdentities:
         x = random_nodes(20, rng)
         c = random_weights(20, rng)
         dec = skew_spectrum(weighted_cauchy_matrix(x, c))
-        evs = dec.signed_eigenvalues()
-        for p in dec.pairs:
-            sep = float(np.sort(np.abs(evs - p.mu))[1])
-            assert check_eigenvector_amplitude_identity(x, c, [p], [sep]).passed
+        # one call: each pair's gap to the nearest other eigenvalue of dec
+        assert check_eigenvector_amplitude_identity(x, c, dec).passed
 
     def test_coupling_zero_mode_exact(self):
         x = np.arange(1.0, 6.0)
         c = np.ones(5)
         dec = skew_spectrum(weighted_cauchy_matrix(x, c))
         assert dec.zero_multiplicity == 1
-        pair = EigenPair(0.0, dec.zero_vectors[:, 0], np.zeros(5))
-        rep = check_real_imag_coupling(x, c, [pair])
+        rep = check_real_imag_coupling(x, c, columns(dec, dec.mus == 0.0))
         assert rep.passed
         assert rep.details["identity_residual"] == 0.0  # w = 0 exactly
 
@@ -213,7 +216,7 @@ class TestEigenpairIdentities:
         x = np.arange(1.0, 6.0)
         c = np.ones(5)
         dec = skew_spectrum(weighted_cauchy_matrix(x, c))
-        rep = check_real_imag_coupling(x, c, [dec.pairs[0]])
+        rep = check_real_imag_coupling(x, c, columns(dec, [0]))
         assert rep.passed
         assert rep.details["norm_split"] <= 1e-10
 
@@ -223,66 +226,74 @@ class TestEigenpairIdentities:
         x = random_nodes(10, rng)
         c = random_weights(10, rng)
         dec = skew_spectrum(weighted_cauchy_matrix(x, c))
-        for p in dec.pairs:
-            assert check_real_imag_coupling(x, c, [p]).passed
+        for j in np.flatnonzero(dec.mus > 0):
+            assert check_real_imag_coupling(x, c, columns(dec, [j])).passed
 
     def test_weighted_sum_r1(self):
-        pair = EigenPair(0.0, np.array([1.0]), np.array([0.0]))
-        assert check_weighted_sum_identity(np.array([2.0]), [pair]).passed
+        zero_mode = SpectralDecomposition(np.zeros(1), np.ones((1, 1)), np.zeros((1, 1)))
+        assert check_weighted_sum_identity(np.array([2.0]), zero_mode).passed
 
     def test_weighted_sum_t3_unit_weights(self):
         x = np.arange(1.0, 4.0)
         dec = skew_spectrum(cauchy_matrix(x))
-        u = dec.pairs[0].u
+        u = dec.U[:, 0]
         assert abs(np.sum(u)) ** 2 == pytest.approx(np.sum(np.abs(u) ** 2), abs=1e-12)
-        assert check_weighted_sum_identity(np.ones(3), [dec.pairs[0]]).passed
+        assert check_weighted_sum_identity(np.ones(3), columns(dec, [0])).passed
 
     def test_weighted_sum_random_r15_all_pairs(self):
         rng = np.random.default_rng(123)
         x = random_nodes(15, rng)
         c = random_weights(15, rng)
         dec = skew_spectrum(weighted_cauchy_matrix(x, c))
-        pairs = list(dec.pairs) + [
-            EigenPair(0.0, dec.zero_vectors[:, j], np.zeros(15))
-            for j in range(dec.zero_multiplicity)
-        ]
-        for p in pairs:
-            assert check_weighted_sum_identity(c, [p]).passed
+        for j in range(dec.mus.size):  # zero modes included
+            assert check_weighted_sum_identity(c, columns(dec, [j])).passed
 
     def test_one_bad_pair_fails_the_batch(self):
         rng = np.random.default_rng(5)
         x = random_nodes(12, rng)
         c = random_weights(12, rng)
-        pairs = skew_spectrum(weighted_cauchy_matrix(x, c)).pairs
+        dec = skew_spectrum(weighted_cauchy_matrix(x, c))
         checks = [
-            lambda ps: check_eigenvector_amplitude_identity(x, c, ps),
-            lambda ps: check_real_imag_coupling(x, c, ps),
-            lambda ps: check_weighted_sum_identity(c, ps),
+            lambda d: check_eigenvector_amplitude_identity(x, c, d),
+            lambda d: check_real_imag_coupling(x, c, d),
+            lambda d: check_weighted_sum_identity(c, d),
         ]
         for check in checks:
-            rep = check(pairs)
-            assert rep.passed and rep.details["pairs_checked"] == len(pairs)
-        bad = list(pairs)
-        v = bad[2].v.copy()
-        v[0] += 1e-6
-        bad[2] = EigenPair(bad[2].mu, v, bad[2].w)
+            rep = check(dec)
+            assert rep.passed and rep.details["pairs_checked"] == dec.mus.size
+        V = dec.V.copy()
+        V[0, 2] += 1e-6
+        bad = replace(dec, V=V)
         for check in checks:
             assert not check(bad).passed
-        zero_modes = [EigenPair(0.0, np.eye(12)[:, j], np.zeros(12)) for j in range(2)]
+        zero_modes = SpectralDecomposition(np.zeros(2), np.eye(12)[:, :2], np.zeros((12, 2)))
         assert not check_eigenvector_amplitude_identity(x, c, zero_modes).applicable
+
+    def test_empty_batch_is_rejected(self):
+        x = np.arange(1.0, 4.0)
+        c = np.ones(3)
+        empty = columns(skew_spectrum(weighted_cauchy_matrix(x, c)), [])
+        for check in (lambda d: check_real_imag_coupling(x, c, d),
+                      lambda d: check_weighted_sum_identity(c, d)):
+            with pytest.raises(ValueError, match="^at least one eigenpair is required$"):
+                check(empty)
+        # no nonzero mu: nothing to hold the amplitude identity to
+        assert not check_eigenvector_amplitude_identity(x, c, empty).applicable
 
 
 class TestEigenvalueDistinctness:
     def test_t4_two_distinct_pairs(self):
         x = np.arange(1.0, 5.0)
-        rep = check_eigenvalue_distinctness(x, np.ones(4))
+        rep = check_eigenvalue_distinctness(
+            np.ones(4), skew_spectrum(weighted_cauchy_matrix(x, np.ones(4))))
         assert rep.applicable and rep.passed
         dec = skew_spectrum(hilbert_toeplitz(4))
         assert abs(dec.mus[0] - dec.mus[1]) > 1e-8 * dec.norm
 
     def test_zero_weight_hypothesis_not_met(self):
-        rep = check_eigenvalue_distinctness(np.array([0.0, 1.0, 2.0]),
-                                            np.array([1.0, 0.0, 1.0]))
+        c = np.array([1.0, 0.0, 1.0])
+        dec = skew_spectrum(weighted_cauchy_matrix(np.array([0.0, 1.0, 2.0]), c))
+        rep = check_eigenvalue_distinctness(c, dec)
         assert not rep.applicable
 
     @pytest.mark.parametrize("seed", range(8))
@@ -290,7 +301,8 @@ class TestEigenvalueDistinctness:
         rng = np.random.default_rng(seed)
         x = random_nodes(12, rng)
         c = random_weights(12, rng)
-        assert check_eigenvalue_distinctness(x, c).passed
+        dec = skew_spectrum(weighted_cauchy_matrix(x, c))
+        assert check_eigenvalue_distinctness(c, dec).passed
 
 
 class TestRowNormBounds:
@@ -351,7 +363,7 @@ class TestCenteredSymmetry:
         assert rep.passed
         # direct check on the top pair of the 3x3 matrix
         dec = skew_spectrum(hilbert_toeplitz(3))
-        u = dec.pairs[0].u
+        u = dec.U[:, 0]
         un = 1j * u / u[1]
         assert abs(un[0] + np.conj(un[2])) <= 1e-12
 

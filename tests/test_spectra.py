@@ -79,8 +79,8 @@ class TestSkewSpectrum:
     def test_t2(self):
         dec = skew_spectrum(hilbert_toeplitz(2))
         assert dec.zero_multiplicity == 0
-        assert len(dec.pairs) == 1
-        assert dec.pairs[0].mu == pytest.approx(1.0, abs=1e-14)
+        assert dec.mus.size == 1
+        assert dec.mus[0] == pytest.approx(1.0, abs=1e-14)
 
     def test_t3_closed_form(self):
         # 3x3 skew matrices have mu = sqrt(b12^2 + b13^2 + b23^2)
@@ -88,7 +88,7 @@ class TestSkewSpectrum:
         mu_expect = np.sqrt(B[0, 1] ** 2 + B[0, 2] ** 2 + B[1, 2] ** 2)
         dec = skew_spectrum(B)
         assert dec.zero_multiplicity == 1
-        assert dec.pairs[0].mu == pytest.approx(mu_expect, abs=1e-14)
+        assert dec.mus[0] == pytest.approx(mu_expect, abs=1e-14)
         assert mu_expect == pytest.approx(1.5, abs=0)
 
     @pytest.mark.parametrize("R", [2, 3, 6, 11, 20])
@@ -98,18 +98,20 @@ class TestSkewSpectrum:
         c = rng.uniform(0.1, 2.0, R) * rng.choice([-1.0, 1.0], R)
         B = weighted_cauchy_matrix(x, c)
         dec = skew_spectrum(B)
-        assert 2 * len(dec.pairs) + dec.zero_multiplicity == R
+        npairs = int(np.count_nonzero(dec.mus > 0))
+        assert 2 * npairs + dec.zero_multiplicity == R
         assert dec.zero_multiplicity == R % 2
         norm = dec.norm
         mus = dec.mus
         assert np.all(np.diff(mus) <= 0)
-        for p in dec.pairs:
-            u = p.u
+        for j in range(npairs):
+            mu, v, w = mus[j], dec.V[:, j], dec.W[:, j]
+            u = dec.U[:, j]
             assert np.linalg.norm(u) == pytest.approx(1.0, abs=1e-12)
             # B w = mu v and B v = -mu w
-            assert np.linalg.norm(B @ p.w - p.mu * p.v) <= 1e-12 * R * norm
-            assert np.linalg.norm(B @ p.v + p.mu * p.w) <= 1e-12 * R * norm
-            assert abs(np.linalg.norm(p.v) - np.linalg.norm(p.w)) <= 1e-10
+            assert np.linalg.norm(B @ w - mu * v) <= 1e-12 * R * norm
+            assert np.linalg.norm(B @ v + mu * w) <= 1e-12 * R * norm
+            assert abs(np.linalg.norm(v) - np.linalg.norm(w)) <= 1e-10
 
     def test_zero_weight_matches_removed_index_spectrum(self):
         x = np.array([0.0, 1.0, 2.5, 4.0])
@@ -117,8 +119,8 @@ class TestSkewSpectrum:
         dec_full = skew_spectrum(weighted_cauchy_matrix(x, c))
         keep = np.array([0, 2, 3])
         dec_sub = skew_spectrum(weighted_cauchy_matrix(x[keep], c[keep]))
-        np.testing.assert_allclose(np.sort(dec_full.mus), np.sort(dec_sub.mus),
-                                   atol=1e-12)
+        np.testing.assert_allclose(np.sort(dec_full.mus[dec_full.mus > 0]),
+                                   np.sort(dec_sub.mus[dec_sub.mus > 0]), atol=1e-12)
         assert dec_full.zero_multiplicity == dec_sub.zero_multiplicity + 1
 
     @pytest.mark.parametrize("R", [5, 9, 17])
@@ -128,7 +130,7 @@ class TestSkewSpectrum:
         # kernel vectors satisfy B q = 0
         B = hilbert_toeplitz(R)
         for j in range(dec.zero_multiplicity):
-            q = dec.zero_vectors[:, j]
+            q = dec.V[:, dec.mus == 0.0][:, j]
             assert np.linalg.norm(B @ q) <= 1e-10 * dec.norm
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
@@ -148,14 +150,14 @@ class TestSkewSpectrum:
 
     def test_edge_shapes(self):
         empty = skew_spectrum(np.zeros((0, 0)))
-        assert empty.pairs == [] and empty.zero_multiplicity == 0
-        assert empty.zero_vectors.shape == (0, 0)
+        assert not np.any(empty.mus > 0) and empty.zero_multiplicity == 0
+        assert empty.V.shape == (0, 0)
         one = skew_spectrum(np.zeros((1, 1)))
-        assert one.pairs == [] and one.zero_multiplicity == 1
-        np.testing.assert_array_equal(one.zero_vectors, [[1.0]])
+        assert not np.any(one.mus > 0) and one.zero_multiplicity == 1
+        np.testing.assert_array_equal(one.V, [[1.0]])
         zero3 = skew_spectrum(np.zeros((3, 3)))
-        assert zero3.pairs == [] and zero3.zero_multiplicity == 3
-        np.testing.assert_array_equal(zero3.zero_vectors, np.eye(3))
+        assert not np.any(zero3.mus > 0) and zero3.zero_multiplicity == 3
+        np.testing.assert_array_equal(zero3.V, np.eye(3))
 
     def test_kernel_basis_multiplicity(self):
         # two zero weights leave a generic 4 x 4 block: a 2-dim kernel
@@ -163,7 +165,7 @@ class TestSkewSpectrum:
         c = np.array([1.0, 0.0, -2.0, 0.7, 0.0, 1.3])
         B = weighted_cauchy_matrix(x, c)
         dec = skew_spectrum(B)
-        Z = dec.zero_vectors
+        Z = dec.V[:, dec.mus == 0.0]
         assert dec.zero_multiplicity == 2 and Z.shape == (6, 2)
         assert not np.iscomplexobj(Z)
         np.testing.assert_allclose(Z.T @ Z, np.eye(2), atol=1e-14)
@@ -176,10 +178,32 @@ class TestSkewSpectrum:
         x = np.sort(rng.uniform(0, 10 * R, R))
         c = rng.uniform(0.1, 2.0, R) * rng.choice([-1.0, 1.0], R)
         for B in (weighted_cauchy_matrix(x, c), hilbert_toeplitz(R)):
-            for p in skew_spectrum(B).pairs:
-                peak = p.u[np.argmax(np.abs(p.u))]
+            dec = skew_spectrum(B)
+            for u in dec.U[:, dec.mus > 0].T:
+                peak = u[np.argmax(np.abs(u))]
                 assert peak.real > 0.0
                 assert abs(peak.imag) <= 1e-15 * peak.real
+
+    @pytest.mark.parametrize("R", [2, 7, 20, 41])
+    def test_columns_solve_the_pair_equations(self, R):
+        # all columns at once: B W = V diag(mus), B V = -W diag(mus); zero
+        # modes last at mu == 0.0 with W == 0; C order, which the identity
+        # checks' matrix products round by
+        rng = np.random.default_rng(200 + R)
+        x = np.sort(rng.uniform(0, 10 * R, R))
+        c = rng.uniform(0.1, 2.0, R) * rng.choice([-1.0, 1.0], R)
+        B = weighted_cauchy_matrix(x, c)
+        dec = skew_spectrum(B)
+        tol = 1e-12 * R * dec.norm
+        assert dec.V.shape == dec.W.shape == (R, dec.mus.size)
+        assert np.linalg.norm(B @ dec.W - dec.V * dec.mus) <= tol
+        assert np.linalg.norm(B @ dec.V + dec.W * dec.mus) <= tol
+        zero = dec.mus == 0.0
+        z = dec.zero_multiplicity
+        assert z == R % 2 and zero.sum() == z
+        assert np.all(zero[dec.mus.size - z:]) and np.all(dec.mus[:dec.mus.size - z] > 0)
+        assert np.all(dec.W[:, zero] == 0.0)
+        assert dec.V.flags.c_contiguous and dec.W.flags.c_contiguous
 
 
 class TestSpectralNorm:
@@ -291,25 +315,26 @@ class TestMatrixFreeNorms:
 
     def test_top_pair_large_matches_dense_mu(self):
         R = 301
-        pair = toeplitz_hilbert_top_pair(R)
+        top = toeplitz_hilbert_top_pair(R)
         dense = spectral_norm(hilbert_toeplitz(R))
-        assert pair.mu == pytest.approx(dense, abs=1e-9)
+        assert top.norm == pytest.approx(dense, abs=1e-9)
         B = hilbert_toeplitz(R)
-        assert np.linalg.norm(B @ pair.w - pair.mu * pair.v) <= 1e-9
-        assert np.linalg.norm(B @ pair.v + pair.mu * pair.w) <= 1e-9
+        assert np.linalg.norm(B @ top.W - top.V * top.mus) <= 1e-9
+        assert np.linalg.norm(B @ top.V + top.W * top.mus) <= 1e-9
 
     @pytest.mark.parametrize("R", [3, 21, 201, 256, 257])
     def test_top_pair_across_cutoff(self, R):
         # one construction on both sides of the dense/Lanczos cutoff
-        pair = toeplitz_hilbert_top_pair(R)
+        top = toeplitz_hilbert_top_pair(R)
         B = hilbert_toeplitz(R)
-        assert np.linalg.norm(B @ pair.w - pair.mu * pair.v) <= 1e-9
-        assert np.linalg.norm(B @ pair.v + pair.mu * pair.w) <= 1e-9
-        assert np.linalg.norm(pair.v) == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-12)
-        assert np.linalg.norm(pair.w) == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-12)
+        assert top.mus.shape == (1,)
+        assert np.linalg.norm(B @ top.W - top.V * top.mus) <= 1e-9
+        assert np.linalg.norm(B @ top.V + top.W * top.mus) <= 1e-9
+        assert np.linalg.norm(top.V) == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-12)
+        assert np.linalg.norm(top.W) == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-12)
         # the modulus does not depend on the phase
-        reference = skew_spectrum(B).pairs[0]
-        np.testing.assert_allclose(np.abs(pair.u), np.abs(reference.u), rtol=0, atol=1e-12)
+        reference = skew_spectrum(B).U[:, 0]
+        np.testing.assert_allclose(np.abs(top.U[:, 0]), np.abs(reference), rtol=0, atol=1e-12)
 
     def test_dense_top_pair_loads_no_module(self):
         # T q is taken by the dense product below the cutoff: a dense-only

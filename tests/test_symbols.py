@@ -61,6 +61,15 @@ class TestSymbolEval:
         with pytest.raises(ValueError):
             untagged.coeff(2)
 
+    def test_coeff_rejects_non_integer_offsets(self):
+        s = SymbolSeries.hilbert(3)
+        for r in (2.5, np.array([0.5, 1.9]), np.nan, np.inf):
+            with pytest.raises(ValueError, match="^coefficient offsets must be integers$"):
+                s.coeff(r)
+        # integral floats name the same offsets as integers
+        assert s.coeff(2.0) == s.coeff(2)
+        np.testing.assert_array_equal(s.coeff(np.array([-1.0, 4.0])), s.coeff(np.array([-1, 4])))
+
     @pytest.mark.parametrize("series", [
         SymbolSeries.hilbert(3), SymbolSeries.prolate(0.2, 3), SymbolSeries.cosine(),
         SymbolSeries.constant(2.5), SymbolSeries.from_coeffs({0: 2.0, 1: 1j, -1: -1j}, K=4),
