@@ -78,8 +78,6 @@ def det_matching(B, check: bool = False) -> float:
 def det_lu(M) -> float:
     """Determinant via partially pivoted LU factorization (oracle route)."""
     M = as_square(M, dtype=float)
-    if M.shape[0] == 0:
-        return 1.0
     return float(np.linalg.det(M))
 
 
@@ -125,8 +123,8 @@ def principal_minor_sum(B, k: int) -> float:
     """
     B = require_skew(B)
     R = B.shape[0]
-    if not 0 <= k <= R:
-        raise ValueError("minor order k must satisfy 0 <= k <= R")
+    if not isinstance(k, (int, np.integer)) or not 0 <= k <= R:
+        raise ValueError("minor order k must be an integer with 0 <= k <= R")
     if k % 2 == 1:
         return 0.0
     if R > MATCHING_CAP:

@@ -5,7 +5,9 @@ returns a complex matrix for a complex symbol.  The Cauchy builders assemble
 their strict upper triangle and mirror it with negation; every Toeplitz-family
 matrix is read from one (column, row) pair by ``ToeplitzOperator``, and the
 skew Hilbert matrix T_R takes row = -column.  Either way ``M.T == -M`` and
-``M.diagonal() == 0`` hold exactly rather than to roundoff.
+``M.diagonal() == 0`` hold exactly rather than to roundoff.  The symmetric
+Hilbert matrix H_R is written once, as ``ToeplitzOperator.hankel``: H_R with
+its columns reversed, a Toeplitz matrix.
 Node vectors must be strictly increasing; sorting is the caller's job, which
 keeps gap computations O(R) and sign conventions unambiguous.
 """
@@ -49,14 +51,15 @@ def as_weights(values, R: int) -> np.ndarray:
     return c
 
 
-def as_dim(R) -> int:
-    """Validate a matrix dimension: an integer with 1 <= R <= MAX_DIM."""
+def as_dim(R, cap=MAX_DIM) -> int:
+    """Validate a matrix dimension: an integer with 1 <= R <= cap; matrix-free
+    sizes pass ``cap=None``, which sets no upper bound."""
     if not isinstance(R, (int, np.integer)):
         raise ValueError("dimension must be an integer")
     if R < 1:
         raise ValueError("dimension must be >= 1")
-    if R > MAX_DIM:
-        raise ValueError(f"dimension exceeds the size cap of {MAX_DIM}")
+    if cap is not None and R > cap:
+        raise ValueError(f"dimension exceeds the size cap of {cap}")
     return int(R)
 
 
@@ -120,8 +123,18 @@ class ToeplitzOperator:
 
         Matrix-free use is not bound by the dense size cap MAX_DIM.
         """
-        col = hilbert_coeffs(np.arange(R))
+        col = hilbert_coeffs(np.arange(as_dim(R, cap=None)))
         return cls(col, -col)
+
+    @classmethod
+    def hankel(cls, R: int) -> "ToeplitzOperator":
+        """H_R with its columns reversed, H_R = T J (J reverses the index
+        order): column 1/R, .., 1/(2R-1), row 1/R, 1/(R-1), .., 1.
+
+        Matrix-free use is not bound by the dense size cap MAX_DIM.
+        """
+        m = np.arange(as_dim(R, cap=None), dtype=float)
+        return cls(1.0 / (m + R), 1.0 / (R - m))
 
     def dense(self) -> np.ndarray:
         return toeplitz(self.col, self.row)
@@ -136,10 +149,9 @@ def hilbert_toeplitz(R) -> np.ndarray:
 
 
 def hilbert_hankel(R) -> np.ndarray:
-    """Finite symmetric Hilbert matrix: entries 1/(m + n - 1)."""
-    R = as_dim(R)
-    idx = np.arange(R, dtype=float)
-    return 1.0 / (idx[:, None] + idx[None, :] + 1.0)
+    """Finite symmetric Hilbert matrix: entries 1/(m + n - 1), the dense
+    ``ToeplitzOperator.hankel`` with its columns reversed."""
+    return ToeplitzOperator.hankel(as_dim(R)).dense()[:, ::-1]
 
 
 def prolate_matrix(R, w) -> np.ndarray:

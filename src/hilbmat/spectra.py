@@ -15,9 +15,10 @@ max(1, max |entry|); it cannot be set.
 
 Norm-only queries stay in real arithmetic via -B^2.  ||T_R||, ||H_R|| and
 the top pair of T_R take one solve route, ``_top_eigen``, which holds the
-only dense/Lanczos decision: dense solves up to a size cutoff, Lanczos on
-the FFT-based products of matrices.ToeplitzOperator above it.  The top pair
-is built from the top eigenvector of -T_R^2 at every size.
+only dense/Lanczos decision: up to a size cutoff ``spectral_norm`` for a
+norm and ``np.linalg.eigh`` for a top pair, above it Lanczos on the
+FFT-based products of ``ToeplitzOperator.hilbert`` and ``.hankel``.  The top
+pair is built from the top eigenvector of -T_R^2 at every size.
 """
 
 from __future__ import annotations
@@ -62,13 +63,6 @@ def require_skew(B) -> np.ndarray:
     return B
 
 
-def require_hermitian(S) -> np.ndarray:
-    S = as_square(S)
-    if not _within_tol(S - S.conj().T, S):
-        raise ValueError("matrix is not symmetric/Hermitian")
-    return S
-
-
 @dataclass(frozen=True)
 class SpectralDecomposition:
     """Eigenpairs of a real skew matrix B, one per column.
@@ -100,18 +94,6 @@ class SpectralDecomposition:
         """Imaginary parts of the eigenvalues: +mu and -mu for each mu > 0,
         0 for each zero mode, sorted."""
         return np.sort(np.concatenate([self.mus, -self.mus[self.mus > 0]]))
-
-
-def symmetric_eigen(S):
-    """Dense symmetric/Hermitian eigendecomposition, eigenvalues descending.
-
-    Returns ``(values, vectors)`` with ``vectors[:, j]`` the unit eigenvector
-    for ``values[j]``.  Raises ValueError for non-symmetric input and lets the
-    LAPACK non-convergence error (np.linalg.LinAlgError) propagate.
-    """
-    S = require_hermitian(S)
-    values, vectors = np.linalg.eigh(S)
-    return values[::-1].copy(), vectors[:, ::-1].copy()
 
 
 def _peak_positive(M) -> np.ndarray:
@@ -212,8 +194,8 @@ def _top_eigen(dense, matvec, R: int, square=False, vector=False):
         S = _neg_square(A) if square else A
         if not vector:
             return spectral_norm(S)
-        values, vectors = symmetric_eigen(S)
-        lam, q, apply = values[0], vectors[:, 0], A.__matmul__
+        values, vectors = np.linalg.eigh(S)  # ascending
+        lam, q, apply = values[-1], vectors[:, -1], A.__matmul__
     else:
         op = LinearOperator((R, R), matvec=(lambda x: -matvec(matvec(x))) if square
                             else matvec, dtype=float)
@@ -260,9 +242,8 @@ def hankel_hilbert_norm(R: int) -> float:
     """Spectral norm of the R x R symmetric Hilbert matrix 1/(m+n-1).
 
     The matrix is positive definite, so the norm is its top eigenvalue.  The
-    matrix-free product evaluates H x = T (reverse x) with a Toeplitz T.
+    matrix-free product evaluates H x = T (reverse x) with the Toeplitz
+    T = ToeplitzOperator.hankel(R).
     """
-    m = np.arange(R, dtype=float)
-    # T[m, k] = 1/(m - k + R): column 1/R..1/(2R-1), first row 1/R, 1/(R-1), .., 1
-    T = ToeplitzOperator(1.0 / (m + R), 1.0 / (R - m))
+    T = ToeplitzOperator.hankel(R)
     return _top_eigen(lambda: hilbert_hankel(R), lambda x: T.matvec(x[::-1]), R)

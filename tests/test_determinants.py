@@ -104,6 +104,7 @@ class TestDetMatching:
 
     def test_empty_matrix_is_one(self):
         assert det_matching(np.zeros((0, 0))) == 1.0
+        assert det_lu(np.zeros((0, 0))) == 1.0
 
     def test_r2_single_entry_squared(self):
         B = random_weighted_instance(0, 2)
@@ -213,6 +214,11 @@ class TestPrincipalMinorSum:
 
     def test_order_zero_is_one(self):
         assert principal_minor_sum(random_weighted_instance(3, 6), 0) == 1.0
+
+    @pytest.mark.parametrize("k", [2.0, 3.0, 2.5])
+    def test_order_must_be_an_integer(self, k):
+        with pytest.raises(ValueError, match="^minor order k must be an integer with 0 <= k <= R$"):
+            principal_minor_sum(random_weighted_instance(1, 6), k)
 
     def test_odd_orders_vanish_beyond_the_cap(self):
         B = random_weighted_instance(5, MATCHING_CAP + 2)

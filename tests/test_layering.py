@@ -16,3 +16,14 @@ def test_no_private_names_imported_across_modules():
                                  for alias in node.names if alias.name.startswith("_"))
     assert len(SOURCES) > 1
     assert offenders == []
+
+
+def test_package_imports_match_all():
+    # the imports of hilbmat/__init__.py and its __all__ are kept by hand:
+    # each imported name is listed exactly once, and each entry resolves
+    tree = ast.parse(Path(hilbmat.__file__).read_text())
+    imported = [alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) and node.level for alias in node.names]
+    assert len(set(hilbmat.__all__)) == len(hilbmat.__all__)
+    assert sorted(imported) == sorted(hilbmat.__all__)
+    assert [name for name in hilbmat.__all__ if not hasattr(hilbmat, name)] == []

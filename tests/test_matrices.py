@@ -7,6 +7,7 @@ from hilbmat.determinants import det_lu, det_matching, pfaffian
 from hilbmat.matrices import (
     GapReport,
     MAX_DIM,
+    ToeplitzOperator,
     cauchy_matrix,
     hilbert_hankel,
     hilbert_toeplitz,
@@ -17,7 +18,7 @@ from hilbmat.matrices import (
     weighted_cauchy_matrix,
     write_matrix_csv,
 )
-from hilbmat.spectra import require_hermitian, require_skew, skew_spectrum, spectral_norm
+from hilbmat.spectra import require_skew, skew_spectrum, spectral_norm
 from hilbmat.symbols import SymbolSeries
 
 
@@ -93,6 +94,34 @@ def test_hilbert_hankel_values():
     assert hilbert_hankel(3)[2, 2] == 1.0 / 5.0
 
 
+@pytest.mark.parametrize("R", [1, 2, 7, 256, 257, 1001])
+def test_hilbert_hankel_equals_closed_form(R):
+    # the reversed Toeplitz pair of ToeplitzOperator.hankel rounds exactly as
+    # the closed form: both divide 1 by the same exact integer m + n + 1
+    i = np.arange(R, dtype=float)
+    reference = 1.0 / (i[:, None] + i[None, :] + 1.0)
+    H = hilbert_hankel(R)
+    np.testing.assert_array_equal(H, reference)
+    np.testing.assert_array_equal(np.signbit(H), np.signbit(reference))
+
+
+@pytest.mark.parametrize("build", [ToeplitzOperator.hilbert, ToeplitzOperator.hankel],
+                         ids=["hilbert", "hankel"])
+@pytest.mark.parametrize("R,message", [(300.0, "^dimension must be an integer$"),
+                                       (300.5, "^dimension must be an integer$"),
+                                       (0, "^dimension must be >= 1$")])
+def test_operator_size_is_checked(build, R, message):
+    with pytest.raises(ValueError, match=message):
+        build(R)
+
+
+@pytest.mark.parametrize("build", [ToeplitzOperator.hilbert, ToeplitzOperator.hankel],
+                         ids=["hilbert", "hankel"])
+def test_operator_size_has_no_dense_cap(build):
+    op = build(np.int64(MAX_DIM + 1))
+    assert op.col.shape == op.row.shape == (MAX_DIM + 1,)
+
+
 def test_prolate_matrix_values():
     np.testing.assert_allclose(prolate_matrix(1, 0.25), [[np.pi / 2]], rtol=0)
     P = prolate_matrix(2, 0.25)
@@ -152,7 +181,7 @@ def test_toeplitz_missing_coefficient_errors():
         toeplitz_from_symbol(series, 4)
 
 
-@pytest.mark.parametrize("fn", [spectral_norm, require_skew, require_hermitian, skew_spectrum,
+@pytest.mark.parametrize("fn", [spectral_norm, require_skew, skew_spectrum,
                                 remove_index, pfaffian, det_matching, det_lu],
                          ids=lambda fn: fn.__name__)
 def test_zero_dim_input_is_not_square(fn):

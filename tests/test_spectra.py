@@ -19,7 +19,6 @@ from hilbmat.spectra import (
     hankel_hilbert_norm,
     skew_spectrum,
     spectral_norm,
-    symmetric_eigen,
     toeplitz_hilbert_norm,
     toeplitz_hilbert_top_pair,
     trace_power_norm_estimate,
@@ -28,51 +27,6 @@ from hilbmat.spectra import (
 
 def tridiagonal(R):
     return toeplitz_from_symbol({1: 1.0, -1: 1.0}, R)
-
-
-class TestSymmetricEigen:
-    def test_identity(self):
-        values, vectors = symmetric_eigen(np.eye(4))
-        np.testing.assert_allclose(values, np.ones(4), rtol=0, atol=1e-15)
-
-    def test_tridiagonal_top_eigenvalue_closed_form(self):
-        # oracle: the sine vector s_n = sin(pi n / (R+1)) satisfies
-        # C s = 2 cos(pi/(R+1)) s for the 0/1 tridiagonal matrix
-        R = 9
-        C = tridiagonal(R)
-        s = np.sin(np.pi * np.arange(1, R + 1) / (R + 1))
-        lam = 2.0 * np.cos(np.pi / (R + 1))
-        np.testing.assert_allclose(C @ s, lam * s, atol=1e-12)
-        values, _ = symmetric_eigen(C)
-        assert values[0] == pytest.approx(lam, abs=1e-12)
-
-    def test_hankel_2x2_trace_and_det_preserved(self):
-        H = hilbert_hankel(2)
-        values, _ = symmetric_eigen(H)
-        assert values.sum() == pytest.approx(4.0 / 3.0, abs=1e-14)
-        assert values.prod() == pytest.approx(1.0 / 12.0, abs=1e-14)
-
-    def test_sorted_descending_orthonormal_residuals(self):
-        rng = np.random.default_rng(0)
-        S = rng.normal(size=(12, 12))
-        S = S + S.T
-        values, vectors = symmetric_eigen(S)
-        assert np.all(np.diff(values) <= 0)
-        np.testing.assert_allclose(vectors.T @ vectors, np.eye(12), atol=1e-12)
-        resid = np.abs(S @ vectors - vectors * values).max()
-        assert resid <= 1e-12 * 12 * np.abs(values).max()
-
-    def test_rejects_non_symmetric(self):
-        with pytest.raises(ValueError):
-            symmetric_eigen(np.array([[0.0, 1.0], [2.0, 0.0]]))
-
-    def test_complex_hermitian_supported(self):
-        H = np.array([[2.0, 1.0 - 1.0j], [1.0 + 1.0j, 3.0]])
-        values, vectors = symmetric_eigen(H)
-        # eigenvalues of [[2, 1-i], [1+i, 3]]: (5 +- 3)/2
-        np.testing.assert_allclose(values, [4.0, 1.0], atol=1e-12)
-        resid = np.abs(H @ vectors - vectors * values).max()
-        assert resid <= 1e-12
 
 
 class TestSkewSpectrum:
@@ -219,11 +173,33 @@ class TestSpectralNorm:
         assert spectral_norm(hilbert_hankel(1)) == 1.0
         assert spectral_norm(np.eye(3)) == 1.0
 
+    def test_tridiagonal_top_eigenvalue_closed_form(self):
+        # oracle: the sine vector s_n = sin(pi n / (R+1)) satisfies
+        # C s = 2 cos(pi/(R+1)) s for the 0/1 tridiagonal matrix, whose
+        # eigenvalues 2 cos(pi k/(R+1)) are largest in magnitude at k = 1
+        R = 9
+        C = tridiagonal(R)
+        s = np.sin(np.pi * np.arange(1, R + 1) / (R + 1))
+        lam = 2.0 * np.cos(np.pi / (R + 1))
+        np.testing.assert_allclose(C @ s, lam * s, atol=1e-12)
+        assert spectral_norm(C) == pytest.approx(lam, abs=1e-12)
+
+    def test_hankel_2x2_closed_form(self):
+        # H_2 = [[1, 1/2], [1/2, 1/3]]: trace 4/3 and determinant 1/12 give
+        # the eigenvalues (4 +- sqrt(13))/6
+        assert spectral_norm(hilbert_hankel(2)) == pytest.approx((4.0 + np.sqrt(13.0)) / 6.0,
+                                                                 abs=1e-14)
+
+    def test_complex_hermitian_input(self):
+        # eigenvalues of [[2, 1-i], [1+i, 3]]: (5 +- 3)/2
+        H = np.array([[2.0, 1.0 - 1.0j], [1.0 + 1.0j, 3.0]])
+        assert spectral_norm(H) == pytest.approx(4.0, abs=1e-12)
+
     def test_rejects_general_matrix(self):
         with pytest.raises(ValueError):
             spectral_norm(np.array([[1.0, 2.0], [3.0, 4.0]]))
 
-    @pytest.mark.parametrize("solve", [skew_spectrum, symmetric_eigen, spectral_norm])
+    @pytest.mark.parametrize("solve", [skew_spectrum, spectral_norm])
     def test_nan_input_fails_the_symmetry_check(self, solve):
         # one tolerance predicate: a NaN defect is never within tolerance,
         # so no solver reaches LAPACK with it
@@ -271,7 +247,6 @@ class TestTracePowerEstimate:
 
 
 R_PARITY = 37
-_M = np.arange(R_PARITY, dtype=float)
 _SYMBOL = {0: 0.5, 1: 1.0 - 2.0j, 2: 0.25j, -1: -0.75, -3: 2.0 + 1.0j}
 
 
@@ -282,8 +257,8 @@ class TestMatrixFreeNorms:
                      hilbert_toeplitz(R_PARITY), False, id="hilbert-real"),
         pytest.param(ToeplitzOperator.hilbert(R_PARITY), False,
                      hilbert_toeplitz(R_PARITY), True, id="hilbert-complex"),
-        # the pair hankel_hilbert_norm applies to the reversed vector
-        pytest.param(ToeplitzOperator(1.0 / (_M + R_PARITY), 1.0 / (R_PARITY - _M)), True,
+        # the operator hankel_hilbert_norm applies to the reversed vector
+        pytest.param(ToeplitzOperator.hankel(R_PARITY), True,
                      hilbert_hankel(R_PARITY), False, id="hankel-reversed"),
         pytest.param(ToeplitzOperator([_SYMBOL.get(r, 0.0) for r in range(R_PARITY)],
                                       [_SYMBOL.get(-r, 0.0) for r in range(R_PARITY)]),
@@ -300,6 +275,13 @@ class TestMatrixFreeNorms:
         np.testing.assert_array_equal(dense[:, ::-1] if reverse else dense, reference)
         np.testing.assert_allclose(op.matvec(x), dense @ x, atol=1e-12)
         np.testing.assert_allclose(op.matvec(x), reference @ v, atol=1e-12)
+
+    @pytest.mark.parametrize("solve", [toeplitz_hilbert_norm, hankel_hilbert_norm,
+                                       toeplitz_hilbert_top_pair], ids=lambda fn: fn.__name__)
+    @pytest.mark.parametrize("R", [300.0, 300.5])
+    def test_non_integer_size_above_cutoff_fails_with_one_line(self, solve, R):
+        with pytest.raises(ValueError, match="^dimension must be an integer$"):
+            solve(R)
 
     def test_lanczos_agrees_with_dense_toeplitz(self):
         R = 300
