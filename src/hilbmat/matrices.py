@@ -7,7 +7,9 @@ matrix is read from one (column, row) pair by ``ToeplitzOperator``, and the
 skew Hilbert matrix T_R takes row = -column.  Either way ``M.T == -M`` and
 ``M.diagonal() == 0`` hold exactly rather than to roundoff.  The symmetric
 Hilbert matrix H_R is written once, as ``ToeplitzOperator.hankel``: H_R with
-its columns reversed, a Toeplitz matrix.
+its columns reversed, a Toeplitz matrix.  An operator's matrix-free product
+uses one circulant spectrum, built on its first matvec at a fast FFT length;
+``scipy.fft`` loads only then.
 Node vectors must be strictly increasing; sorting is the caller's job, which
 keeps gap computations O(R) and sign conventions unambiguous.
 """
@@ -17,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import matmul_toeplitz, toeplitz
+from scipy.linalg import toeplitz
 
 from ._util import write_csv
 
@@ -110,12 +112,20 @@ class ToeplitzOperator:
     row[n - m] for m < n; ``row[0]`` is ignored in favour of ``col[0]``.
 
     ``dense()`` assembles the matrix; ``matvec(x)`` applies it to a real or
-    complex vector in O(R log R) through FFT-based circulant embedding.
+    complex vector of length R in O(R log R) by circulant embedding.  The
+    embedding's spectrum is built once per operator, on the first matvec, at
+    the fast FFT length ``scipy.fft.next_fast_len(2R - 1)``; each matvec then
+    costs one forward and one inverse transform of x.  ``scipy.fft`` is
+    imported only then, so dense-only use never loads it.
     """
 
     def __init__(self, col, row):
-        self.col = np.asarray(col)
-        self.row = np.asarray(row)
+        col, row = np.asarray(col), np.asarray(row)
+        if col.ndim != 1 or row.ndim != 1 or col.size == 0 or col.shape != row.shape:
+            raise ValueError("Toeplitz column and row must be non-empty 1-D arrays "
+                             "of the same length")
+        self.col, self.row = col, row
+        self._product = None  # built by the first matvec
 
     @classmethod
     def hilbert(cls, R: int) -> "ToeplitzOperator":
@@ -139,8 +149,38 @@ class ToeplitzOperator:
     def dense(self) -> np.ndarray:
         return toeplitz(self.col, self.row)
 
+    def _circulant_product(self):
+        """x -> T x through the circulant of fast length n >= 2R - 1 whose
+        first column is col, zeros, then row[R-1], .., row[1]: its leading
+        R x R block is T.  Its spectrum is taken once, here; a real operator
+        uses rfft and applies itself to the parts of a complex x."""
+        from scipy import fft
+
+        R = self.col.size
+        real = not (np.iscomplexobj(self.col) or np.iscomplexobj(self.row))
+        n = fft.next_fast_len(2 * R - 1, real=real)
+        c = np.zeros(n, dtype=np.result_type(self.col, self.row, float))
+        c[:R] = self.col
+        c[n - R + 1:] = self.row[:0:-1]
+        if not real:
+            spectrum = fft.fft(c)
+            return lambda x: fft.ifft(spectrum * fft.fft(x, n))[:R]
+        spectrum = fft.rfft(c)
+
+        def apply(x):
+            if np.iscomplexobj(x):
+                return apply(x.real) + 1j * apply(x.imag)
+            return fft.irfft(spectrum * fft.rfft(x, n), n)[:R]
+        return apply
+
     def matvec(self, x) -> np.ndarray:
-        return matmul_toeplitz((self.col, self.row), x)
+        x = np.asarray(x)
+        if x.shape != self.col.shape:
+            raise ValueError(f"matvec needs a 1-D vector of length {self.col.size}, "
+                             f"got shape {x.shape}")
+        if self._product is None:
+            self._product = self._circulant_product()
+        return self._product(x)
 
 
 def hilbert_toeplitz(R) -> np.ndarray:

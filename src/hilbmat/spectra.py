@@ -16,9 +16,11 @@ max(1, max |entry|); it cannot be set.
 Norm-only queries stay in real arithmetic via -B^2.  ||T_R||, ||H_R|| and
 the top pair of T_R take one solve route, ``_top_eigen``, which holds the
 only dense/Lanczos decision: up to a size cutoff ``spectral_norm`` for a
-norm and ``np.linalg.eigh`` for a top pair, above it Lanczos on the
-FFT-based products of ``ToeplitzOperator.hilbert`` and ``.hankel``.  The top
-pair is built from the top eigenvector of -T_R^2 at every size.
+norm and ``np.linalg.eigh`` for a top pair, above it Lanczos on the matvec
+of a ``ToeplitzOperator.hilbert`` or ``.hankel`` built for the solve.  That
+operator takes its circulant spectrum once, on the first matvec, at a fast
+FFT length, and only then loads ``scipy.fft``.  The top pair is built from
+the top eigenvector of -T_R^2 at every size.
 """
 
 from __future__ import annotations

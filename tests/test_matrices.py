@@ -122,6 +122,27 @@ def test_operator_size_has_no_dense_cap(build):
     assert op.col.shape == op.row.shape == (MAX_DIM + 1,)
 
 
+@pytest.mark.parametrize("col,row", [
+    pytest.param(np.ones((2, 2)), np.ones((2, 2)), id="2-d"),
+    pytest.param(1.0, 1.0, id="0-d"),
+    pytest.param([], [], id="empty"),
+    pytest.param([1.0, 2.0], [1.0, 2.0, 3.0], id="lengths-differ"),
+    pytest.param([1.0, 2.0], np.ones((1, 2)), id="row-2-d"),
+])
+def test_operator_rejects_bad_column_and_row(col, row):
+    with pytest.raises(ValueError, match="^Toeplitz column and row must be non-empty 1-D "
+                                         "arrays of the same length$"):
+        ToeplitzOperator(col, row)
+
+
+@pytest.mark.parametrize("shape", [(5, 2), (5, 1), (1, 5), (4,), (6,), ()],
+                         ids=lambda shape: "x".join(map(str, shape)) or "scalar")
+def test_matvec_rejects_anything_but_a_vector_of_length_R(shape):
+    op = ToeplitzOperator.hilbert(5)
+    with pytest.raises(ValueError, match=r"^matvec needs a 1-D vector of length 5, got shape "):
+        op.matvec(np.ones(shape))
+
+
 def test_prolate_matrix_values():
     np.testing.assert_allclose(prolate_matrix(1, 0.25), [[np.pi / 2]], rtol=0)
     P = prolate_matrix(2, 0.25)

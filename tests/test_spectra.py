@@ -250,24 +250,32 @@ R_PARITY = 37
 _SYMBOL = {0: 0.5, 1: 1.0 - 2.0j, 2: 0.25j, -1: -0.75, -3: 2.0 + 1.0j}
 
 
+# case -> (operator, dense reference, reverse x first, complex x) at size R
+_MATVEC_CASES = {
+    "hilbert-real": lambda R: (ToeplitzOperator.hilbert(R), hilbert_toeplitz(R),
+                               False, False),
+    "hilbert-complex": lambda R: (ToeplitzOperator.hilbert(R), hilbert_toeplitz(R),
+                                  False, True),
+    # the operator hankel_hilbert_norm applies to the reversed vector
+    "hankel-reversed": lambda R: (ToeplitzOperator.hankel(R), hilbert_hankel(R),
+                                  True, False),
+    "complex-symbol": lambda R: (
+        ToeplitzOperator([_SYMBOL.get(r, 0.0) for r in range(R)],
+                         [_SYMBOL.get(-r, 0.0) for r in range(R)]),
+        toeplitz_from_symbol(_SYMBOL, R), False, True),
+}
+
+
 class TestMatrixFreeNorms:
-    # (operator, reverse x first, dense reference, complex x)
-    @pytest.mark.parametrize("op,reverse,reference,complex_x", [
-        pytest.param(ToeplitzOperator.hilbert(R_PARITY), False,
-                     hilbert_toeplitz(R_PARITY), False, id="hilbert-real"),
-        pytest.param(ToeplitzOperator.hilbert(R_PARITY), False,
-                     hilbert_toeplitz(R_PARITY), True, id="hilbert-complex"),
-        # the operator hankel_hilbert_norm applies to the reversed vector
-        pytest.param(ToeplitzOperator.hankel(R_PARITY), True,
-                     hilbert_hankel(R_PARITY), False, id="hankel-reversed"),
-        pytest.param(ToeplitzOperator([_SYMBOL.get(r, 0.0) for r in range(R_PARITY)],
-                                      [_SYMBOL.get(-r, 0.0) for r in range(R_PARITY)]),
-                     False, toeplitz_from_symbol(_SYMBOL, R_PARITY), True,
-                     id="complex-symbol"),
-    ])
-    def test_matvec_matches_dense(self, op, reverse, reference, complex_x):
+    # R = R_PARITY keeps the bare case names; at R = 1001, 2R - 1 = 3*23*29 is
+    # padded to a fast FFT length
+    @pytest.mark.parametrize("case,R", [
+        pytest.param(case, R, id=case if R == R_PARITY else f"{case}-R{R}")
+        for R in (1, 2, R_PARITY, 1001) for case in _MATVEC_CASES])
+    def test_matvec_matches_dense(self, case, R):
+        op, reference, reverse, complex_x = _MATVEC_CASES[case](R)
         rng = np.random.default_rng(2)
-        v = rng.normal(size=R_PARITY) + 1j * rng.normal(size=R_PARITY)
+        v = rng.normal(size=R) + 1j * rng.normal(size=R)
         if not complex_x:
             v = v.real.copy()
         x = v[::-1] if reverse else v
@@ -275,6 +283,28 @@ class TestMatrixFreeNorms:
         np.testing.assert_array_equal(dense[:, ::-1] if reverse else dense, reference)
         np.testing.assert_allclose(op.matvec(x), dense @ x, atol=1e-12)
         np.testing.assert_allclose(op.matvec(x), reference @ v, atol=1e-12)
+
+    @pytest.mark.parametrize("build", [ToeplitzOperator.hilbert, ToeplitzOperator.hankel],
+                             ids=["hilbert", "hankel"])
+    def test_cached_spectrum_is_reused(self, build):
+        op = build(R_PARITY)
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=R_PARITY)
+        x_before = x.copy()
+        first = op.matvec(x)
+        product = op._product
+        np.testing.assert_array_equal(op.matvec(x), first)
+        assert op._product is product
+        np.testing.assert_array_equal(x, x_before)
+
+    @pytest.mark.parametrize("complex_first", [False, True], ids=["real-first", "complex-first"])
+    def test_real_operator_takes_real_and_complex_x_in_either_order(self, complex_first):
+        op = ToeplitzOperator.hilbert(R_PARITY)
+        rng = np.random.default_rng(4)
+        real = rng.normal(size=R_PARITY)
+        cplx = rng.normal(size=R_PARITY) + 1j * rng.normal(size=R_PARITY)
+        for x in ((cplx, real) if complex_first else (real, cplx)):
+            np.testing.assert_allclose(op.matvec(x), op.dense() @ x, atol=1e-12)
 
     @pytest.mark.parametrize("solve", [toeplitz_hilbert_norm, hankel_hilbert_norm,
                                        toeplitz_hilbert_top_pair], ids=lambda fn: fn.__name__)
@@ -318,14 +348,29 @@ class TestMatrixFreeNorms:
         reference = skew_spectrum(B).U[:, 0]
         np.testing.assert_allclose(np.abs(top.U[:, 0]), np.abs(reference), rtol=0, atol=1e-12)
 
-    def test_dense_top_pair_loads_no_module(self):
-        # T q is taken by the dense product below the cutoff: a dense-only
-        # run (such as `verify`) must not pay for importing the FFT
-        code = ("import sys; from hilbmat.spectra import toeplitz_hilbert_top_pair as f; "
-                "before = set(sys.modules); f(21); print(sorted(set(sys.modules) - before))")
+    @staticmethod
+    def _run_fresh(code):
+        """stdout of ``code`` run in a new interpreter that imports this hilbmat."""
         src = str(Path(hilbmat.__file__).resolve().parent.parent)
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             p for p in (src, os.environ.get("PYTHONPATH")) if p))
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               env=env, timeout=120, check=True)
-        assert proc.stdout.strip() == "[]"
+        return proc.stdout.strip()
+
+    def test_dense_top_pair_loads_no_module(self):
+        # T q is taken by the dense product below the cutoff: a dense-only
+        # run (such as `verify`) must not pay for importing the FFT
+        code = ("import sys; from hilbmat.spectra import toeplitz_hilbert_top_pair as f; "
+                "before = set(sys.modules); f(21); print(sorted(set(sys.modules) - before))")
+        assert self._run_fresh(code) == "[]"
+
+    def test_dense_builds_do_not_load_the_fft(self):
+        # the circulant spectrum, and with it scipy.fft, comes with the first
+        # matvec, not with the operator or its dense build
+        code = ("import sys; import numpy as np; "
+                "from hilbmat.matrices import ToeplitzOperator as T; "
+                "h, k = T.hilbert(300), T.hankel(300); h.dense(); k.dense(); "
+                "print('scipy.fft' in sys.modules); h.matvec(np.ones(300)); "
+                "print('scipy.fft' in sys.modules)")
+        assert self._run_fresh(code).split() == ["False", "True"]
