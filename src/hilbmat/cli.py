@@ -82,7 +82,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_sweep_gap(args) -> int:
-    rows = gaps.sweep_figure1(R_max=args.R_max, dense=args.dense, threads=args.threads)
+    rows = gaps.sweep_figure1(R_max=args.R_max, dense=args.dense)
     gaps.write_figure1_csv(rows, args.out)
     return 0
 
@@ -115,7 +115,7 @@ def cmd_prolate_gap(args) -> int:
 
 
 def cmd_hankel_gap(args) -> int:
-    rows = gaps.sweep_hankel(R_max=args.R_max, threads=args.threads)
+    rows = gaps.sweep_hankel(R_max=args.R_max)
     gaps.write_hankel_csv(rows, args.out)
     return 0
 
@@ -167,7 +167,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--R-max", dest="R_max", type=int, default=10000)
     p.add_argument("--dense", action="store_true",
                    help="every R instead of the adaptive grid")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_sweep_gap)
 
@@ -190,7 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hankel-gap", help="Hankel Hilbert matrix gap table")
     p.add_argument("--R-max", dest="R_max", type=int, default=500)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_hankel_gap)
 

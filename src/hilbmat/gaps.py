@@ -17,7 +17,6 @@ the hankel sweep records without asserting any constant-level agreement.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -174,13 +173,11 @@ def witness_params(R: int) -> WitnessParams:
 
     Needs N >= 1, i.e. R >= 8; the kernel power then fits: N(M-1)+1 <= R.
     """
-    if R < 3:
-        raise ValueError("witness construction needs R >= 3")
+    if R < 8:
+        raise ValueError("witness construction needs R >= 8 (floor(log R / 2) >= 1)")
     log_r = math.log(R)
     M = int(2 * R / log_r)
     N = int(log_r / 2)
-    if N < 1:
-        raise ValueError("R too small for the witness: need floor(log R / 2) >= 1 (R >= 8)")
     if N * (M - 1) + 1 > R:
         raise ValueError("witness polynomial does not fit the coefficient space")
     gamma = math.pi * math.e * log_r / R
@@ -272,22 +269,10 @@ def figure1_r_values(R_max: int = 10000, dense: bool = False) -> list:
     return sorted(values)
 
 
-def _map_maybe_parallel(fn, items, threads: int):
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
-
-
-def sweep_figure1(R_max: int = 10000, dense: bool = False, threads: int = 1):
+def sweep_figure1(R_max: int = 10000, dense: bool = False):
     """Rows (R, norm, gap, rescaled_gap) over the sweep grid, in R order."""
-
-    def one(R):
-        return (R, toeplitz_hilbert_norm(R), hilbert_toeplitz_gap(R), rescaled_gap(R))
-
-    return _map_maybe_parallel(one, figure1_r_values(R_max, dense), threads)
+    return [(R, toeplitz_hilbert_norm(R), hilbert_toeplitz_gap(R), rescaled_gap(R))
+            for R in figure1_r_values(R_max, dense)]
 
 
 def write_figure1_csv(rows, target):
@@ -311,16 +296,15 @@ def write_witness_csv(certs, target):
                        "rayleigh", "gap_bound"], rows)
 
 
-def sweep_hankel(R_max: int = 500, threads: int = 1):
+def sweep_hankel(R_max: int = 500):
     """Rows (R, norm, gap, wilf_ratio) for the Hankel Hilbert matrices."""
     if R_max < 1:
         raise ValueError("R_max must be >= 1")
-
-    def one(R):
+    rows = []
+    for R in range(1, R_max + 1):
         gap, ratio = hilbert_hankel_gap(R)
-        return (R, hankel_hilbert_norm(R), gap, float("nan") if ratio is None else ratio)
-
-    return _map_maybe_parallel(one, range(1, R_max + 1), threads)
+        rows.append((R, hankel_hilbert_norm(R), gap, float("nan") if ratio is None else ratio))
+    return rows
 
 
 def write_hankel_csv(rows, target):

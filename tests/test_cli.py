@@ -37,6 +37,11 @@ def test_bad_flags_exit_2():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+    # neither sweep takes --threads
+    for argv in (["sweep-gap", "--threads", "2"], ["hankel-gap", "--threads", "2"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
 
 def test_out_only_where_a_csv_is_written(tmp_path):
@@ -48,6 +53,15 @@ def test_out_only_where_a_csv_is_written(tmp_path):
     assert not target.exists()
     assert main(["gen", "--kind", "T", "--R", "3", "--out", str(target)]) == 0
     assert target.read_text().splitlines()[0] == "c0,c1,c2"
+
+
+def _run_cli_process(argv, **kwargs):
+    """Run ``python -m hilbmat.cli argv`` in a fresh interpreter."""
+    src = str(Path(hilbmat.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, "-m", "hilbmat.cli", *argv],
+                          capture_output=True, env=env, timeout=120, **kwargs)
 
 
 @pytest.mark.parametrize("argv", [
@@ -62,18 +76,14 @@ def test_out_only_where_a_csv_is_written(tmp_path):
     ["prolate-gap", "--R-min", "5", "--R-max", "2"],
     ["prolate-gap", "--w", "0.7"],
     ["eigvec-profile", "--S", "0"],
-    ["sweep-gap", "--R-max", "20", "--threads", "0"],
-    ["sweep-gap", "--threads", "-3"],
-    ["hankel-gap", "--R-max", "5", "--threads", "-1"],
     ["norm", "--kind", "T", "--R", "20001"],
     ["norm", "--kind", "H", "--R", "20001"],
+    ["witness", "--R", "1"],
+    ["witness", "--R", "2"],
+    ["witness", "--R", "7"],
 ])
 def test_rejected_values_exit_2(argv):
-    src = str(Path(hilbmat.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, "-m", "hilbmat.cli", *argv],
-                          capture_output=True, text=True, env=env, timeout=120)
+    proc = _run_cli_process(argv, text=True)
     assert proc.returncode == 2
     assert proc.stdout == ""
     lines = proc.stderr.splitlines()
@@ -195,12 +205,14 @@ def test_sweep_gap(tmp_path):
     assert lines[-1].startswith("60,")
 
 
-def test_sweep_gap_threads_byte_identical(tmp_path):
-    a = tmp_path / "a.csv"
-    b = tmp_path / "b.csv"
-    run_cli(["sweep-gap", "--R-max", "50", "--out", str(a)])
-    run_cli(["sweep-gap", "--R-max", "50", "--threads", "3", "--out", str(b)])
-    assert a.read_bytes() == b.read_bytes()
+def test_sweep_tables_byte_identical_across_processes():
+    # fresh interpreters, so the second run cannot read the first one's norm
+    # cache; R = 300 is past DENSE_CUTOFF, so Lanczos on the cached FFT runs
+    for argv in (["sweep-gap", "--R-max", "300"], ["hankel-gap", "--R-max", "300"]):
+        first, second = _run_cli_process(argv), _run_cli_process(argv)
+        assert first.returncode == second.returncode == 0
+        assert first.stdout.startswith(b"R,norm,gap,")
+        assert (first.stdout, first.stderr) == (second.stdout, second.stderr)
 
 
 def test_eigvec_profile(tmp_path, capsys):
