@@ -20,6 +20,7 @@ from dataclasses import replace
 import numpy as np
 
 from .matrices import (
+    as_dim,
     cauchy_matrix,
     hilbert_toeplitz,
     min_gaps,
@@ -97,6 +98,7 @@ def write_reports_csv(reports, target):
 
 def random_nodes(R: int, rng: np.random.Generator) -> np.ndarray:
     """Sorted uniform nodes on [0, 10R] with minimum gap >= MIN_NODE_GAP."""
+    R = as_dim(R, cap=None)
     for _ in range(64):
         x = np.sort(rng.uniform(0.0, 10.0 * R, size=R))
         if R < 2 or float(np.diff(x).min()) >= MIN_NODE_GAP:
@@ -107,6 +109,7 @@ def random_nodes(R: int, rng: np.random.Generator) -> np.ndarray:
 
 def random_weights(R: int, rng: np.random.Generator) -> np.ndarray:
     """Weights with magnitude uniform in [0.1, 2] and random sign."""
+    R = as_dim(R, cap=None)
     mag = rng.uniform(0.1, 2.0, size=R)
     sign = rng.integers(0, 2, size=R) * 2 - 1
     return mag * sign

@@ -7,9 +7,11 @@ matrix is read from one (column, row) pair by ``ToeplitzOperator``, and the
 skew Hilbert matrix T_R takes row = -column.  Either way ``M.T == -M`` and
 ``M.diagonal() == 0`` hold exactly rather than to roundoff.  The symmetric
 Hilbert matrix H_R is written once, as ``ToeplitzOperator.hankel``: H_R with
-its columns reversed, a Toeplitz matrix.  An operator's matrix-free product
-uses one circulant spectrum, built on its first matvec at a fast FFT length;
-``scipy.fft`` loads only then.
+its columns reversed, a Toeplitz matrix.  ``hilbert_parity_block`` is the
+half-size block of T_R between its J-even and J-odd vectors (J reverses the
+index order), on which the norm of T_R is solved.  An operator's matrix-free
+product uses one circulant spectrum, built on its first matvec at a fast FFT
+length; ``scipy.fft`` loads only then.
 Node vectors must be strictly increasing; sorting is the caller's job, which
 keeps gap computations O(R) and sign conventions unambiguous.
 """
@@ -192,6 +194,26 @@ def hilbert_hankel(R) -> np.ndarray:
     """Finite symmetric Hilbert matrix: entries 1/(m + n - 1), the dense
     ``ToeplitzOperator.hankel`` with its columns reversed."""
     return ToeplitzOperator.hankel(as_dim(R)).dense()[:, ::-1]
+
+
+def hilbert_parity_block(R) -> np.ndarray:
+    """The floor(R/2) x ceil(R/2) block C that maps J-even to J-odd vectors
+    under the skew Hilbert matrix T_R (J reverses the index order).
+
+    T_R is skew-centrosymmetric, J T_R J = -T_R, so in the orthonormal bases
+    (e_i + e_{R-1-i})/sqrt2 (with e_mid appended for odd R) and
+    (e_i - e_{R-1-i})/sqrt2 it splits as [[0, -C^T], [C, 0]] (Cantoni and
+    Butler, Linear Algebra Appl. 13 (1976) 275-288), and ||T_R|| = sigma_max(C).
+    Entries C[i, j] = 1/(i-j) + 1/(i+j-R+1), the diagonal term being 0; for
+    odd R the last (middle) column is sqrt2/(i - (R-1)/2).
+    """
+    R = as_dim(R)
+    h, n = R // 2, (R + 1) // 2
+    i, j = np.arange(h)[:, None], np.arange(n)[None, :]
+    C = hilbert_coeffs(i - j) + hilbert_coeffs(i + j - (R - 1))
+    if n > h:
+        C[:, h] = np.sqrt(2.0) * hilbert_coeffs(i[:, 0] - h)
+    return C
 
 
 def prolate_matrix(R, w) -> np.ndarray:

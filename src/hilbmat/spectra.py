@@ -15,35 +15,48 @@ max(1, max |entry|); it cannot be set.
 
 Norm-only queries stay in real arithmetic via -B^2.  ||T_R||, ||H_R|| and
 the top pair of T_R take one solve route, ``_top_eigen``, which holds the
-only dense/Lanczos decision: up to a size cutoff ``spectral_norm`` for a
-norm and ``np.linalg.eigh`` for a top pair, above it Lanczos on the matvec
-of a ``ToeplitzOperator.hilbert`` or ``.hankel`` built for the solve.  That
-operator takes its circulant spectrum once, on the first matvec, at a fast
-FFT length, and only then loads ``scipy.fft``.  The top pair is built from
-the top eigenvector of -T_R^2 at every size.
+only dense/Lanczos decision, on the dimension n of the positive semidefinite
+matrix it solves: up to DENSE_CUTOFF ``spectral_norm`` for a norm and
+``np.linalg.eigh`` for a top pair, above it Lanczos with an
+``_LANCZOS_NCV``-vector basis on the matvec of a ``ToeplitzOperator.hilbert``
+or ``.hankel`` built for the solve.  That operator takes its circulant
+spectrum once, on the first matvec, at a fast FFT length, and only then
+loads ``scipy.fft``.  H_R is solved as it is (n = R).  T_R is skew-centrosymmetric, so -T_R^2 is solved on its
+J-even block C^T C, C = ``matrices.hilbert_parity_block(R)`` (n = ceil(R/2),
+dense up to R = 512); the top pair is built from the J-even top eigenvector
+of -T_R^2 at every size.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, eigsh
 
-from .matrices import ToeplitzOperator, as_square, hilbert_hankel, hilbert_toeplitz
+from .matrices import ToeplitzOperator, as_square, hilbert_hankel, hilbert_parity_block
 
 # Relative threshold below which a computed mu is classified as zero.  The
 # determinant structure forces an exact zero eigenvalue for odd R, so the
 # threshold only needs to absorb roundoff.
 ZERO_MU_REL = 1e-10
 
-# Matrix-free Lanczos takes over above this size in ``_top_eigen``.
+# Matrix-free Lanczos takes over in ``_top_eigen`` above this dimension of the
+# solved matrix: ceil(R/2) for T_R's parity block, R for H_R.
 DENSE_CUTOFF = 256
 
 # 1e-11 relative eigenvalue tolerance keeps norms accurate to ~1e-11 while
 # roughly halving the iteration count against machine-precision stopping.
 _LANCZOS_OPTS = dict(k=1, which="LA", tol=1e-11, maxiter=20000)
+
+# Lanczos basis size (ARPACK's ncv).  ARPACK fills its whole basis before the
+# first convergence test, so every solve costs at least ncv + 1 products,
+# while H_R's top eigenvalue converges in under 9.  On the T_R parity block,
+# 32 took no more products than 64 at R = 600..10000.
+_LANCZOS_NCV = 32
+
+_INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
 
 def _within_tol(D, M) -> bool:
@@ -185,67 +198,113 @@ def trace_power_norm_estimate(B, k: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _top_eigen(dense, matvec, R: int, square=False, vector=False):
-    """Top eigenvalue of the positive semidefinite S = A (S = -A^2 when
-    ``square``) for A given by ``dense()`` and ``matvec``; with ``vector``,
-    ``(eigenvalue, q, A q)`` for a unit top eigenvector q.  The one solver
-    choice: dense up to DENSE_CUTOFF, Lanczos above.  A q is taken on the
-    same side, so all-dense runs never load the FFT."""
-    if R <= DENSE_CUTOFF:
-        A = dense()
-        S = _neg_square(A) if square else A
-        if not vector:
+def _top_eigen(n: int, dense, apply, v0, image=None):
+    """Top eigenvalue of an n x n positive semidefinite S, which ``dense()``
+    builds and ``apply`` applies to an n-vector.  The one solver choice: dense
+    while n <= DENSE_CUTOFF (``spectral_norm`` for the value, ``eigh`` for a
+    vector), Lanczos from ``v0`` with an ncv = min(n, _LANCZOS_NCV) basis
+    above.  With ``image``, a pair of maps (dense side, matrix-free side),
+    returns ``(eigenvalue, q, image(q))`` for a unit top eigenvector q; the
+    map of the side that solved is taken, so all-dense runs never load the
+    FFT."""
+    if n <= DENSE_CUTOFF:
+        S = dense()
+        if image is None:
             return spectral_norm(S)
         values, vectors = np.linalg.eigh(S)  # ascending
-        lam, q, apply = values[-1], vectors[:, -1], A.__matmul__
+        lam, q, lift = values[-1], vectors[:, -1], image[0]
     else:
-        op = LinearOperator((R, R), matvec=(lambda x: -matvec(matvec(x))) if square
-                            else matvec, dtype=float)
-        v0 = np.full(R, 1.0 / np.sqrt(R))
-        ncv = min(R, 64)
-        if not vector:
+        op = LinearOperator((n, n), matvec=apply, dtype=float)
+        ncv = min(n, _LANCZOS_NCV)
+        if image is None:
             lam = eigsh(op, v0=v0, ncv=ncv, return_eigenvectors=False, **_LANCZOS_OPTS)
             return float(lam[0])
         lam, vec = eigsh(op, v0=v0, ncv=ncv, **_LANCZOS_OPTS)
-        lam, q, apply = lam[0], vec[:, 0], matvec
+        lam, q, lift = lam[0], vec[:, 0], image[1]
     q = q / float(np.linalg.norm(q))
-    return float(lam), q, apply(q)
+    return float(lam), q, lift(q)
+
+
+def _parity_lift(x, R: int, sign: float) -> np.ndarray:
+    """The R-vector sum_i x_i (e_i + sign e_{R-1-i})/sqrt2 over i < R // 2,
+    plus x_mid e_mid when x carries the middle coordinate of an odd R."""
+    h = R // 2
+    y = np.zeros(R)
+    y[:h] = x[:h] * _INV_SQRT2
+    y[::-1][:h] = sign * y[:h]
+    if x.size > h:
+        y[h] = x[h]
+    return y
+
+
+def _even_coords(y) -> np.ndarray:
+    """Coordinates of the J-even part of an R-vector y in the basis
+    (e_i + e_{R-1-i})/sqrt2, i < R // 2, then e_mid for odd R."""
+    R = y.size
+    h = R // 2
+    x = np.empty((R + 1) // 2)
+    x[:h] = (y[:h] + y[::-1][:h]) * _INV_SQRT2
+    if R % 2:
+        x[h] = y[h]
+    return x
+
+
+def _toeplitz_top(R: int, vector=False):
+    """Top eigenvalue of -T_R^2 on its J-even block, S = C^T C for the
+    ``hilbert_parity_block`` C (n = ceil(R/2)); with ``vector``, the
+    ``(eigenvalue, q_n, T q)`` of ``_top_eigen`` for q = P_e q_n.  The
+    matrix-free apply is P_e^T (-T (T (P_e x))) on the cached-FFT
+    ``ToeplitzOperator.hilbert(R)``, started from the even part of the
+    all-ones vector, which spans the same Krylov space as on the full
+    space."""
+    T = ToeplitzOperator.hilbert(R)
+    block = cache(lambda: hilbert_parity_block(R))
+    image = (lambda q: _parity_lift(block() @ q, R, -1.0),
+             lambda q: T.matvec(_parity_lift(q, R, 1.0)))
+    return _top_eigen((R + 1) // 2, lambda: block().T @ block(),
+                      lambda x: _even_coords(-T.matvec(T.matvec(_parity_lift(x, R, 1.0)))),
+                      _even_coords(np.full(R, 1.0 / np.sqrt(R))),
+                      image if vector else None)
 
 
 @lru_cache(maxsize=None)
 def toeplitz_hilbert_norm(R: int) -> float:
     """Spectral norm of the R x R skew Hilbert matrix: sqrt of the top
-    eigenvalue of S = -T^2, by Lanczos with O(R log R) matvecs at large R.
+    eigenvalue of C^T C for its ceil(R/2)-column parity block C (see
+    ``matrices.hilbert_parity_block``).  Dense up to R = 2 DENSE_CUTOFF,
+    above that Lanczos with O(R log R) FFT products on the half-size block.
     Values are memoized: gap sweeps and bound checks revisit the same sizes.
     """
-    lam = _top_eigen(lambda: hilbert_toeplitz(R), ToeplitzOperator.hilbert(R).matvec, R,
-                     square=True)
-    return float(np.sqrt(max(lam, 0.0)))
+    return float(np.sqrt(max(_toeplitz_top(R), 0.0)))
 
 
 def toeplitz_hilbert_top_pair(R: int) -> SpectralDecomposition:
     """Top eigenpair of the R x R skew Hilbert matrix as a one-column
-    decomposition: v = q / sqrt(2) and w = -T q / (mu sqrt(2)) from the unit
-    top eigenvector q of -T^2."""
-    lam, q, Tq = _top_eigen(lambda: hilbert_toeplitz(R), ToeplitzOperator.hilbert(R).matvec,
-                            R, square=True, vector=True)
+    decomposition: v = q / sqrt(2) and w = -T q / (mu sqrt(2)) for the unit
+    J-even top eigenvector q = P_e q_n of -T^2, q_n the top eigenvector of
+    C^T C on the parity block (dense up to R = 2 DENSE_CUTOFF, Lanczos
+    above).  Any unit q in the top eigenspace gives the same u = v + i w up
+    to phase."""
+    lam, q, Tq = _toeplitz_top(R, vector=True)
     mu = float(np.sqrt(max(lam, 0.0)))
     if mu == 0.0:
         raise ValueError("matrix has no nonzero eigenvalues")
     w = -Tq / mu
     w /= float(np.linalg.norm(w))
-    inv_sqrt2 = 1.0 / np.sqrt(2.0)
-    return SpectralDecomposition(np.array([mu]), (q * inv_sqrt2)[:, None],
-                                 (w * inv_sqrt2)[:, None])
+    q = _parity_lift(q, R, 1.0)
+    return SpectralDecomposition(np.array([mu]), (q * _INV_SQRT2)[:, None],
+                                 (w * _INV_SQRT2)[:, None])
 
 
 @lru_cache(maxsize=None)
 def hankel_hilbert_norm(R: int) -> float:
     """Spectral norm of the R x R symmetric Hilbert matrix 1/(m+n-1).
 
-    The matrix is positive definite, so the norm is its top eigenvalue.  The
-    matrix-free product evaluates H x = T (reverse x) with the Toeplitz
+    The matrix is positive definite, so the norm is its top eigenvalue, on
+    the same route as ``toeplitz_hilbert_norm`` with n = R.  The matrix-free
+    product evaluates H x = T (reverse x) with the Toeplitz
     T = ToeplitzOperator.hankel(R).
     """
     T = ToeplitzOperator.hankel(R)
-    return _top_eigen(lambda: hilbert_hankel(R), lambda x: T.matvec(x[::-1]), R)
+    return _top_eigen(R, lambda: hilbert_hankel(R), lambda x: T.matvec(x[::-1]),
+                      np.full(R, 1.0 / np.sqrt(R)))

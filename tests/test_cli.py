@@ -81,6 +81,9 @@ def _run_cli_process(argv, **kwargs):
     ["witness", "--R", "1"],
     ["witness", "--R", "2"],
     ["witness", "--R", "7"],
+    ["det", "--R", "-3"],
+    ["gen", "--kind", "A", "--R", "-3"],
+    ["norm", "--kind", "B", "--R", "-2"],
 ])
 def test_rejected_values_exit_2(argv):
     proc = _run_cli_process(argv, text=True)
@@ -89,6 +92,14 @@ def test_rejected_values_exit_2(argv):
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("hilbmat: error: ")
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [["det", "--R", "-3"], ["gen", "--kind", "A", "--R", "-3"],
+                                  ["norm", "--kind", "B", "--R", "-2"]])
+def test_negative_instance_size_names_the_dimension_rule(capsys, argv):
+    # the seeded weighted-Cauchy instances check R before drawing nodes
+    assert run_cli(argv) == 2
+    assert capsys.readouterr().err == "hilbmat: error: dimension must be >= 1\n"
 
 
 def test_numerical_failure_exits_1(capsys, monkeypatch):
@@ -207,8 +218,9 @@ def test_sweep_gap(tmp_path):
 
 def test_sweep_tables_byte_identical_across_processes():
     # fresh interpreters, so the second run cannot read the first one's norm
-    # cache; R = 300 is past DENSE_CUTOFF, so Lanczos on the cached FFT runs
-    for argv in (["sweep-gap", "--R-max", "300"], ["hankel-gap", "--R-max", "300"]):
+    # cache; both pass DENSE_CUTOFF, so Lanczos on the cached FFT runs: T_R
+    # from R = 513 (its parity block has dimension ceil(R/2)), H_R from 257
+    for argv in (["sweep-gap", "--R-max", "600"], ["hankel-gap", "--R-max", "300"]):
         first, second = _run_cli_process(argv), _run_cli_process(argv)
         assert first.returncode == second.returncode == 0
         assert first.stdout.startswith(b"R,norm,gap,")

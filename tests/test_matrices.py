@@ -10,6 +10,7 @@ from hilbmat.matrices import (
     ToeplitzOperator,
     cauchy_matrix,
     hilbert_hankel,
+    hilbert_parity_block,
     hilbert_toeplitz,
     min_gaps,
     prolate_matrix,
@@ -103,6 +104,27 @@ def test_hilbert_hankel_equals_closed_form(R):
     H = hilbert_hankel(R)
     np.testing.assert_array_equal(H, reference)
     np.testing.assert_array_equal(np.signbit(H), np.signbit(reference))
+
+
+@pytest.mark.parametrize("R", [1, 2, 3, 4, 9, 10, 257, 300])
+def test_hilbert_parity_block_is_the_even_to_odd_block(R):
+    # explicit orthonormal bases: (e_i + e_{R-1-i})/sqrt2 then e_mid for odd
+    # R (J-even), (e_i - e_{R-1-i})/sqrt2 (J-odd), i < R // 2
+    h, n = R // 2, (R + 1) // 2
+    P_even, P_odd = np.zeros((R, n)), np.zeros((R, h))
+    for i in range(h):
+        P_even[[i, R - 1 - i], i] = 1.0 / np.sqrt(2.0)
+        P_odd[[i, R - 1 - i], i] = [1.0 / np.sqrt(2.0), -1.0 / np.sqrt(2.0)]
+    if R % 2:
+        P_even[h, h] = 1.0
+    T = hilbert_toeplitz(R)
+    C = hilbert_parity_block(R)
+    assert C.shape == (h, n)
+    np.testing.assert_allclose(C, P_odd.T @ T @ P_even, rtol=0, atol=1e-14)
+    # T_R = [[0, -C^T], [C, 0]] in the stacked basis [P_even, P_odd]
+    P = np.hstack([P_even, P_odd])
+    blocks = np.block([[np.zeros((n, n)), -C.T], [C, np.zeros((h, h))]])
+    np.testing.assert_allclose(P.T @ T @ P, blocks, rtol=0, atol=1e-14)
 
 
 @pytest.mark.parametrize("build", [ToeplitzOperator.hilbert, ToeplitzOperator.hankel],

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import eigsh
 
 import hilbmat
 
@@ -314,8 +315,8 @@ class TestMatrixFreeNorms:
             solve(R)
 
     def test_lanczos_agrees_with_dense_toeplitz(self):
-        R = 300
-        fast = toeplitz_hilbert_norm(R)       # Lanczos path (above cutoff)
+        R = 601  # parity block of dimension 301: Lanczos (above cutoff)
+        fast = toeplitz_hilbert_norm(R)
         dense = spectral_norm(hilbert_toeplitz(R))
         assert fast == pytest.approx(dense, abs=1e-9)
 
@@ -326,7 +327,7 @@ class TestMatrixFreeNorms:
         assert fast == pytest.approx(dense, abs=1e-9)
 
     def test_top_pair_large_matches_dense_mu(self):
-        R = 301
+        R = 601  # Lanczos on the parity block
         top = toeplitz_hilbert_top_pair(R)
         dense = spectral_norm(hilbert_toeplitz(R))
         assert top.norm == pytest.approx(dense, abs=1e-9)
@@ -334,7 +335,14 @@ class TestMatrixFreeNorms:
         assert np.linalg.norm(B @ top.W - top.V * top.mus) <= 1e-9
         assert np.linalg.norm(B @ top.V + top.W * top.mus) <= 1e-9
 
-    @pytest.mark.parametrize("R", [3, 21, 201, 256, 257])
+    @pytest.mark.parametrize("R", list(range(1, 65)) + [511, 512, 513, 514, 601])
+    def test_parity_block_norm_matches_dense(self, R):
+        # the half-size block against the full dense -T^2, on both sides of
+        # the cutoff at R = 2 DENSE_CUTOFF = 512
+        assert toeplitz_hilbert_norm(R) == pytest.approx(spectral_norm(hilbert_toeplitz(R)),
+                                                         abs=1e-13)
+
+    @pytest.mark.parametrize("R", [3, 21, 201, 256, 257, 511, 512, 513, 514])
     def test_top_pair_across_cutoff(self, R):
         # one construction on both sides of the dense/Lanczos cutoff
         top = toeplitz_hilbert_top_pair(R)
@@ -360,10 +368,33 @@ class TestMatrixFreeNorms:
 
     def test_dense_top_pair_loads_no_module(self):
         # T q is taken by the dense product below the cutoff: a dense-only
-        # run (such as `verify`) must not pay for importing the FFT
-        code = ("import sys; from hilbmat.spectra import toeplitz_hilbert_top_pair as f; "
-                "before = set(sys.modules); f(21); print(sorted(set(sys.modules) - before))")
-        assert self._run_fresh(code) == "[]"
+        # run (such as `verify`) must not pay for importing the FFT; the
+        # parity block keeps T_R dense up to R = 512
+        for call in ("toeplitz_hilbert_top_pair(21)", "toeplitz_hilbert_top_pair(511)",
+                     "toeplitz_hilbert_norm(512)"):
+            code = ("import sys; from hilbmat.spectra import toeplitz_hilbert_norm, "
+                    "toeplitz_hilbert_top_pair; before = set(sys.modules); "
+                    f"{call}; print(sorted(set(sys.modules) - before))")
+            assert self._run_fresh(code) == "[]", call
+
+    @pytest.mark.parametrize("solve,R,shapes", [
+        (toeplitz_hilbert_norm, 601, [(301, 301)]),
+        (hankel_hilbert_norm, 300, [(300, 300)]),
+        (toeplitz_hilbert_norm, 512, []),
+    ], ids=["T601", "H300", "T512"])
+    def test_lanczos_problem_size_and_basis(self, monkeypatch, solve, R, shapes):
+        # T_R is solved on its ceil(R/2) parity block, H_R as it is; every
+        # Lanczos basis holds at most 32 vectors
+        calls = []
+
+        def recording_eigsh(A, **kwargs):
+            calls.append((A.shape, kwargs["ncv"]))
+            return eigsh(A, **kwargs)
+
+        monkeypatch.setattr("hilbmat.spectra.eigsh", recording_eigsh)
+        solve.__wrapped__(R)  # past the memo
+        assert [shape for shape, _ in calls] == shapes
+        assert all(ncv <= 32 for _, ncv in calls)
 
     def test_dense_builds_do_not_load_the_fft(self):
         # the circulant spectrum, and with it scipy.fft, comes with the first
