@@ -10,8 +10,8 @@ Hilbert matrix H_R is written once, as ``ToeplitzOperator.hankel``: H_R with
 its columns reversed, a Toeplitz matrix.  ``hilbert_parity_block`` is the
 half-size block of T_R between its J-even and J-odd vectors (J reverses the
 index order), on which the norm of T_R is solved.  An operator's matrix-free
-product uses one circulant spectrum, built on its first matvec at a fast FFT
-length; ``scipy.fft`` loads only then.
+product uses one circulant spectrum, built on its first matvec at a 5-smooth
+FFT length with ``numpy.fft``.
 Node vectors must be strictly increasing; sorting is the caller's job, which
 keeps gap computations O(R) and sign conventions unambiguous.
 """
@@ -102,11 +102,27 @@ def weighted_cauchy_matrix(x, c) -> np.ndarray:
     """Skew matrix with entries c_m c_n / (x_m - x_n) off the diagonal."""
     x = as_nodes(x)
     c = as_weights(c, x.size)
-    R = x.size
-    upper = np.zeros((R, R))
-    iu, ju = np.triu_indices(R, k=1)
-    upper[iu, ju] = c[iu] * c[ju] / (x[iu] - x[ju])
+    # the diagonal's 0/0 (or c_m^2/0) is cut away by triu
+    with np.errstate(divide="ignore", invalid="ignore"):
+        upper = np.triu(np.multiply.outer(c, c) / np.subtract.outer(x, x), 1)
     return upper - upper.T
+
+
+def _fast_len(m: int) -> int:
+    """The smallest 5-smooth number 2^a 3^b 5^c >= m, a length that pocketfft
+    transforms fast; below 30000 it is scipy.fft.next_fast_len(m, real=True)."""
+    best = 1 << (m - 1).bit_length()  # the least power of two >= m
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            p = p35
+            while p < m:
+                p *= 2
+            best = min(best, p)
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 class ToeplitzOperator:
@@ -116,9 +132,8 @@ class ToeplitzOperator:
     ``dense()`` assembles the matrix; ``matvec(x)`` applies it to a real or
     complex vector of length R in O(R log R) by circulant embedding.  The
     embedding's spectrum is built once per operator, on the first matvec, at
-    the fast FFT length ``scipy.fft.next_fast_len(2R - 1)``; each matvec then
-    costs one forward and one inverse transform of x.  ``scipy.fft`` is
-    imported only then, so dense-only use never loads it.
+    the FFT length ``_fast_len(2R - 1)``; each matvec then costs one forward
+    and one inverse ``numpy.fft`` transform of x.
     """
 
     def __init__(self, col, row):
@@ -156,23 +171,21 @@ class ToeplitzOperator:
         first column is col, zeros, then row[R-1], .., row[1]: its leading
         R x R block is T.  Its spectrum is taken once, here; a real operator
         uses rfft and applies itself to the parts of a complex x."""
-        from scipy import fft
-
         R = self.col.size
         real = not (np.iscomplexobj(self.col) or np.iscomplexobj(self.row))
-        n = fft.next_fast_len(2 * R - 1, real=real)
+        n = _fast_len(2 * R - 1)
         c = np.zeros(n, dtype=np.result_type(self.col, self.row, float))
         c[:R] = self.col
         c[n - R + 1:] = self.row[:0:-1]
         if not real:
-            spectrum = fft.fft(c)
-            return lambda x: fft.ifft(spectrum * fft.fft(x, n))[:R]
-        spectrum = fft.rfft(c)
+            spectrum = np.fft.fft(c)
+            return lambda x: np.fft.ifft(spectrum * np.fft.fft(x, n))[:R]
+        spectrum = np.fft.rfft(c)
 
         def apply(x):
             if np.iscomplexobj(x):
                 return apply(x.real) + 1j * apply(x.imag)
-            return fft.irfft(spectrum * fft.rfft(x, n), n)[:R]
+            return np.fft.irfft(spectrum * np.fft.rfft(x, n), n)[:R]
         return apply
 
     def matvec(self, x) -> np.ndarray:

@@ -16,15 +16,16 @@ max(1, max |entry|); it cannot be set.
 Norm-only queries stay in real arithmetic via -B^2.  ||T_R||, ||H_R|| and
 the top pair of T_R take one solve route, ``_top_eigen``, which holds the
 only dense/Lanczos decision, on the dimension n of the positive semidefinite
-matrix it solves: up to DENSE_CUTOFF ``spectral_norm`` for a norm and
-``np.linalg.eigh`` for a top pair, above it Lanczos with an
-``_LANCZOS_NCV``-vector basis on the matvec of a ``ToeplitzOperator.hilbert``
-or ``.hankel`` built for the solve.  That operator takes its circulant
-spectrum once, on the first matvec, at a fast FFT length, and only then
-loads ``scipy.fft``.  H_R is solved as it is (n = R).  T_R is skew-centrosymmetric, so -T_R^2 is solved on its
+matrix it solves and the cutoff and basis size its caller passes: up to the
+cutoff ``spectral_norm`` for a norm and ``np.linalg.eigh`` for a top pair,
+above it Lanczos on the matvec of a ``ToeplitzOperator.hilbert`` or
+``.hankel`` built for the solve, which takes its circulant spectrum once, on
+the first matvec.  T_R is skew-centrosymmetric, so -T_R^2 is solved on its
 J-even block C^T C, C = ``matrices.hilbert_parity_block(R)`` (n = ceil(R/2),
-dense up to R = 512); the top pair is built from the J-even top eigenvector
-of -T_R^2 at every size.
+dense up to n = DENSE_CUTOFF, so R = 512, with an _LANCZOS_NCV basis above);
+the top pair is built from the J-even top eigenvector of -T_R^2 at every
+size.  H_R is solved as it is (n = R, dense up to _HANKEL_DENSE_CUTOFF, with
+an _HANKEL_NCV basis above).
 """
 
 from __future__ import annotations
@@ -42,19 +43,26 @@ from .matrices import ToeplitzOperator, as_square, hilbert_hankel, hilbert_parit
 # threshold only needs to absorb roundoff.
 ZERO_MU_REL = 1e-10
 
-# Matrix-free Lanczos takes over in ``_top_eigen`` above this dimension of the
-# solved matrix: ceil(R/2) for T_R's parity block, R for H_R.
+# Matrix-free Lanczos takes over in ``_top_eigen`` above this dimension of
+# T_R's parity block, ceil(R/2).
 DENSE_CUTOFF = 256
 
 # 1e-11 relative eigenvalue tolerance keeps norms accurate to ~1e-11 while
 # roughly halving the iteration count against machine-precision stopping.
 _LANCZOS_OPTS = dict(k=1, which="LA", tol=1e-11, maxiter=20000)
 
-# Lanczos basis size (ARPACK's ncv).  ARPACK fills its whole basis before the
-# first convergence test, so every solve costs at least ncv + 1 products,
-# while H_R's top eigenvalue converges in under 9.  On the T_R parity block,
-# 32 took no more products than 64 at R = 600..10000.
+# Lanczos basis size (ARPACK's ncv) on the T_R parity block: 32 took no more
+# products than 64 at R = 600..10000.  ARPACK fills its whole basis before
+# the first convergence test, so every solve costs at least ncv + 1 products.
 _LANCZOS_NCV = 32
+
+# H_R's top eigenvalue is well isolated (lambda_2/lambda_1 = 0.44 at
+# R = 256), so its solve takes its own cutoff and basis: with ncv = 8 every
+# solve from R = 65 to 20000 took 9 products.  Dense eigvalsh against that
+# Lanczos, spectrum build included, crossed over between n = 48 and 96 on
+# 2 cores (0.22 against 0.47 ms at n = 64, 0.83 against 0.41 ms at n = 128).
+_HANKEL_DENSE_CUTOFF = 64
+_HANKEL_NCV = 8
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -198,16 +206,16 @@ def trace_power_norm_estimate(B, k: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _top_eigen(n: int, dense, apply, v0, image=None):
+def _top_eigen(n: int, dense, apply, v0, cutoff: int, ncv: int, image=None):
     """Top eigenvalue of an n x n positive semidefinite S, which ``dense()``
     builds and ``apply`` applies to an n-vector.  The one solver choice: dense
-    while n <= DENSE_CUTOFF (``spectral_norm`` for the value, ``eigh`` for a
-    vector), Lanczos from ``v0`` with an ncv = min(n, _LANCZOS_NCV) basis
-    above.  With ``image``, a pair of maps (dense side, matrix-free side),
+    while n <= cutoff (``spectral_norm`` for the value, ``eigh`` for a
+    vector), Lanczos from ``v0`` with a min(n, ncv)-vector basis above.
+    With ``image``, a pair of maps (dense side, matrix-free side),
     returns ``(eigenvalue, q, image(q))`` for a unit top eigenvector q; the
-    map of the side that solved is taken, so all-dense runs never load the
-    FFT."""
-    if n <= DENSE_CUTOFF:
+    map of the side that solved is taken, so all-dense runs never build a
+    circulant spectrum."""
+    if n <= cutoff:
         S = dense()
         if image is None:
             return spectral_norm(S)
@@ -215,7 +223,7 @@ def _top_eigen(n: int, dense, apply, v0, image=None):
         lam, q, lift = values[-1], vectors[:, -1], image[0]
     else:
         op = LinearOperator((n, n), matvec=apply, dtype=float)
-        ncv = min(n, _LANCZOS_NCV)
+        ncv = min(n, ncv)
         if image is None:
             lam = eigsh(op, v0=v0, ncv=ncv, return_eigenvectors=False, **_LANCZOS_OPTS)
             return float(lam[0])
@@ -264,7 +272,7 @@ def _toeplitz_top(R: int, vector=False):
     return _top_eigen((R + 1) // 2, lambda: block().T @ block(),
                       lambda x: _even_coords(-T.matvec(T.matvec(_parity_lift(x, R, 1.0)))),
                       _even_coords(np.full(R, 1.0 / np.sqrt(R))),
-                      image if vector else None)
+                      DENSE_CUTOFF, _LANCZOS_NCV, image if vector else None)
 
 
 @lru_cache(maxsize=None)
@@ -301,10 +309,11 @@ def hankel_hilbert_norm(R: int) -> float:
     """Spectral norm of the R x R symmetric Hilbert matrix 1/(m+n-1).
 
     The matrix is positive definite, so the norm is its top eigenvalue, on
-    the same route as ``toeplitz_hilbert_norm`` with n = R.  The matrix-free
-    product evaluates H x = T (reverse x) with the Toeplitz
+    the same route as ``toeplitz_hilbert_norm`` with n = R: dense up to
+    R = _HANKEL_DENSE_CUTOFF, above it Lanczos with an _HANKEL_NCV basis.
+    The matrix-free product evaluates H x = T (reverse x) with the Toeplitz
     T = ToeplitzOperator.hankel(R).
     """
     T = ToeplitzOperator.hankel(R)
     return _top_eigen(R, lambda: hilbert_hankel(R), lambda x: T.matvec(x[::-1]),
-                      np.full(R, 1.0 / np.sqrt(R)))
+                      np.full(R, 1.0 / np.sqrt(R)), _HANKEL_DENSE_CUTOFF, _HANKEL_NCV)

@@ -55,10 +55,11 @@ def test_out_only_where_a_csv_is_written(tmp_path):
     assert target.read_text().splitlines()[0] == "c0,c1,c2"
 
 
-def _run_cli_process(argv, **kwargs):
-    """Run ``python -m hilbmat.cli argv`` in a fresh interpreter."""
+def _run_cli_process(argv, env=None, **kwargs):
+    """Run ``python -m hilbmat.cli argv`` in a fresh interpreter, with the
+    variables of ``env`` added to this process's environment."""
     src = str(Path(hilbmat.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    env = dict(os.environ, **(env or {}), PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     return subprocess.run([sys.executable, "-m", "hilbmat.cli", *argv],
                           capture_output=True, env=env, timeout=120, **kwargs)
@@ -225,6 +226,16 @@ def test_sweep_tables_byte_identical_across_processes():
         assert first.returncode == second.returncode == 0
         assert first.stdout.startswith(b"R,norm,gap,")
         assert (first.stdout, first.stderr) == (second.stdout, second.stderr)
+
+
+def test_hankel_sweep_bytes_do_not_depend_on_blas_threads():
+    # with H_R dense up to R = 256, eigvalsh under 1 and 2 OpenBLAS threads
+    # differed in the last bits at R = 169..252; dense only up to R = 64, and
+    # Lanczos on numpy.fft products above, the bytes agree
+    argv = ["hankel-gap", "--R-max", "300"]
+    one, two = (_run_cli_process(argv, env={"OPENBLAS_NUM_THREADS": n}) for n in ("1", "2"))
+    assert one.returncode == two.returncode == 0
+    assert one.stdout == two.stdout
 
 
 def test_eigvec_profile(tmp_path, capsys):

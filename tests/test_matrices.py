@@ -8,6 +8,7 @@ from hilbmat.matrices import (
     GapReport,
     MAX_DIM,
     ToeplitzOperator,
+    _fast_len,
     cauchy_matrix,
     hilbert_hankel,
     hilbert_parity_block,
@@ -163,6 +164,21 @@ def test_matvec_rejects_anything_but_a_vector_of_length_R(shape):
     op = ToeplitzOperator.hilbert(5)
     with pytest.raises(ValueError, match=r"^matvec needs a 1-D vector of length 5, got shape "):
         op.matvec(np.ones(shape))
+
+
+def _is_5_smooth(n):
+    for p in (2, 3, 5):
+        while n % p == 0:
+            n //= p
+    return n == 1
+
+
+def test_fast_len_is_the_next_5_smooth_number():
+    # brute force: the FFT length is 5-smooth and no 5-smooth number lies
+    # between m and it
+    for m in range(1, 5001):
+        n = _fast_len(m)
+        assert _is_5_smooth(n) and not any(map(_is_5_smooth, range(m, n))), m
 
 
 def test_prolate_matrix_values():
