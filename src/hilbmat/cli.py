@@ -12,7 +12,6 @@ import argparse
 import sys
 
 import numpy as np
-from scipy.sparse.linalg import ArpackNoConvergence
 
 from . import gaps, identities, matrices, symbols
 from ._util import fmt17
@@ -207,7 +206,7 @@ def main(argv=None) -> int:
         args.out = args.out or sys.stdout
     try:
         return args.func(args)
-    except (np.linalg.LinAlgError, ArpackNoConvergence) as exc:
+    except np.linalg.LinAlgError as exc:
         # LinAlgError subclasses ValueError but reports a numerical failure
         print(f"hilbmat: numerical failure: {exc}", file=sys.stderr)
         return 1

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import toeplitz
+from numpy.lib.stride_tricks import as_strided
 
 from ._util import write_csv
 
@@ -164,7 +164,13 @@ class ToeplitzOperator:
         return cls(1.0 / (m + R), 1.0 / (R - m))
 
     def dense(self) -> np.ndarray:
-        return toeplitz(self.col, self.row)
+        """The R x R matrix as a fresh C-contiguous array, copied from a
+        strided view of vals = col[R-1], .., col[0], row[1], .., row[R-1]
+        that reads entry (m, n) at vals[R-1 - m + n]."""
+        R = self.col.size
+        vals = np.concatenate((self.col[::-1], self.row[1:]))
+        step = vals.strides[0]
+        return as_strided(vals[R - 1:], shape=(R, R), strides=(-step, step)).copy()
 
     def _circulant_product(self):
         """x -> T x through the circulant of fast length n >= 2R - 1 whose

@@ -25,7 +25,9 @@ J-even block C^T C, C = ``matrices.hilbert_parity_block(R)`` (n = ceil(R/2),
 dense up to n = DENSE_CUTOFF, so R = 512, with an _LANCZOS_NCV basis above);
 the top pair is built from the J-even top eigenvector of -T_R^2 at every
 size.  H_R is solved as it is (n = R, dense up to _HANKEL_DENSE_CUTOFF, with
-an _HANKEL_NCV basis above).
+an _HANKEL_NCV basis above).  scipy is imported inside the Lanczos branch
+alone, so dense solves never load it, and ARPACK non-convergence surfaces as
+``np.linalg.LinAlgError`` chained to scipy's ``ArpackNoConvergence``.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from dataclasses import dataclass
 from functools import cache, lru_cache
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .matrices import ToeplitzOperator, as_square, hilbert_hankel, hilbert_parity_block
 
@@ -222,12 +223,18 @@ def _top_eigen(n: int, dense, apply, v0, cutoff: int, ncv: int, image=None):
         values, vectors = np.linalg.eigh(S)  # ascending
         lam, q, lift = values[-1], vectors[:, -1], image[0]
     else:
+        # scipy is loaded by the first Lanczos solve, so dense-only runs skip it
+        from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
+
         op = LinearOperator((n, n), matvec=apply, dtype=float)
         ncv = min(n, ncv)
-        if image is None:
-            lam = eigsh(op, v0=v0, ncv=ncv, return_eigenvectors=False, **_LANCZOS_OPTS)
-            return float(lam[0])
-        lam, vec = eigsh(op, v0=v0, ncv=ncv, **_LANCZOS_OPTS)
+        try:
+            if image is None:
+                lam = eigsh(op, v0=v0, ncv=ncv, return_eigenvectors=False, **_LANCZOS_OPTS)
+                return float(lam[0])
+            lam, vec = eigsh(op, v0=v0, ncv=ncv, **_LANCZOS_OPTS)
+        except ArpackNoConvergence as exc:
+            raise np.linalg.LinAlgError(str(exc)) from exc
         lam, q, lift = lam[0], vec[:, 0], image[1]
     q = q / float(np.linalg.norm(q))
     return float(lam), q, lift(q)

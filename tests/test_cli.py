@@ -114,6 +114,24 @@ def test_numerical_failure_exits_1(capsys, monkeypatch):
     assert err == ["hilbmat: numerical failure: eigenvalues did not converge"]
 
 
+def test_arpack_non_convergence_exits_1(capsys, monkeypatch):
+    # the Lanczos solve reports ARPACK non-convergence as LinAlgError, the
+    # one numerical-failure type, which keeps exit code 1
+    from scipy.sparse.linalg import ArpackNoConvergence
+
+    def fail(*args, **kwargs):
+        raise ArpackNoConvergence("no convergence", np.array([]), np.array([]))
+
+    monkeypatch.setattr("scipy.sparse.linalg.eigsh", fail)
+    with pytest.raises(np.linalg.LinAlgError) as exc:
+        hankel_hilbert_norm.__wrapped__(100)
+    assert isinstance(exc.value.__cause__, ArpackNoConvergence)
+    hankel_hilbert_norm.cache_clear()
+    assert run_cli(["norm", "--kind", "H", "--R", "100"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("hilbmat: numerical failure:")
+
+
 def test_verify_failure_exits_1(capsys, monkeypatch):
     # only the applicable, non-probe failure counts
     bad = ResidualReport("bad", 1.0, 1.0, 0.0, passed=False)

@@ -27,3 +27,20 @@ def test_package_imports_match_all():
     assert len(set(hilbmat.__all__)) == len(hilbmat.__all__)
     assert sorted(imported) == sorted(hilbmat.__all__)
     assert [name for name in hilbmat.__all__ if not hasattr(hilbmat, name)] == []
+
+
+def test_no_module_imports_scipy_at_load():
+    # scipy is imported inside the Lanczos solve alone, so that loading
+    # hilbmat never loads it; no top-level statement may import it
+    offenders = []
+    for path in SOURCES:
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            offenders.extend(f"{path.name}:{node.lineno} {name}" for name in names
+                             if name == "scipy" or name.startswith("scipy."))
+    assert offenders == []

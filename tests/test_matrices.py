@@ -166,6 +166,28 @@ def test_matvec_rejects_anything_but_a_vector_of_length_R(shape):
         op.matvec(np.ones(shape))
 
 
+@pytest.mark.parametrize("op", [
+    *(build(R) for build in (ToeplitzOperator.hilbert, ToeplitzOperator.hankel)
+      for R in (1, 2, 9, 300)),
+    ToeplitzOperator(np.array([1 - 2j, -0.0, 3.5j, 0.25]), np.array([9.0, 2 + 1j, -0.0j, -4.0])),
+], ids=["T1", "T2", "T9", "T300", "H1", "H2", "H9", "H300", "complex"])
+def test_dense_equals_scipy_toeplitz(op):
+    # bit for bit, signed zeros included, with the same dtype; the result is
+    # a fresh writable C-contiguous array, not a view of col or row
+    from scipy.linalg import toeplitz
+
+    expected = toeplitz(op.col, op.row)
+    M = op.dense()
+    assert M.dtype == expected.dtype
+    assert np.array_equal(M, expected)
+    assert np.array_equal(np.signbit(M.real), np.signbit(expected.real))
+    assert np.array_equal(np.signbit(M.imag), np.signbit(expected.imag))
+    assert M.flags.c_contiguous and M.flags.writeable
+    col = op.col.copy()
+    M[:] = 7.0
+    assert np.array_equal(op.col, col)
+
+
 def _is_5_smooth(n):
     for p in (2, 3, 5):
         while n % p == 0:

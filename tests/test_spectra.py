@@ -380,6 +380,25 @@ class TestMatrixFreeNorms:
                 "print([m for m in ('scipy.fft', 'scipy.special') if m in sys.modules])")
         assert self._run_fresh(code) == "[]"
 
+    @pytest.mark.parametrize("commands,loaded", [
+        ([["verify", "--seeds", "3"], ["det", "--R", "6"], ["gen", "--kind", "T", "--R", "20"],
+          ["norm", "--kind", "T", "--R", "300"]], False),
+        ([["norm", "--kind", "T", "--R", "1100"]], True),
+    ], ids=["dense-commands", "lanczos-control"])
+    def test_dense_commands_load_no_scipy(self, commands, loaded):
+        # scipy is imported by the Lanczos branch alone: dense-only commands
+        # never load it, and the control, a norm past the cutoff, does
+        code = ("import contextlib, io, sys; from hilbmat.cli import main\n"
+                f"for argv in {commands!r}:\n"
+                "    with contextlib.redirect_stdout(io.StringIO()):\n"
+                "        assert main(argv) == 0, argv\n"
+                "print('scipy.sparse.linalg' in sys.modules)\n"
+                "print([m for m in sys.modules if m.startswith('scipy')][:3])")
+        lanczos, scipy_modules = self._run_fresh(code).splitlines()
+        assert lanczos == str(loaded)
+        if not loaded:
+            assert scipy_modules == "[]"
+
     def test_dense_top_pair_loads_no_module(self):
         # T q is taken by the dense product below the cutoff: a dense-only
         # run (such as `verify`) must load no module; the
@@ -407,7 +426,7 @@ class TestMatrixFreeNorms:
             calls.append((A.shape, kwargs["ncv"]))
             return eigsh(A, **kwargs)
 
-        monkeypatch.setattr("hilbmat.spectra.eigsh", recording_eigsh)
+        monkeypatch.setattr("scipy.sparse.linalg.eigsh", recording_eigsh)
         solve.__wrapped__(R)  # past the memo
         assert [shape for shape, _ in calls] == shapes
         assert all(ncv <= max_ncv for _, ncv in calls)
