@@ -436,19 +436,20 @@ def probe_eigenvector_monotonicity(S: int):
     Hilbert matrix, plus whether |u_n| increases strictly away from the
     center.  A conjecture probe: reported, never asserted.
 
-    Returns ``(report, offsets, amplitudes)`` with offsets -S..S.
+    Returns ``(report, offsets, amplitudes)`` with offsets -S..S; S >= 1,
+    since T_1 = 0 has no top eigenvector.
     """
-    if S < 0:
-        raise ValueError("S must be >= 0")
+    if S < 1:
+        raise ValueError("S must be >= 1")
     R = 2 * S + 1
     top = toeplitz_hilbert_top_pair(R)
     amp = np.abs(top.U[:, 0])
     offsets = np.arange(-S, S + 1)
     upper = amp[S:]
-    holds = bool(np.all(np.diff(upper) > 0.0)) if S >= 1 else True
+    holds = bool(np.all(np.diff(upper) > 0.0))
     # measured behaviour at every tested size is the opposite monotonicity:
     # the amplitude peaks at the center and decays outward
-    decays = bool(np.all(np.diff(upper) < 0.0)) if S >= 1 else True
+    decays = bool(np.all(np.diff(upper) < 0.0))
     center_minimal = bool(int(np.argmin(amp)) == S)
     center_maximal = bool(int(np.argmax(amp)) == S)
     report = residual_report("eigenvector_monotonicity_probe", 0.0, 1.0, 1.0, probe=True,

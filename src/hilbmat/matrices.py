@@ -3,15 +3,17 @@
 Builders return plain float64 ndarrays, except that ``toeplitz_from_symbol``
 returns a complex matrix for a complex symbol.  The Cauchy builders assemble
 their strict upper triangle and mirror it with negation; every Toeplitz-family
-matrix is read from one (column, row) pair by ``ToeplitzOperator``, and the
-skew Hilbert matrix T_R takes row = -column.  Either way ``M.T == -M`` and
-``M.diagonal() == 0`` hold exactly rather than to roundoff.  The symmetric
+matrix is a ``ToeplitzOperator`` held as its offset coefficients
+c_{-(R-1)}, .., c_{R-1}, and the skew Hilbert matrix T_R takes c_{-r} = -c_r
+from the closed form 1/r.  Either way ``M.T == -M`` and ``M.diagonal() == 0``
+hold exactly rather than to roundoff.  The symmetric
 Hilbert matrix H_R is written once, as ``ToeplitzOperator.hankel``: H_R with
 its columns reversed, a Toeplitz matrix.  ``hilbert_parity_block`` is the
 half-size block of T_R between its J-even and J-odd vectors (J reverses the
-index order), on which the norm of T_R is solved.  An operator's matrix-free
-product uses one circulant spectrum, built on its first matvec at a 5-smooth
-FFT length with ``numpy.fft``.
+index order), on which the norm of T_R is solved.  A real operator's
+matrix-free product uses one circulant spectrum, built on its first matvec at
+a 5-smooth FFT length with ``numpy.fft.rfft``; a complex one has only its
+dense build.
 Node vectors must be strictly increasing; sorting is the caller's job, which
 keeps gap computations O(R) and sign conventions unambiguous.
 """
@@ -126,67 +128,61 @@ def _fast_len(m: int) -> int:
 
 
 class ToeplitzOperator:
-    """Toeplitz matrix with entry (m, n) = col[m - n] for m >= n and
-    row[n - m] for m < n; ``row[0]`` is ignored in favour of ``col[0]``.
+    """Toeplitz matrix of size R held as its 2R - 1 offset coefficients
+    c_{-(R-1)}, .., c_{R-1}: entry (m, n) = c_{m-n} = ``coeffs[R-1 + m - n]``.
 
-    ``dense()`` assembles the matrix; ``matvec(x)`` applies it to a real or
-    complex vector of length R in O(R log R) by circulant embedding.  The
-    embedding's spectrum is built once per operator, on the first matvec, at
-    the FFT length ``_fast_len(2R - 1)``; each matvec then costs one forward
-    and one inverse ``numpy.fft`` transform of x.
+    ``dense()`` assembles the matrix; ``matvec(x)`` applies a real operator
+    to a real or complex vector of length R in O(R log R) by circulant
+    embedding.  The embedding's spectrum is built once per operator, on the
+    first matvec, at the FFT length ``_fast_len(2R - 1)``; each matvec then
+    costs one forward and one inverse ``numpy.fft`` real transform of x.
     """
 
-    def __init__(self, col, row):
-        col, row = np.asarray(col), np.asarray(row)
-        if col.ndim != 1 or row.ndim != 1 or col.size == 0 or col.shape != row.shape:
-            raise ValueError("Toeplitz column and row must be non-empty 1-D arrays "
-                             "of the same length")
-        self.col, self.row = col, row
+    def __init__(self, coeffs):
+        coeffs = np.asarray(coeffs)
+        if coeffs.ndim != 1 or coeffs.size % 2 == 0:
+            raise ValueError("Toeplitz coefficients must be a 1-D array of odd length 2R - 1")
+        self.coeffs = coeffs
+        self.R = (coeffs.size + 1) // 2
         self._product = None  # built by the first matvec
 
     @classmethod
     def hilbert(cls, R: int) -> "ToeplitzOperator":
-        """Skew Hilbert matrix T_R: column 0, 1, 1/2, .., 1/(R-1), row = -column.
+        """Skew Hilbert matrix T_R: c_r = 1/r, c_0 = 0.
 
         Matrix-free use is not bound by the dense size cap MAX_DIM.
         """
-        col = hilbert_coeffs(np.arange(as_dim(R, cap=None)))
-        return cls(col, -col)
+        R = as_dim(R, cap=None)
+        return cls(hilbert_coeffs(np.arange(1 - R, R)))
 
     @classmethod
     def hankel(cls, R: int) -> "ToeplitzOperator":
         """H_R with its columns reversed, H_R = T J (J reverses the index
-        order): column 1/R, .., 1/(2R-1), row 1/R, 1/(R-1), .., 1.
+        order): c_r = 1/(R + r), so coeffs = 1, 1/2, .., 1/(2R-1).
 
         Matrix-free use is not bound by the dense size cap MAX_DIM.
         """
-        m = np.arange(as_dim(R, cap=None), dtype=float)
-        return cls(1.0 / (m + R), 1.0 / (R - m))
+        return cls(1.0 / np.arange(1, 2 * as_dim(R, cap=None), dtype=float))
 
     def dense(self) -> np.ndarray:
         """The R x R matrix as a fresh C-contiguous array, copied from a
-        strided view of vals = col[R-1], .., col[0], row[1], .., row[R-1]
-        that reads entry (m, n) at vals[R-1 - m + n]."""
-        R = self.col.size
-        vals = np.concatenate((self.col[::-1], self.row[1:]))
-        step = vals.strides[0]
-        return as_strided(vals[R - 1:], shape=(R, R), strides=(-step, step)).copy()
+        strided view of coeffs that reads entry (m, n) at coeffs[R-1 + m - n]."""
+        step = self.coeffs.strides[0]
+        return as_strided(self.coeffs[self.R - 1:], shape=(self.R, self.R),
+                          strides=(step, -step)).copy()
 
     def _circulant_product(self):
         """x -> T x through the circulant of fast length n >= 2R - 1 whose
-        first column is col, zeros, then row[R-1], .., row[1]: its leading
-        R x R block is T.  Its spectrum is taken once, here; a real operator
-        uses rfft and applies itself to the parts of a complex x."""
-        R = self.col.size
-        real = not (np.iscomplexobj(self.col) or np.iscomplexobj(self.row))
+        first column is c_0, .., c_{R-1}, zeros, c_{-(R-1)}, .., c_{-1}: its
+        leading R x R block is T.  Its spectrum is taken once, here, by rfft;
+        a complex x is applied by its real and imaginary parts."""
+        if np.iscomplexobj(self.coeffs):
+            raise ValueError("matvec needs a real operator; a complex Toeplitz matrix "
+                             "has only its dense build")
+        R = self.R
         n = _fast_len(2 * R - 1)
-        c = np.zeros(n, dtype=np.result_type(self.col, self.row, float))
-        c[:R] = self.col
-        c[n - R + 1:] = self.row[:0:-1]
-        if not real:
-            spectrum = np.fft.fft(c)
-            return lambda x: np.fft.ifft(spectrum * np.fft.fft(x, n))[:R]
-        spectrum = np.fft.rfft(c)
+        spectrum = np.fft.rfft(np.concatenate(
+            (self.coeffs[R - 1:], np.zeros(n - 2 * R + 1), self.coeffs[:R - 1])))
 
         def apply(x):
             if np.iscomplexobj(x):
@@ -196,8 +192,8 @@ class ToeplitzOperator:
 
     def matvec(self, x) -> np.ndarray:
         x = np.asarray(x)
-        if x.shape != self.col.shape:
-            raise ValueError(f"matvec needs a 1-D vector of length {self.col.size}, "
+        if x.shape != (self.R,):
+            raise ValueError(f"matvec needs a 1-D vector of length {self.R}, "
                              f"got shape {x.shape}")
         if self._product is None:
             self._product = self._circulant_product()
@@ -238,11 +234,11 @@ def hilbert_parity_block(R) -> np.ndarray:
 def prolate_matrix(R, w) -> np.ndarray:
     """Symmetric Toeplitz matrix sin(2*pi*w*(m-n))/(m-n), diagonal 2*pi*w.
 
-    Requires 0 < w < 1/2.  The first column doubles as the first row, so
-    symmetry is exact.
+    Requires 0 < w < 1/2.  The coefficients c_r, r >= 0, are mirrored to
+    c_{-r}, so symmetry is exact.
     """
-    vals = prolate_coeffs(np.arange(as_dim(R)), w)
-    return ToeplitzOperator(vals, vals).dense()
+    half = prolate_coeffs(np.arange(as_dim(R)), w)
+    return ToeplitzOperator(np.concatenate((half[:0:-1], half))).dense()
 
 
 def toeplitz_from_symbol(coeffs, R) -> np.ndarray:
@@ -261,8 +257,7 @@ def toeplitz_from_symbol(coeffs, R) -> np.ndarray:
         values = np.array([coeffs.get(int(r), 0.0) for r in offsets])
     if np.all(np.isreal(values)):
         values = values.real.astype(float)
-    # values[R - 1 + r] = c_r: the column runs r = 0..R-1, the row r = 0..-(R-1)
-    return ToeplitzOperator(values[R - 1:], values[R - 1::-1]).dense()
+    return ToeplitzOperator(values).dense()
 
 
 def remove_index(M: np.ndarray, n: int) -> np.ndarray:

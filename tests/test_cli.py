@@ -237,8 +237,8 @@ def test_sweep_gap(tmp_path):
 
 def test_sweep_tables_byte_identical_across_processes():
     # fresh interpreters, so the second run cannot read the first one's norm
-    # cache; both pass DENSE_CUTOFF, so Lanczos on the cached FFT runs: T_R
-    # from R = 513 (its parity block has dimension ceil(R/2)), H_R from 257
+    # cache; both pass their dense cutoffs, so Lanczos on the cached FFT runs:
+    # T_R from R = 513 (its parity block has dimension ceil(R/2)), H_R from 65
     for argv in (["sweep-gap", "--R-max", "600"], ["hankel-gap", "--R-max", "300"]):
         first, second = _run_cli_process(argv), _run_cli_process(argv)
         assert first.returncode == second.returncode == 0
@@ -254,6 +254,13 @@ def test_hankel_sweep_bytes_do_not_depend_on_blas_threads():
     one, two = (_run_cli_process(argv, env={"OPENBLAS_NUM_THREADS": n}) for n in ("1", "2"))
     assert one.returncode == two.returncode == 0
     assert one.stdout == two.stdout
+
+
+@pytest.mark.parametrize("S", ["0", "-1"])
+def test_eigvec_profile_rejects_s_below_1(capsys, S):
+    # T_1 = 0 has no top eigenvector, so S = 0 fails on the same rule as S < 0
+    assert run_cli(["eigvec-profile", "--S", S]) == 2
+    assert capsys.readouterr() == ("", "hilbmat: error: S must be >= 1\n")
 
 
 def test_eigvec_profile(tmp_path, capsys):

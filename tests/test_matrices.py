@@ -98,8 +98,8 @@ def test_hilbert_hankel_values():
 
 @pytest.mark.parametrize("R", [1, 2, 7, 256, 257, 1001])
 def test_hilbert_hankel_equals_closed_form(R):
-    # the reversed Toeplitz pair of ToeplitzOperator.hankel rounds exactly as
-    # the closed form: both divide 1 by the same exact integer m + n + 1
+    # the reversed coefficients 1/(R + r) of ToeplitzOperator.hankel round
+    # exactly as the closed form: both divide 1 by the same exact integer m + n + 1
     i = np.arange(R, dtype=float)
     reference = 1.0 / (i[:, None] + i[None, :] + 1.0)
     H = hilbert_hankel(R)
@@ -142,20 +142,21 @@ def test_operator_size_is_checked(build, R, message):
                          ids=["hilbert", "hankel"])
 def test_operator_size_has_no_dense_cap(build):
     op = build(np.int64(MAX_DIM + 1))
-    assert op.col.shape == op.row.shape == (MAX_DIM + 1,)
+    assert op.coeffs.shape == (2 * MAX_DIM + 1,)
 
 
-@pytest.mark.parametrize("col,row", [
-    pytest.param(np.ones((2, 2)), np.ones((2, 2)), id="2-d"),
-    pytest.param(1.0, 1.0, id="0-d"),
-    pytest.param([], [], id="empty"),
-    pytest.param([1.0, 2.0], [1.0, 2.0, 3.0], id="lengths-differ"),
-    pytest.param([1.0, 2.0], np.ones((1, 2)), id="row-2-d"),
+@pytest.mark.parametrize("coeffs", [
+    pytest.param(np.ones((2, 2)), id="2-d"),
+    pytest.param(1.0, id="0-d"),
+    pytest.param([], id="empty"),
+    pytest.param([1.0, 2.0], id="even-length"),
+    pytest.param(np.ones((1, 3)), id="row-2-d"),
 ])
-def test_operator_rejects_bad_column_and_row(col, row):
-    with pytest.raises(ValueError, match="^Toeplitz column and row must be non-empty 1-D "
-                                         "arrays of the same length$"):
-        ToeplitzOperator(col, row)
+def test_operator_rejects_bad_column_and_row(coeffs):
+    # the one coefficient rule: a 1-D array of odd length 2R - 1
+    with pytest.raises(ValueError, match="^Toeplitz coefficients must be a 1-D array of "
+                                         "odd length 2R - 1$"):
+        ToeplitzOperator(coeffs)
 
 
 @pytest.mark.parametrize("shape", [(5, 2), (5, 1), (1, 5), (4,), (6,), ()],
@@ -169,23 +170,24 @@ def test_matvec_rejects_anything_but_a_vector_of_length_R(shape):
 @pytest.mark.parametrize("op", [
     *(build(R) for build in (ToeplitzOperator.hilbert, ToeplitzOperator.hankel)
       for R in (1, 2, 9, 300)),
-    ToeplitzOperator(np.array([1 - 2j, -0.0, 3.5j, 0.25]), np.array([9.0, 2 + 1j, -0.0j, -4.0])),
+    ToeplitzOperator(np.array([-4.0, -0.0j, 2 + 1j, 1 - 2j, -0.0, 3.5j, 0.25])),
 ], ids=["T1", "T2", "T9", "T300", "H1", "H2", "H9", "H300", "complex"])
 def test_dense_equals_scipy_toeplitz(op):
     # bit for bit, signed zeros included, with the same dtype; the result is
-    # a fresh writable C-contiguous array, not a view of col or row
+    # a fresh writable C-contiguous array, not a view of the coefficients
     from scipy.linalg import toeplitz
 
-    expected = toeplitz(op.col, op.row)
+    c, R = op.coeffs, op.R
+    expected = toeplitz(c[R - 1:], c[R - 1::-1])
     M = op.dense()
     assert M.dtype == expected.dtype
     assert np.array_equal(M, expected)
     assert np.array_equal(np.signbit(M.real), np.signbit(expected.real))
     assert np.array_equal(np.signbit(M.imag), np.signbit(expected.imag))
     assert M.flags.c_contiguous and M.flags.writeable
-    col = op.col.copy()
+    coeffs = c.copy()
     M[:] = 7.0
-    assert np.array_equal(op.col, col)
+    assert np.array_equal(op.coeffs, coeffs)
 
 
 def _is_5_smooth(n):

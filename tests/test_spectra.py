@@ -260,10 +260,6 @@ _MATVEC_CASES = {
     # the operator hankel_hilbert_norm applies to the reversed vector
     "hankel-reversed": lambda R: (ToeplitzOperator.hankel(R), hilbert_hankel(R),
                                   True, False),
-    "complex-symbol": lambda R: (
-        ToeplitzOperator([_SYMBOL.get(r, 0.0) for r in range(R)],
-                         [_SYMBOL.get(-r, 0.0) for r in range(R)]),
-        toeplitz_from_symbol(_SYMBOL, R), False, True),
 }
 
 
@@ -284,6 +280,17 @@ class TestMatrixFreeNorms:
         np.testing.assert_array_equal(dense[:, ::-1] if reverse else dense, reference)
         np.testing.assert_allclose(op.matvec(x), dense @ x, atol=1e-12)
         np.testing.assert_allclose(op.matvec(x), reference @ v, atol=1e-12)
+
+    @pytest.mark.parametrize("R", [1, 2, R_PARITY, 1001],
+                             ids=lambda R: "complex-symbol" + ("" if R == R_PARITY else f"-R{R}"))
+    def test_complex_operator_matvec_is_refused(self, R):
+        # a complex symbol matrix has its dense build only; the matvec is real
+        op = ToeplitzOperator(np.array([_SYMBOL.get(r, 0.0) for r in range(1 - R, R)],
+                                       dtype=complex))
+        np.testing.assert_array_equal(op.dense(), toeplitz_from_symbol(_SYMBOL, R))
+        with pytest.raises(ValueError, match="^matvec needs a real operator; a complex "
+                                             "Toeplitz matrix has only its dense build$"):
+            op.matvec(np.ones(R))
 
     @pytest.mark.parametrize("build", [ToeplitzOperator.hilbert, ToeplitzOperator.hankel],
                              ids=["hilbert", "hankel"])
