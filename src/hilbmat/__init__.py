@@ -2,7 +2,6 @@
 determinants, identity certification, and spectral-gap experiments."""
 
 from .matrices import (
-    GapReport,
     ToeplitzOperator,
     cauchy_matrix,
     hilbert_hankel,
@@ -51,7 +50,7 @@ from .gaps import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "GapReport", "cauchy_matrix", "hilbert_hankel", "hilbert_toeplitz",
+    "cauchy_matrix", "hilbert_hankel", "hilbert_toeplitz",
     "min_gaps", "prolate_matrix", "remove_index", "toeplitz_from_symbol",
     "weighted_cauchy_matrix", "write_matrix_csv", "ToeplitzOperator",
     "SpectralDecomposition", "hankel_hilbert_norm",

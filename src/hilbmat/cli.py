@@ -3,7 +3,7 @@
 Every command is deterministic for a fixed seed (numpy PCG64 generator);
 re-running with the same flags reproduces byte-identical CSV output.  Exit
 codes: 0 success, 1 a verified assertion failed or a numerical failure, 2
-usage error (bad flags, or a value the constructions reject).
+usage error (bad flags, a value the constructions reject, an unwritable --out).
 """
 
 from __future__ import annotations
@@ -212,6 +212,11 @@ def main(argv=None) -> int:
         return 1
     except ValueError as exc:
         print(f"hilbmat: error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        if exc.filename is None:  # no file named: not the --out file
+            raise
+        print(f"hilbmat: error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 2
 
 

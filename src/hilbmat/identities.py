@@ -395,13 +395,14 @@ def check_montgomery_vaughan(x) -> ResidualReport:
     holds as well is recorded in the details, never asserted.
     """
     x = np.asarray(x, dtype=float)
-    gaps = min_gaps(x)
+    per_node = min_gaps(x)
+    delta = float(per_node.min())
     norm_a = spectral_norm(cauchy_matrix(x))
-    norm_b = spectral_norm(weighted_cauchy_matrix(x, np.sqrt(gaps.per_node)))
-    bound_a = np.pi / gaps.delta
+    norm_b = spectral_norm(weighted_cauchy_matrix(x, np.sqrt(per_node)))
+    bound_a = np.pi / delta
     violation = max(0.0, norm_a - bound_a, norm_b - 1.5 * np.pi)
     return residual_report("montgomery_vaughan", violation, max(1.0, bound_a), INEQ_SLACK,
-                            R=x.size, norm_a=norm_a, norm_b=norm_b, delta=gaps.delta,
+                            R=x.size, norm_a=norm_a, norm_b=norm_b, delta=delta,
                             pi_bound_holds=bool(norm_b <= np.pi))
 
 

@@ -1,26 +1,24 @@
 """Constructors for the structured matrices of the weighted Hilbert family.
 
 Builders return plain float64 ndarrays, except that ``toeplitz_from_symbol``
-returns a complex matrix for a complex symbol.  The Cauchy builders assemble
-their strict upper triangle and mirror it with negation; every Toeplitz-family
-matrix is a ``ToeplitzOperator`` held as its offset coefficients
-c_{-(R-1)}, .., c_{R-1}, and the skew Hilbert matrix T_R takes c_{-r} = -c_r
-from the closed form 1/r.  Either way ``M.T == -M`` and ``M.diagonal() == 0``
-hold exactly rather than to roundoff.  The symmetric
+returns a complex matrix for a complex ``symbols.SymbolSeries``.  The Cauchy
+builders assemble their strict upper triangle and mirror it with negation;
+every Toeplitz-family matrix is a ``ToeplitzOperator`` held as its offset
+coefficients c_{-(R-1)}, .., c_{R-1}, and the skew Hilbert matrix T_R takes
+c_{-r} = -c_r from the closed form 1/r.  Either way ``M.T == -M`` and
+``M.diagonal() == 0`` hold exactly rather than to roundoff.  The symmetric
 Hilbert matrix H_R is written once, as ``ToeplitzOperator.hankel``: H_R with
 its columns reversed, a Toeplitz matrix.  ``hilbert_parity_block`` is the
 half-size block of T_R between its J-even and J-odd vectors (J reverses the
 index order), on which the norm of T_R is solved.  A real operator's
 matrix-free product uses one circulant spectrum, built on its first matvec at
 a 5-smooth FFT length with ``numpy.fft.rfft``; a complex one has only its
-dense build.
-Node vectors must be strictly increasing; sorting is the caller's job, which
-keeps gap computations O(R) and sign conventions unambiguous.
+dense build.  Node vectors must be strictly increasing; sorting is the
+caller's job, which keeps ``min_gaps`` (an array of nearest-neighbour
+distances) O(R) and sign conventions unambiguous.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -241,20 +239,10 @@ def prolate_matrix(R, w) -> np.ndarray:
     return ToeplitzOperator(np.concatenate((half[:0:-1], half))).dense()
 
 
-def toeplitz_from_symbol(coeffs, R) -> np.ndarray:
-    """Toeplitz matrix with entry (m, n) = c_{m-n}.
-
-    ``coeffs`` is either a mapping r -> c_r (absent keys are zero) or an
-    object whose ``coeff`` method maps an integer array of offsets to their
-    coefficients (see symbols.SymbolSeries); it is called once, with every
-    offset |r| <= R - 1.
-    """
+def toeplitz_from_symbol(series, R) -> np.ndarray:
+    """Toeplitz matrix of a symbols.SymbolSeries: entry (m, n) = series.coeff(m - n)."""
     R = as_dim(R)
-    offsets = np.arange(-(R - 1), R)
-    if hasattr(coeffs, "coeff"):
-        values = coeffs.coeff(offsets)
-    else:
-        values = np.array([coeffs.get(int(r), 0.0) for r in offsets])
+    values = series.coeff(np.arange(-(R - 1), R))
     if np.all(np.isreal(values)):
         values = values.real.astype(float)
     return ToeplitzOperator(values).dense()
@@ -269,16 +257,9 @@ def remove_index(M: np.ndarray, n: int) -> np.ndarray:
     return np.delete(np.delete(M, n - 1, axis=0), n - 1, axis=1)
 
 
-@dataclass(frozen=True)
-class GapReport:
-    """Minimum node separations: global delta and per-node nearest distance."""
-
-    delta: float
-    per_node: np.ndarray
-
-
-def min_gaps(x) -> GapReport:
-    """Per-node nearest-neighbour distances of a sorted node vector, R >= 2."""
+def min_gaps(x) -> np.ndarray:
+    """Per-node nearest-neighbour distances of a sorted node vector, R >= 2;
+    their minimum is the separation delta."""
     x = as_nodes(x)
     if x.size < 2:
         raise ValueError("min_gaps needs at least two nodes")
@@ -288,7 +269,7 @@ def min_gaps(x) -> GapReport:
     per_node[-1] = d[-1]
     if x.size > 2:
         per_node[1:-1] = np.minimum(d[:-1], d[1:])
-    return GapReport(delta=float(per_node.min()), per_node=per_node)
+    return per_node
 
 
 def write_matrix_csv(M, target):

@@ -1,15 +1,17 @@
 """Toeplitz symbol machinery: symbols, quadratic forms, convergence rates.
 
-A symbol is a Fourier series f(x) = sum_r c_r exp(i r x) on [0, 2*pi]; its
-Toeplitz matrix has entry (m, n) = c_{m-n}.  For any unit coefficient vector
-u, the trigonometric polynomial phi(x) = (2*pi)^(-1/2) sum_n u_n e^{i(n-1)x}
-satisfies  u* C_R u = integral of f |phi|^2  (quadratic-form identity), and
-this module evaluates the integral side independently of the matrix side:
-by exact uniform-grid quadrature when f is a finite trigonometric
-polynomial, and by exact piecewise antiderivatives against the Fourier
-expansion of |phi|^2 for the two discontinuous closed forms (the sawtooth
-symbol of the skew Hilbert matrix and the band indicator of the prolate
-matrix), where generic quadrature would suffer from the Gibbs phenomenon.
+A symbol is a Fourier series f(x) = sum_r c_r exp(i r x) on [0, 2*pi]; a
+``SymbolSeries`` holds c_{-K}, .., c_K in the ``ToeplitzOperator`` layout,
+and ``matrices.toeplitz_from_symbol`` builds its Toeplitz matrix, entry
+(m, n) = c_{m-n}.  For any unit coefficient vector u, the trigonometric
+polynomial phi(x) = (2*pi)^(-1/2) sum_n u_n e^{i(n-1)x} satisfies
+u* C_R u = integral of f |phi|^2 (quadratic-form identity), and this module
+evaluates the integral side independently of the matrix side: by exact
+uniform-grid quadrature when f is a finite trigonometric polynomial, and by
+exact piecewise antiderivatives against the Fourier expansion of |phi|^2 for
+the two discontinuous closed forms (the sawtooth symbol of the skew Hilbert
+matrix and the band indicator of the prolate matrix), where generic
+quadrature would suffer from the Gibbs phenomenon.
 
 Sign note: with the (m, n) = c_{m-n} convention, the coefficients c_r = 1/r
 generate exactly the skew Hilbert matrix, and the corresponding closed-form
@@ -18,7 +20,7 @@ symbol is i*(pi - x) on (0, 2*pi), vanishing at the endpoints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,9 +41,16 @@ GAP_FLOOR = 1e-13
 _PEAK_GRID_POINTS = 8192
 
 
-@dataclass(frozen=True)
+def _band_offsets(K) -> np.ndarray:
+    if K < 0:
+        raise ValueError("coefficient band K must be >= 0")
+    return np.arange(-K, K + 1)
+
+
+@dataclass(frozen=True, eq=False)
 class SymbolSeries:
-    """Fourier coefficients c_r for |r| <= K, optionally with a closed form.
+    """Fourier coefficients c_{-K}, .., c_K, optionally with a closed form;
+    ``coeffs`` holds them in the ``ToeplitzOperator`` layout, c_r = coeffs[K + r].
 
     ``kind`` tags a closed form: "hilbert" (sawtooth i*(pi - x)) and
     "prolate" (band indicator of height pi, bandwidth parameter ``w``) are
@@ -50,46 +59,51 @@ class SymbolSeries:
     coefficient band on demand; untagged series are undefined beyond K.
     """
 
-    coeffs: dict
-    K: int
+    coeffs: np.ndarray
     kind: str | None = None
-    w: float | None = field(default=None)
+    w: float | None = None
 
     def __post_init__(self):
-        if self.K < 0:
-            raise ValueError("coefficient band K must be >= 0")
-        for r in self.coeffs:
-            if abs(int(r)) > self.K:
-                raise ValueError(f"coefficient index {r} outside band |r| <= {self.K}")
+        coeffs = np.asarray(self.coeffs)
+        if coeffs.ndim != 1 or coeffs.size % 2 == 0:
+            raise ValueError("symbol coefficients must be a 1-D array of odd length 2K + 1")
+        object.__setattr__(self, "coeffs", coeffs)
+
+    @property
+    def K(self) -> int:
+        return self.coeffs.size // 2
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def from_coeffs(cls, coeffs, K=None) -> "SymbolSeries":
+        """The untagged series of a mapping r -> c_r; K defaults to the largest |r|."""
         coeffs = {int(r): complex(v) for r, v in coeffs.items()}
         if K is None:
             K = max((abs(r) for r in coeffs), default=0)
-        return cls(coeffs=coeffs, K=int(K))
+        K = int(K)
+        vector = np.zeros(_band_offsets(K).size, dtype=complex)
+        for r, v in coeffs.items():
+            if abs(r) > K:
+                raise ValueError(f"coefficient index {r} outside band |r| <= {K}")
+            vector[K + r] = v
+        return cls(vector)
 
     @classmethod
     def hilbert(cls, K: int) -> "SymbolSeries":
-        r = np.arange(-K, K + 1)
-        coeffs = dict(zip(r.tolist(), hilbert_coeffs(r).tolist()))
-        return cls(coeffs=coeffs, K=K, kind="hilbert")
+        return cls(hilbert_coeffs(_band_offsets(K)), kind="hilbert")
 
     @classmethod
     def prolate(cls, w: float, K: int) -> "SymbolSeries":
-        r = np.arange(-K, K + 1)
-        coeffs = dict(zip(r.tolist(), prolate_coeffs(r, w).tolist()))
-        return cls(coeffs=coeffs, K=K, kind="prolate", w=w)
+        return cls(prolate_coeffs(_band_offsets(K), w), kind="prolate", w=w)
 
     @classmethod
     def cosine(cls) -> "SymbolSeries":
-        return cls(coeffs={1: 1.0, -1: 1.0}, K=1, kind="cosine")
+        return cls(np.array([1.0, 0.0, 1.0]), kind="cosine")
 
     @classmethod
     def constant(cls, c0) -> "SymbolSeries":
-        return cls(coeffs={0: complex(c0)}, K=0, kind="constant")
+        return cls(np.array([complex(c0)]), kind="constant")
 
     # -- coefficient access --------------------------------------------------
 
@@ -113,8 +127,7 @@ class SymbolSeries:
             if self.kind not in ("cosine", "constant") and outside.any():
                 raise ValueError(f"coefficient c_{r[outside].flat[0]} undefined: band is "
                                  f"|r| <= {self.K} and no closed form")
-            band = np.array([self.coeffs.get(k, 0.0) for k in range(-self.K, self.K + 1)])
-            out = np.where(outside, 0.0, band[np.clip(r, -self.K, self.K) + self.K])
+            out = np.where(outside, 0.0, self.coeffs[np.clip(r, -self.K, self.K) + self.K])
         return out if out.ndim else out.item()
 
     # -- evaluation ----------------------------------------------------------
@@ -126,17 +139,16 @@ class SymbolSeries:
         if np.any((x < 0.0) | (x > 2.0 * np.pi)):
             raise ValueError("x must lie in [0, 2*pi]")
         if self.kind == "hilbert":
-            out = 1j * (np.pi - x)
             interior = (x > 0.0) & (x < 2.0 * np.pi)
-            out = np.where(interior, out, 0.0 + 0.0j)
-            return out if out.ndim else complex(out)
-        if self.kind == "prolate":
+            out = np.where(interior, 1j * (np.pi - x), 0.0 + 0.0j)
+        elif self.kind == "prolate":
             band = (x <= 2.0 * np.pi * self.w) | (x >= 2.0 * np.pi * (1.0 - self.w))
             out = np.where(band, np.pi, 0.0).astype(complex)
-            return out if out.ndim else complex(out)
-        out = np.zeros_like(x, dtype=complex)
-        for r, c in self.coeffs.items():
-            out += c * np.exp(1j * r * x)
+        else:
+            out = np.zeros_like(x, dtype=complex)
+            # c_{-r} is added right after c_r, so a real even symbol sums to a real value
+            for r in sorted(np.flatnonzero(self.coeffs) - self.K, key=lambda r: (abs(r), -r)):
+                out += self.coeffs[self.K + r] * np.exp(1j * int(r) * x)
         return out if out.ndim else complex(out)
 
 
@@ -245,8 +257,8 @@ def _smooth_symbol_peak(series: SymbolSeries):
     j = int(np.argmax(fx))
     x0 = float(x[j])
     # Newton refinement on f' using the analytic derivatives of the series.
-    rs = np.arange(-series.K, series.K + 1)
-    cs = series.coeff(rs)
+    rs = _band_offsets(series.K)
+    cs = series.coeffs
     for _ in range(60):
         e = np.exp(1j * rs * x0)
         d1 = float(np.sum(1j * rs * cs * e).real)
@@ -282,7 +294,8 @@ def gs_rate_check(series: SymbolSeries, R_list):
     for R in R_list:
         # the symbol under study is the finite polynomial itself, so
         # coefficients beyond the band are exact zeros
-        C = toeplitz_from_symbol(dict(series.coeffs), int(R))
+        padded = np.pad(series.coeffs, max(int(R) - 1 - series.K, 0))
+        C = toeplitz_from_symbol(SymbolSeries(padded), int(R))
         norm = spectral_norm(C)
         gap = fmax - norm
         predicted = np.pi**2 * abs(fpp) / (2.0 * R**2)

@@ -1,4 +1,5 @@
 import dataclasses
+import io
 import os
 import subprocess
 import sys
@@ -12,6 +13,7 @@ import hilbmat
 from hilbmat._util import fmt17
 from hilbmat.cli import main
 from hilbmat.gaps import build_witness
+from hilbmat.matrices import hilbert_hankel, write_matrix_csv
 from hilbmat.reports import ResidualReport
 from hilbmat.spectra import hankel_hilbert_norm, toeplitz_hilbert_norm
 
@@ -53,6 +55,15 @@ def test_out_only_where_a_csv_is_written(tmp_path):
     assert not target.exists()
     assert main(["gen", "--kind", "T", "--R", "3", "--out", str(target)]) == 0
     assert target.read_text().splitlines()[0] == "c0,c1,c2"
+
+
+@pytest.mark.parametrize("where, reason", [("missing/gs.csv", "No such file or directory"),
+                                           ("", "Is a directory")],
+                         ids=["missing-parent", "directory"])
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys, where, reason):
+    target = tmp_path / where
+    assert run_cli(["gs-rate", "--R", "10", "--out", str(target)]) == 2
+    assert capsys.readouterr() == ("", f"hilbmat: error: cannot write {target}: {reason}\n")
 
 
 def _run_cli_process(argv, env=None, **kwargs):
@@ -160,6 +171,13 @@ def test_gen_matrix_stdout(capsys):
     assert lines[0] == "c0,c1,c2"
     row2 = [float(v) for v in lines[2].split(",")]
     assert row2 == [1.0, 0.0, -1.0]
+
+
+def test_gen_hankel_matches_hilbert_hankel(capsys):
+    assert run_cli(["gen", "--kind", "H", "--R", "5"]) == 0
+    buf = io.StringIO()
+    write_matrix_csv(hilbert_hankel(5), buf)
+    assert capsys.readouterr().out == buf.getvalue()
 
 
 def test_norm_t3(capsys):

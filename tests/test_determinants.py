@@ -195,6 +195,12 @@ class TestPfaffian:
         with pytest.raises(ValueError):
             pfaffian(hilbert_toeplitz(3))
 
+    def test_empty_matrix_is_one(self):
+        assert pfaffian(np.zeros((0, 0))) == 1.0
+
+    def test_zero_matrix_is_zero(self):
+        assert pfaffian(np.zeros((4, 4))) == 0.0
+
     @pytest.mark.parametrize("seed", range(15))
     def test_square_equals_lu_on_general_skew(self, seed):
         rng = np.random.default_rng(seed)
@@ -259,6 +265,11 @@ class TestPrincipalMinorSum:
 
 
 class TestNewtonGirard:
+    def test_order_below_1_is_rejected(self):
+        with pytest.raises(ValueError) as exc:
+            newton_girard_power_sums([2.0, 3.0], 0)
+        assert str(exc.value) == "L must be >= 1"
+
     def test_first_two_power_sums(self):
         s = newton_girard_power_sums([2.0, 3.0, 4.0], 2)
         assert s[0] == 2.0                      # s_1 = sigma_1

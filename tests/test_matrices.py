@@ -5,10 +5,11 @@ import pytest
 
 from hilbmat.determinants import det_lu, det_matching, pfaffian
 from hilbmat.matrices import (
-    GapReport,
     MAX_DIM,
     ToeplitzOperator,
     _fast_len,
+    as_nodes,
+    as_weights,
     cauchy_matrix,
     hilbert_hankel,
     hilbert_parity_block,
@@ -39,6 +40,29 @@ def test_cauchy_matrix_entries():
 def test_cauchy_matrix_rejects_non_increasing(bad):
     with pytest.raises(ValueError):
         cauchy_matrix(bad)
+
+
+@pytest.mark.parametrize("values, message", [
+    pytest.param(np.zeros((2, 2)), "node vector must be one-dimensional", id="2-d"),
+    pytest.param([], "node vector must have length >= 1", id="empty"),
+    pytest.param(np.arange(MAX_DIM + 1.0), f"node vector exceeds the size cap of {MAX_DIM}",
+                 id="above-cap"),
+    pytest.param([0.0, np.inf], "nodes must be finite", id="inf"),
+    pytest.param([np.nan, 1.0], "nodes must be finite", id="nan"),
+    pytest.param([0.0, 2.0, 1.0], "nodes must be strictly increasing (hence distinct)",
+                 id="decreasing"),
+])
+def test_as_nodes_rejects_with_one_message(values, message):
+    with pytest.raises(ValueError) as exc:
+        as_nodes(values)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_as_weights_rejects_non_finite(bad):
+    with pytest.raises(ValueError) as exc:
+        as_weights([1.0, bad], 2)
+    assert str(exc.value) == "weights must be finite"
 
 
 def test_weighted_reduces_to_unweighted_for_unit_weights():
@@ -219,16 +243,16 @@ def test_prolate_matrix_rejects_bad_bandwidth(w):
 
 
 def test_toeplitz_identity_from_dict():
-    np.testing.assert_array_equal(toeplitz_from_symbol({0: 1.0}, 3), np.eye(3))
+    np.testing.assert_array_equal(toeplitz_from_symbol(SymbolSeries.constant(1.0), 3), np.eye(3))
 
 
 def test_toeplitz_tridiagonal():
-    C = toeplitz_from_symbol({1: 1.0, -1: 1.0}, 3)
+    C = toeplitz_from_symbol(SymbolSeries.cosine(), 3)
     np.testing.assert_array_equal(C, [[0, 1, 0], [1, 0, 1], [0, 1, 0]])
 
 
 def test_toeplitz_convention_entry_is_c_of_m_minus_n():
-    C = toeplitz_from_symbol({1: 5.0, -1: 7.0}, 2)
+    C = toeplitz_from_symbol(SymbolSeries.from_coeffs({1: 5.0, -1: 7.0}, K=1), 2)
     # entry (m, n) = c_{m-n}: row 2, column 1 reads c_1
     assert C[1, 0] == 5.0
     assert C[0, 1] == 7.0
@@ -295,17 +319,17 @@ def test_remove_index_out_of_range():
 
 
 def test_min_gaps_examples():
-    rep = min_gaps([0.0, 1.0, 3.0])
-    assert rep.delta == 1.0
-    np.testing.assert_array_equal(rep.per_node, [1.0, 1.0, 2.0])
+    gaps = min_gaps([0.0, 1.0, 3.0])
+    assert gaps.min() == 1.0
+    np.testing.assert_array_equal(gaps, [1.0, 1.0, 2.0])
 
-    rep = min_gaps(np.arange(1.0, 8.0))
-    assert rep.delta == 1.0
-    assert np.all(rep.per_node == 1.0)
+    gaps = min_gaps(np.arange(1.0, 8.0))
+    assert gaps.min() == 1.0
+    assert np.all(gaps == 1.0)
 
-    rep = min_gaps([0.0, 0.5, 10.0])
-    assert rep.delta == 0.5
-    np.testing.assert_array_equal(rep.per_node, [0.5, 0.5, 9.5])
+    gaps = min_gaps([0.0, 0.5, 10.0])
+    assert gaps.min() == 0.5
+    np.testing.assert_array_equal(gaps, [0.5, 0.5, 9.5])
 
 
 def test_min_gaps_needs_two_nodes():
@@ -316,11 +340,10 @@ def test_min_gaps_needs_two_nodes():
 def test_gap_report_invariant_random():
     rng = np.random.default_rng(7)
     x = np.sort(rng.uniform(0, 100, 20))
-    rep = min_gaps(x)
-    assert isinstance(rep, GapReport)
+    gaps = min_gaps(x)
     brute = [min(abs(x[m] - x[n]) for m in range(20) if m != n) for n in range(20)]
-    np.testing.assert_allclose(rep.per_node, brute, rtol=0)
-    assert rep.delta == min(brute)
+    np.testing.assert_allclose(gaps, brute, rtol=0)
+    assert gaps.min() == min(brute)
 
 
 def test_skew_invariant_exact():

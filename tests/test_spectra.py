@@ -24,10 +24,11 @@ from hilbmat.spectra import (
     toeplitz_hilbert_top_pair,
     trace_power_norm_estimate,
 )
+from hilbmat.symbols import SymbolSeries
 
 
 def tridiagonal(R):
-    return toeplitz_from_symbol({1: 1.0, -1: 1.0}, R)
+    return toeplitz_from_symbol(SymbolSeries.cosine(), R)
 
 
 class TestSkewSpectrum:
@@ -246,6 +247,11 @@ class TestTracePowerEstimate:
         with pytest.raises(OverflowError):
             trace_power_norm_estimate(B, 2)
 
+    def test_power_index_below_1_is_rejected(self):
+        with pytest.raises(ValueError) as exc:
+            trace_power_norm_estimate(hilbert_toeplitz(2), 0)
+        assert str(exc.value) == "power index k must be >= 1"
+
 
 R_PARITY = 37
 _SYMBOL = {0: 0.5, 1: 1.0 - 2.0j, 2: 0.25j, -1: -0.75, -3: 2.0 + 1.0j}
@@ -287,7 +293,8 @@ class TestMatrixFreeNorms:
         # a complex symbol matrix has its dense build only; the matvec is real
         op = ToeplitzOperator(np.array([_SYMBOL.get(r, 0.0) for r in range(1 - R, R)],
                                        dtype=complex))
-        np.testing.assert_array_equal(op.dense(), toeplitz_from_symbol(_SYMBOL, R))
+        np.testing.assert_array_equal(
+            op.dense(), toeplitz_from_symbol(SymbolSeries.from_coeffs(_SYMBOL, K=max(R - 1, 3)), R))
         with pytest.raises(ValueError, match="^matvec needs a real operator; a complex "
                                              "Toeplitz matrix has only its dense build$"):
             op.matvec(np.ones(R))
@@ -320,6 +327,12 @@ class TestMatrixFreeNorms:
     def test_non_integer_size_above_cutoff_fails_with_one_line(self, solve, R):
         with pytest.raises(ValueError, match="^dimension must be an integer$"):
             solve(R)
+
+    def test_top_pair_of_t1_is_refused(self):
+        # T_1 = 0 has no nonzero eigenvalue to pair
+        with pytest.raises(ValueError) as exc:
+            toeplitz_hilbert_top_pair(1)
+        assert str(exc.value) == "matrix has no nonzero eigenvalues"
 
     def test_lanczos_agrees_with_dense_toeplitz(self):
         R = 601  # parity block of dimension 301: Lanczos (above cutoff)

@@ -50,6 +50,11 @@ class TestSymbolEval:
         x = 0.3
         assert s.eval(x) == pytest.approx(1.0 + np.cos(2 * x), abs=1e-15)
 
+    def test_real_even_symbol_evaluates_to_real_values(self):
+        # c_r and c_{-r} are summed next to each other, whatever the mapping's order
+        s = SymbolSeries.from_coeffs({-2: 0.5, -1: 0.3, 0: 1.0, 1: 0.3, 2: 0.5})
+        assert np.all(s.eval(np.linspace(0.0, 2 * np.pi, 257)).imag == 0.0)
+
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             SymbolSeries.cosine().eval(-0.1)
@@ -88,13 +93,29 @@ class TestSymbolEval:
             with pytest.raises(ValueError, match="c_5 undefined"):
                 series.coeff(np.array([0, 1, 5]))
 
+    @pytest.mark.parametrize("build, message", [
+        pytest.param(lambda: SymbolSeries.from_coeffs({5: 1.0}, K=2),
+                     "coefficient index 5 outside band |r| <= 2", id="outside-band"),
+        pytest.param(lambda: SymbolSeries.hilbert(-1),
+                     "coefficient band K must be >= 0", id="negative-band"),
+        pytest.param(lambda: SymbolSeries(np.ones(4)),
+                     "symbol coefficients must be a 1-D array of odd length 2K + 1",
+                     id="even-length"),
+        pytest.param(lambda: SymbolSeries(np.ones((3, 3))),
+                     "symbol coefficients must be a 1-D array of odd length 2K + 1", id="2-d"),
+    ])
+    def test_malformed_series_is_rejected_with_one_message(self, build, message):
+        with pytest.raises(ValueError) as exc:
+            build()
+        assert str(exc.value) == message
+
     def test_hilbert_coefficients_converge_to_sawtooth(self):
         # partial Fourier sums approach i(pi - x) away from the jump
         x = 2.0
         vals = []
         for K in (20, 200, 2000):
             coeffs = SymbolSeries.hilbert(K).coeffs
-            vals.append(complex(sum(coeffs[r] * np.exp(1j * r * x)
+            vals.append(complex(sum(coeffs[K + r] * np.exp(1j * r * x)
                                     for r in range(-K, K + 1) if r != 0)))
         errors = [abs(v - 1j * (np.pi - x)) for v in vals]
         assert errors[2] < errors[0]
