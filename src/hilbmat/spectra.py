@@ -18,16 +18,21 @@ the top pair of T_R take one solve route, ``_top_eigen``, which holds the
 only dense/Lanczos decision, on the dimension n of the positive semidefinite
 matrix it solves and the cutoff and basis size its caller passes: up to the
 cutoff ``spectral_norm`` for a norm and ``np.linalg.eigh`` for a top pair,
-above it Lanczos on the matvec of a ``ToeplitzOperator.hilbert`` or
-``.hankel`` built for the solve, which takes its circulant spectrum once, on
-the first matvec.  T_R is skew-centrosymmetric, so -T_R^2 is solved on its
-J-even block C^T C, C = ``matrices.hilbert_parity_block(R)`` (n = ceil(R/2),
-dense up to n = DENSE_CUTOFF, so R = 512, with an _LANCZOS_NCV basis above);
-the top pair is built from the J-even top eigenvector of -T_R^2 at every
-size.  H_R is solved as it is (n = R, dense up to _HANKEL_DENSE_CUTOFF, with
-an _HANKEL_NCV basis above).  scipy is imported inside the Lanczos branch
-alone, so dense solves never load it, and ARPACK non-convergence surfaces as
-``np.linalg.LinAlgError`` chained to scipy's ``ArpackNoConvergence``.
+above it Lanczos on an operator built for the solve, which takes its
+circulant spectrum once, on the first product.  T_R is skew-centrosymmetric,
+so -T_R^2 is solved on its J-even block C^T C, C =
+``matrices.hilbert_parity_block(R)`` (n = ceil(R/2), dense up to
+n = DENSE_CUTOFF, so R = 512, with an _LANCZOS_NCV basis above).  Above the
+cutoff each product is C^T (C x) on the twin ``HilbertParityOperator(R)``:
+two forward and inverse transform pairs at the length
+``_fast_len(R + ceil(R/2) - 1)``.  The top pair is built from the J-even top
+eigenvector of -T_R^2 at every size, its T q taken as P_o (C q_n) on the
+side that solved.  H_R is solved as it is (n = R, dense up to
+_HANKEL_DENSE_CUTOFF, with an _HANKEL_NCV basis above) on the full-length
+matvec of ``ToeplitzOperator.hankel``.  scipy is imported inside the Lanczos
+branch alone, so dense solves never load it, and ARPACK non-convergence
+surfaces as ``np.linalg.LinAlgError`` chained to scipy's
+``ArpackNoConvergence``.
 """
 
 from __future__ import annotations
@@ -37,7 +42,8 @@ from functools import cache, lru_cache
 
 import numpy as np
 
-from .matrices import ToeplitzOperator, as_square, hilbert_hankel, hilbert_parity_block
+from .matrices import (HilbertParityOperator, ToeplitzOperator, as_square, hilbert_hankel,
+                       hilbert_parity_block)
 
 # Relative threshold below which a computed mu is classified as zero.  The
 # determinant structure forces an exact zero eigenvalue for odd R, so the
@@ -240,46 +246,22 @@ def _top_eigen(n: int, dense, apply, v0, cutoff: int, ncv: int, image=None):
     return float(lam), q, lift(q)
 
 
-def _parity_lift(x, R: int, sign: float) -> np.ndarray:
-    """The R-vector sum_i x_i (e_i + sign e_{R-1-i})/sqrt2 over i < R // 2,
-    plus x_mid e_mid when x carries the middle coordinate of an odd R."""
-    h = R // 2
-    y = np.zeros(R)
-    y[:h] = x[:h] * _INV_SQRT2
-    y[::-1][:h] = sign * y[:h]
-    if x.size > h:
-        y[h] = x[h]
-    return y
-
-
-def _even_coords(y) -> np.ndarray:
-    """Coordinates of the J-even part of an R-vector y in the basis
-    (e_i + e_{R-1-i})/sqrt2, i < R // 2, then e_mid for odd R."""
-    R = y.size
-    h = R // 2
-    x = np.empty((R + 1) // 2)
-    x[:h] = (y[:h] + y[::-1][:h]) * _INV_SQRT2
-    if R % 2:
-        x[h] = y[h]
-    return x
-
-
-def _toeplitz_top(R: int, vector=False):
+def _toeplitz_top(C: HilbertParityOperator, vector=False):
     """Top eigenvalue of -T_R^2 on its J-even block, S = C^T C for the
-    ``hilbert_parity_block`` C (n = ceil(R/2)); with ``vector``, the
-    ``(eigenvalue, q_n, T q)`` of ``_top_eigen`` for q = P_e q_n.  The
-    matrix-free apply is P_e^T (-T (T (P_e x))) on the cached-FFT
-    ``ToeplitzOperator.hilbert(R)``, started from the even part of the
-    all-ones vector, which spans the same Krylov space as on the full
-    space."""
-    T = ToeplitzOperator.hilbert(R)
+    parity block C of T_R (n = ceil(R/2)); with ``vector``, the
+    ``(eigenvalue, q_n, C q_n)`` of ``_top_eigen``.  The matrix-free apply
+    is C^T (C x) on the ``HilbertParityOperator`` C, whose two products each
+    take ceil(R/2) entries of a T_R product through its one circulant of
+    length ``_fast_len(R + ceil(R/2) - 1)``, built on the first product.  It
+    starts from the even part of the all-ones vector, which spans the same
+    Krylov space as on the full space."""
+    R = C.R
     block = cache(lambda: hilbert_parity_block(R))
-    image = (lambda q: _parity_lift(block() @ q, R, -1.0),
-             lambda q: T.matvec(_parity_lift(q, R, 1.0)))
-    return _top_eigen((R + 1) // 2, lambda: block().T @ block(),
-                      lambda x: _even_coords(-T.matvec(T.matvec(_parity_lift(x, R, 1.0)))),
-                      _even_coords(np.full(R, 1.0 / np.sqrt(R))),
-                      DENSE_CUTOFF, _LANCZOS_NCV, image if vector else None)
+    v0 = np.full(C.shape[1], 1.0 / np.sqrt(R))
+    v0[:R // 2] *= 2.0 * _INV_SQRT2  # P_e^T of the unit all-ones vector
+    return _top_eigen(C.shape[1], lambda: block().T @ block(),
+                      lambda x: C.rmatvec(C.matvec(x)), v0, DENSE_CUTOFF, _LANCZOS_NCV,
+                      (lambda q: block() @ q, C.matvec) if vector else None)
 
 
 @lru_cache(maxsize=None)
@@ -290,7 +272,7 @@ def toeplitz_hilbert_norm(R: int) -> float:
     above that Lanczos with O(R log R) FFT products on the half-size block.
     Values are memoized: gap sweeps and bound checks revisit the same sizes.
     """
-    return float(np.sqrt(max(_toeplitz_top(R), 0.0)))
+    return float(np.sqrt(max(_toeplitz_top(HilbertParityOperator(R)), 0.0)))
 
 
 def toeplitz_hilbert_top_pair(R: int) -> SpectralDecomposition:
@@ -298,16 +280,16 @@ def toeplitz_hilbert_top_pair(R: int) -> SpectralDecomposition:
     decomposition: v = q / sqrt(2) and w = -T q / (mu sqrt(2)) for the unit
     J-even top eigenvector q = P_e q_n of -T^2, q_n the top eigenvector of
     C^T C on the parity block (dense up to R = 2 DENSE_CUTOFF, Lanczos
-    above).  Any unit q in the top eigenspace gives the same u = v + i w up
-    to phase."""
-    lam, q, Tq = _toeplitz_top(R, vector=True)
+    above), and T q = P_o (C q_n).  Any unit q in the top eigenspace gives
+    the same u = v + i w up to phase."""
+    C = HilbertParityOperator(R)
+    lam, q, Cq = _toeplitz_top(C, vector=True)
     mu = float(np.sqrt(max(lam, 0.0)))
     if mu == 0.0:
         raise ValueError("matrix has no nonzero eigenvalues")
-    w = -Tq / mu
+    w = -C.lift(Cq, -1.0) / mu
     w /= float(np.linalg.norm(w))
-    q = _parity_lift(q, R, 1.0)
-    return SpectralDecomposition(np.array([mu]), (q * _INV_SQRT2)[:, None],
+    return SpectralDecomposition(np.array([mu]), (C.lift(q, 1.0) * _INV_SQRT2)[:, None],
                                  (w * _INV_SQRT2)[:, None])
 
 

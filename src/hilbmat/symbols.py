@@ -284,8 +284,11 @@ def gs_rate_check(series: SymbolSeries, R_list):
     max f - ||C_R|| behaves like pi^2 |f''(x0)| / (2 R^2).  Returns
     ``(rows, peak)`` where rows are (R, gap, predicted, ratio) and peak is
     the (max, argmax, f'') triple, or ``(None, None)`` when the symbol is
-    degenerate for the rate law.
+    degenerate for the rate law.  A symbol that is not real, c_{-r} !=
+    conj(c_r) for some r, is a ValueError before any solve.
     """
+    if not np.array_equal(series.coeffs[::-1], np.conj(series.coeffs)):
+        raise ValueError("gs_rate_check needs a real symbol: c_{-r} must equal conj(c_r)")
     peak = _smooth_symbol_peak(series)
     if peak is None:
         return None, None

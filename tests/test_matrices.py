@@ -6,6 +6,7 @@ import pytest
 from hilbmat.determinants import det_lu, det_matching, pfaffian
 from hilbmat.matrices import (
     MAX_DIM,
+    HilbertParityOperator,
     ToeplitzOperator,
     _fast_len,
     as_nodes,
@@ -150,6 +151,86 @@ def test_hilbert_parity_block_is_the_even_to_odd_block(R):
     P = np.hstack([P_even, P_odd])
     blocks = np.block([[np.zeros((n, n)), -C.T], [C, np.zeros((h, h))]])
     np.testing.assert_allclose(P.T @ T @ P, blocks, rtol=0, atol=1e-14)
+
+
+def _close(a, b, rel=1e-13):
+    return float(np.linalg.norm(a - b)) <= rel * float(np.linalg.norm(b))
+
+
+@pytest.mark.parametrize("R", [2, 3, 4, 5, 9, 10, 257, 300, 513, 1001])
+def test_parity_operator_matches_the_dense_block(R):
+    # C x, C^T z and C^T C x through the one half-length circulant, against
+    # the dense hilbert_parity_block
+    C = hilbert_parity_block(R)
+    op = HilbertParityOperator(R)
+    assert op.shape == C.shape
+    rng = np.random.default_rng(R)
+    x, z = rng.normal(size=C.shape[1]), rng.normal(size=C.shape[0])
+    assert _close(op.matvec(x), C @ x)
+    assert _close(op.rmatvec(z), C.T @ z)
+    assert _close(op.rmatvec(op.matvec(x)), C.T @ (C @ x))
+
+
+@pytest.mark.parametrize("R", [2, 3, 9, 10])
+def test_parity_lift_is_the_even_and_odd_basis(R):
+    h, n = R // 2, (R + 1) // 2
+    op = HilbertParityOperator(R)
+    P_even = np.column_stack([op.lift(e, 1.0) for e in np.eye(n)])
+    P_odd = np.column_stack([op.lift(e, -1.0) for e in np.eye(h)])
+    J = np.eye(R)[::-1]
+    np.testing.assert_array_equal(J @ P_even, P_even)
+    np.testing.assert_array_equal(J @ P_odd, -P_odd)
+    P = np.hstack([P_even, P_odd])
+    np.testing.assert_allclose(P.T @ P, np.eye(R), rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("method,length,shape", [
+    (method, length, shape) for method, length in (("matvec", 5), ("rmatvec", 4))
+    for shape in ((length - 1,), (length + 1,), (length, 1), ())])
+def test_parity_operator_rejects_a_vector_of_the_wrong_length(method, length, shape):
+    op = HilbertParityOperator(9)  # C is 4 x 5
+    with pytest.raises(ValueError, match=rf"^parity lift needs a 1-D vector of length {length}, "
+                                         r"got shape "):
+        getattr(op, method)(np.ones(shape))
+
+
+@pytest.mark.parametrize("R", [1, 2, 7, 300, 1001])
+def test_output_length_product_is_the_leading_rows(R):
+    rng = np.random.default_rng(7)
+    x = rng.normal(size=R)
+    full = ToeplitzOperator.hilbert(R)
+    assert full.m == R
+    T = full.dense()
+    for m in sorted({1, (R + 1) // 2, R}):
+        op = ToeplitzOperator.hilbert(R, m=m)
+        y = op.matvec(x)
+        assert y.shape == (m,)
+        np.testing.assert_allclose(y, T[:m] @ x, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("m", [0, -1, 6, 2.0], ids=["0", "-1", "above-R", "float"])
+def test_output_length_is_checked(m):
+    with pytest.raises(ValueError, match=r"^output length m must be an integer in 1\.\.5$"):
+        ToeplitzOperator.hilbert(5, m=m)
+
+
+@pytest.mark.parametrize("R", [1, 2, 37, 1000, 1001])
+@pytest.mark.parametrize("complex_x", [False, True], ids=["real-x", "complex-x"])
+def test_full_length_matvec_is_the_2R_circulant_product(R, complex_x):
+    # m = R is bit for bit the product of the circulant of length
+    # _fast_len(2R - 1), which the Hankel solves and the witness use
+    op = ToeplitzOperator.hilbert(R)
+    c = op.coeffs
+    n = _fast_len(2 * R - 1)
+    spectrum = np.fft.rfft(np.concatenate((c[R - 1:], np.zeros(n - 2 * R + 1), c[:R - 1])))
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=R) + (1j * rng.normal(size=R) if complex_x else 0.0)
+
+    def reference(v):
+        return np.fft.irfft(spectrum * np.fft.rfft(v, n), n)[:R]
+
+    expected = reference(x.real) + 1j * reference(x.imag) if complex_x else reference(x)
+    np.testing.assert_array_equal(op.matvec(x), expected)
 
 
 @pytest.mark.parametrize("build", [ToeplitzOperator.hilbert, ToeplitzOperator.hankel],

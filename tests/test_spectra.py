@@ -11,6 +11,7 @@ import hilbmat
 
 from hilbmat.matrices import (
     ToeplitzOperator,
+    _fast_len,
     hilbert_hankel,
     hilbert_toeplitz,
     toeplitz_from_symbol,
@@ -363,7 +364,7 @@ class TestMatrixFreeNorms:
         assert toeplitz_hilbert_norm(R) == pytest.approx(spectral_norm(hilbert_toeplitz(R)),
                                                          abs=1e-13)
 
-    @pytest.mark.parametrize("R", [3, 21, 201, 256, 257, 511, 512, 513, 514])
+    @pytest.mark.parametrize("R", [3, 21, 201, 256, 257, 511, 512, 513, 514, 601, 1001])
     def test_top_pair_across_cutoff(self, R):
         # one construction on both sides of the dense/Lanczos cutoff
         top = toeplitz_hilbert_top_pair(R)
@@ -376,6 +377,26 @@ class TestMatrixFreeNorms:
         # the modulus does not depend on the phase
         reference = skew_spectrum(B).U[:, 0]
         np.testing.assert_allclose(np.abs(top.U[:, 0]), np.abs(reference), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("R", [601, 1001])
+    def test_lanczos_solves_use_only_the_half_length_circulant(self, monkeypatch, R):
+        # every transform of a matrix-free T_R norm or top-pair solve has the
+        # length _fast_len(R + ceil(R/2) - 1) of the parity operator's one
+        # circulant, never the _fast_len(2R - 1) of a full T_R product
+        lengths = []
+
+        def recording(transform):
+            def recorded(a, n=None, *args, **kwargs):
+                lengths.append(np.shape(a)[-1] if n is None else n)
+                return transform(a, n, *args, **kwargs)
+            return recorded
+
+        monkeypatch.setattr(np.fft, "rfft", recording(np.fft.rfft))
+        monkeypatch.setattr(np.fft, "irfft", recording(np.fft.irfft))
+        toeplitz_hilbert_norm.__wrapped__(R)  # past the memo
+        toeplitz_hilbert_top_pair(R)
+        assert len(lengths) > 100
+        assert set(lengths) == {_fast_len(R + (R + 1) // 2 - 1)}
 
     @staticmethod
     def _run_fresh(code):

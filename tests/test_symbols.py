@@ -236,6 +236,25 @@ class TestGsRate:
         assert fpp == pytest.approx(-6.0, abs=1e-6)
         assert 0.8 <= rows[0][3] <= 1.2
 
+    def test_non_real_symbol_is_rejected_before_any_solve(self, monkeypatch):
+        # c_3 = 0.25 and c_{-2} = 0.5 have no conjugate partner, so the symbol
+        # is not real; no norm is taken
+        s = SymbolSeries.from_coeffs({0: 2.0, 1: 1j, -1: -1j, 3: 0.25, -2: 0.5}, K=4)
+
+        def no_solve(M):
+            raise AssertionError("a norm was taken")
+
+        monkeypatch.setattr("hilbmat.symbols.spectral_norm", no_solve)
+        with pytest.raises(ValueError) as exc:
+            gs_rate_check(s, [1, 2, 5, 30])
+        assert str(exc.value) == "gs_rate_check needs a real symbol: c_{-r} must equal conj(c_r)"
+
+    def test_hermitian_complex_symbol_is_accepted(self):
+        # f(x) = 2 cos x + 2 sin 2x: c_{-r} = conj(c_r) with a complex c_2, a real symbol
+        s = SymbolSeries.from_coeffs({1: 1.0, -1: 1.0, 2: -1j, -2: 1j})
+        rows, peak = gs_rate_check(s, [20])
+        assert rows[0][0] == 20 and np.isfinite(rows[0][1])
+
     def test_csv(self):
         rows, _ = gs_rate_check(SymbolSeries.cosine(), [10, 20])
         buf = io.StringIO()
