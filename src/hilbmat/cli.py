@@ -9,6 +9,7 @@ usage error (bad flags, a value the constructions reject, an unwritable --out).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -125,7 +126,10 @@ def cmd_gs_rate(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built once per process: no command may
+    mutate its ``args``, whose list defaults all calls share."""
     parser = argparse.ArgumentParser(
         prog="hilbmat",
         description="Weighted Hilbert matrices: constructions, identity "
@@ -200,9 +204,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if hasattr(args, "out"):  # the command's CSV goes there, or to stdout
+    args = build_parser().parse_args(argv)
+    # the command's CSV goes to --out, or to the sys.stdout of this call
+    if hasattr(args, "out"):
         args.out = args.out or sys.stdout
     try:
         return args.func(args)

@@ -74,10 +74,17 @@ _HANKEL_NCV = 8
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
 
+def _max_abs(A) -> float:
+    """max |A|, 0 for an empty A; a real A takes no |A| temporary."""
+    if np.iscomplexobj(A):
+        return float(np.abs(A).max(initial=0.0))
+    return float(max(A.max(initial=0.0), -A.min(initial=0.0)))
+
+
 def _within_tol(D, M) -> bool:
     """max |D| <= 1e-12 * max(R, 1) * max(1, max |M|) for the size R of M."""
-    scale = max(1.0, float(np.abs(M).max(initial=0.0)))
-    return float(np.abs(D).max(initial=0.0)) <= 1e-12 * max(M.shape[0], 1) * scale
+    scale = max(1.0, _max_abs(M))
+    return _max_abs(D) <= 1e-12 * max(M.shape[0], 1) * scale
 
 
 def _neg_square(B) -> np.ndarray:

@@ -3,15 +3,16 @@
 A symbol is a Fourier series f(x) = sum_r c_r exp(i r x) on [0, 2*pi]; a
 ``SymbolSeries`` holds c_{-K}, .., c_K in the ``ToeplitzOperator`` layout,
 and ``matrices.toeplitz_from_symbol`` builds its Toeplitz matrix, entry
-(m, n) = c_{m-n}.  For any unit coefficient vector u, the trigonometric
-polynomial phi(x) = (2*pi)^(-1/2) sum_n u_n e^{i(n-1)x} satisfies
-u* C_R u = integral of f |phi|^2 (quadratic-form identity), and this module
-evaluates the integral side independently of the matrix side: by exact
-uniform-grid quadrature when f is a finite trigonometric polynomial, and by
-exact piecewise antiderivatives against the Fourier expansion of |phi|^2 for
-the two discontinuous closed forms (the sawtooth symbol of the skew Hilbert
-matrix and the band indicator of the prolate matrix), where generic
-quadrature would suffer from the Gibbs phenomenon.
+(m, n) = c_{m-n}.  A series without a closed form is the trigonometric
+polynomial of its band: c_r = 0 for |r| > K.  For any unit coefficient
+vector u, the trigonometric polynomial phi(x) = (2*pi)^(-1/2) sum_n u_n
+e^{i(n-1)x} satisfies u* C_R u = integral of f |phi|^2 (quadratic-form
+identity), and this module evaluates the integral side independently of the
+matrix side: by exact uniform-grid quadrature when f is a trigonometric
+polynomial, and by exact piecewise antiderivatives against the Fourier
+expansion of |phi|^2 for the two discontinuous closed forms (the sawtooth
+symbol of the skew Hilbert matrix and the band indicator of the prolate
+matrix), where generic quadrature would suffer from the Gibbs phenomenon.
 
 Sign note: with the (m, n) = c_{m-n} convention, the coefficients c_r = 1/r
 generate exactly the skew Hilbert matrix, and the corresponding closed-form
@@ -29,8 +30,8 @@ from .matrices import hilbert_coeffs, prolate_coeffs, prolate_matrix, toeplitz_f
 from .spectra import spectral_norm
 
 # Uniform-grid quadrature on [0, 2*pi] is exact for trigonometric polynomials
-# of degree < number of points; 8R + 64 leaves margin over degree 2(R-1)
-# integrands plus symbol truncation.
+# of degree < number of points; f |phi|^2 has degree K + R - 1, and
+# 8 max(R, K) + 64 points leave margin over it.
 GRID_POINTS_PER_DIM = 8
 GRID_POINTS_EXTRA = 64
 
@@ -52,11 +53,11 @@ class SymbolSeries:
     """Fourier coefficients c_{-K}, .., c_K, optionally with a closed form;
     ``coeffs`` holds them in the ``ToeplitzOperator`` layout, c_r = coeffs[K + r].
 
-    ``kind`` tags a closed form: "hilbert" (sawtooth i*(pi - x)) and
-    "prolate" (band indicator of height pi, bandwidth parameter ``w``) are
-    evaluated exactly; "cosine" (2 cos x) and "constant" are finite, so their
-    coefficient sum is already exact.  Tagged series can extend their
-    coefficient band on demand; untagged series are undefined beyond K.
+    ``kind`` names a closed form, evaluated exactly and at every offset:
+    "hilbert" (sawtooth i*(pi - x)) or "prolate" (band indicator of height
+    pi, bandwidth parameter ``w``).  An untagged series (``kind`` None) is
+    the trigonometric polynomial sum_{|r| <= K} c_r e^{irx}, so c_r = 0
+    beyond its band.
     """
 
     coeffs: np.ndarray
@@ -67,6 +68,8 @@ class SymbolSeries:
         coeffs = np.asarray(self.coeffs)
         if coeffs.ndim != 1 or coeffs.size % 2 == 0:
             raise ValueError("symbol coefficients must be a 1-D array of odd length 2K + 1")
+        if self.kind not in (None, "hilbert", "prolate"):
+            raise ValueError(f"symbol kind must be 'hilbert', 'prolate' or None, not {self.kind!r}")
         object.__setattr__(self, "coeffs", coeffs)
 
     @property
@@ -76,16 +79,12 @@ class SymbolSeries:
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def from_coeffs(cls, coeffs, K=None) -> "SymbolSeries":
-        """The untagged series of a mapping r -> c_r; K defaults to the largest |r|."""
+    def from_coeffs(cls, coeffs) -> "SymbolSeries":
+        """The trigonometric polynomial of a mapping r -> c_r; K is the largest |r|."""
         coeffs = {int(r): complex(v) for r, v in coeffs.items()}
-        if K is None:
-            K = max((abs(r) for r in coeffs), default=0)
-        K = int(K)
-        vector = np.zeros(_band_offsets(K).size, dtype=complex)
+        K = max((abs(r) for r in coeffs), default=0)
+        vector = np.zeros(2 * K + 1, dtype=complex)
         for r, v in coeffs.items():
-            if abs(r) > K:
-                raise ValueError(f"coefficient index {r} outside band |r| <= {K}")
             vector[K + r] = v
         return cls(vector)
 
@@ -99,20 +98,19 @@ class SymbolSeries:
 
     @classmethod
     def cosine(cls) -> "SymbolSeries":
-        return cls(np.array([1.0, 0.0, 1.0]), kind="cosine")
+        return cls(np.array([1.0, 0.0, 1.0]))
 
     @classmethod
     def constant(cls, c0) -> "SymbolSeries":
-        return cls(np.array([complex(c0)]), kind="constant")
+        return cls(np.array([complex(c0)]))
 
     # -- coefficient access --------------------------------------------------
 
     def coeff(self, r):
         """c_r at an integer offset r, or elementwise at an integer array of
         offsets (a scalar for a scalar r).  A hilbert or prolate series takes
-        every offset from its closed form; the finite kinds are 0 beyond the
-        band, and an untagged series is undefined there.  A non-integral
-        offset is a ValueError."""
+        every offset from its closed form; an untagged series is 0 beyond its
+        band.  A non-integral offset is a ValueError."""
         r = np.asarray(r)
         if not np.issubdtype(r.dtype, np.integer) and not np.all(
                 np.isfinite(r) & (np.floor(r) == r)):
@@ -123,11 +121,8 @@ class SymbolSeries:
         elif self.kind == "prolate":
             out = prolate_coeffs(r, self.w)
         else:
-            outside = np.abs(r) > self.K
-            if self.kind not in ("cosine", "constant") and outside.any():
-                raise ValueError(f"coefficient c_{r[outside].flat[0]} undefined: band is "
-                                 f"|r| <= {self.K} and no closed form")
-            out = np.where(outside, 0.0, self.coeffs[np.clip(r, -self.K, self.K) + self.K])
+            out = np.where(np.abs(r) > self.K, 0.0,
+                           self.coeffs[np.clip(r, -self.K, self.K) + self.K])
         return out if out.ndim else out.item()
 
     # -- evaluation ----------------------------------------------------------
@@ -182,12 +177,12 @@ def grid_quadrature(series: SymbolSeries, u, npoints=None) -> complex:
     """Uniform-grid value of the integral of f |phi|^2 over [0, 2*pi].
 
     Exact to roundoff whenever f is a trigonometric polynomial and the grid
-    has more points than the integrand degree.
+    has more points than the integrand degree K + R - 1; the default grid of
+    8 max(R, K) + 64 points has.
     """
     u = np.asarray(u, dtype=complex)
-    R = u.size
     if npoints is None:
-        npoints = GRID_POINTS_PER_DIM * R + GRID_POINTS_EXTRA
+        npoints = GRID_POINTS_PER_DIM * max(u.size, series.K) + GRID_POINTS_EXTRA
     x = 2.0 * np.pi * np.arange(npoints) / npoints
     fx = series.eval(x)
     px = np.abs(phi_values(u, x)) ** 2
@@ -280,13 +275,20 @@ def _smooth_symbol_peak(series: SymbolSeries):
 def gs_rate_check(series: SymbolSeries, R_list):
     """Spectral-norm convergence rate table for a smooth real symbol.
 
-    For a twice-differentiable symbol with a unique quadratic maximum the gap
-    max f - ||C_R|| behaves like pi^2 |f''(x0)| / (2 R^2).  Returns
-    ``(rows, peak)`` where rows are (R, gap, predicted, ratio) and peak is
-    the (max, argmax, f'') triple, or ``(None, None)`` when the symbol is
-    degenerate for the rate law.  A symbol that is not real, c_{-r} !=
-    conj(c_r) for some r, is a ValueError before any solve.
+    The symbol is the trigonometric polynomial of an untagged series.  For a
+    symbol with a unique quadratic maximum the gap max f - ||C_R|| behaves
+    like pi^2 |f''(x0)| / (2 R^2).  Returns ``(rows, peak)`` where rows are
+    (R, gap, predicted, ratio) and peak is the (max, argmax, f'') triple, or
+    ``(None, None)`` when the symbol is degenerate for the rate law.  A
+    closed-form (hilbert or prolate) series, a symbol that is not real
+    (c_{-r} != conj(c_r) for some r) and an empty ``R_list`` are each a
+    ValueError before any solve.
     """
+    if series.kind is not None:
+        raise ValueError("gs_rate_check needs a trigonometric polynomial, "
+                         f"not the {series.kind} closed form")
+    if len(R_list) == 0:
+        raise ValueError("R_list must not be empty")
     if not np.array_equal(series.coeffs[::-1], np.conj(series.coeffs)):
         raise ValueError("gs_rate_check needs a real symbol: c_{-r} must equal conj(c_r)")
     peak = _smooth_symbol_peak(series)
@@ -295,11 +297,7 @@ def gs_rate_check(series: SymbolSeries, R_list):
     fmax, x0, fpp = peak
     rows = []
     for R in R_list:
-        # the symbol under study is the finite polynomial itself, so
-        # coefficients beyond the band are exact zeros
-        padded = np.pad(series.coeffs, max(int(R) - 1 - series.K, 0))
-        C = toeplitz_from_symbol(SymbolSeries(padded), int(R))
-        norm = spectral_norm(C)
+        norm = spectral_norm(toeplitz_from_symbol(series, int(R)))
         gap = fmax - norm
         predicted = np.pi**2 * abs(fpp) / (2.0 * R**2)
         rows.append((int(R), float(gap), float(predicted), float(gap / predicted)))

@@ -1,17 +1,12 @@
+import contextlib
 import dataclasses
 import io
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import hilbmat
-
 from hilbmat._util import fmt17
-from hilbmat.cli import main
+from hilbmat.cli import build_parser, main
 from hilbmat.gaps import build_witness
 from hilbmat.matrices import hilbert_hankel, write_matrix_csv
 from hilbmat.reports import ResidualReport
@@ -57,6 +52,19 @@ def test_out_only_where_a_csv_is_written(tmp_path):
     assert target.read_text().splitlines()[0] == "c0,c1,c2"
 
 
+def test_parser_is_built_once_and_writes_to_each_calls_stdout():
+    # the memoized parser holds no stream: each call's CSV goes to the
+    # sys.stdout in force during that call
+    assert build_parser() is build_parser()
+    buffers = [io.StringIO(), io.StringIO()]
+    for buf in buffers:
+        with contextlib.redirect_stdout(buf):
+            assert main(["gs-rate", "--R", "10"]) == 0
+    for buf in buffers:
+        assert buf.getvalue().splitlines()[0] == "R,gap,predicted,ratio"
+        assert buf.getvalue().splitlines()[1].startswith("10,")
+
+
 @pytest.mark.parametrize("where, reason", [("missing/gs.csv", "No such file or directory"),
                                            ("", "Is a directory")],
                          ids=["missing-parent", "directory"])
@@ -64,16 +72,6 @@ def test_unwritable_out_is_a_usage_error(tmp_path, capsys, where, reason):
     target = tmp_path / where
     assert run_cli(["gs-rate", "--R", "10", "--out", str(target)]) == 2
     assert capsys.readouterr() == ("", f"hilbmat: error: cannot write {target}: {reason}\n")
-
-
-def _run_cli_process(argv, env=None, **kwargs):
-    """Run ``python -m hilbmat.cli argv`` in a fresh interpreter, with the
-    variables of ``env`` added to this process's environment."""
-    src = str(Path(hilbmat.__file__).resolve().parent.parent)
-    env = dict(os.environ, **(env or {}), PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    return subprocess.run([sys.executable, "-m", "hilbmat.cli", *argv],
-                          capture_output=True, env=env, timeout=120, **kwargs)
 
 
 @pytest.mark.parametrize("argv", [
@@ -97,8 +95,8 @@ def _run_cli_process(argv, env=None, **kwargs):
     ["gen", "--kind", "A", "--R", "-3"],
     ["norm", "--kind", "B", "--R", "-2"],
 ])
-def test_rejected_values_exit_2(argv):
-    proc = _run_cli_process(argv, text=True)
+def test_rejected_values_exit_2(run_python, argv):
+    proc = run_python(["-m", "hilbmat.cli", *argv], text=True)
     assert proc.returncode == 2
     assert proc.stdout == ""
     lines = proc.stderr.splitlines()
@@ -253,23 +251,24 @@ def test_sweep_gap(tmp_path):
     assert lines[-1].startswith("60,")
 
 
-def test_sweep_tables_byte_identical_across_processes():
+def test_sweep_tables_byte_identical_across_processes(run_python):
     # fresh interpreters, so the second run cannot read the first one's norm
     # cache; both pass their dense cutoffs, so Lanczos on the cached FFT runs:
     # T_R from R = 513 (its parity block has dimension ceil(R/2)), H_R from 65
     for argv in (["sweep-gap", "--R-max", "600"], ["hankel-gap", "--R-max", "300"]):
-        first, second = _run_cli_process(argv), _run_cli_process(argv)
+        first, second = (run_python(["-m", "hilbmat.cli", *argv]) for _ in range(2))
         assert first.returncode == second.returncode == 0
         assert first.stdout.startswith(b"R,norm,gap,")
         assert (first.stdout, first.stderr) == (second.stdout, second.stderr)
 
 
-def test_hankel_sweep_bytes_do_not_depend_on_blas_threads():
+def test_hankel_sweep_bytes_do_not_depend_on_blas_threads(run_python):
     # with H_R dense up to R = 256, eigvalsh under 1 and 2 OpenBLAS threads
     # differed in the last bits at R = 169..252; dense only up to R = 64, and
     # Lanczos on numpy.fft products above, the bytes agree
     argv = ["hankel-gap", "--R-max", "300"]
-    one, two = (_run_cli_process(argv, env={"OPENBLAS_NUM_THREADS": n}) for n in ("1", "2"))
+    one, two = (run_python(["-m", "hilbmat.cli", *argv], env={"OPENBLAS_NUM_THREADS": n})
+                for n in ("1", "2"))
     assert one.returncode == two.returncode == 0
     assert one.stdout == two.stdout
 

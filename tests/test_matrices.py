@@ -333,7 +333,7 @@ def test_toeplitz_tridiagonal():
 
 
 def test_toeplitz_convention_entry_is_c_of_m_minus_n():
-    C = toeplitz_from_symbol(SymbolSeries.from_coeffs({1: 5.0, -1: 7.0}, K=1), 2)
+    C = toeplitz_from_symbol(SymbolSeries.from_coeffs({1: 5.0, -1: 7.0}), 2)
     # entry (m, n) = c_{m-n}: row 2, column 1 reads c_1
     assert C[1, 0] == 5.0
     assert C[0, 1] == 7.0
@@ -364,9 +364,11 @@ def test_toeplitz_symbol_reproduces_closed_form(family, R, K, w):
 
 
 def test_toeplitz_missing_coefficient_errors():
-    series = SymbolSeries.from_coeffs({0: 1.0, 1: 0.5, -1: 0.5}, K=1)
-    with pytest.raises(ValueError):
-        toeplitz_from_symbol(series, 4)
+    # a series without a closed form is its trigonometric polynomial: the
+    # coefficients beyond its band are exact zeros
+    series = SymbolSeries.from_coeffs({0: 1.0, 1: 0.5, -1: 0.5})
+    np.testing.assert_array_equal(toeplitz_from_symbol(series, 4), [
+        [1.0, 0.5, 0.0, 0.0], [0.5, 1.0, 0.5, 0.0], [0.0, 0.5, 1.0, 0.5], [0.0, 0.0, 0.5, 1.0]])
 
 
 @pytest.mark.parametrize("fn", [spectral_norm, require_skew, skew_spectrum,

@@ -1,13 +1,6 @@
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 from scipy.sparse.linalg import eigsh
-
-import hilbmat
 
 from hilbmat.matrices import (
     ToeplitzOperator,
@@ -18,6 +11,7 @@ from hilbmat.matrices import (
     weighted_cauchy_matrix,
 )
 from hilbmat.spectra import (
+    _max_abs,
     hankel_hilbert_norm,
     skew_spectrum,
     spectral_norm,
@@ -202,6 +196,13 @@ class TestSpectralNorm:
         with pytest.raises(ValueError):
             spectral_norm(np.array([[1.0, 2.0], [3.0, 4.0]]))
 
+    @pytest.mark.parametrize("A", [np.zeros((0, 0)), -np.arange(9.0).reshape(3, 3),
+                                   np.array([[np.nan, 1.0]]), np.array([[1 + 2j, -3j]])],
+                             ids=["empty", "negative", "nan", "complex"])
+    def test_max_abs_is_the_largest_magnitude(self, A):
+        # a real A's max |A| comes from its max and min, with no |A| array
+        np.testing.assert_equal(_max_abs(A), float(np.abs(A).max(initial=0.0)))
+
     @pytest.mark.parametrize("solve", [skew_spectrum, spectral_norm])
     def test_nan_input_fails_the_symmetry_check(self, solve):
         # one tolerance predicate: a NaN defect is never within tolerance,
@@ -295,7 +296,7 @@ class TestMatrixFreeNorms:
         op = ToeplitzOperator(np.array([_SYMBOL.get(r, 0.0) for r in range(1 - R, R)],
                                        dtype=complex))
         np.testing.assert_array_equal(
-            op.dense(), toeplitz_from_symbol(SymbolSeries.from_coeffs(_SYMBOL, K=max(R - 1, 3)), R))
+            op.dense(), toeplitz_from_symbol(SymbolSeries.from_coeffs(_SYMBOL), R))
         with pytest.raises(ValueError, match="^matvec needs a real operator; a complex "
                                              "Toeplitz matrix has only its dense build$"):
             op.matvec(np.ones(R))
@@ -398,17 +399,12 @@ class TestMatrixFreeNorms:
         assert len(lengths) > 100
         assert set(lengths) == {_fast_len(R + (R + 1) // 2 - 1)}
 
-    @staticmethod
-    def _run_fresh(code):
+    @pytest.fixture
+    def run_fresh(self, run_python):
         """stdout of ``code`` run in a new interpreter that imports this hilbmat."""
-        src = str(Path(hilbmat.__file__).resolve().parent.parent)
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p))
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              env=env, timeout=120, check=True)
-        return proc.stdout.strip()
+        return lambda code: run_python(["-c", code], text=True, check=True).stdout.strip()
 
-    def test_fft_products_load_no_scipy_module(self):
+    def test_fft_products_load_no_scipy_module(self, run_fresh):
         # a dense build takes no circulant spectrum, and the product runs on
         # numpy.fft: neither Lanczos solve (T_601 on its 301-dimensional
         # parity block, H_300) loads scipy.fft or the scipy.special it pulls in
@@ -419,14 +415,14 @@ class TestMatrixFreeNorms:
                 "hankel_hilbert_norm; toeplitz_hilbert_norm(601); "
                 "hankel_hilbert_norm(300); "
                 "print([m for m in ('scipy.fft', 'scipy.special') if m in sys.modules])")
-        assert self._run_fresh(code) == "[]"
+        assert run_fresh(code) == "[]"
 
     @pytest.mark.parametrize("commands,loaded", [
         ([["verify", "--seeds", "3"], ["det", "--R", "6"], ["gen", "--kind", "T", "--R", "20"],
           ["norm", "--kind", "T", "--R", "300"]], False),
         ([["norm", "--kind", "T", "--R", "1100"]], True),
     ], ids=["dense-commands", "lanczos-control"])
-    def test_dense_commands_load_no_scipy(self, commands, loaded):
+    def test_dense_commands_load_no_scipy(self, run_fresh, commands, loaded):
         # scipy is imported by the Lanczos branch alone: dense-only commands
         # never load it, and the control, a norm past the cutoff, does
         code = ("import contextlib, io, sys; from hilbmat.cli import main\n"
@@ -435,12 +431,12 @@ class TestMatrixFreeNorms:
                 "        assert main(argv) == 0, argv\n"
                 "print('scipy.sparse.linalg' in sys.modules)\n"
                 "print([m for m in sys.modules if m.startswith('scipy')][:3])")
-        lanczos, scipy_modules = self._run_fresh(code).splitlines()
+        lanczos, scipy_modules = run_fresh(code).splitlines()
         assert lanczos == str(loaded)
         if not loaded:
             assert scipy_modules == "[]"
 
-    def test_dense_top_pair_loads_no_module(self):
+    def test_dense_top_pair_loads_no_module(self, run_fresh):
         # T q is taken by the dense product below the cutoff: a dense-only
         # run (such as `verify`) must load no module; the
         # parity block keeps T_R dense up to R = 512
@@ -449,7 +445,7 @@ class TestMatrixFreeNorms:
             code = ("import sys; from hilbmat.spectra import toeplitz_hilbert_norm, "
                     "toeplitz_hilbert_top_pair; before = set(sys.modules); "
                     f"{call}; print(sorted(set(sys.modules) - before))")
-            assert self._run_fresh(code) == "[]", call
+            assert run_fresh(code) == "[]", call
 
     @pytest.mark.parametrize("solve,R,shapes,max_ncv", [
         (toeplitz_hilbert_norm, 601, [(301, 301)], 32),

@@ -63,8 +63,7 @@ class TestSymbolEval:
         s = SymbolSeries.hilbert(3)
         assert s.coeff(5) == pytest.approx(1.0 / 5.0)  # closed form extends
         untagged = SymbolSeries.from_coeffs({1: 1.0, -1: 1.0})
-        with pytest.raises(ValueError):
-            untagged.coeff(2)
+        assert untagged.coeff(2) == 0.0  # a trigonometric polynomial ends at its band
 
     def test_coeff_rejects_non_integer_offsets(self):
         s = SymbolSeries.hilbert(3)
@@ -77,12 +76,11 @@ class TestSymbolEval:
 
     @pytest.mark.parametrize("series", [
         SymbolSeries.hilbert(3), SymbolSeries.prolate(0.2, 3), SymbolSeries.cosine(),
-        SymbolSeries.constant(2.5), SymbolSeries.from_coeffs({0: 2.0, 1: 1j, -1: -1j}, K=4),
+        SymbolSeries.constant(2.5), SymbolSeries.from_coeffs({0: 2.0, 1: 1j, -1: -1j}),
     ], ids=["hilbert", "prolate", "cosine", "constant", "untagged"])
     def test_coeff_array_matches_offsets(self, series):
-        # tagged series answer far beyond the band; untagged ones only inside it
-        reach = 300 if series.kind else series.K
-        rs = np.arange(-reach, reach + 1)
+        # every series answers far beyond its band; the finite ones with zeros
+        rs = np.arange(-300, 301)
         values = series.coeff(rs)
         assert values.shape == rs.shape
         scalars = [series.coeff(int(r)) for r in rs]
@@ -90,12 +88,9 @@ class TestSymbolEval:
         np.testing.assert_array_equal(values, scalars)
         np.testing.assert_array_equal(np.signbit(values.real), np.signbit(np.real(scalars)))
         if series.kind is None:
-            with pytest.raises(ValueError, match="c_5 undefined"):
-                series.coeff(np.array([0, 1, 5]))
+            assert np.all(values[np.abs(rs) > series.K] == 0)
 
     @pytest.mark.parametrize("build, message", [
-        pytest.param(lambda: SymbolSeries.from_coeffs({5: 1.0}, K=2),
-                     "coefficient index 5 outside band |r| <= 2", id="outside-band"),
         pytest.param(lambda: SymbolSeries.hilbert(-1),
                      "coefficient band K must be >= 0", id="negative-band"),
         pytest.param(lambda: SymbolSeries(np.ones(4)),
@@ -103,6 +98,9 @@ class TestSymbolEval:
                      id="even-length"),
         pytest.param(lambda: SymbolSeries(np.ones((3, 3))),
                      "symbol coefficients must be a 1-D array of odd length 2K + 1", id="2-d"),
+        pytest.param(lambda: SymbolSeries(np.ones(3), kind="cosine"),
+                     "symbol kind must be 'hilbert', 'prolate' or None, not 'cosine'",
+                     id="unknown-kind"),
     ])
     def test_malformed_series_is_rejected_with_one_message(self, build, message):
         with pytest.raises(ValueError) as exc:
@@ -136,6 +134,15 @@ class TestQuadrature:
         exact = integral_side(s, u)
         coarse = grid_quadrature(s, u, npoints=8)
         assert coarse == pytest.approx(exact, abs=1e-14)
+
+    def test_default_grid_resolves_the_symbol_band(self):
+        # f |phi|^2 has degree K + R - 1 = 104: a grid of 8R + 64 = 104 points
+        # aliases the e^{+-100ix} terms (0.8114), one that also counts K does
+        # not; C_5 = I, so both sides are 1
+        s = SymbolSeries.from_coeffs({0: 1.0, 100: 1.0, -100: 1.0})
+        m, i = quadratic_form(s, random_unit_vector(5, 0, complex_valued=False))
+        assert m == pytest.approx(1.0, abs=1e-12)
+        assert abs(m - i) <= 1e-10
 
     def test_phi_normalization(self):
         u = random_unit_vector(9, 2)
@@ -196,7 +203,7 @@ class TestNormBoundedBySymbol:
     def test_complex_hermitian_symbol(self):
         # c_{-r} = conj(c_r) gives a real symbol and a Hermitian matrix;
         # here f(x) = 2 Re(i e^{ix}) = -2 sin x, so the norm stays below 2
-        s = SymbolSeries.from_coeffs({1: 1j, -1: -1j}, K=11)
+        s = SymbolSeries.from_coeffs({1: 1j, -1: -1j})
         C = toeplitz_from_symbol(s, 12)
         assert np.iscomplexobj(C)
         np.testing.assert_array_equal(C, C.conj().T)
@@ -239,7 +246,7 @@ class TestGsRate:
     def test_non_real_symbol_is_rejected_before_any_solve(self, monkeypatch):
         # c_3 = 0.25 and c_{-2} = 0.5 have no conjugate partner, so the symbol
         # is not real; no norm is taken
-        s = SymbolSeries.from_coeffs({0: 2.0, 1: 1j, -1: -1j, 3: 0.25, -2: 0.5}, K=4)
+        s = SymbolSeries.from_coeffs({0: 2.0, 1: 1j, -1: -1j, 3: 0.25, -2: 0.5})
 
         def no_solve(M):
             raise AssertionError("a norm was taken")
@@ -248,6 +255,25 @@ class TestGsRate:
         with pytest.raises(ValueError) as exc:
             gs_rate_check(s, [1, 2, 5, 30])
         assert str(exc.value) == "gs_rate_check needs a real symbol: c_{-r} must equal conj(c_r)"
+
+    @pytest.mark.parametrize("series", [SymbolSeries.prolate(0.2, 3), SymbolSeries.hilbert(3)],
+                             ids=["prolate", "hilbert"])
+    def test_closed_form_is_rejected_before_any_solve(self, monkeypatch, series):
+        # the rate law is checked on trigonometric polynomials; a closed form
+        # would be cut to its band and its rate misreported
+        def no_solve(M):
+            raise AssertionError("a norm was taken")
+
+        monkeypatch.setattr("hilbmat.symbols.spectral_norm", no_solve)
+        with pytest.raises(ValueError) as exc:
+            gs_rate_check(series, [10])
+        assert str(exc.value) == ("gs_rate_check needs a trigonometric polynomial, "
+                                  f"not the {series.kind} closed form")
+
+    def test_empty_r_list_is_rejected(self):
+        with pytest.raises(ValueError) as exc:
+            gs_rate_check(SymbolSeries.cosine(), [])
+        assert str(exc.value) == "R_list must not be empty"
 
     def test_hermitian_complex_symbol_is_accepted(self):
         # f(x) = 2 cos x + 2 sin 2x: c_{-r} = conj(c_r) with a complex c_2, a real symbol
