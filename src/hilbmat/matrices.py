@@ -12,12 +12,13 @@ its columns reversed, a Toeplitz matrix.  ``hilbert_parity_block`` is the
 half-size block of T_R between its J-even and J-odd vectors (J reverses the
 index order), on which the norm of T_R is solved, and
 ``HilbertParityOperator`` its matrix-free twin.  A real operator's
-matrix-free product returns the first m entries of T x (m = R unless the
-operator is built with a shorter output length) through one circulant
-spectrum, built on its first matvec at the 5-smooth FFT length
-``_fast_len(R + m - 1)`` with ``numpy.fft.rfft``; a complex one has only its
-dense build.  The parity twin takes both C x and C^T z from one operator
-with m = ceil(R/2), a circulant of about 1.5 R instead of 2 R.  Node vectors
+matrix-free product T x goes through one circulant spectrum, built on its
+first matvec at the 5-smooth FFT length ``_fast_len(2R - 1)`` with
+``numpy.fft.rfft``; a complex one has only its dense build.  The parity
+twin applies the Toeplitz-plus-Hankel block C and C^T directly, each
+through one transform pair at ``_fast_len(R - 1)``, about half the length
+of a full T_R product; both place coefficients at their offsets mod the
+FFT length through one helper, ``_offset_spectrum``.  Node vectors
 must be strictly increasing; sorting is the caller's job, which keeps
 ``min_gaps`` (an array of nearest-neighbour distances) O(R) and sign
 conventions unambiguous.
@@ -33,8 +34,7 @@ from ._util import write_csv
 # Everything here is dense and desk-scale; refuse accidental monsters.
 MAX_DIM = 20000
 
-_SQRT2 = np.sqrt(2.0)
-_INV_SQRT2 = 1.0 / _SQRT2
+_INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
 
 def as_nodes(values) -> np.ndarray:
@@ -133,41 +133,42 @@ def _fast_len(m: int) -> int:
     return best
 
 
+def _offset_spectrum(values, offsets, n: int) -> np.ndarray:
+    """rfft of the length-n vector that holds values[k] at offsets[k] mod n
+    and zeros elsewhere; the offsets must be distinct mod n."""
+    column = np.zeros(n)
+    column[np.asarray(offsets) % n] = values
+    return np.fft.rfft(column)
+
+
 class ToeplitzOperator:
     """Toeplitz matrix of size R held as its 2R - 1 offset coefficients
     c_{-(R-1)}, .., c_{R-1}: entry (m, n) = c_{m-n} = ``coeffs[R-1 + m - n]``.
 
     ``dense()`` assembles the R x R matrix; ``matvec(x)`` applies a real
-    operator to a real or complex vector of length R and returns the first
-    ``m`` entries of T x (all R unless the operator was built with a shorter
-    output length ``m``) in O(R log R) by circulant embedding.  The
-    embedding's spectrum is built once per operator, on the first matvec, at
-    the FFT length ``_fast_len(R + m - 1)``; each matvec then costs one
-    forward and one inverse ``numpy.fft`` real transform of x.
+    operator to a real or complex vector of length R in O(R log R) by
+    circulant embedding.  The embedding's spectrum is built once per
+    operator, on the first matvec, at the FFT length ``_fast_len(2R - 1)``;
+    each matvec then costs one forward and one inverse ``numpy.fft`` real
+    transform of x.
     """
 
-    def __init__(self, coeffs, m=None):
+    def __init__(self, coeffs):
         coeffs = np.asarray(coeffs)
         if coeffs.ndim != 1 or coeffs.size % 2 == 0:
             raise ValueError("Toeplitz coefficients must be a 1-D array of odd length 2R - 1")
         self.coeffs = coeffs
         self.R = (coeffs.size + 1) // 2
-        if m is None:
-            m = self.R
-        if not isinstance(m, (int, np.integer)) or not 1 <= m <= self.R:
-            raise ValueError(f"output length m must be an integer in 1..{self.R}")
-        self.m = int(m)
         self._product = None  # built by the first matvec
 
     @classmethod
-    def hilbert(cls, R: int, m=None) -> "ToeplitzOperator":
-        """Skew Hilbert matrix T_R: c_r = 1/r, c_0 = 0; ``matvec`` returns
-        the first ``m`` entries of T_R x (all R by default).
+    def hilbert(cls, R: int) -> "ToeplitzOperator":
+        """Skew Hilbert matrix T_R: c_r = 1/r, c_0 = 0.
 
         Matrix-free use is not bound by the dense size cap MAX_DIM.
         """
         R = as_dim(R, cap=None)
-        return cls(hilbert_coeffs(np.arange(1 - R, R)), m)
+        return cls(hilbert_coeffs(np.arange(1 - R, R)))
 
     @classmethod
     def hankel(cls, R: int) -> "ToeplitzOperator":
@@ -186,23 +187,21 @@ class ToeplitzOperator:
                           strides=(step, -step)).copy()
 
     def _circulant_product(self):
-        """x -> (T x)[:m] through the circulant of fast length n >= R + m - 1
-        whose first column is c_0, .., c_{m-1}, zeros, c_{-(R-1)}, .., c_{-1}:
-        its leading m x R block is the first m rows of T.  Its spectrum is
-        taken once, here, by rfft; a complex x is applied by its real and
+        """x -> T x through the circulant of fast length n >= 2R - 1 whose
+        first column holds c_r at r mod n: its leading R x R block is T.  Its
+        spectrum is taken once, here; a complex x is applied by its real and
         imaginary parts."""
         if np.iscomplexobj(self.coeffs):
             raise ValueError("matvec needs a real operator; a complex Toeplitz matrix "
                              "has only its dense build")
-        R, m = self.R, self.m
-        n = _fast_len(R + m - 1)
-        spectrum = np.fft.rfft(np.concatenate(
-            (self.coeffs[R - 1:R - 1 + m], np.zeros(n - R - m + 1), self.coeffs[:R - 1])))
+        R = self.R
+        n = _fast_len(2 * R - 1)
+        spectrum = _offset_spectrum(self.coeffs, np.arange(1 - R, R), n)
 
         def apply(x):
             if np.iscomplexobj(x):
                 return apply(x.real) + 1j * apply(x.imag)
-            return np.fft.irfft(spectrum * np.fft.rfft(x, n), n)[:m]
+            return np.fft.irfft(spectrum * np.fft.rfft(x, n), n)[:R]
         return apply
 
     def matvec(self, x) -> np.ndarray:
@@ -248,23 +247,51 @@ def hilbert_parity_block(R) -> np.ndarray:
 
 class HilbertParityOperator:
     """Matrix-free ``hilbert_parity_block(R)``: C x and C^T z for real
-    vectors in O(R log R), both from the one circulant spectrum of
-    ``ToeplitzOperator.hilbert(R, m=ceil(R/2))``, of FFT length
-    ``_fast_len(R + ceil(R/2) - 1)``.
+    vectors in O(R log R), each through one forward and one inverse real
+    transform at the FFT length N = ``_fast_len(R - 1)``.
 
-    With P_e and P_o the J-even and J-odd bases (``lift``), T P_e = P_o C and
-    T P_o = -P_e C^T.  T P_e x is J-odd, so C x = P_o^T T P_e x is
-    sqrt2 (T P_e x)[:floor(R/2)]; T P_o z is J-even, so C^T z = -P_e^T T P_o z
-    reads the first ceil(R/2) entries of T P_o z, the first floor(R/2) of
-    them times sqrt2.  Matrix-free use is not bound by the dense size cap
-    MAX_DIM.
+    C = (T + H) D with the Toeplitz part T[i, j] = c(i - j), the Hankel part
+    H[i, j] = c(i + j - (R-1)), c(r) = 1/r, and D scaling the middle entry
+    by 1/sqrt2 for odd R.  Both parts fit one circulant of length N >= R - 1:
+    with X = rfft(D x, N), C x = irfft(A X + B conj(X), N)[:floor(R/2)],
+    where A is the spectrum of c(r) placed at r mod N and B that of
+    c(s - (R-1)) placed at s = i + j, 0 <= s <= R - 2; conj(X) is the
+    spectrum of the cyclic reversal of D x, so B conj(X) is the Hankel
+    product with no phase factor.  C^T z = D irfft(conj(A) Z + B conj(Z),
+    N)[:ceil(R/2)] for Z = rfft(z, N), conj(A) being the spectrum of the
+    reversed Toeplitz part.  A and B are built on the first product.
+    ``lift`` maps block vectors back to length R.  Matrix-free use is not
+    bound by the dense size cap MAX_DIM.
     """
 
     def __init__(self, R: int):
         R = as_dim(R, cap=None)
         self.R = R
         self.shape = (R // 2, (R + 1) // 2)
-        self._T = ToeplitzOperator.hilbert(R, m=(R + 1) // 2)
+        self._spectra = None  # (N, A, conj(A), B), built by the first product
+
+    def _checked(self, x, size: int) -> np.ndarray:
+        """x as an array, which must be a 1-D vector of length ``size``."""
+        x = np.asarray(x)
+        if x.shape != (size,):
+            raise ValueError(f"parity lift needs a 1-D vector of length {size}, "
+                             f"got shape {x.shape}")
+        return x
+
+    def _build_spectra(self):
+        h, n = self.shape
+        N = _fast_len(self.R - 1)
+        r = np.arange(1 - n, h)  # Toeplitz offsets i - j
+        s = np.arange(self.R - 1)  # Hankel sums i + j
+        A = _offset_spectrum(hilbert_coeffs(r), r, N)
+        return N, A, np.conj(A), _offset_spectrum(hilbert_coeffs(s - (self.R - 1)), s, N)
+
+    def _product(self, v, transpose: bool, size: int) -> np.ndarray:
+        if self._spectra is None:
+            self._spectra = self._build_spectra()
+        N, A, A_reversed, B = self._spectra
+        V = np.fft.rfft(v, N)
+        return np.fft.irfft((A_reversed if transpose else A) * V + B * np.conj(V), N)[:size]
 
     def lift(self, x, sign: float) -> np.ndarray:
         """The R-vector P_e x (sign = 1, x of length ceil(R/2)) or P_o x
@@ -272,10 +299,7 @@ class HilbertParityOperator:
         over i < R // 2, plus x_mid e_mid for the middle entry of an odd R."""
         R, h = self.R, self.R // 2
         size = self.shape[1] if sign > 0 else h
-        x = np.asarray(x)
-        if x.shape != (size,):
-            raise ValueError(f"parity lift needs a 1-D vector of length {size}, "
-                             f"got shape {x.shape}")
+        x = self._checked(x, size)
         y = np.zeros(R)
         y[:h] = x[:h] * _INV_SQRT2
         y[::-1][:h] = sign * y[:h]
@@ -285,12 +309,19 @@ class HilbertParityOperator:
 
     def matvec(self, x) -> np.ndarray:
         """C x for a real vector x of length ceil(R/2)."""
-        return _SQRT2 * self._T.matvec(self.lift(x, 1.0))[:self.R // 2]
+        h, n = self.shape
+        x = self._checked(x, n)
+        if n > h:
+            x = x.astype(float)
+            x[h] *= _INV_SQRT2
+        return self._product(x, False, h)
 
     def rmatvec(self, z) -> np.ndarray:
         """C^T z for a real vector z of length floor(R/2)."""
-        y = -self._T.matvec(self.lift(z, -1.0))
-        y[:self.R // 2] *= _SQRT2
+        h, n = self.shape
+        y = self._product(self._checked(z, h), True, n)
+        if n > h:
+            y[h] *= _INV_SQRT2
         return y
 
 

@@ -23,9 +23,10 @@ circulant spectrum once, on the first product.  T_R is skew-centrosymmetric,
 so -T_R^2 is solved on its J-even block C^T C, C =
 ``matrices.hilbert_parity_block(R)`` (n = ceil(R/2), dense up to
 n = DENSE_CUTOFF, so R = 512, with an _LANCZOS_NCV basis above).  Above the
-cutoff each product is C^T (C x) on the twin ``HilbertParityOperator(R)``:
-two forward and inverse transform pairs at the length
-``_fast_len(R + ceil(R/2) - 1)``.  The top pair is built from the J-even top
+cutoff each product is C^T (C x) on the twin ``HilbertParityOperator(R)``,
+which applies C, a Toeplitz-plus-Hankel block, and C^T each through one
+forward and inverse transform pair at the length ``_fast_len(R - 1)``
+(10000 at R = 10000).  The top pair is built from the J-even top
 eigenvector of -T_R^2 at every size, its T q taken as P_o (C q_n) on the
 side that solved.  H_R is solved as it is (n = R, dense up to
 _HANKEL_DENSE_CUTOFF, with an _HANKEL_NCV basis above) on the full-length
@@ -61,6 +62,9 @@ _LANCZOS_OPTS = dict(k=1, which="LA", tol=1e-11, maxiter=20000)
 # Lanczos basis size (ARPACK's ncv) on the T_R parity block: 32 took no more
 # products than 64 at R = 600..10000.  ARPACK fills its whole basis before
 # the first convergence test, so every solve costs at least ncv + 1 products.
+# Dead end: an unrestarted Lanczos with full reorthogonalization needed 149
+# products against ARPACK's 161 at R = 2000 and 322 against 353 at
+# R = 10000, so the product count cannot be cut much, only each product's cost.
 _LANCZOS_NCV = 32
 
 # H_R's top eigenvalue is well isolated (lambda_2/lambda_1 = 0.44 at
@@ -258,10 +262,10 @@ def _toeplitz_top(C: HilbertParityOperator, vector=False):
     parity block C of T_R (n = ceil(R/2)); with ``vector``, the
     ``(eigenvalue, q_n, C q_n)`` of ``_top_eigen``.  The matrix-free apply
     is C^T (C x) on the ``HilbertParityOperator`` C, whose two products each
-    take ceil(R/2) entries of a T_R product through its one circulant of
-    length ``_fast_len(R + ceil(R/2) - 1)``, built on the first product.  It
-    starts from the even part of the all-ones vector, which spans the same
-    Krylov space as on the full space."""
+    take one transform pair of length ``_fast_len(R - 1)`` with spectra
+    built on the first product.  It starts from the even part of the
+    all-ones vector, which spans the same Krylov space as on the full
+    space."""
     R = C.R
     block = cache(lambda: hilbert_parity_block(R))
     v0 = np.full(C.shape[1], 1.0 / np.sqrt(R))

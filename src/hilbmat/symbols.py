@@ -22,6 +22,7 @@ symbol is i*(pi - x) on (0, 2*pi), vanishing at the endpoints.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -55,8 +56,9 @@ class SymbolSeries:
 
     ``kind`` names a closed form, evaluated exactly and at every offset:
     "hilbert" (sawtooth i*(pi - x)) or "prolate" (band indicator of height
-    pi, bandwidth parameter ``w``).  An untagged series (``kind`` None) is
-    the trigonometric polynomial sum_{|r| <= K} c_r e^{irx}, so c_r = 0
+    pi, bandwidth parameter ``w``, 0 < w < 1/2); a tagged series' ``coeffs``
+    must equal its closed form at -K..K.  An untagged series (``kind`` None)
+    is the trigonometric polynomial sum_{|r| <= K} c_r e^{irx}, so c_r = 0
     beyond its band.
     """
 
@@ -70,7 +72,14 @@ class SymbolSeries:
             raise ValueError("symbol coefficients must be a 1-D array of odd length 2K + 1")
         if self.kind not in (None, "hilbert", "prolate"):
             raise ValueError(f"symbol kind must be 'hilbert', 'prolate' or None, not {self.kind!r}")
+        if self.kind == "prolate" and not isinstance(self.w, Real):
+            raise ValueError(f"a prolate symbol needs a real bandwidth w, not {self.w!r}")
         object.__setattr__(self, "coeffs", coeffs)
+        # the closed form at -K..K; prolate_coeffs also refuses w outside (0, 1/2)
+        if self.kind is not None and not np.array_equal(coeffs,
+                                                        self.coeff(_band_offsets(self.K))):
+            raise ValueError(f"{self.kind} symbol coefficients must equal its closed form "
+                             "at offsets -K..K")
 
     @property
     def K(self) -> int:
@@ -178,15 +187,20 @@ def grid_quadrature(series: SymbolSeries, u, npoints=None) -> complex:
 
     Exact to roundoff whenever f is a trigonometric polynomial and the grid
     has more points than the integrand degree K + R - 1; the default grid of
-    8 max(R, K) + 64 points has.
+    8 max(R, K) + 64 points has.  phi is evaluated on the grid by one FFT;
+    ``phi_values`` is its definition.
     """
     u = np.asarray(u, dtype=complex)
     if npoints is None:
         npoints = GRID_POINTS_PER_DIM * max(u.size, series.K) + GRID_POINTS_EXTRA
     x = 2.0 * np.pi * np.arange(npoints) / npoints
     fx = series.eval(x)
-    px = np.abs(phi_values(u, x)) ** 2
-    return complex(np.sum(fx * px) * (2.0 * np.pi / npoints))
+    # on the grid e^{inx} depends on n mod npoints only, so phi there is the
+    # inverse FFT of u folded modulo npoints
+    folded = np.zeros(-(-u.size // npoints) * npoints, dtype=complex)
+    folded[:u.size] = u
+    phi = npoints * np.fft.ifft(folded.reshape(-1, npoints).sum(axis=0)) / np.sqrt(2.0 * np.pi)
+    return complex(np.sum(fx * np.abs(phi) ** 2) * (2.0 * np.pi / npoints))
 
 
 def _exact_hilbert_integral(u) -> complex:

@@ -153,14 +153,16 @@ def test_hilbert_parity_block_is_the_even_to_odd_block(R):
     np.testing.assert_allclose(P.T @ T @ P, blocks, rtol=0, atol=1e-14)
 
 
-def _close(a, b, rel=1e-13):
+def _close(a, b, rel=1e-14):
     return float(np.linalg.norm(a - b)) <= rel * float(np.linalg.norm(b))
 
 
-@pytest.mark.parametrize("R", [2, 3, 4, 5, 9, 10, 257, 300, 513, 1001])
+@pytest.mark.parametrize("R", [2, 3, 4, 5, 9, 10, 257, 300, 513, 1001, 2001, 4000])
 def test_parity_operator_matches_the_dense_block(R):
-    # C x, C^T z and C^T C x through the one half-length circulant, against
-    # the dense hilbert_parity_block
+    # C x, C^T z and C^T C x through the one Toeplitz-plus-Hankel circulant of
+    # length _fast_len(R - 1), against the dense hilbert_parity_block; the
+    # Hankel part's reversal shift sits in the integer offsets, and a phase
+    # factor exp(-2 pi i k (n-1)/N) in its place misses 1e-14 at R = 2001
     C = hilbert_parity_block(R)
     op = HilbertParityOperator(R)
     assert op.shape == C.shape
@@ -194,31 +196,11 @@ def test_parity_operator_rejects_a_vector_of_the_wrong_length(method, length, sh
         getattr(op, method)(np.ones(shape))
 
 
-@pytest.mark.parametrize("R", [1, 2, 7, 300, 1001])
-def test_output_length_product_is_the_leading_rows(R):
-    rng = np.random.default_rng(7)
-    x = rng.normal(size=R)
-    full = ToeplitzOperator.hilbert(R)
-    assert full.m == R
-    T = full.dense()
-    for m in sorted({1, (R + 1) // 2, R}):
-        op = ToeplitzOperator.hilbert(R, m=m)
-        y = op.matvec(x)
-        assert y.shape == (m,)
-        np.testing.assert_allclose(y, T[:m] @ x, rtol=0, atol=1e-12)
-
-
-@pytest.mark.parametrize("m", [0, -1, 6, 2.0], ids=["0", "-1", "above-R", "float"])
-def test_output_length_is_checked(m):
-    with pytest.raises(ValueError, match=r"^output length m must be an integer in 1\.\.5$"):
-        ToeplitzOperator.hilbert(5, m=m)
-
-
 @pytest.mark.parametrize("R", [1, 2, 37, 1000, 1001])
 @pytest.mark.parametrize("complex_x", [False, True], ids=["real-x", "complex-x"])
 def test_full_length_matvec_is_the_2R_circulant_product(R, complex_x):
-    # m = R is bit for bit the product of the circulant of length
-    # _fast_len(2R - 1), which the Hankel solves and the witness use
+    # bit for bit the product of the circulant of length _fast_len(2R - 1)
+    # built by concatenation, which the Hankel solves and the witness use
     op = ToeplitzOperator.hilbert(R)
     c = op.coeffs
     n = _fast_len(2 * R - 1)

@@ -379,11 +379,9 @@ class TestMatrixFreeNorms:
         reference = skew_spectrum(B).U[:, 0]
         np.testing.assert_allclose(np.abs(top.U[:, 0]), np.abs(reference), rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("R", [601, 1001])
-    def test_lanczos_solves_use_only_the_half_length_circulant(self, monkeypatch, R):
-        # every transform of a matrix-free T_R norm or top-pair solve has the
-        # length _fast_len(R + ceil(R/2) - 1) of the parity operator's one
-        # circulant, never the _fast_len(2R - 1) of a full T_R product
+    @staticmethod
+    def _record_transform_lengths(monkeypatch):
+        """The FFT length of every later np.fft.rfft and irfft call."""
         lengths = []
 
         def recording(transform):
@@ -394,10 +392,26 @@ class TestMatrixFreeNorms:
 
         monkeypatch.setattr(np.fft, "rfft", recording(np.fft.rfft))
         monkeypatch.setattr(np.fft, "irfft", recording(np.fft.irfft))
+        return lengths
+
+    @pytest.mark.parametrize("R", [601, 1001])
+    def test_lanczos_solves_transform_only_at_length_R_minus_1(self, monkeypatch, R):
+        # every transform of a matrix-free T_R norm or top-pair solve has the
+        # length _fast_len(R - 1) of the parity operator's Toeplitz-plus-Hankel
+        # circulant, never the _fast_len(2R - 1) of a full T_R product
+        lengths = self._record_transform_lengths(monkeypatch)
         toeplitz_hilbert_norm.__wrapped__(R)  # past the memo
         toeplitz_hilbert_top_pair(R)
         assert len(lengths) > 100
-        assert set(lengths) == {_fast_len(R + (R + 1) // 2 - 1)}
+        assert set(lengths) == {_fast_len(R - 1)}
+
+    def test_dense_solves_take_no_transform(self, monkeypatch):
+        # at and below the cutoff (R = 511 and 201) the parity operator is
+        # built but never applied, so its spectra are never taken
+        lengths = self._record_transform_lengths(monkeypatch)
+        toeplitz_hilbert_norm.__wrapped__(511)
+        toeplitz_hilbert_top_pair(201)
+        assert lengths == []
 
     @pytest.fixture
     def run_fresh(self, run_python):

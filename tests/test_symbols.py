@@ -101,6 +101,18 @@ class TestSymbolEval:
         pytest.param(lambda: SymbolSeries(np.ones(3), kind="cosine"),
                      "symbol kind must be 'hilbert', 'prolate' or None, not 'cosine'",
                      id="unknown-kind"),
+        pytest.param(lambda: SymbolSeries(np.array([5.0, 0.0, 7.0]), kind="hilbert"),
+                     "hilbert symbol coefficients must equal its closed form at offsets -K..K",
+                     id="hilbert-not-its-closed-form"),
+        pytest.param(lambda: SymbolSeries(np.ones(3), kind="prolate"),
+                     "a prolate symbol needs a real bandwidth w, not None", id="prolate-no-w"),
+        pytest.param(lambda: SymbolSeries(np.ones(3), kind="prolate", w=0.5),
+                     "bandwidth w must lie in the open interval (0, 1/2)",
+                     id="prolate-w-outside"),
+        pytest.param(lambda: SymbolSeries(SymbolSeries.prolate(0.25, 2).coeffs, kind="prolate",
+                                          w=0.2),
+                     "prolate symbol coefficients must equal its closed form at offsets -K..K",
+                     id="prolate-not-its-closed-form"),
     ])
     def test_malformed_series_is_rejected_with_one_message(self, build, message):
         with pytest.raises(ValueError) as exc:
@@ -143,6 +155,21 @@ class TestQuadrature:
         m, i = quadratic_form(s, random_unit_vector(5, 0, complex_valued=False))
         assert m == pytest.approx(1.0, abs=1e-12)
         assert abs(m - i) <= 1e-10
+
+    @pytest.mark.parametrize("series, R, npoints", [
+        pytest.param(SymbolSeries.cosine(), 12, None, id="default-grid"),
+        pytest.param(SymbolSeries.cosine(), 20, 8, id="aliasing"),
+        pytest.param(SymbolSeries.from_coeffs({0: 1.0, 100: 1.0, -100: 1.0}), 5, None,
+                     id="band-beyond-R"),
+    ])
+    def test_fft_quadrature_is_the_phi_values_sum(self, series, R, npoints):
+        # the FFT evaluation of phi on the grid against its definition; with
+        # 8 points and 20 coefficients u folds modulo the grid
+        u = random_unit_vector(R, 4)
+        n = npoints or 8 * max(R, series.K) + 64
+        x = 2 * np.pi * np.arange(n) / n
+        direct = np.sum(series.eval(x) * np.abs(phi_values(u, x)) ** 2) * (2 * np.pi / n)
+        assert abs(grid_quadrature(series, u, npoints) - direct) <= 1e-14
 
     def test_phi_normalization(self):
         u = random_unit_vector(9, 2)
