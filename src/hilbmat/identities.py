@@ -10,17 +10,28 @@ spectra.SpectralDecomposition, is evaluated on all of its eigenpair columns
 at once (zero modes last, at mu = 0), and reports the worst pair's residual
 over that pair's scale (with scale 1).  Inequality checks carry INEQ_SLACK.
 Conjectured bounds are recorded, never asserted.
+
+The checks on a weighted-Cauchy instance (x, c) read what they share from a
+private record, ``_Instance``: the validated x and c, A(x), B(x, c), ||A||,
+||B|| and B's row-norm upper bound, each built on first use.  A public
+check called with nodes (and weights) builds a record of its own and runs
+its body on it; ``_instance_battery`` builds one record per instance and
+runs every body on that, so each of these is built once per battery and
+dropped with it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import replace
+from functools import cached_property
 
 import numpy as np
 
 from .matrices import (
     as_dim,
+    as_nodes,
+    as_weights,
     cauchy_matrix,
     hilbert_toeplitz,
     min_gaps,
@@ -66,9 +77,35 @@ def _floored_scales(nominal, mass, mus=None, norm_ub=None, evs=None):
     return np.maximum(nominal, mass * np.finfo(float).eps * cond / TOL_EIGEN)
 
 
-def _row_norm_upper_bound(B) -> float:
-    """sqrt(3 * max row energy), a proven upper bound for the spectral norm."""
-    return float(np.sqrt(3.0 * (B * B).sum(axis=1).max()))
+class _Instance:
+    """One weighted-Cauchy instance: the validated nodes ``x`` and weights
+    ``c``, and the matrices and norms its checks share, each built on first
+    use and held until the record is dropped."""
+
+    def __init__(self, x, c):
+        self.x = as_nodes(x)
+        self.c = as_weights(c, self.x.size)
+
+    @cached_property
+    def A(self) -> np.ndarray:
+        return cauchy_matrix(self.x)
+
+    @cached_property
+    def B(self) -> np.ndarray:
+        return weighted_cauchy_matrix(self.x, self.c)
+
+    @cached_property
+    def norm_a(self) -> float:
+        return spectral_norm(self.A)
+
+    @cached_property
+    def norm_b(self) -> float:
+        return spectral_norm(self.B)
+
+    @cached_property
+    def row_ub_b(self) -> float:
+        """sqrt(3 * max row energy of B), a proven upper bound for ||B||."""
+        return float(np.sqrt(3.0 * (self.B * self.B).sum(axis=1).max()))
 
 
 CANONICAL_SIZES = (2, 3, 4, 5, 8, 13, 21, 34, 50)
@@ -202,27 +239,28 @@ def check_even_power_positivity(x, c, k: int, trials: int = 3, seed: int = 0) ->
     polynomials with positive coefficients in the squared entries; they are
     verified directly here, the second by random upward weight scalings.
     """
+    return _even_power_positivity(_Instance(x, c), k, trials, seed)
+
+
+def _even_power_positivity(inst: _Instance, k: int, trials: int, seed: int) -> ResidualReport:
     if k < 1:
         raise ValueError("half power k must be >= 1")
-    x = np.asarray(x, dtype=float)
-    c = np.asarray(c, dtype=float)
     sign = (-1.0) ** k
 
-    def signed_diag(weights):
-        B = weighted_cauchy_matrix(x, weights)
+    def signed_diag(B):
         return sign * np.diagonal(np.linalg.matrix_power(B, 2 * k))
 
-    base = signed_diag(c)
+    base = signed_diag(inst.B)
     scale = max(float(np.abs(base).max(initial=0.0)), 1.0)
     worst = max(0.0, float(-base.min(initial=0.0)))
     rng = np.random.default_rng(seed)
     for _ in range(trials):
-        factors = rng.uniform(1.0, 2.0, size=x.size)
-        scaled = signed_diag(c * factors)
+        factors = rng.uniform(1.0, 2.0, size=inst.x.size)
+        scaled = signed_diag(weighted_cauchy_matrix(inst.x, inst.c * factors))
         scale = max(scale, float(np.abs(scaled).max(initial=0.0)))
         worst = max(worst, float((base - scaled).max(initial=0.0)))
     return residual_report("even_power_positivity", worst, scale, TOL_EXACT,
-                            R=x.size, k=k, trials=trials, seed=seed)
+                            R=inst.x.size, k=k, trials=trials, seed=seed)
 
 
 def check_norm_dominance(x, c, x2, c2) -> ResidualReport:
@@ -231,8 +269,12 @@ def check_norm_dominance(x, c, x2, c2) -> ResidualReport:
     Hypothesis |b(x, c)| <= |b(x2, c2)| entrywise is verified first; when it
     fails the report is marked not applicable rather than failed.
     """
-    B = weighted_cauchy_matrix(x, c)
-    B2 = weighted_cauchy_matrix(x2, c2)
+    return _norm_dominance(weighted_cauchy_matrix(x, c), _Instance(x2, c2))
+
+
+def _norm_dominance(B, big: _Instance) -> ResidualReport:
+    """The dominance check of B against the instance's B."""
+    B2 = big.B
     if B.shape != B2.shape:
         raise ValueError("dominance pairs must have equal dimension")
     margin = 1e-12 * max(1.0, float(np.abs(B2).max(initial=0.0)))
@@ -240,7 +282,7 @@ def check_norm_dominance(x, c, x2, c2) -> ResidualReport:
         return residual_report("norm_dominance", 0.0, 1.0, INEQ_SLACK, applicable=False,
                                 R=B.shape[0])
     n1 = spectral_norm(B)
-    n2 = spectral_norm(B2)
+    n2 = big.norm_b
     return residual_report("norm_dominance", max(0.0, n1 - n2), 1.0, INEQ_SLACK,
                             R=B.shape[0], norm_small=n1, norm_big=n2)
 
@@ -272,16 +314,17 @@ def check_eigenvector_amplitude_identity(x, c, dec: SpectralDecomposition) -> Re
     eigenvalue of ``dec`` feeds the conditioning-aware scale floor; for a
     one-column ``dec`` that is 2 mu.
     """
-    x = np.asarray(x, dtype=float)
+    return _eigenvector_amplitude(_Instance(x, c), dec)
+
+
+def _eigenvector_amplitude(inst: _Instance, dec: SpectralDecomposition) -> ResidualReport:
     keep = dec.mus != 0.0
     if not keep.any():
         return residual_report("eigenvector_amplitude", 0.0, 1.0, TOL_EIGEN,
-                                applicable=False, R=x.size)
+                                applicable=False, R=inst.x.size)
     mus, U = dec.mus[keep], dec.U[:, keep]
-    c = np.asarray(c, dtype=float)
-    cc = c[:, None]
-    A = cauchy_matrix(x)
-    A2 = A * A
+    cc = inst.c[:, None]
+    A2 = inst.A * inst.A
     P = np.abs(U) ** 2
     energy = cc**2 * (A2 @ (cc**2 * P))
     rhs = energy + 2.0 * cc**3 * np.real(U * np.conj(A2 @ (cc * U)))
@@ -290,10 +333,9 @@ def check_eigenvector_amplitude_identity(x, c, dec: SpectralDecomposition) -> Re
     mass = (energy
             + 2.0 * np.abs(cc) ** 3 * (A2 @ (np.abs(cc) * np.abs(U))) * np.abs(U)
             + lhs).max(axis=0)
-    norm_ub = _row_norm_upper_bound(weighted_cauchy_matrix(x, c))
-    scales = _floored_scales(mus**2 * P.max(axis=0), mass, mus, norm_ub,
+    scales = _floored_scales(mus**2 * P.max(axis=0), mass, mus, inst.row_ub_b,
                              dec.signed_eigenvalues())
-    return _worst_pair("eigenvector_amplitude", residuals, scales, mus, R=x.size)
+    return _worst_pair("eigenvector_amplitude", residuals, scales, mus, R=inst.x.size)
 
 
 def check_real_imag_coupling(x, c, dec: SpectralDecomposition) -> ResidualReport:
@@ -308,12 +350,13 @@ def check_real_imag_coupling(x, c, dec: SpectralDecomposition) -> ResidualReport
     pair's residual so that ``passed`` covers both statements; the largest
     raw values are recorded in the details.
     """
-    x = np.asarray(x, dtype=float)
-    c = np.asarray(c, dtype=float)
-    c2 = c[:, None] ** 2
+    return _real_imag_coupling(_Instance(x, c), dec)
+
+
+def _real_imag_coupling(inst: _Instance, dec: SpectralDecomposition) -> ResidualReport:
+    c2 = inst.c[:, None] ** 2
     mus, V, W = dec.mus, dec.V, dec.W
-    B = weighted_cauchy_matrix(x, c)
-    A = cauchy_matrix(x)
+    A, B = inst.A, inst.B
     energy = (B * B) @ (W**2)
     rhs = energy + 2.0 * c2 * (mus * (A @ (W * V)) - W * ((A * B.T) @ W))
     lhs = mus**2 * V**2
@@ -325,13 +368,13 @@ def check_real_imag_coupling(x, c, dec: SpectralDecomposition) -> ResidualReport
             + np.abs(lhs)).max(axis=0)
     nonzero = mus > 0
     nominal = np.where(nonzero, mus**2 * (np.abs(dec.U) ** 2).max(axis=0), 1.0)
-    scales = _floored_scales(nominal, mass, mus, _row_norm_upper_bound(B),
+    scales = _floored_scales(nominal, mass, mus, inst.row_ub_b,
                              dec.signed_eigenvalues())
     norm_split = np.where(
         nonzero, np.abs(np.linalg.norm(V, axis=0) - np.linalg.norm(W, axis=0)), 0.0)
     # rescale the norm-split defect onto the identity tolerance
     folded = np.maximum(residuals, norm_split * (TOL_EIGEN * scales) / 1e-10)
-    return _worst_pair("real_imag_coupling", folded, scales, mus, R=x.size,
+    return _worst_pair("real_imag_coupling", folded, scales, mus, R=inst.x.size,
                        identity_residual=float(residuals.max(initial=0.0)),
                        norm_split=float(norm_split.max(initial=0.0)))
 
@@ -379,9 +422,13 @@ def check_row_norm_bounds(x) -> ResidualReport:
 
     max_m sum_n a_{m,n}^2  <=  ||A||^2  <=  3 max_m sum_n a_{m,n}^2.
     """
-    A = cauchy_matrix(x)
+    return _row_norm_bounds(_Instance(x, np.ones(np.size(x))))
+
+
+def _row_norm_bounds(inst: _Instance) -> ResidualReport:
+    A = inst.A
     row_energy = float((A * A).sum(axis=1).max())
-    n2 = spectral_norm(A) ** 2
+    n2 = inst.norm_a ** 2
     violation = max(0.0, row_energy - n2, n2 - 3.0 * row_energy)
     return residual_report("row_norm_bounds", violation, max(1.0, n2), INEQ_SLACK,
                             R=A.shape[0], row_energy=row_energy, norm_sq=n2)
@@ -394,10 +441,14 @@ def check_montgomery_vaughan(x) -> ResidualReport:
     ||B(x, sqrt(delta))|| <= 3 pi / 2.  Whether the conjectured bound pi
     holds as well is recorded in the details, never asserted.
     """
-    x = np.asarray(x, dtype=float)
+    return _montgomery_vaughan(_Instance(x, np.ones(np.size(x))))
+
+
+def _montgomery_vaughan(inst: _Instance) -> ResidualReport:
+    x = inst.x
     per_node = min_gaps(x)
     delta = float(per_node.min())
-    norm_a = spectral_norm(cauchy_matrix(x))
+    norm_a = inst.norm_a
     norm_b = spectral_norm(weighted_cauchy_matrix(x, np.sqrt(per_node)))
     bound_a = np.pi / delta
     violation = max(0.0, norm_a - bound_a, norm_b - 1.5 * np.pi)
@@ -467,26 +518,31 @@ def probe_eigenvector_monotonicity(S: int):
 
 
 def _instance_battery(seed: int, x, c, rng: np.random.Generator):
+    """Every instance check on (x, c), their random parameters drawn from
+    ``rng``.  One record serves them all, so A(x), B(x, c), ||A||, ||B||
+    and B's row-norm upper bound are each built once; the record goes when
+    the battery returns."""
+    inst = _Instance(x, c)
+    x, c, B = inst.x, inst.c, inst.B
     R = x.size
-    B = weighted_cauchy_matrix(x, c)
     n = int(rng.integers(1, R + 1))
     k1 = int(rng.integers(1, 4))
     k2 = int(rng.integers(2, 6))
     out = [
         check_removed_index_cancellation(B, n, k1),
         check_diagonal_power_recursion(B, n, k2),
-        check_even_power_positivity(x, c, int(rng.integers(1, 4)), trials=2,
-                                    seed=int(rng.integers(0, 2**31))),
-        check_norm_dominance(x, c * rng.uniform(0.0, 1.0, R), x, c),
-        check_norm_dominance(x * (1.0 + rng.uniform(0.1, 2.0)), c, x, c),
+        _even_power_positivity(inst, int(rng.integers(1, 4)), trials=2,
+                               seed=int(rng.integers(0, 2**31))),
+        _norm_dominance(weighted_cauchy_matrix(x, c * rng.uniform(0.0, 1.0, R)), inst),
+        _norm_dominance(weighted_cauchy_matrix(x * (1.0 + rng.uniform(0.1, 2.0)), c), inst),
     ]
     dec = skew_spectrum(B)
-    out.append(check_eigenvector_amplitude_identity(x, c, dec))
-    out.append(check_real_imag_coupling(x, c, dec))
+    out.append(_eigenvector_amplitude(inst, dec))
+    out.append(_real_imag_coupling(inst, dec))
     out.append(check_weighted_sum_identity(c, dec))
     out.append(check_eigenvalue_distinctness(c, dec))
-    out.append(check_row_norm_bounds(x))
-    out.append(check_montgomery_vaughan(x))
+    out.append(_row_norm_bounds(inst))
+    out.append(_montgomery_vaughan(inst))
     # a report's own seed wins; R is always the instance's
     return [replace(r, details={"seed": seed, **r.details, "R": R}) for r in out]
 

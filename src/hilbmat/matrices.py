@@ -2,8 +2,10 @@
 
 Builders return plain float64 ndarrays, except that ``toeplitz_from_symbol``
 returns a complex matrix for a complex ``symbols.SymbolSeries``.  The Cauchy
-builders assemble their strict upper triangle and mirror it with negation;
-every Toeplitz-family matrix is a ``ToeplitzOperator`` held as its offset
+builders divide the full outer product c_m c_n by the node differences
+x_m - x_n in one pass and set the diagonal to +0.0, so the two triangles
+are exact negations of each other, signed zeros included; every
+Toeplitz-family matrix is a ``ToeplitzOperator`` held as its offset
 coefficients c_{-(R-1)}, .., c_{R-1}, and the skew Hilbert matrix T_R takes
 c_{-r} = -c_r from the closed form 1/r.  Either way ``M.T == -M`` and
 ``M.diagonal() == 0`` hold exactly rather than to roundoff.  The symmetric
@@ -100,20 +102,35 @@ def prolate_coeffs(r, w) -> np.ndarray:
                      out=np.full(r.shape, 2.0 * np.pi * w), where=r != 0)
 
 
+def _skew_quotient(numerator, x) -> np.ndarray:
+    """numerator / (x_m - x_n) over the validated nodes x, diagonal zeroed."""
+    # the diagonal's 0/0 (or c_m^2/0) is overwritten with +0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        M = numerator / np.subtract.outer(x, x)
+    np.fill_diagonal(M, 0.0)
+    return M
+
+
 def cauchy_matrix(x) -> np.ndarray:
     """Skew matrix with entries 1/(x_m - x_n) off the diagonal, 0 on it."""
-    x = as_nodes(x)
-    return weighted_cauchy_matrix(x, np.ones(x.size))
+    return _skew_quotient(1.0, as_nodes(x))
 
 
 def weighted_cauchy_matrix(x, c) -> np.ndarray:
-    """Skew matrix with entries c_m c_n / (x_m - x_n) off the diagonal."""
+    """Skew matrix with entries c_m c_n / (x_m - x_n) off the diagonal, 0 on it.
+
+    The full quotient is taken in one pass and its diagonal set to +0.0.
+    c_m c_n is symmetric and x_m - x_n exactly antisymmetric in IEEE
+    arithmetic, so each entry below the diagonal is the exact negation of
+    its mirror: ``M.T == -M`` and ``M.diagonal() == 0`` hold exactly, and
+    bit for bit, signed zeros included.  A zero entry keeps the sign of its
+    quotient, so one of each mirrored pair of zeros is -0.0: below the
+    diagonal for a zero weight beside a negative one, above it for a zero
+    weight beside a positive one.
+    """
     x = as_nodes(x)
     c = as_weights(c, x.size)
-    # the diagonal's 0/0 (or c_m^2/0) is cut away by triu
-    with np.errstate(divide="ignore", invalid="ignore"):
-        upper = np.triu(np.multiply.outer(c, c) / np.subtract.outer(x, x), 1)
-    return upper - upper.T
+    return _skew_quotient(np.multiply.outer(c, c), x)
 
 
 def _fast_len(m: int) -> int:

@@ -1,12 +1,15 @@
 import io
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import hilbmat.identities as identities
 from hilbmat.identities import (
     MIN_NODE_GAP,
+    _instance_battery,
     check_centered_eigenvector_symmetry,
     check_diagonal_power_recursion,
     check_eigenvalue_distinctness,
@@ -415,3 +418,71 @@ class TestSuite:
         lines = buf.getvalue().strip().splitlines()
         assert lines[0] == "name,seed,R,max_residual,scale,passed"
         assert len(lines) == len(reports) + 1
+
+
+class TestBatterySharing:
+    def test_each_matrix_and_norm_is_built_once(self, monkeypatch):
+        x, c, rng = random_instance(4, 30, min_R=20)
+        calls = Counter()
+
+        def counting(fn, key):
+            def wrapper(*args):
+                calls[key(*args)] += 1
+                return fn(*args)
+            return wrapper
+
+        def weighted_key(xs, cs):
+            return "B" if np.array_equal(xs, x) and np.array_equal(cs, c) else "other"
+
+        monkeypatch.setattr(identities, "weighted_cauchy_matrix",
+                            counting(identities.weighted_cauchy_matrix, weighted_key))
+        monkeypatch.setattr(identities, "cauchy_matrix",
+                            counting(identities.cauchy_matrix, lambda xs: "A"))
+        monkeypatch.setattr(identities, "spectral_norm",
+                            counting(identities.spectral_norm, lambda M: "norm"))
+        reports = _instance_battery(4, x, c, rng)
+        assert len(reports) == 11
+        assert calls["A"] == 1
+        assert calls["B"] == 1
+        # two smaller dominance matrices, two even-power scalings, B(x, sqrt(delta))
+        assert calls["other"] == 5
+        # ||A||, ||B||, the two smaller dominance matrices and ||B(x, sqrt(delta))||
+        assert calls["norm"] == 5
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_public_checks_reproduce_the_battery(self, seed):
+        x, c, rng = random_instance(seed, 30)
+        battery = _instance_battery(seed, x, c, rng)
+        # replay the battery's draws from the same generator state
+        x, c, rng = random_instance(seed, 30)
+        R = x.size
+        n = int(rng.integers(1, R + 1))
+        k1 = int(rng.integers(1, 4))
+        k2 = int(rng.integers(2, 6))
+        k_even = int(rng.integers(1, 4))
+        seed_even = int(rng.integers(0, 2**31))
+        shrink = rng.uniform(0.0, 1.0, R)
+        stretch = 1.0 + rng.uniform(0.1, 2.0)
+
+        def fresh():
+            return x.copy(), c.copy()
+
+        def spectrum():
+            return skew_spectrum(weighted_cauchy_matrix(*fresh()))
+
+        direct = [
+            check_removed_index_cancellation(weighted_cauchy_matrix(*fresh()), n, k1),
+            check_diagonal_power_recursion(weighted_cauchy_matrix(*fresh()), n, k2),
+            check_even_power_positivity(*fresh(), k_even, trials=2, seed=seed_even),
+            check_norm_dominance(x.copy(), c * shrink, *fresh()),
+            check_norm_dominance(x * stretch, c.copy(), *fresh()),
+            check_eigenvector_amplitude_identity(*fresh(), spectrum()),
+            check_real_imag_coupling(*fresh(), spectrum()),
+            check_weighted_sum_identity(c.copy(), spectrum()),
+            check_eigenvalue_distinctness(c.copy(), spectrum()),
+            check_row_norm_bounds(x.copy()),
+            check_montgomery_vaughan(x.copy()),
+        ]
+        assert len(battery) == len(direct)
+        for got, rep in zip(battery, direct):
+            assert got == replace(rep, details={"seed": seed, **rep.details, "R": R})

@@ -83,6 +83,19 @@ def test_weighted_2x2_example():
     )
 
 
+def test_weighted_build_is_skew_bit_for_bit():
+    # c_0 c_1 = -0.0: the quotient's signed zeros must mirror as well
+    x = np.array([0.0, 1.0, 2.5, 4.0])
+    c = np.array([0.0, -1.0, 2.0, -0.5])
+    M = weighted_cauchy_matrix(x, c)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        upper = np.triu(np.multiply.outer(c, c) / np.subtract.outer(x, x), 1)
+    np.testing.assert_array_equal(M, upper - upper.T)
+    off = ~np.eye(4, dtype=bool)
+    np.testing.assert_array_equal(np.signbit(M)[off], np.signbit(-M.T)[off])
+    assert np.all(np.diagonal(M) == 0.0) and not np.any(np.signbit(np.diagonal(M)))
+
+
 def test_weighted_length_mismatch():
     with pytest.raises(ValueError):
         weighted_cauchy_matrix([0.0, 1.0], [1.0, 2.0, 3.0])
