@@ -13,11 +13,13 @@ Conjectured bounds are recorded, never asserted.
 
 The checks on a weighted-Cauchy instance (x, c) read what they share from a
 private record, ``_Instance``: the validated x and c, A(x), B(x, c), ||A||,
-||B|| and B's row-norm upper bound, each built on first use.  A public
-check called with nodes (and weights) builds a record of its own and runs
-its body on it; ``_instance_battery`` builds one record per instance and
-runs every body on that, so each of these is built once per battery and
-dropped with it.
+||B|| and B's row-norm upper bound, each built on first use.  Every Cauchy
+matrix on the record's nodes (A, B and the checks' reweighted or stretched
+ones) is built through ``matrices.skew_quotient``, which does not validate
+the nodes again.  A public check called with nodes (and weights) builds a
+record of its own and runs its body on it; ``_instance_battery`` builds one
+record per instance and runs every body on that, so each of these is built
+once per battery and dropped with it.
 """
 
 from __future__ import annotations
@@ -32,10 +34,10 @@ from .matrices import (
     as_dim,
     as_nodes,
     as_weights,
-    cauchy_matrix,
     hilbert_toeplitz,
     min_gaps,
     remove_index,
+    skew_quotient,
     weighted_cauchy_matrix,
 )
 from .spectra import (
@@ -86,13 +88,23 @@ class _Instance:
         self.x = as_nodes(x)
         self.c = as_weights(c, self.x.size)
 
+    def weighted(self, c, stretch: float = 1.0) -> np.ndarray:
+        """B(stretch * x, c) on the validated nodes, checking only the weights.
+
+        A stretch > 0 keeps the nodes increasing unless it rounds two of them
+        together or overflows; the battery's stretch, below 3 on nodes at
+        least MIN_NODE_GAP apart and below about 10 R, does neither.
+        """
+        c = as_weights(c, self.x.size)
+        return skew_quotient(np.multiply.outer(c, c), self.x * stretch)
+
     @cached_property
     def A(self) -> np.ndarray:
-        return cauchy_matrix(self.x)
+        return skew_quotient(1.0, self.x)
 
     @cached_property
     def B(self) -> np.ndarray:
-        return weighted_cauchy_matrix(self.x, self.c)
+        return self.weighted(self.c)
 
     @cached_property
     def norm_a(self) -> float:
@@ -256,7 +268,7 @@ def _even_power_positivity(inst: _Instance, k: int, trials: int, seed: int) -> R
     rng = np.random.default_rng(seed)
     for _ in range(trials):
         factors = rng.uniform(1.0, 2.0, size=inst.x.size)
-        scaled = signed_diag(weighted_cauchy_matrix(inst.x, inst.c * factors))
+        scaled = signed_diag(inst.weighted(inst.c * factors))
         scale = max(scale, float(np.abs(scaled).max(initial=0.0)))
         worst = max(worst, float((base - scaled).max(initial=0.0)))
     return residual_report("even_power_positivity", worst, scale, TOL_EXACT,
@@ -449,7 +461,7 @@ def _montgomery_vaughan(inst: _Instance) -> ResidualReport:
     per_node = min_gaps(x)
     delta = float(per_node.min())
     norm_a = inst.norm_a
-    norm_b = spectral_norm(weighted_cauchy_matrix(x, np.sqrt(per_node)))
+    norm_b = spectral_norm(inst.weighted(np.sqrt(per_node)))
     bound_a = np.pi / delta
     violation = max(0.0, norm_a - bound_a, norm_b - 1.5 * np.pi)
     return residual_report("montgomery_vaughan", violation, max(1.0, bound_a), INEQ_SLACK,
@@ -533,8 +545,8 @@ def _instance_battery(seed: int, x, c, rng: np.random.Generator):
         check_diagonal_power_recursion(B, n, k2),
         _even_power_positivity(inst, int(rng.integers(1, 4)), trials=2,
                                seed=int(rng.integers(0, 2**31))),
-        _norm_dominance(weighted_cauchy_matrix(x, c * rng.uniform(0.0, 1.0, R)), inst),
-        _norm_dominance(weighted_cauchy_matrix(x * (1.0 + rng.uniform(0.1, 2.0)), c), inst),
+        _norm_dominance(inst.weighted(c * rng.uniform(0.0, 1.0, R)), inst),
+        _norm_dominance(inst.weighted(c, stretch=1.0 + rng.uniform(0.1, 2.0)), inst),
     ]
     dec = skew_spectrum(B)
     out.append(_eigenvector_amplitude(inst, dec))

@@ -102,8 +102,9 @@ def prolate_coeffs(r, w) -> np.ndarray:
                      out=np.full(r.shape, 2.0 * np.pi * w), where=r != 0)
 
 
-def _skew_quotient(numerator, x) -> np.ndarray:
-    """numerator / (x_m - x_n) over the validated nodes x, diagonal zeroed."""
+def skew_quotient(numerator, x) -> np.ndarray:
+    """numerator / (x_m - x_n), diagonal zeroed, on nodes x taken as given:
+    x must already have passed ``as_nodes``, which is not run again here."""
     # the diagonal's 0/0 (or c_m^2/0) is overwritten with +0.0
     with np.errstate(divide="ignore", invalid="ignore"):
         M = numerator / np.subtract.outer(x, x)
@@ -113,7 +114,7 @@ def _skew_quotient(numerator, x) -> np.ndarray:
 
 def cauchy_matrix(x) -> np.ndarray:
     """Skew matrix with entries 1/(x_m - x_n) off the diagonal, 0 on it."""
-    return _skew_quotient(1.0, as_nodes(x))
+    return skew_quotient(1.0, as_nodes(x))
 
 
 def weighted_cauchy_matrix(x, c) -> np.ndarray:
@@ -130,7 +131,7 @@ def weighted_cauchy_matrix(x, c) -> np.ndarray:
     """
     x = as_nodes(x)
     c = as_weights(c, x.size)
-    return _skew_quotient(np.multiply.outer(c, c), x)
+    return skew_quotient(np.multiply.outer(c, c), x)
 
 
 def _fast_len(m: int) -> int:

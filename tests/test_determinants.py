@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -86,15 +87,35 @@ class TestEnumerateMatchings:
 
 
 class TestMatchingSums:
-    @pytest.mark.parametrize("R", range(1, 9))
+    @pytest.mark.parametrize("R", range(1, MATCHING_CAP + 1))
     def test_counts_on_all_ones(self, R):
-        # j-edge matchings of R points: choose 2j of them, then (2j-1)!! pairings
+        # j-edge matchings of R points: choose 2j of them, then (2j-1)!! pairings;
+        # every count is below 2^53, so the sums are exact in any order
         counts = _matching_sums(np.ones((R, R)))
         expected = [
             math.comb(R, 2 * j) * math.factorial(2 * j) // (2**j * math.factorial(j))
             for j in range(R // 2 + 1)
         ]
+        assert max(expected) < 2**53
         assert counts == tuple(float(n) for n in expected)
+
+    @pytest.mark.parametrize("R", range(1, 9))
+    def test_every_entry_is_its_expansion(self, R):
+        # m_j is the sum, over the 2j-subsets S of the vertices, of the
+        # perfect-matching expansion on S
+        rng = np.random.default_rng(100 + R)
+        W = rng.uniform(0.0, 2.0, (R, R))
+        W = W + W.T
+        sums = _matching_sums(W)
+        assert type(sums) is tuple and len(sums) == R // 2 + 1
+        assert all(type(m) is float for m in sums)
+        for j, m in enumerate(sums):
+            expansion = math.fsum(
+                math.prod(W[S[a - 1], S[b - 1]] for a, b in matching)
+                for S in itertools.combinations(range(R), 2 * j)
+                for matching in enumerate_matchings(2 * j)
+            )
+            assert m == pytest.approx(expansion, rel=1e-14)
 
 
 class TestDetMatching:
@@ -246,8 +267,6 @@ class TestPrincipalMinorSum:
         dec = skew_spectrum(B)
         evs = 1j * dec.signed_eigenvalues()
         # e_2 and e_4 of the eigenvalues, brute force
-        import itertools
-
         for k in (2, 4):
             e_k = sum(
                 np.prod([evs[i] for i in subset])

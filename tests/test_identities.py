@@ -431,13 +431,17 @@ class TestBatterySharing:
                 return fn(*args)
             return wrapper
 
-        def weighted_key(xs, cs):
-            return "B" if np.array_equal(xs, x) and np.array_equal(cs, c) else "other"
+        def build_key(numerator, xs):
+            # every Cauchy build of the battery is one skew_quotient call
+            if np.ndim(numerator) == 0:
+                return "A"
+            same = np.array_equal(xs, x) and np.array_equal(numerator, np.multiply.outer(c, c))
+            return "B" if same else "other"
 
+        monkeypatch.setattr(identities, "skew_quotient",
+                            counting(identities.skew_quotient, build_key))
         monkeypatch.setattr(identities, "weighted_cauchy_matrix",
-                            counting(identities.weighted_cauchy_matrix, weighted_key))
-        monkeypatch.setattr(identities, "cauchy_matrix",
-                            counting(identities.cauchy_matrix, lambda xs: "A"))
+                            counting(identities.weighted_cauchy_matrix, lambda xs, cs: "validated"))
         monkeypatch.setattr(identities, "spectral_norm",
                             counting(identities.spectral_norm, lambda M: "norm"))
         reports = _instance_battery(4, x, c, rng)
@@ -448,6 +452,8 @@ class TestBatterySharing:
         assert calls["other"] == 5
         # ||A||, ||B||, the two smaller dominance matrices and ||B(x, sqrt(delta))||
         assert calls["norm"] == 5
+        # no build validates the record's nodes again
+        assert calls["validated"] == 0
 
     @pytest.mark.parametrize("seed", range(5))
     def test_public_checks_reproduce_the_battery(self, seed):
