@@ -15,11 +15,12 @@ The checks on a weighted-Cauchy instance (x, c) read what they share from a
 private record, ``_Instance``: the validated x and c, A(x), B(x, c), ||A||,
 ||B|| and B's row-norm upper bound, each built on first use.  Every Cauchy
 matrix on the record's nodes (A, B and the checks' reweighted or stretched
-ones) is built through ``matrices.skew_quotient``, which does not validate
-the nodes again.  A public check called with nodes (and weights) builds a
-record of its own and runs its body on it; ``_instance_battery`` builds one
-record per instance and runs every body on that, so each of these is built
-once per battery and dropped with it.
+ones) is built through ``matrices.skew_quotient``, and the node gaps of the
+Montgomery-Vaughan check are taken by ``matrices.node_gaps``; neither
+validates the nodes again.  A public check called with nodes (and weights)
+builds a record of its own and runs its body on it; ``_instance_battery``
+builds one record per instance and runs every body on that, so each of
+these is built once per battery and dropped with it.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .matrices import (
     as_nodes,
     as_weights,
     hilbert_toeplitz,
-    min_gaps,
+    node_gaps,
     remove_index,
     skew_quotient,
     weighted_cauchy_matrix,
@@ -458,7 +459,7 @@ def check_montgomery_vaughan(x) -> ResidualReport:
 
 def _montgomery_vaughan(inst: _Instance) -> ResidualReport:
     x = inst.x
-    per_node = min_gaps(x)
+    per_node = node_gaps(x)
     delta = float(per_node.min())
     norm_a = inst.norm_a
     norm_b = spectral_norm(inst.weighted(np.sqrt(per_node)))

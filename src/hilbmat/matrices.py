@@ -252,14 +252,19 @@ def hilbert_parity_block(R) -> np.ndarray:
     (e_i - e_{R-1-i})/sqrt2 it splits as [[0, -C^T], [C, 0]] (Cantoni and
     Butler, Linear Algebra Appl. 13 (1976) 275-288), and ||T_R|| = sigma_max(C).
     Entries C[i, j] = 1/(i-j) + 1/(i+j-R+1), the diagonal term being 0; for
-    odd R the last (middle) column is sqrt2/(i - (R-1)/2).
+    odd R the last (middle) column is sqrt2/(i - (R-1)/2).  Both terms are
+    strided views of one coefficient vector each, c(i - j) read at offset
+    n - 1 + i - j and c(i + j - (R-1)) at i + j, so no index grid is built.
     """
     R = as_dim(R)
     h, n = R // 2, (R + 1) // 2
-    i, j = np.arange(h)[:, None], np.arange(n)[None, :]
-    C = hilbert_coeffs(i - j) + hilbert_coeffs(i + j - (R - 1))
+    toeplitz = hilbert_coeffs(np.arange(1 - n, h))
+    hankel = hilbert_coeffs(np.arange(1 - R, 0))
+    step = toeplitz.strides[0]
+    C = (as_strided(toeplitz[n - 1:], shape=(h, n), strides=(step, -step))
+         + as_strided(hankel, shape=(h, n), strides=(step, step)))
     if n > h:
-        C[:, h] = np.sqrt(2.0) * hilbert_coeffs(i[:, 0] - h)
+        C[:, h] = np.sqrt(2.0) * toeplitz[:h]
     return C
 
 
@@ -374,7 +379,12 @@ def remove_index(M: np.ndarray, n: int) -> np.ndarray:
 def min_gaps(x) -> np.ndarray:
     """Per-node nearest-neighbour distances of a sorted node vector, R >= 2;
     their minimum is the separation delta."""
-    x = as_nodes(x)
+    return node_gaps(as_nodes(x))
+
+
+def node_gaps(x) -> np.ndarray:
+    """``min_gaps`` on nodes x taken as given: x must already have passed
+    ``as_nodes``, which is not run again here."""
     if x.size < 2:
         raise ValueError("min_gaps needs at least two nodes")
     d = np.diff(x)

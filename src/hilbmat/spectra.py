@@ -18,28 +18,26 @@ the top pair of T_R take one solve route, ``_top_eigen``, which holds the
 only dense/Lanczos decision, on the dimension n of the positive semidefinite
 matrix it solves and the cutoff and basis size its caller passes: up to the
 cutoff ``spectral_norm`` for a norm and ``np.linalg.eigh`` for a top pair,
-above it Lanczos on an operator built for the solve, which takes its
-circulant spectrum once, on the first product.  T_R is skew-centrosymmetric,
-so -T_R^2 is solved on its J-even block C^T C, C =
-``matrices.hilbert_parity_block(R)`` (n = ceil(R/2), dense up to
-n = DENSE_CUTOFF, so R = 512, with an _LANCZOS_NCV basis above).  Above the
-cutoff each product is C^T (C x) on the twin ``HilbertParityOperator(R)``,
-which applies C, a Toeplitz-plus-Hankel block, and C^T each through one
-forward and inverse transform pair at the length ``_fast_len(R - 1)``
-(10000 at R = 10000).  The top pair is built from the J-even top
-eigenvector of -T_R^2 at every size, its T q taken as P_o (C q_n) on the
-side that solved.  H_R is solved as it is (n = R, dense up to
-_HANKEL_DENSE_CUTOFF, with an _HANKEL_NCV basis above) on the full-length
-matvec of ``ToeplitzOperator.hankel``.  scipy is imported inside the Lanczos
-branch alone, so dense solves never load it, and ARPACK non-convergence
-surfaces as ``np.linalg.LinAlgError`` chained to scipy's
-``ArpackNoConvergence``.
+above it ``_lanczos_top``, a thick-restart Lanczos in numpy, on an operator
+built for the solve, which takes its circulant spectrum once, on the first
+product.  T_R is skew-centrosymmetric, so -T_R^2 is solved on its J-even
+block C^T C, C = ``matrices.hilbert_parity_block(R)`` (n = ceil(R/2), dense
+up to n = DENSE_CUTOFF, so R = 600, with an _LANCZOS_NCV basis above).
+Above the cutoff each product is C^T (C x) on the twin
+``HilbertParityOperator(R)``, which applies C, a Toeplitz-plus-Hankel
+block, and C^T each through one forward and inverse transform pair at the
+length ``_fast_len(R - 1)`` (10000 at R = 10000).  The top pair is built
+from the J-even top eigenvector of -T_R^2 at every size, its T q taken as
+P_o (C q_n) on the side that solved.  H_R is solved as it is (n = R, dense
+up to _HANKEL_DENSE_CUTOFF, with an _HANKEL_NCV basis above) on the
+full-length matvec of ``ToeplitzOperator.hankel``.  No solve loads scipy,
+and a Lanczos solve that does not converge raises ``np.linalg.LinAlgError``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -52,16 +50,28 @@ from .matrices import (HilbertParityOperator, ToeplitzOperator, as_square, hilbe
 ZERO_MU_REL = 1e-10
 
 # Matrix-free Lanczos takes over in ``_top_eigen`` above this dimension of
-# T_R's parity block, ceil(R/2).
-DENSE_CUTOFF = 256
+# T_R's parity block, ceil(R/2), so R = 601 is the first Lanczos solve.  On 2
+# cores a dense norm solve (block, C^T C and eigvalsh) took 6.7 ms at n = 300
+# against 9.8 ms for Lanczos with a fresh operator, and the two crossed
+# between n = 320 and 400.  The cutoff stays at 300: there the largest dense
+# solve peaks at 1.44 MB of allocations, below the 1.57 MB of n = 256 when
+# the block was built from index grids, so no dense run needs more memory.
+DENSE_CUTOFF = 300
 
-# 1e-11 relative eigenvalue tolerance keeps norms accurate to ~1e-11 while
-# roughly halving the iteration count against machine-precision stopping.
-_LANCZOS_OPTS = dict(k=1, which="LA", tol=1e-11, maxiter=20000)
+# ARPACK's convergence test for the top Ritz value: |beta s_last| <= tol
+# |theta|.  1e-11 keeps norms accurate to ~1e-11 while roughly halving the
+# product count against machine-precision stopping.  maxiter bounds the
+# restarts.
+_LANCZOS_OPTS = dict(tol=1e-11, maxiter=20000)
 
-# Lanczos basis size (ARPACK's ncv) on the T_R parity block: 32 took no more
-# products than 64 at R = 600..10000.  ARPACK fills its whole basis before
-# the first convergence test, so every solve costs at least ncv + 1 products.
+# Lanczos basis size on the T_R parity block: 32 took no more products than
+# 64 at R = 600..10000.  The whole basis is filled before the first
+# convergence test, and each restart keeps ncv // 2 Ritz vectors, so a solve
+# takes ncv + k (ncv - ncv // 2) products after k restarts: 80, 112, 160 and
+# 352 at R = 513, 1000, 2000 and 10000, one fewer than ARPACK's implicit
+# restart (Lehoucq and Sorensen, SIAM J. Matrix Anal. Appl. 17 (1996)
+# 789-821) took with the same basis.  What it saves is ARPACK's fixed cost
+# per call, not products: an H_65 solve took 0.21 ms against 0.30 ms.
 # Dead end: an unrestarted Lanczos with full reorthogonalization needed 149
 # products against ARPACK's 161 at R = 2000 and 322 against 353 at
 # R = 10000, so the product count cannot be cut much, only each product's cost.
@@ -69,9 +79,11 @@ _LANCZOS_NCV = 32
 
 # H_R's top eigenvalue is well isolated (lambda_2/lambda_1 = 0.44 at
 # R = 256), so its solve takes its own cutoff and basis: with ncv = 8 every
-# solve from R = 65 to 20000 took 9 products.  Dense eigvalsh against that
-# Lanczos, spectrum build included, crossed over between n = 48 and 96 on
-# 2 cores (0.22 against 0.47 ms at n = 64, 0.83 against 0.41 ms at n = 128).
+# solve from R = 65 to 2000 took 8 products, and R = 5000..20000 took 12
+# (ARPACK took 9 throughout).
+# Dense eigvalsh against ARPACK's Lanczos, spectrum build included, crossed
+# over between n = 48 and 96 on 2 cores (0.22 against 0.47 ms at n = 64,
+# 0.83 against 0.41 ms at n = 128).
 _HANKEL_DENSE_CUTOFF = 64
 _HANKEL_NCV = 8
 
@@ -224,35 +236,76 @@ def trace_power_norm_estimate(B, k: int) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _lanczos_top(apply, v0, ncv: int):
+    """Top eigenpair ``(theta, y)`` of the symmetric operator ``apply`` on
+    n-vectors, by thick-restart Lanczos (Wu and Simon, SIAM J. Matrix Anal.
+    Appl. 22 (2000) 602-616) from ``v0`` with an (ncv + 1) x n basis.
+
+    Each product is reorthogonalized against the whole basis by two passes
+    of classical Gram-Schmidt.  A full basis restarts on its top ncv // 2
+    Ritz vectors and the last residual vector; the projected matrix is then
+    their Ritz values plus one arrow row of couplings.  The top Ritz pair is
+    accepted on ARPACK's test |beta s_last| <= tol |theta|, after at most
+    ``_LANCZOS_OPTS["maxiter"]`` restarts.  A residual that the second pass
+    cancels (beta to working precision 0) spans nothing new: the basis is
+    an invariant subspace, and its top Ritz pair is returned as it is."""
+    n, tol, maxiter = v0.size, _LANCZOS_OPTS["tol"], _LANCZOS_OPTS["maxiter"]
+    V = np.empty((ncv + 1, n))
+    V[0] = v0 / np.linalg.norm(v0)
+    H = np.zeros((ncv, ncv))
+    k = 0  # Ritz vectors kept by the last restart
+    for _ in range(maxiter + 1):
+        for j in range(k, ncv):
+            basis = V[:j + 1]
+            w = apply(V[j])
+            h = basis @ w  # classical Gram-Schmidt, twice
+            w = w - h @ basis
+            first = w @ w
+            h2 = basis @ w
+            w -= h2 @ basis
+            H[j, j] = h[j] + h2[j]
+            second = w @ w
+            if second <= 0.25 * first:  # w was in the basis: beta is 0
+                theta, S = np.linalg.eigh(H[:j + 1, :j + 1])
+                return theta[-1], S[:, -1] @ basis
+            beta = float(np.sqrt(second))
+            np.divide(w, beta, out=V[j + 1])
+            if j + 1 < ncv:
+                H[j, j + 1] = H[j + 1, j] = beta
+        theta, S = np.linalg.eigh(H)  # ascending
+        if abs(beta * S[-1, -1]) <= tol * abs(theta[-1]):
+            return theta[-1], S[:, -1] @ V[:ncv]
+        k = ncv // 2
+        # one product per kept vector, as in Gram-Schmidt: OpenBLAS's threaded
+        # gemm rounded the whole product differently under 1 and 2 threads
+        # from n = 1954 on, which moved the sweep's norms at R = 4114..9702
+        V[:k] = [s @ V[:ncv] for s in S[:, -k:].T]
+        V[k] = V[ncv]
+        H[:] = 0.0
+        H[:k, :k] = np.diag(theta[-k:])
+        H[:k, k] = H[k, :k] = beta * S[-1, -k:]
+    raise np.linalg.LinAlgError(f"Lanczos did not converge after {maxiter} restarts")
+
+
 def _top_eigen(n: int, dense, apply, v0, cutoff: int, ncv: int, image=None):
     """Top eigenvalue of an n x n positive semidefinite S, which ``dense()``
     builds and ``apply`` applies to an n-vector.  The one solver choice: dense
     while n <= cutoff (``spectral_norm`` for the value, ``eigh`` for a
-    vector), Lanczos from ``v0`` with a min(n, ncv)-vector basis above.
-    With ``image``, a pair of maps (dense side, matrix-free side),
+    vector), ``_lanczos_top`` from ``v0`` with a min(n, ncv)-vector basis
+    above.  With ``image``, a pair of maps (dense side, matrix-free side),
     returns ``(eigenvalue, q, image(q))`` for a unit top eigenvector q; the
     map of the side that solved is taken, so all-dense runs never build a
     circulant spectrum."""
     if n <= cutoff:
-        S = dense()
         if image is None:
-            return spectral_norm(S)
-        values, vectors = np.linalg.eigh(S)  # ascending
+            return spectral_norm(dense())
+        values, vectors = np.linalg.eigh(dense())  # ascending
         lam, q, lift = values[-1], vectors[:, -1], image[0]
     else:
-        # scipy is loaded by the first Lanczos solve, so dense-only runs skip it
-        from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
-
-        op = LinearOperator((n, n), matvec=apply, dtype=float)
-        ncv = min(n, ncv)
-        try:
-            if image is None:
-                lam = eigsh(op, v0=v0, ncv=ncv, return_eigenvectors=False, **_LANCZOS_OPTS)
-                return float(lam[0])
-            lam, vec = eigsh(op, v0=v0, ncv=ncv, **_LANCZOS_OPTS)
-        except ArpackNoConvergence as exc:
-            raise np.linalg.LinAlgError(str(exc)) from exc
-        lam, q, lift = lam[0], vec[:, 0], image[1]
+        lam, q = _lanczos_top(apply, v0, min(n, ncv))
+        if image is None:
+            return float(lam)
+        lift = image[1]
     q = q / float(np.linalg.norm(q))
     return float(lam), q, lift(q)
 
@@ -265,14 +318,20 @@ def _toeplitz_top(C: HilbertParityOperator, vector=False):
     take one transform pair of length ``_fast_len(R - 1)`` with spectra
     built on the first product.  It starts from the even part of the
     all-ones vector, which spans the same Krylov space as on the full
-    space."""
+    space.  The dense side drops the block once S is formed, and a top pair
+    builds it again for C q_n, so no dense solve holds C, S and the
+    eigenvectors at once."""
     R = C.R
-    block = cache(lambda: hilbert_parity_block(R))
     v0 = np.full(C.shape[1], 1.0 / np.sqrt(R))
     v0[:R // 2] *= 2.0 * _INV_SQRT2  # P_e^T of the unit all-ones vector
-    return _top_eigen(C.shape[1], lambda: block().T @ block(),
-                      lambda x: C.rmatvec(C.matvec(x)), v0, DENSE_CUTOFF, _LANCZOS_NCV,
-                      (lambda q: block() @ q, C.matvec) if vector else None)
+
+    def gram():
+        B = hilbert_parity_block(R)
+        return B.T @ B
+
+    return _top_eigen(C.shape[1], gram, lambda x: C.rmatvec(C.matvec(x)), v0,
+                      DENSE_CUTOFF, _LANCZOS_NCV,
+                      (lambda q: hilbert_parity_block(R) @ q, C.matvec) if vector else None)
 
 
 @lru_cache(maxsize=None)

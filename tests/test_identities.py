@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import hilbmat.identities as identities
+import hilbmat.matrices as matrices
 from hilbmat.identities import (
     MIN_NODE_GAP,
     _instance_battery,
@@ -454,6 +455,20 @@ class TestBatterySharing:
         assert calls["norm"] == 5
         # no build validates the record's nodes again
         assert calls["validated"] == 0
+
+    def test_suite_validates_each_instances_nodes_once(self, monkeypatch):
+        # one as_nodes per battery record, 9 canonical and 100 seeded: the
+        # Montgomery-Vaughan gaps take the record's nodes as given
+        as_nodes, calls = matrices.as_nodes, []
+
+        def counting(x):
+            calls.append(1)
+            return as_nodes(x)
+
+        monkeypatch.setattr(matrices, "as_nodes", counting)
+        monkeypatch.setattr(identities, "as_nodes", counting)
+        run_suite(100, 50)
+        assert len(calls) == 109
 
     @pytest.mark.parametrize("seed", range(5))
     def test_public_checks_reproduce_the_battery(self, seed):

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
-from scipy.sparse.linalg import eigsh
+from scipy.sparse.linalg import LinearOperator, eigsh
 
+import hilbmat.spectra as spectra
 from hilbmat.matrices import (
+    HilbertParityOperator,
     ToeplitzOperator,
     _fast_len,
     hilbert_hankel,
@@ -349,6 +351,51 @@ class TestMatrixFreeNorms:
         dense = spectral_norm(hilbert_hankel(R))
         assert fast == pytest.approx(dense, abs=1e-13)
 
+    @pytest.mark.parametrize("solve,R", [(toeplitz_hilbert_norm, 601),
+                                         (toeplitz_hilbert_norm, 1001),
+                                         (toeplitz_hilbert_norm, 2001),
+                                         (hankel_hilbert_norm, 65),
+                                         (hankel_hilbert_norm, 300),
+                                         (hankel_hilbert_norm, 1000)],
+                             ids=["T601", "T1001", "T2001", "H65", "H300", "H1000"])
+    def test_lanczos_matches_arpack(self, solve, R):
+        # scipy's ARPACK eigsh as the oracle, on the same products, start
+        # vector, basis size and tolerance
+        if solve is toeplitz_hilbert_norm:
+            C = HilbertParityOperator(R)
+            n, ncv = C.shape[1], 32
+            v0 = np.full(n, 1.0 / np.sqrt(R))
+            v0[:R // 2] *= np.sqrt(2.0)
+            op = LinearOperator((n, n), matvec=lambda x: C.rmatvec(C.matvec(x)), dtype=float)
+        else:
+            T = ToeplitzOperator.hankel(R)
+            ncv, v0 = 8, np.full(R, 1.0 / np.sqrt(R))
+            op = LinearOperator((R, R), matvec=lambda x: T.matvec(x[::-1]), dtype=float)
+        top = eigsh(op, k=1, which="LA", v0=v0, ncv=ncv, tol=1e-11,
+                    return_eigenvectors=False)[0]
+        oracle = np.sqrt(top) if solve is toeplitz_hilbert_norm else top
+        assert solve.__wrapped__(R) == pytest.approx(oracle, rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("support", [[39], [30, 39]], ids=["1d", "2d"])
+    def test_lanczos_breakdown_returns_the_exact_pair(self, support):
+        # a start vector inside an invariant subspace that holds the top
+        # eigenvalue 40 of diag(1..40): the residual vanishes after one
+        # product per dimension, and the subspace's Ritz pair is returned
+        # with no division by beta = 0 (a warning would fail this test)
+        d = np.arange(1.0, 41.0)
+        v0 = np.zeros(40)
+        v0[support] = 1.0
+        products = []
+
+        def apply(x):
+            products.append(1)
+            return d * x
+
+        theta, y = spectra._lanczos_top(apply, v0, 8)
+        assert len(products) == len(support)
+        assert theta == pytest.approx(40.0, rel=4 * np.finfo(float).eps, abs=0)
+        np.testing.assert_allclose(np.abs(y), np.eye(40)[39], rtol=0, atol=1e-15)
+
     def test_top_pair_large_matches_dense_mu(self):
         R = 601  # Lanczos on the parity block
         top = toeplitz_hilbert_top_pair(R)
@@ -358,14 +405,15 @@ class TestMatrixFreeNorms:
         assert np.linalg.norm(B @ top.W - top.V * top.mus) <= 1e-9
         assert np.linalg.norm(B @ top.V + top.W * top.mus) <= 1e-9
 
-    @pytest.mark.parametrize("R", list(range(1, 65)) + [511, 512, 513, 514, 601])
+    @pytest.mark.parametrize("R", list(range(1, 65)) + [511, 512, 513, 514, 599, 600, 601, 602])
     def test_parity_block_norm_matches_dense(self, R):
         # the half-size block against the full dense -T^2, on both sides of
-        # the cutoff at R = 2 DENSE_CUTOFF = 512
+        # the cutoff at R = 2 DENSE_CUTOFF = 600
         assert toeplitz_hilbert_norm(R) == pytest.approx(spectral_norm(hilbert_toeplitz(R)),
                                                          abs=1e-13)
 
-    @pytest.mark.parametrize("R", [3, 21, 201, 256, 257, 511, 512, 513, 514, 601, 1001])
+    @pytest.mark.parametrize("R", [3, 21, 201, 256, 257, 511, 512, 513, 514, 599, 600, 601,
+                                   602, 1001])
     def test_top_pair_across_cutoff(self, R):
         # one construction on both sides of the dense/Lanczos cutoff
         top = toeplitz_hilbert_top_pair(R)
@@ -406,9 +454,10 @@ class TestMatrixFreeNorms:
         assert set(lengths) == {_fast_len(R - 1)}
 
     def test_dense_solves_take_no_transform(self, monkeypatch):
-        # at and below the cutoff (R = 511 and 201) the parity operator is
-        # built but never applied, so its spectra are never taken
+        # at and below the cutoff (R = 600, 511 and 201) the parity operator
+        # is built but never applied, so its spectra are never taken
         lengths = self._record_transform_lengths(monkeypatch)
+        toeplitz_hilbert_norm.__wrapped__(600)
         toeplitz_hilbert_norm.__wrapped__(511)
         toeplitz_hilbert_top_pair(201)
         assert lengths == []
@@ -431,31 +480,28 @@ class TestMatrixFreeNorms:
                 "print([m for m in ('scipy.fft', 'scipy.special') if m in sys.modules])")
         assert run_fresh(code) == "[]"
 
-    @pytest.mark.parametrize("commands,loaded", [
-        ([["verify", "--seeds", "3"], ["det", "--R", "6"], ["gen", "--kind", "T", "--R", "20"],
-          ["norm", "--kind", "T", "--R", "300"]], False),
-        ([["norm", "--kind", "T", "--R", "1100"]], True),
-    ], ids=["dense-commands", "lanczos-control"])
-    def test_dense_commands_load_no_scipy(self, run_fresh, commands, loaded):
-        # scipy is imported by the Lanczos branch alone: dense-only commands
-        # never load it, and the control, a norm past the cutoff, does
+    @pytest.mark.parametrize("commands", [
+        [["verify", "--seeds", "3"], ["det", "--R", "6"], ["gen", "--kind", "T", "--R", "20"],
+         ["norm", "--kind", "T", "--R", "300"]],
+        [["norm", "--kind", "T", "--R", "1100"], ["hankel-gap", "--R-max", "100"]],
+    ], ids=["dense-commands", "lanczos-commands"])
+    def test_dense_commands_load_no_scipy(self, run_fresh, commands):
+        # dense-only commands load no scipy module, and neither do the
+        # commands whose numpy Lanczos solves pass the cutoffs (T_1100, and
+        # H_R from R = 65)
         code = ("import contextlib, io, sys; from hilbmat.cli import main\n"
                 f"for argv in {commands!r}:\n"
                 "    with contextlib.redirect_stdout(io.StringIO()):\n"
                 "        assert main(argv) == 0, argv\n"
-                "print('scipy.sparse.linalg' in sys.modules)\n"
                 "print([m for m in sys.modules if m.startswith('scipy')][:3])")
-        lanczos, scipy_modules = run_fresh(code).splitlines()
-        assert lanczos == str(loaded)
-        if not loaded:
-            assert scipy_modules == "[]"
+        assert run_fresh(code) == "[]"
 
     def test_dense_top_pair_loads_no_module(self, run_fresh):
         # T q is taken by the dense product below the cutoff: a dense-only
         # run (such as `verify`) must load no module; the
-        # parity block keeps T_R dense up to R = 512
-        for call in ("toeplitz_hilbert_top_pair(21)", "toeplitz_hilbert_top_pair(511)",
-                     "toeplitz_hilbert_norm(512)"):
+        # parity block keeps T_R dense up to R = 600
+        for call in ("toeplitz_hilbert_top_pair(21)", "toeplitz_hilbert_top_pair(599)",
+                     "toeplitz_hilbert_norm(600)"):
             code = ("import sys; from hilbmat.spectra import toeplitz_hilbert_norm, "
                     "toeplitz_hilbert_top_pair; before = set(sys.modules); "
                     f"{call}; print(sorted(set(sys.modules) - before))")
@@ -464,20 +510,22 @@ class TestMatrixFreeNorms:
     @pytest.mark.parametrize("solve,R,shapes,max_ncv", [
         (toeplitz_hilbert_norm, 601, [(301, 301)], 32),
         (hankel_hilbert_norm, 300, [(300, 300)], 8),
+        (toeplitz_hilbert_norm, 600, [], 32),
         (toeplitz_hilbert_norm, 512, [], 32),
         (hankel_hilbert_norm, 64, [], 8),
         (hankel_hilbert_norm, 65, [(65, 65)], 8),
-    ], ids=["T601", "H300", "T512", "H64", "H65"])
+    ], ids=["T601", "H300", "T600", "T512", "H64", "H65"])
     def test_lanczos_problem_size_and_basis(self, monkeypatch, solve, R, shapes, max_ncv):
         # T_R is solved on its ceil(R/2) parity block, H_R as it is; a T_R
         # basis holds at most 32 vectors, an H_R basis at most 8
         calls = []
+        lanczos_top = spectra._lanczos_top
 
-        def recording_eigsh(A, **kwargs):
-            calls.append((A.shape, kwargs["ncv"]))
-            return eigsh(A, **kwargs)
+        def recording(apply, v0, ncv):
+            calls.append(((v0.size, v0.size), ncv))
+            return lanczos_top(apply, v0, ncv)
 
-        monkeypatch.setattr("scipy.sparse.linalg.eigsh", recording_eigsh)
+        monkeypatch.setattr(spectra, "_lanczos_top", recording)
         solve.__wrapped__(R)  # past the memo
         assert [shape for shape, _ in calls] == shapes
         assert all(ncv <= max_ncv for _, ncv in calls)
