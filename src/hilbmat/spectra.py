@@ -67,8 +67,8 @@ _LANCZOS_OPTS = dict(tol=1e-11, maxiter=20000)
 # Lanczos basis size on the T_R parity block: 32 took no more products than
 # 64 at R = 600..10000.  The whole basis is filled before the first
 # convergence test, and each restart keeps ncv // 2 Ritz vectors, so a solve
-# takes ncv + k (ncv - ncv // 2) products after k restarts: 80, 112, 160 and
-# 352 at R = 513, 1000, 2000 and 10000, one fewer than ARPACK's implicit
+# takes ncv + k (ncv - ncv // 2) products after k restarts: 96, 112, 160 and
+# 352 at R = 601, 1000, 2000 and 10000, one fewer than ARPACK's implicit
 # restart (Lehoucq and Sorensen, SIAM J. Matrix Anal. Appl. 17 (1996)
 # 789-821) took with the same basis.  What it saves is ARPACK's fixed cost
 # per call, not products: an H_65 solve took 0.21 ms against 0.30 ms.

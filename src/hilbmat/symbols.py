@@ -1,10 +1,10 @@
 """Toeplitz symbol machinery: symbols, quadratic forms, convergence rates.
 
-A symbol is a Fourier series f(x) = sum_r c_r exp(i r x) on [0, 2*pi]; a
-``SymbolSeries`` holds c_{-K}, .., c_K in the ``ToeplitzOperator`` layout,
-and ``matrices.toeplitz_from_symbol`` builds its Toeplitz matrix, entry
-(m, n) = c_{m-n}.  A series without a closed form is the trigonometric
-polynomial of its band: c_r = 0 for |r| > K.  For any unit coefficient
+A symbol is a Fourier series f(x) = sum_r c_r exp(i r x) on [0, 2*pi];
+``matrices.toeplitz_from_symbol`` builds its Toeplitz matrix, entry
+(m, n) = c_{m-n}.  A closed-form ``SymbolSeries`` gives c_r at every
+offset; only a trigonometric polynomial holds c_{-K}, .., c_K, and its
+c_r = 0 for |r| > K.  For any unit coefficient
 vector u, the trigonometric polynomial phi(x) = (2*pi)^(-1/2) sum_n u_n
 e^{i(n-1)x} satisfies u* C_R u = integral of f |phi|^2 (quadratic-form
 identity), and this module evaluates the integral side independently of the
@@ -43,43 +43,47 @@ GAP_FLOOR = 1e-13
 _PEAK_GRID_POINTS = 8192
 
 
-def _band_offsets(K) -> np.ndarray:
-    if K < 0:
-        raise ValueError("coefficient band K must be >= 0")
-    return np.arange(-K, K + 1)
+def _as_offsets(r) -> np.ndarray:
+    r = np.asarray(r)
+    if not np.issubdtype(r.dtype, np.integer) and not np.all(
+            np.isfinite(r) & (np.floor(r) == r)):
+        raise ValueError("coefficient offsets must be integers")
+    return r.astype(np.int64)
 
 
 @dataclass(frozen=True, eq=False)
 class SymbolSeries:
-    """Fourier coefficients c_{-K}, .., c_K, optionally with a closed form;
-    ``coeffs`` holds them in the ``ToeplitzOperator`` layout, c_r = coeffs[K + r].
+    """A closed-form symbol, or a trigonometric polynomial given by its
+    Fourier coefficients c_{-K}, .., c_K.
 
     ``kind`` names a closed form, evaluated exactly and at every offset:
     "hilbert" (sawtooth i*(pi - x)) or "prolate" (band indicator of height
-    pi, bandwidth parameter ``w``, 0 < w < 1/2); a tagged series' ``coeffs``
-    must equal its closed form at -K..K.  An untagged series (``kind`` None)
-    is the trigonometric polynomial sum_{|r| <= K} c_r e^{irx}, so c_r = 0
-    beyond its band.
+    pi, bandwidth parameter ``w``, 0 < w < 1/2); it takes no ``coeffs``.  An
+    untagged series (``kind`` None) is the trigonometric polynomial
+    sum_{|r| <= K} c_r e^{irx}: ``coeffs`` holds its finite c_r in the
+    ``ToeplitzOperator`` layout, c_r = coeffs[K + r], and c_r = 0 beyond.
     """
 
-    coeffs: np.ndarray
+    coeffs: np.ndarray | None = None
     kind: str | None = None
     w: float | None = None
 
     def __post_init__(self):
-        coeffs = np.asarray(self.coeffs)
-        if coeffs.ndim != 1 or coeffs.size % 2 == 0:
-            raise ValueError("symbol coefficients must be a 1-D array of odd length 2K + 1")
         if self.kind not in (None, "hilbert", "prolate"):
             raise ValueError(f"symbol kind must be 'hilbert', 'prolate' or None, not {self.kind!r}")
-        if self.kind == "prolate" and not isinstance(self.w, Real):
-            raise ValueError(f"a prolate symbol needs a real bandwidth w, not {self.w!r}")
-        object.__setattr__(self, "coeffs", coeffs)
-        # the closed form at -K..K; prolate_coeffs also refuses w outside (0, 1/2)
-        if self.kind is not None and not np.array_equal(coeffs,
-                                                        self.coeff(_band_offsets(self.K))):
-            raise ValueError(f"{self.kind} symbol coefficients must equal its closed form "
-                             "at offsets -K..K")
+        if self.kind is not None and self.coeffs is not None:
+            raise ValueError(f"a {self.kind} symbol is its closed form and takes no coefficients")
+        if self.kind == "prolate":
+            if not isinstance(self.w, Real):
+                raise ValueError(f"a prolate symbol needs a real bandwidth w, not {self.w!r}")
+            prolate_coeffs(0, self.w)  # the one bandwidth rule, 0 < w < 1/2
+        if self.kind is None:
+            coeffs = np.asarray(self.coeffs)
+            if coeffs.ndim != 1 or coeffs.size % 2 == 0:
+                raise ValueError("symbol coefficients must be a 1-D array of odd length 2K + 1")
+            if not np.all(np.isfinite(coeffs)):
+                raise ValueError("symbol coefficients must be finite")
+            object.__setattr__(self, "coeffs", coeffs)
 
     @property
     def K(self) -> int:
@@ -90,20 +94,19 @@ class SymbolSeries:
     @classmethod
     def from_coeffs(cls, coeffs) -> "SymbolSeries":
         """The trigonometric polynomial of a mapping r -> c_r; K is the largest |r|."""
-        coeffs = {int(r): complex(v) for r, v in coeffs.items()}
-        K = max((abs(r) for r in coeffs), default=0)
+        offsets = _as_offsets(list(coeffs))
+        K = int(np.abs(offsets).max(initial=0))
         vector = np.zeros(2 * K + 1, dtype=complex)
-        for r, v in coeffs.items():
-            vector[K + r] = v
+        vector[K + offsets] = [complex(v) for v in coeffs.values()]
         return cls(vector)
 
     @classmethod
-    def hilbert(cls, K: int) -> "SymbolSeries":
-        return cls(hilbert_coeffs(_band_offsets(K)), kind="hilbert")
+    def hilbert(cls) -> "SymbolSeries":
+        return cls(kind="hilbert")
 
     @classmethod
-    def prolate(cls, w: float, K: int) -> "SymbolSeries":
-        return cls(prolate_coeffs(_band_offsets(K), w), kind="prolate", w=w)
+    def prolate(cls, w: float) -> "SymbolSeries":
+        return cls(kind="prolate", w=w)
 
     @classmethod
     def cosine(cls) -> "SymbolSeries":
@@ -120,11 +123,7 @@ class SymbolSeries:
         offsets (a scalar for a scalar r).  A hilbert or prolate series takes
         every offset from its closed form; an untagged series is 0 beyond its
         band.  A non-integral offset is a ValueError."""
-        r = np.asarray(r)
-        if not np.issubdtype(r.dtype, np.integer) and not np.all(
-                np.isfinite(r) & (np.floor(r) == r)):
-            raise ValueError("coefficient offsets must be integers")
-        r = r.astype(np.int64)
+        r = _as_offsets(r)
         if self.kind == "hilbert":
             out = hilbert_coeffs(r)
         elif self.kind == "prolate":
@@ -140,7 +139,7 @@ class SymbolSeries:
         """Symbol value(s) at x in [0, 2*pi]: the closed form of a hilbert or
         prolate series, the coefficient sum otherwise."""
         x = np.asarray(x, dtype=float)
-        if np.any((x < 0.0) | (x > 2.0 * np.pi)):
+        if not np.all((0.0 <= x) & (x <= 2.0 * np.pi)):
             raise ValueError("x must lie in [0, 2*pi]")
         if self.kind == "hilbert":
             interior = (x > 0.0) & (x < 2.0 * np.pi)
@@ -185,11 +184,14 @@ def phi_sq_fourier(u):
 def grid_quadrature(series: SymbolSeries, u, npoints=None) -> complex:
     """Uniform-grid value of the integral of f |phi|^2 over [0, 2*pi].
 
-    Exact to roundoff whenever f is a trigonometric polynomial and the grid
-    has more points than the integrand degree K + R - 1; the default grid of
-    8 max(R, K) + 64 points has.  phi is evaluated on the grid by one FFT;
-    ``phi_values`` is its definition.
+    Exact to roundoff for a trigonometric polynomial f on a grid of more
+    points than the integrand degree K + R - 1, as the default 8 max(R, K) +
+    64 points are; a closed form is a ValueError.  phi is evaluated on the
+    grid by one FFT; ``phi_values`` is its definition.
     """
+    if series.kind is not None:
+        raise ValueError("grid_quadrature needs a trigonometric polynomial, "
+                         f"not the {series.kind} closed form")
     u = np.asarray(u, dtype=complex)
     if npoints is None:
         npoints = GRID_POINTS_PER_DIM * max(u.size, series.K) + GRID_POINTS_EXTRA
@@ -266,7 +268,7 @@ def _smooth_symbol_peak(series: SymbolSeries):
     j = int(np.argmax(fx))
     x0 = float(x[j])
     # Newton refinement on f' using the analytic derivatives of the series.
-    rs = _band_offsets(series.K)
+    rs = np.arange(-series.K, series.K + 1)
     cs = series.coeffs
     for _ in range(60):
         e = np.exp(1j * rs * x0)

@@ -223,7 +223,7 @@ def test_criterion_09_quadratic_forms():
     R = 16
     ok = True
     for series in (SymbolSeries.constant(0.75), SymbolSeries.cosine(),
-                   SymbolSeries.hilbert(R - 1)):
+                   SymbolSeries.hilbert()):
         for seed in range(5):
             rng = np.random.default_rng(seed)
             u = rng.normal(size=R) + 1j * rng.normal(size=R)

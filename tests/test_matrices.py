@@ -347,15 +347,21 @@ def test_toeplitz_convention_entry_is_c_of_m_minus_n():
     pytest.param("prolate", 300, 2, 0.2, id="prolate-R300-K2-w0.2"),
 ])
 def test_toeplitz_symbol_reproduces_closed_form(family, R, K, w):
-    # K < R - 1 reads the outer coefficients from SymbolSeries.coeff's
-    # closed-form extension; either way the entries match bit for bit
+    # the closed form gives every offset, so the entries match bit for bit;
+    # cut to its band -K..K it is a trigonometric polynomial whose matrix
+    # keeps the entries with |m - n| <= K and is 0 beyond them
     if family == "hilbert":
-        series, expected = SymbolSeries.hilbert(K), hilbert_toeplitz(R)
+        series, expected = SymbolSeries.hilbert(), hilbert_toeplitz(R)
     else:
-        series, expected = SymbolSeries.prolate(w, K), prolate_matrix(R, w)
+        series, expected = SymbolSeries.prolate(w), prolate_matrix(R, w)
     C = toeplitz_from_symbol(series, R)
     np.testing.assert_array_equal(C, expected)
     np.testing.assert_array_equal(np.signbit(C), np.signbit(expected))
+    offsets = np.arange(-K, K + 1)
+    cut = SymbolSeries.from_coeffs(dict(zip(offsets, series.coeff(offsets))))
+    n = np.arange(R)
+    band = np.abs(np.subtract.outer(n, n)) <= K
+    np.testing.assert_array_equal(toeplitz_from_symbol(cut, R), np.where(band, expected, 0.0))
 
 
 def test_toeplitz_missing_coefficient_errors():

@@ -327,7 +327,9 @@ class TestMatrixFreeNorms:
 
     @pytest.mark.parametrize("solve", [toeplitz_hilbert_norm, hankel_hilbert_norm,
                                        toeplitz_hilbert_top_pair], ids=lambda fn: fn.__name__)
-    @pytest.mark.parametrize("R", [300.0, 300.5])
+    # 300.x reaches H_R's Lanczos route (n = R); 601.x reaches T_R's
+    # (parity block of dimension 301), the first above DENSE_CUTOFF = 300
+    @pytest.mark.parametrize("R", [300.0, 300.5, 601.0, 601.5])
     def test_non_integer_size_above_cutoff_fails_with_one_line(self, solve, R):
         with pytest.raises(ValueError, match="^dimension must be an integer$"):
             solve(R)

@@ -3,7 +3,13 @@ import io
 import numpy as np
 import pytest
 
-from hilbmat.matrices import hilbert_toeplitz, prolate_matrix, toeplitz_from_symbol
+from hilbmat.matrices import (
+    hilbert_coeffs,
+    hilbert_toeplitz,
+    prolate_coeffs,
+    prolate_matrix,
+    toeplitz_from_symbol,
+)
 from hilbmat.spectra import spectral_norm
 from hilbmat.symbols import (
     SymbolSeries,
@@ -28,14 +34,14 @@ def random_unit_vector(R, seed, complex_valued=True):
 
 class TestSymbolEval:
     def test_hilbert_closed_form(self):
-        s = SymbolSeries.hilbert(8)
+        s = SymbolSeries.hilbert()
         assert s.eval(np.pi) == 0.0
         assert s.eval(0.0) == 0.0
         assert s.eval(2 * np.pi) == 0.0
         assert s.eval(np.pi / 2) == 1j * np.pi / 2
 
     def test_prolate_band_indicator(self):
-        s = SymbolSeries.prolate(0.25, 8)
+        s = SymbolSeries.prolate(0.25)
         assert s.eval(np.pi) == 0.0
         assert s.eval(0.1) == np.pi
         assert s.eval(2 * np.pi - 0.1) == np.pi
@@ -56,17 +62,18 @@ class TestSymbolEval:
         assert np.all(s.eval(np.linspace(0.0, 2 * np.pi, 257)).imag == 0.0)
 
     def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            SymbolSeries.cosine().eval(-0.1)
+        for x in (-0.1, np.nan, np.array([1.0, np.nan])):
+            with pytest.raises(ValueError, match=r"^x must lie in \[0, 2\*pi\]$"):
+                SymbolSeries.cosine().eval(x)
 
     def test_coeff_band_and_extension(self):
-        s = SymbolSeries.hilbert(3)
+        s = SymbolSeries.hilbert()
         assert s.coeff(5) == pytest.approx(1.0 / 5.0)  # closed form extends
         untagged = SymbolSeries.from_coeffs({1: 1.0, -1: 1.0})
         assert untagged.coeff(2) == 0.0  # a trigonometric polynomial ends at its band
 
     def test_coeff_rejects_non_integer_offsets(self):
-        s = SymbolSeries.hilbert(3)
+        s = SymbolSeries.hilbert()
         for r in (2.5, np.array([0.5, 1.9]), np.nan, np.inf):
             with pytest.raises(ValueError, match="^coefficient offsets must be integers$"):
                 s.coeff(r)
@@ -75,7 +82,7 @@ class TestSymbolEval:
         np.testing.assert_array_equal(s.coeff(np.array([-1.0, 4.0])), s.coeff(np.array([-1, 4])))
 
     @pytest.mark.parametrize("series", [
-        SymbolSeries.hilbert(3), SymbolSeries.prolate(0.2, 3), SymbolSeries.cosine(),
+        SymbolSeries.hilbert(), SymbolSeries.prolate(0.2), SymbolSeries.cosine(),
         SymbolSeries.constant(2.5), SymbolSeries.from_coeffs({0: 2.0, 1: 1j, -1: -1j}),
     ], ids=["hilbert", "prolate", "cosine", "constant", "untagged"])
     def test_coeff_array_matches_offsets(self, series):
@@ -91,8 +98,6 @@ class TestSymbolEval:
             assert np.all(values[np.abs(rs) > series.K] == 0)
 
     @pytest.mark.parametrize("build, message", [
-        pytest.param(lambda: SymbolSeries.hilbert(-1),
-                     "coefficient band K must be >= 0", id="negative-band"),
         pytest.param(lambda: SymbolSeries(np.ones(4)),
                      "symbol coefficients must be a 1-D array of odd length 2K + 1",
                      id="even-length"),
@@ -102,29 +107,45 @@ class TestSymbolEval:
                      "symbol kind must be 'hilbert', 'prolate' or None, not 'cosine'",
                      id="unknown-kind"),
         pytest.param(lambda: SymbolSeries(np.array([5.0, 0.0, 7.0]), kind="hilbert"),
-                     "hilbert symbol coefficients must equal its closed form at offsets -K..K",
+                     "a hilbert symbol is its closed form and takes no coefficients",
                      id="hilbert-not-its-closed-form"),
-        pytest.param(lambda: SymbolSeries(np.ones(3), kind="prolate"),
+        pytest.param(lambda: SymbolSeries(hilbert_coeffs(np.arange(-2, 3)), kind="hilbert"),
+                     "a hilbert symbol is its closed form and takes no coefficients",
+                     id="hilbert-with-its-closed-form-coeffs"),
+        pytest.param(lambda: SymbolSeries(kind="prolate"),
                      "a prolate symbol needs a real bandwidth w, not None", id="prolate-no-w"),
-        pytest.param(lambda: SymbolSeries(np.ones(3), kind="prolate", w=0.5),
+        pytest.param(lambda: SymbolSeries(kind="prolate", w=0.5),
                      "bandwidth w must lie in the open interval (0, 1/2)",
                      id="prolate-w-outside"),
-        pytest.param(lambda: SymbolSeries(SymbolSeries.prolate(0.25, 2).coeffs, kind="prolate",
-                                          w=0.2),
-                     "prolate symbol coefficients must equal its closed form at offsets -K..K",
+        pytest.param(lambda: SymbolSeries(prolate_coeffs(np.arange(-2, 3), 0.25),
+                                          kind="prolate", w=0.2),
+                     "a prolate symbol is its closed form and takes no coefficients",
                      id="prolate-not-its-closed-form"),
+        pytest.param(lambda: SymbolSeries.from_coeffs({1.5: 2.0, -1.5: 2.0}),
+                     "coefficient offsets must be integers", id="half-integer-offsets"),
+        pytest.param(lambda: SymbolSeries.from_coeffs({1.2: 1.0, 1.7: 5.0}),
+                     "coefficient offsets must be integers", id="offsets-rounding-to-one"),
+        pytest.param(lambda: SymbolSeries(np.array([1.0, np.nan, 1.0])),
+                     "symbol coefficients must be finite", id="nan-coefficient"),
+        pytest.param(lambda: SymbolSeries.from_coeffs({1: np.inf, -1: np.inf}),
+                     "symbol coefficients must be finite", id="inf-coefficients"),
     ])
     def test_malformed_series_is_rejected_with_one_message(self, build, message):
         with pytest.raises(ValueError) as exc:
             build()
         assert str(exc.value) == message
 
+    def test_from_coeffs_takes_integral_float_offsets(self):
+        s = SymbolSeries.from_coeffs({2.0: 0.5, -2: 0.5, 0.0: 1.0})
+        np.testing.assert_array_equal(s.coeffs, [0.5, 0, 1.0, 0, 0.5])
+
     def test_hilbert_coefficients_converge_to_sawtooth(self):
         # partial Fourier sums approach i(pi - x) away from the jump
         x = 2.0
         vals = []
         for K in (20, 200, 2000):
-            coeffs = SymbolSeries.hilbert(K).coeffs
+            offsets = np.arange(-K, K + 1)
+            coeffs = SymbolSeries.hilbert().coeff(offsets)
             vals.append(complex(sum(coeffs[K + r] * np.exp(1j * r * x)
                                     for r in range(-K, K + 1) if r != 0)))
         errors = [abs(v - 1j * (np.pi - x)) for v in vals]
@@ -171,6 +192,16 @@ class TestQuadrature:
         direct = np.sum(series.eval(x) * np.abs(phi_values(u, x)) ** 2) * (2 * np.pi / n)
         assert abs(grid_quadrature(series, u, npoints) - direct) <= 1e-14
 
+    @pytest.mark.parametrize("series", [SymbolSeries.prolate(0.2), SymbolSeries.hilbert()],
+                             ids=["prolate", "hilbert"])
+    def test_closed_form_is_refused(self, series):
+        # a discontinuous symbol has no band to size the grid by; integral_side
+        # integrates it exactly instead
+        with pytest.raises(ValueError) as exc:
+            grid_quadrature(series, random_unit_vector(4, 0))
+        assert str(exc.value) == ("grid_quadrature needs a trigonometric polynomial, "
+                                  f"not the {series.kind} closed form")
+
     def test_phi_normalization(self):
         u = random_unit_vector(9, 2)
         x = 2 * np.pi * np.arange(4096) / 4096
@@ -195,7 +226,7 @@ class TestQuadraticForm:
     @pytest.mark.parametrize("seed", range(5))
     def test_hilbert_symbol_r16(self, seed):
         u = random_unit_vector(16, seed)
-        m, i = quadratic_form(SymbolSeries.hilbert(15), u)
+        m, i = quadratic_form(SymbolSeries.hilbert(), u)
         assert abs(m - i) <= 1e-8
         # the matrix route is literally the skew Hilbert matrix
         assert m == pytest.approx(complex(np.vdot(u, hilbert_toeplitz(16) @ u)), abs=1e-13)
@@ -203,7 +234,7 @@ class TestQuadraticForm:
     @pytest.mark.parametrize("seed", range(3))
     def test_prolate_symbol_exact_integral(self, seed):
         u = random_unit_vector(12, 10 + seed)
-        m, i = quadratic_form(SymbolSeries.prolate(0.2, 11), u)
+        m, i = quadratic_form(SymbolSeries.prolate(0.2), u)
         assert abs(m - i) <= 1e-8
 
     def test_rejects_non_unit_vector(self):
@@ -283,7 +314,7 @@ class TestGsRate:
             gs_rate_check(s, [1, 2, 5, 30])
         assert str(exc.value) == "gs_rate_check needs a real symbol: c_{-r} must equal conj(c_r)"
 
-    @pytest.mark.parametrize("series", [SymbolSeries.prolate(0.2, 3), SymbolSeries.hilbert(3)],
+    @pytest.mark.parametrize("series", [SymbolSeries.prolate(0.2), SymbolSeries.hilbert()],
                              ids=["prolate", "hilbert"])
     def test_closed_form_is_rejected_before_any_solve(self, monkeypatch, series):
         # the rate law is checked on trigonometric polynomials; a closed form
