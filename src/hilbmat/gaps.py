@@ -27,16 +27,32 @@ from .reports import INEQ_SLACK, ResidualReport, residual_report
 from .spectra import hankel_hilbert_norm, toeplitz_hilbert_norm
 
 
+def _toeplitz_gap_row(R: int) -> tuple:
+    """Row (R, norm, gap, rescaled_gap) of the figure-1 table from one solve
+    of ||T_R||; the rescaled gap is None below R = 2, where log R is 0."""
+    norm = toeplitz_hilbert_norm(R)
+    gap = float(np.pi - norm)
+    return R, norm, gap, gap * R / math.log(R) if R >= 2 else None
+
+
 def hilbert_toeplitz_gap(R: int) -> float:
     """Gap pi - ||T_R||; strictly positive and decreasing in R."""
-    return float(np.pi - toeplitz_hilbert_norm(R))
+    return _toeplitz_gap_row(R)[2]
 
 
 def rescaled_gap(R: int) -> float:
     """(pi - ||T_R||) * R / log R, the quantity conjectured to flatten."""
     if R < 2:
         raise ValueError("rescaled gap needs R >= 2 (log R > 0)")
-    return hilbert_toeplitz_gap(R) * R / math.log(R)
+    return _toeplitz_gap_row(R)[3]
+
+
+def _hankel_gap_row(R: int) -> tuple:
+    """Row (R, norm, gap, ratio) of the Hankel table from one solve of
+    ||H_R||; the ratio against pi^5 / (2 log^2 R) is None below R = 2."""
+    norm = hankel_hilbert_norm(R)
+    gap = float(np.pi - norm)
+    return R, norm, gap, gap / (np.pi**5 / (2.0 * math.log(R) ** 2)) if R >= 2 else None
 
 
 def hilbert_hankel_gap(R: int):
@@ -45,9 +61,7 @@ def hilbert_hankel_gap(R: int):
     The ratio is informational only: the 1/log^2 asymptotic regime is far
     beyond desk scale, so no constant-level agreement is asserted anywhere.
     """
-    gap = float(np.pi - hankel_hilbert_norm(R))
-    ratio = gap / (np.pi**5 / (2.0 * math.log(R) ** 2)) if R >= 2 else None
-    return gap, ratio
+    return _hankel_gap_row(R)[2:]
 
 
 def check_odd_gap_lower_bound(S: int) -> ResidualReport:
@@ -55,9 +69,7 @@ def check_odd_gap_lower_bound(S: int) -> ResidualReport:
     3 / (pi (S+1))."""
     if S < 1:
         raise ValueError("S must be >= 1")
-    R = 2 * S + 1
-    norm = toeplitz_hilbert_norm(R)
-    gap = np.pi - norm
+    R, norm, gap, _ = _toeplitz_gap_row(2 * S + 1)
     violation = max(
         0.0,
         norm**2 - (np.pi**2 - 6.0 / (S + 1)),
@@ -154,7 +166,6 @@ class WitnessCertificate:
     magnitude of the witness Rayleigh quotient (computed from the matrix;
     ``rayleigh_integral`` is the independent integral-side value), and
     ``gap_bound = gamma + 2 pi epsilon`` dominates pi - rayleigh.
-    ``coefficients`` is the unit witness vector itself, zero-padded to R.
     """
 
     params: WitnessParams
@@ -165,7 +176,6 @@ class WitnessCertificate:
     rayleigh_integral: float
     norm_t: float
     final_bound: float
-    coefficients: np.ndarray = None
 
 
 def witness_params(R: int) -> WitnessParams:
@@ -233,7 +243,6 @@ def build_witness(R: int) -> WitnessCertificate:
         final_bound=float(
             math.pi * math.e * math.log(R) / R + 2.0 * math.pi * math.e**3 / R
         ),
-        coefficients=u,
     )
 
 
@@ -271,8 +280,7 @@ def figure1_r_values(R_max: int = 10000, dense: bool = False) -> list:
 
 def sweep_figure1(R_max: int = 10000, dense: bool = False):
     """Rows (R, norm, gap, rescaled_gap) over the sweep grid, in R order."""
-    return [(R, toeplitz_hilbert_norm(R), hilbert_toeplitz_gap(R), rescaled_gap(R))
-            for R in figure1_r_values(R_max, dense)]
+    return [_toeplitz_gap_row(R) for R in figure1_r_values(R_max, dense)]
 
 
 def write_figure1_csv(rows, target):
@@ -300,11 +308,8 @@ def sweep_hankel(R_max: int = 500):
     """Rows (R, norm, gap, wilf_ratio) for the Hankel Hilbert matrices."""
     if R_max < 1:
         raise ValueError("R_max must be >= 1")
-    rows = []
-    for R in range(1, R_max + 1):
-        gap, ratio = hilbert_hankel_gap(R)
-        rows.append((R, hankel_hilbert_norm(R), gap, float("nan") if ratio is None else ratio))
-    return rows
+    return [(R, norm, gap, float("nan") if ratio is None else ratio)
+            for R, norm, gap, ratio in map(_hankel_gap_row, range(1, R_max + 1))]
 
 
 def write_hankel_csv(rows, target):

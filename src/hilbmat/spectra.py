@@ -37,7 +37,6 @@ and a Lanczos solve that does not converge raises ``np.linalg.LinAlgError``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -334,13 +333,11 @@ def _toeplitz_top(C: HilbertParityOperator, vector=False):
                       (lambda q: hilbert_parity_block(R) @ q, C.matvec) if vector else None)
 
 
-@lru_cache(maxsize=None)
 def toeplitz_hilbert_norm(R: int) -> float:
     """Spectral norm of the R x R skew Hilbert matrix: sqrt of the top
     eigenvalue of C^T C for its ceil(R/2)-column parity block C (see
     ``matrices.hilbert_parity_block``).  Dense up to R = 2 DENSE_CUTOFF,
     above that Lanczos with O(R log R) FFT products on the half-size block.
-    Values are memoized: gap sweeps and bound checks revisit the same sizes.
     """
     return float(np.sqrt(max(_toeplitz_top(HilbertParityOperator(R)), 0.0)))
 
@@ -363,7 +360,6 @@ def toeplitz_hilbert_top_pair(R: int) -> SpectralDecomposition:
                                  (w * _INV_SQRT2)[:, None])
 
 
-@lru_cache(maxsize=None)
 def hankel_hilbert_norm(R: int) -> float:
     """Spectral norm of the R x R symmetric Hilbert matrix 1/(m+n-1).
 

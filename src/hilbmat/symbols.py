@@ -73,6 +73,8 @@ class SymbolSeries:
             raise ValueError(f"symbol kind must be 'hilbert', 'prolate' or None, not {self.kind!r}")
         if self.kind is not None and self.coeffs is not None:
             raise ValueError(f"a {self.kind} symbol is its closed form and takes no coefficients")
+        if self.kind != "prolate" and self.w is not None:
+            raise ValueError("only a prolate symbol takes a bandwidth w")
         if self.kind == "prolate":
             if not isinstance(self.w, Real):
                 raise ValueError(f"a prolate symbol needs a real bandwidth w, not {self.w!r}")
@@ -87,6 +89,9 @@ class SymbolSeries:
 
     @property
     def K(self) -> int:
+        """Band half-width of an untagged series; a closed form has none."""
+        if self.kind is not None:
+            raise ValueError(f"a {self.kind} symbol is its closed form and has no band K")
         return self.coeffs.size // 2
 
     # -- constructors -------------------------------------------------------

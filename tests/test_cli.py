@@ -131,8 +131,7 @@ def test_lanczos_non_convergence_exits_1(capsys, monkeypatch):
     monkeypatch.setattr(spectra, "_LANCZOS_OPTS", dict(tol=0.0, maxiter=2))
     with pytest.raises(np.linalg.LinAlgError,
                        match="^Lanczos did not converge after 2 restarts$"):
-        hankel_hilbert_norm.__wrapped__(100)
-    hankel_hilbert_norm.cache_clear()
+        hankel_hilbert_norm(100)
     assert run_cli(["norm", "--kind", "H", "--R", "100"]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("hilbmat: numerical failure:")
@@ -249,8 +248,8 @@ def test_sweep_gap(tmp_path):
 
 
 def test_sweep_tables_byte_identical_across_processes(run_python):
-    # fresh interpreters, so the second run cannot read the first one's norm
-    # cache; both pass their dense cutoffs, so Lanczos on the cached FFT runs:
+    # fresh interpreters, so the second run shares no state with the first;
+    # both pass their dense cutoffs, so Lanczos on the cached FFT runs:
     # T_R from R = 601 (its parity block has dimension ceil(R/2)), H_R from 65
     for argv in (["sweep-gap", "--R-max", "700"], ["hankel-gap", "--R-max", "300"]):
         first, second = (run_python(["-m", "hilbmat.cli", *argv]) for _ in range(2))

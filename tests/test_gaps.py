@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import hilbmat.gaps
 from hilbmat.gaps import (
     WitnessCertificate,
     build_witness,
@@ -135,11 +136,14 @@ class TestWitness:
         assert witness_params(8).N == 1
 
     def test_coefficient_vector_is_unit(self):
-        cert = build_witness(64)
-        # Parseval: the witness lies in the admissible unit-coefficient class
-        assert cert.coefficients.shape == (64,)
-        assert np.linalg.norm(cert.coefficients) == pytest.approx(1.0, abs=1e-12)
-        assert 0.0 <= cert.epsilon <= 1.0
+        # Parseval: the witness's integer coefficients of the N-th kernel
+        # power, scaled by 1/sqrt(central coefficient), form a unit vector
+        # exactly, so it lies in the admissible unit-coefficient class
+        for R in (64, 100, 1000):
+            cert = build_witness(R)
+            M, N = cert.params.M, cert.params.N
+            assert sum(b * b for b in hilbmat.gaps._ones_power(M, N)) == central_coefficient(M, N)
+            assert 0.0 <= cert.epsilon <= 1.0
 
     @pytest.mark.parametrize("R", [64, 100, 1000])
     def test_certificate_invariants(self, R):
@@ -229,6 +233,23 @@ class TestSweeps:
         buf = io.StringIO()
         write_figure1_csv(rows, buf)
         assert buf.getvalue().splitlines()[0] == "R,norm,gap,rescaled_gap"
+
+    @pytest.mark.parametrize("sweep, solve, R_max, grid", [
+        (sweep_figure1, "toeplitz_hilbert_norm", 120, figure1_r_values(120)),
+        (sweep_hankel, "hankel_hilbert_norm", 12, list(range(1, 13))),
+    ], ids=["figure1", "hankel"])
+    def test_each_row_takes_one_solve(self, monkeypatch, sweep, solve, R_max, grid):
+        # a row reads its norm, gap and third column from one solve of its R
+        sizes = []
+        norm = getattr(hilbmat.gaps, solve)
+
+        def counting(R):
+            sizes.append(R)
+            return norm(R)
+
+        monkeypatch.setattr(f"hilbmat.gaps.{solve}", counting)
+        rows = sweep(R_max=R_max)
+        assert sizes == [row[0] for row in rows] == grid
 
     def test_figure2_profile_small(self):
         report, offsets, amp = probe_eigenvector_monotonicity(5)

@@ -44,3 +44,23 @@ def test_no_module_imports_scipy_at_load():
             offenders.extend(f"{path.name}:{node.lineno} {name}" for name in names
                              if name == "scipy" or name.startswith("scipy."))
     assert offenders == []
+
+
+# the one process-wide memo: the benchmark builds the parser during set-up
+ALLOWED_CACHES = {"cli.py: build_parser"}
+
+
+def test_no_function_is_memoized_process_wide():
+    # every value is computed where it is used: no function in hilbmat sits
+    # behind functools.cache or lru_cache, bare, called or module-qualified
+    def name(decorator):
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        return getattr(target, "attr", getattr(target, "id", None))
+
+    memoized = set()
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if any(name(d) in ("cache", "lru_cache") for d in node.decorator_list):
+                    memoized.add(f"{path.name}: {node.name}")
+    assert memoized == ALLOWED_CACHES

@@ -328,8 +328,9 @@ class TestMatrixFreeNorms:
     @pytest.mark.parametrize("solve", [toeplitz_hilbert_norm, hankel_hilbert_norm,
                                        toeplitz_hilbert_top_pair], ids=lambda fn: fn.__name__)
     # 300.x reaches H_R's Lanczos route (n = R); 601.x reaches T_R's
-    # (parity block of dimension 301), the first above DENSE_CUTOFF = 300
-    @pytest.mark.parametrize("R", [300.0, 300.5, 601.0, 601.5])
+    # (parity block of dimension 301), the first above DENSE_CUTOFF = 300;
+    # a list or 0-d array size is refused the same way
+    @pytest.mark.parametrize("R", [300.0, 300.5, 601.0, 601.5, [601], np.array(601.0)])
     def test_non_integer_size_above_cutoff_fails_with_one_line(self, solve, R):
         with pytest.raises(ValueError, match="^dimension must be an integer$"):
             solve(R)
@@ -376,7 +377,7 @@ class TestMatrixFreeNorms:
         top = eigsh(op, k=1, which="LA", v0=v0, ncv=ncv, tol=1e-11,
                     return_eigenvectors=False)[0]
         oracle = np.sqrt(top) if solve is toeplitz_hilbert_norm else top
-        assert solve.__wrapped__(R) == pytest.approx(oracle, rel=1e-13, abs=0)
+        assert solve(R) == pytest.approx(oracle, rel=1e-13, abs=0)
 
     @pytest.mark.parametrize("support", [[39], [30, 39]], ids=["1d", "2d"])
     def test_lanczos_breakdown_returns_the_exact_pair(self, support):
@@ -450,7 +451,7 @@ class TestMatrixFreeNorms:
         # length _fast_len(R - 1) of the parity operator's Toeplitz-plus-Hankel
         # circulant, never the _fast_len(2R - 1) of a full T_R product
         lengths = self._record_transform_lengths(monkeypatch)
-        toeplitz_hilbert_norm.__wrapped__(R)  # past the memo
+        toeplitz_hilbert_norm(R)
         toeplitz_hilbert_top_pair(R)
         assert len(lengths) > 100
         assert set(lengths) == {_fast_len(R - 1)}
@@ -459,8 +460,8 @@ class TestMatrixFreeNorms:
         # at and below the cutoff (R = 600, 511 and 201) the parity operator
         # is built but never applied, so its spectra are never taken
         lengths = self._record_transform_lengths(monkeypatch)
-        toeplitz_hilbert_norm.__wrapped__(600)
-        toeplitz_hilbert_norm.__wrapped__(511)
+        toeplitz_hilbert_norm(600)
+        toeplitz_hilbert_norm(511)
         toeplitz_hilbert_top_pair(201)
         assert lengths == []
 
@@ -528,6 +529,6 @@ class TestMatrixFreeNorms:
             return lanczos_top(apply, v0, ncv)
 
         monkeypatch.setattr(spectra, "_lanczos_top", recording)
-        solve.__wrapped__(R)  # past the memo
+        solve(R)
         assert [shape for shape, _ in calls] == shapes
         assert all(ncv <= max_ncv for _, ncv in calls)

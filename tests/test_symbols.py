@@ -129,6 +129,13 @@ class TestSymbolEval:
                      "symbol coefficients must be finite", id="nan-coefficient"),
         pytest.param(lambda: SymbolSeries.from_coeffs({1: np.inf, -1: np.inf}),
                      "symbol coefficients must be finite", id="inf-coefficients"),
+        pytest.param(lambda: SymbolSeries.hilbert().K,
+                     "a hilbert symbol is its closed form and has no band K",
+                     id="closed-form-K"),
+        pytest.param(lambda: SymbolSeries(kind="hilbert", w=0.3),
+                     "only a prolate symbol takes a bandwidth w", id="hilbert-with-w"),
+        pytest.param(lambda: SymbolSeries(np.ones(3), w=0.3),
+                     "only a prolate symbol takes a bandwidth w", id="untagged-with-w"),
     ])
     def test_malformed_series_is_rejected_with_one_message(self, build, message):
         with pytest.raises(ValueError) as exc:
