@@ -28,6 +28,7 @@ from .determinants import (
     newton_girard_power_sums,
     pfaffian,
     principal_minor_sum,
+    principal_minor_sums,
 )
 from .symbols import SymbolSeries, gs_rate_check, prolate_gap, quadratic_form
 from .identities import run_suite, write_reports_csv
@@ -58,7 +59,7 @@ __all__ = [
     "toeplitz_hilbert_norm", "toeplitz_hilbert_top_pair",
     "trace_power_norm_estimate",
     "det_lu", "det_matching", "newton_girard_power_sums", "pfaffian",
-    "principal_minor_sum",
+    "principal_minor_sum", "principal_minor_sums",
     "SymbolSeries", "gs_rate_check", "prolate_gap", "quadratic_form",
     "ResidualReport", "run_suite", "write_reports_csv",
     "WitnessCertificate", "WitnessParams", "build_witness",

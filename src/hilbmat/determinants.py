@@ -4,14 +4,15 @@ The primary route expands det(B) over perfect matchings of {1, .., R}: for
 weighted-Cauchy matrices the determinant equals the sum over matchings of
 the product of squared matched entries (all cross terms cancel through the
 Cauchy cocycle identity), i.e. the hafnian of B∘B, which vanishes for odd R.
-One DP, ``_matching_sums``, gives all principal-minor sums, read through
-one entry, ``principal_minor_sum``; the determinant is the top sum.  It runs
-vertex by vertex over the set of earlier vertices still waiting for a
-partner, at most sum_{k <= min(v, R - v)} C(v, k) sets at step v (16,384 at
-the peak for R = 22) rather than (R-1)!! matchings.  Every term is a product
-of squares, hence nonnegative, so plain summation is accurate.  Two
-oracles cross-check it: an LU determinant and a Pfaffian computed by skew
-elimination, whose square is the determinant of any even skew matrix.
+One DP, ``_matching_sums``, gives all principal-minor sums at once, read
+through one entry, ``principal_minor_sums``; the determinant is the top
+sum.  It runs vertex by vertex over the set of earlier vertices still
+waiting for a partner, at most sum_{k <= min(v, R - v)} C(v, k) sets at
+step v (16,384 at the peak for R = 22) rather than (R-1)!! matchings.
+Every term is a product of squares, hence nonnegative, so plain summation
+is accurate.  Two oracles cross-check it: an LU determinant and a
+Pfaffian computed by skew elimination, whose square is the determinant of
+any even skew matrix.
 """
 
 from __future__ import annotations
@@ -130,25 +131,32 @@ def pfaffian(B) -> float:
     return value
 
 
-def principal_minor_sum(B, k: int) -> float:
-    """Sum of all k x k principal minors, via the matching expansion.
+def principal_minor_sums(B) -> tuple:
+    """sigma_0, .., sigma_R: the sums of all k x k principal minors for
+    k = 0..R, from one run of the matching DP.
 
     Each even principal minor of a weighted-Cauchy matrix is the matching sum
-    of its squared entries, so the total is the sum over all k/2-edge
-    matchings of {1, .., R}: one entry of ``_matching_sums``, and k = R is
-    ``det_matching``.  Equals the k-th elementary symmetric function of the
-    eigenvalues, with sigma_0 = 1.  Odd k gives exactly zero at any size,
-    before the cap, since every odd principal minor of a skew matrix vanishes.
+    of its squared entries, so sigma_k is the sum over all k/2-edge matchings
+    of {1, .., R}, the entry k/2 of ``_matching_sums``, and sigma_R is
+    ``det_matching``.  These are the elementary symmetric functions of the
+    eigenvalues, with sigma_0 = 1; odd orders are exactly zero, since every
+    odd principal minor of a skew matrix vanishes.
     """
     B = require_skew(B)
-    R = B.shape[0]
-    if not isinstance(k, (int, np.integer)) or not 0 <= k <= R:
-        raise ValueError("minor order k must be an integer with 0 <= k <= R")
-    if k % 2 == 1:
-        return 0.0
-    if R > MATCHING_CAP:
+    if B.shape[0] > MATCHING_CAP:
         raise ValueError(f"matching sums capped at R = {MATCHING_CAP}")
-    return _matching_sums(B * B)[k // 2]
+    sums = _matching_sums(B * B)
+    return tuple(0.0 if k % 2 else sums[k // 2] for k in range(B.shape[0] + 1))
+
+
+def principal_minor_sum(B, k: int) -> float:
+    """sigma_k, the sum of all k x k principal minors: entry k of
+    ``principal_minor_sums``.  Odd k gives exactly zero at any size, before
+    the cap, with no DP run."""
+    B = require_skew(B)
+    if not isinstance(k, (int, np.integer)) or not 0 <= k <= B.shape[0]:
+        raise ValueError("minor order k must be an integer with 0 <= k <= R")
+    return 0.0 if k % 2 else principal_minor_sums(B)[k]
 
 
 def newton_girard_power_sums(sigmas, L: int) -> list:

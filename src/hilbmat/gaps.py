@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import write_csv
-from .matrices import ToeplitzOperator
+from .matrices import ToeplitzOperator, as_dim
 from .reports import INEQ_SLACK, ResidualReport, residual_report
 from .spectra import hankel_hilbert_norm, toeplitz_hilbert_norm
 
@@ -42,6 +42,7 @@ def hilbert_toeplitz_gap(R: int) -> float:
 
 def rescaled_gap(R: int) -> float:
     """(pi - ||T_R||) * R / log R, the quantity conjectured to flatten."""
+    R = as_dim(R, cap=None)
     if R < 2:
         raise ValueError("rescaled gap needs R >= 2 (log R > 0)")
     return _toeplitz_gap_row(R)[3]
@@ -67,8 +68,7 @@ def hilbert_hankel_gap(R: int):
 def check_odd_gap_lower_bound(S: int) -> ResidualReport:
     """For R = 2S+1: ||T_R||^2 < pi^2 - 6/(S+1), so the gap exceeds
     3 / (pi (S+1))."""
-    if S < 1:
-        raise ValueError("S must be >= 1")
+    S = as_dim(S, cap=None)
     R, norm, gap, _ = _toeplitz_gap_row(2 * S + 1)
     violation = max(
         0.0,
@@ -81,8 +81,7 @@ def check_odd_gap_lower_bound(S: int) -> ResidualReport:
 
 def check_universal_gap_lower_bound(R: int) -> ResidualReport:
     """pi - ||T_R|| > pi / (2R) for every R."""
-    if R < 1:
-        raise ValueError("R must be >= 1")
+    R = as_dim(R, cap=None)
     gap = hilbert_toeplitz_gap(R)
     violation = max(0.0, np.pi / (2.0 * R) - gap)
     return residual_report("universal_gap_lower_bound", violation, 1.0, INEQ_SLACK,
@@ -183,6 +182,7 @@ def witness_params(R: int) -> WitnessParams:
 
     Needs N >= 1, i.e. R >= 8; the kernel power then fits: N(M-1)+1 <= R.
     """
+    R = as_dim(R, cap=None)
     if R < 8:
         raise ValueError("witness construction needs R >= 8 (floor(log R / 2) >= 1)")
     log_r = math.log(R)
@@ -191,13 +191,13 @@ def witness_params(R: int) -> WitnessParams:
     if N * (M - 1) + 1 > R:
         raise ValueError("witness polynomial does not fit the coefficient space")
     gamma = math.pi * math.e * log_r / R
-    return WitnessParams(R=int(R), M=M, N=N, gamma=gamma)
+    return WitnessParams(R=R, M=M, N=N, gamma=gamma)
 
 
 def build_witness(R: int) -> WitnessCertificate:
     """Build the witness vector for T_R and certify its Rayleigh quotient."""
     params = witness_params(R)
-    M, N, gamma = params.M, params.N, params.gamma
+    R, M, N, gamma = params.R, params.M, params.N, params.gamma
     L = N * (M - 1)
 
     coeffs_n = _ones_power(M, N)          # integer coefficients, degree L
@@ -265,6 +265,7 @@ def check_witness(cert: WitnessCertificate) -> ResidualReport:
 
 def figure1_r_values(R_max: int = 10000, dense: bool = False) -> list:
     """Default sweep grid: every R below 100, geometric spacing above."""
+    R_max = as_dim(R_max, cap=None)
     if R_max < 2:
         raise ValueError("R_max must be >= 2")
     if dense:
@@ -306,8 +307,7 @@ def write_witness_csv(certs, target):
 
 def sweep_hankel(R_max: int = 500):
     """Rows (R, norm, gap, wilf_ratio) for the Hankel Hilbert matrices."""
-    if R_max < 1:
-        raise ValueError("R_max must be >= 1")
+    R_max = as_dim(R_max, cap=None)
     return [(R, norm, gap, float("nan") if ratio is None else ratio)
             for R, norm, gap, ratio in map(_hankel_gap_row, range(1, R_max + 1))]
 

@@ -10,18 +10,17 @@ coefficients c_{-(R-1)}, .., c_{R-1}, and the skew Hilbert matrix T_R takes
 c_{-r} = -c_r from the closed form 1/r.  Either way ``M.T == -M`` and
 ``M.diagonal() == 0`` hold exactly rather than to roundoff.  The symmetric
 Hilbert matrix H_R is written once, as ``ToeplitzOperator.hankel``: H_R with
-its columns reversed, a Toeplitz matrix.  ``hilbert_parity_block`` is the
-half-size block of T_R between its J-even and J-odd vectors (J reverses the
-index order), on which the norm of T_R is solved, and
-``HilbertParityOperator`` its matrix-free twin.  A real operator's
-matrix-free product T x goes through one circulant spectrum, built on its
-first matvec at the 5-smooth FFT length ``_fast_len(2R - 1)`` with
-``numpy.fft.rfft``; a complex one has only its dense build.  The parity
-twin applies the Toeplitz-plus-Hankel block C and C^T directly, each
-through one transform pair at ``_fast_len(R - 1)``, about half the length
-of a full T_R product; both place coefficients at their offsets mod the
-FFT length through one helper, ``_offset_spectrum``.  Node vectors
-must be strictly increasing; sorting is the caller's job, which keeps
+its columns reversed, a Toeplitz matrix.  ``ToeplitzOperator.hilbert_parity``
+is the half-size block of T_R between its J-even and J-odd vectors (J
+reverses the index order), on which the norm of T_R is solved: a
+rectangular Toeplitz-plus-Hankel block, the same class with a Hankel part
+and a column weight, and ``hilbert_parity_block`` its dense build.  Every
+matrix-free product, M x or M^T z, goes through one transform,
+``ToeplitzOperator._transform``, at the 5-smooth FFT length
+``_fast_len(m + n - 1)``: 2R - 1 for a square operator and R - 1 for the
+parity block.  An operator takes its spectra with ``numpy.fft.rfft`` on its
+first product; a complex one has only its dense build.  Node vectors must
+be strictly increasing; sorting is the caller's job, which keeps
 ``min_gaps`` (an array of nearest-neighbour distances) O(R) and sign
 conventions unambiguous.
 """
@@ -151,33 +150,50 @@ def _fast_len(m: int) -> int:
     return best
 
 
-def _offset_spectrum(values, offsets, n: int) -> np.ndarray:
-    """rfft of the length-n vector that holds values[k] at offsets[k] mod n
-    and zeros elsewhere; the offsets must be distinct mod n."""
-    column = np.zeros(n)
-    column[np.asarray(offsets) % n] = values
-    return np.fft.rfft(column)
-
-
 class ToeplitzOperator:
-    """Toeplitz matrix of size R held as its 2R - 1 offset coefficients
-    c_{-(R-1)}, .., c_{R-1}: entry (m, n) = c_{m-n} = ``coeffs[R-1 + m - n]``.
+    """An m x n Toeplitz matrix, optionally plus a Hankel matrix, with
+    optional column weights w: entry (i, j) is
 
-    ``dense()`` assembles the R x R matrix; ``matvec(x)`` applies a real
-    operator to a real or complex vector of length R in O(R log R) by
-    circulant embedding.  The embedding's spectrum is built once per
-    operator, on the first matvec, at the FFT length ``_fast_len(2R - 1)``;
-    each matvec then costs one forward and one inverse ``numpy.fft`` real
-    transform of x.
+        (coeffs[n-1 + i - j] + hankel_coeffs[i + j]) / sqrt(w[j]),
+
+    the Toeplitz coefficients t(r) held at the offsets r = i - j from
+    -(n-1) to m-1 and the Hankel coefficients k(s) at the sums s = i + j
+    from 0 to m+n-2, each a vector of length m + n - 1.  Without ``shape``
+    the matrix is square, R x R for 2R - 1 coefficients.
+
+    ``dense()`` adds up one strided view of each vector.  ``matvec(x)`` and
+    ``rmatvec(z)`` apply a real operator and its transpose to a real or
+    complex vector in O((m + n) log(m + n)) through one transform: with
+    V = rfft(v, N) at N = ``_fast_len(m + n - 1)``, the product is
+    irfft(A V + B conj(V), N)[:size], where A is the spectrum of t(r)
+    placed at r mod N (conj(A) for the transpose, whose Toeplitz part is
+    reversed) and B that of k(s) placed at s.  conj(V) is the spectrum of
+    the cyclic reversal of v, so B conj(V) is the Hankel product with no
+    phase factor.  The spectra are taken once, on the first product; a
+    complex operator has only its dense build.
     """
 
-    def __init__(self, coeffs):
+    def __init__(self, coeffs, hankel_coeffs=None, shape=None, column_weights=None):
         coeffs = np.asarray(coeffs)
-        if coeffs.ndim != 1 or coeffs.size % 2 == 0:
-            raise ValueError("Toeplitz coefficients must be a 1-D array of odd length 2R - 1")
-        self.coeffs = coeffs
-        self.R = (coeffs.size + 1) // 2
-        self._product = None  # built by the first matvec
+        if shape is None:
+            if coeffs.ndim != 1 or coeffs.size % 2 == 0:
+                raise ValueError("Toeplitz coefficients must be a 1-D array of odd length 2R - 1")
+            shape = ((coeffs.size + 1) // 2,) * 2
+        m, n = shape
+        if hankel_coeffs is not None:
+            hankel_coeffs = np.asarray(hankel_coeffs)
+        if coeffs.shape != (m + n - 1,) or (hankel_coeffs is not None
+                                            and hankel_coeffs.shape != coeffs.shape):
+            raise ValueError(f"a {m} x {n} matrix needs coefficient vectors of length "
+                             f"{m + n - 1}")
+        self.coeffs, self.hankel_coeffs, self.shape = coeffs, hankel_coeffs, (m, n)
+        self.column_weights = None
+        if column_weights is not None:
+            self.column_weights = np.asarray(column_weights, dtype=float)
+            if self.column_weights.shape != (n,):
+                raise ValueError(f"column weights must be a vector of length {n}")
+            self._column_scale = 1.0 / np.sqrt(self.column_weights)  # for the products
+        self._spectra = None  # (N, A, B), built by the first product
 
     @classmethod
     def hilbert(cls, R: int) -> "ToeplitzOperator":
@@ -197,39 +213,108 @@ class ToeplitzOperator:
         """
         return cls(1.0 / np.arange(1, 2 * as_dim(R, cap=None), dtype=float))
 
-    def dense(self) -> np.ndarray:
-        """The R x R matrix as a fresh C-contiguous array, copied from a
-        strided view of coeffs that reads entry (m, n) at coeffs[R-1 + m - n]."""
-        step = self.coeffs.strides[0]
-        return as_strided(self.coeffs[self.R - 1:], shape=(self.R, self.R),
-                          strides=(step, -step)).copy()
+    @classmethod
+    def hilbert_parity(cls, R: int) -> "ToeplitzOperator":
+        """The floor(R/2) x ceil(R/2) block C that maps J-even to J-odd
+        vectors under the skew Hilbert matrix T_R (J reverses the index order).
 
-    def _circulant_product(self):
-        """x -> T x through the circulant of fast length n >= 2R - 1 whose
-        first column holds c_r at r mod n: its leading R x R block is T.  Its
-        spectrum is taken once, here; a complex x is applied by its real and
-        imaginary parts."""
-        if np.iscomplexobj(self.coeffs):
+        T_R is skew-centrosymmetric, J T_R J = -T_R, so in the orthonormal
+        bases of ``lift``, (e_i + e_{R-1-i})/sqrt2 (with e_mid appended for
+        odd R) and (e_i - e_{R-1-i})/sqrt2, it splits as [[0, -C^T], [C, 0]]
+        (Cantoni and Butler, Linear Algebra Appl. 13 (1976) 275-288), and
+        ||T_R|| = sigma_max(C).  C[i, j] = c(i - j) + c(i + j - (R-1)) with
+        c(r) = 1/r and c(0) = 0, Toeplitz plus Hankel; for odd R the two
+        parts agree on the middle column, which has weight 2 and so reads
+        sqrt2 c(i - (R-1)/2).  Matrix-free use is not bound by the dense
+        size cap MAX_DIM.
+        """
+        R = as_dim(R, cap=None)
+        h, n = R // 2, (R + 1) // 2
+        return cls(hilbert_coeffs(np.arange(1 - n, h)), hilbert_coeffs(np.arange(1 - R, 0)),
+                   (h, n), np.append(np.ones(h), 2.0) if n > h else None)
+
+    def dense(self) -> np.ndarray:
+        """The m x n matrix as a fresh C-contiguous array: strided views
+        that read entry (i, j) at coeffs[n-1 + i - j] and hankel_coeffs[i + j]
+        added up, then scaled by the column weights."""
+        m, n = self.shape
+        step = self.coeffs.strides[0]
+        M = as_strided(self.coeffs[n - 1:], shape=(m, n), strides=(step, -step)).copy()
+        if self.hankel_coeffs is not None:
+            hankel = self.hankel_coeffs
+            M += as_strided(hankel, shape=(m, n), strides=hankel.strides * 2)
+        if self.column_weights is not None:
+            # 1/sqrt(w) as sqrt(w)/w: at w = 2 a column 2c then reads sqrt(2) c exactly
+            M *= np.sqrt(self.column_weights) / self.column_weights
+        return M
+
+    def _checked(self, x, size: int, name: str) -> np.ndarray:
+        """x as an array, which must be a 1-D vector of length ``size``."""
+        x = np.asarray(x)
+        if x.shape != (size,):
+            raise ValueError(f"{name} needs a 1-D vector of length {size}, "
+                             f"got shape {x.shape}")
+        return x
+
+    def _build_spectra(self):
+        if np.iscomplexobj(self.coeffs) or np.iscomplexobj(self.hankel_coeffs):
             raise ValueError("matvec needs a real operator; a complex Toeplitz matrix "
                              "has only its dense build")
-        R = self.R
-        n = _fast_len(2 * R - 1)
-        spectrum = _offset_spectrum(self.coeffs, np.arange(1 - R, R), n)
+        m, n = self.shape
+        N = _fast_len(max(m + n - 1, m, n))  # m + n - 1 unless a side is empty
 
-        def apply(x):
-            if np.iscomplexobj(x):
-                return apply(x.real) + 1j * apply(x.imag)
-            return np.fft.irfft(spectrum * np.fft.rfft(x, n), n)[:R]
-        return apply
+        def spectrum(values, shift):
+            column = np.zeros(N)
+            column[:values.size] = values
+            return np.fft.rfft(np.roll(column, shift))
+
+        B = None if self.hankel_coeffs is None else spectrum(self.hankel_coeffs, 0)
+        return N, spectrum(self.coeffs, 1 - n), B
+
+    def _transform(self, v, transpose: bool, size: int) -> np.ndarray:
+        """irfft(A V + B conj(V), N)[:size] for V = rfft(v, N), with conj(A)
+        for A under ``transpose``; a complex v is taken by its real and
+        imaginary parts."""
+        if np.iscomplexobj(v):
+            return (self._transform(v.real, transpose, size)
+                    + 1j * self._transform(v.imag, transpose, size))
+        if self._spectra is None:
+            self._spectra = self._build_spectra()
+        N, A, B = self._spectra
+        V = np.fft.rfft(v, N)
+        W = (np.conj(A) if transpose else A) * V
+        if B is not None:
+            W += B * np.conj(V)
+        return np.fft.irfft(W, N)[:size]
 
     def matvec(self, x) -> np.ndarray:
-        x = np.asarray(x)
-        if x.shape != (self.R,):
-            raise ValueError(f"matvec needs a 1-D vector of length {self.R}, "
-                             f"got shape {x.shape}")
-        if self._product is None:
-            self._product = self._circulant_product()
-        return self._product(x)
+        """M x for a vector x of length n."""
+        m, n = self.shape
+        x = self._checked(x, n, "matvec")
+        if self.column_weights is not None:
+            x = x * self._column_scale
+        return self._transform(x, False, m)
+
+    def rmatvec(self, z) -> np.ndarray:
+        """M^T z for a vector z of length m."""
+        m, n = self.shape
+        y = self._transform(self._checked(z, m, "rmatvec"), True, n)
+        return y if self.column_weights is None else y * self._column_scale
+
+    def lift(self, x, sign: float) -> np.ndarray:
+        """For a J-parity block such as ``hilbert_parity(R)``, R = m + n:
+        the R-vector P_e x (sign = 1, x of length n) or P_o x (sign = -1,
+        length m), sum_i x_i (e_i + sign e_{R-1-i})/sqrt2 over i < R // 2,
+        plus x_mid e_mid for the middle entry of an odd R."""
+        m, n = self.shape
+        R, h = m + n, (m + n) // 2
+        x = self._checked(x, n if sign > 0 else m, "lift")
+        y = np.zeros(R)
+        y[:h] = x[:h] * _INV_SQRT2
+        y[::-1][:h] = sign * y[:h]
+        if x.size > h:
+            y[h] = x[h]
+        return y
 
 
 def hilbert_toeplitz(R) -> np.ndarray:
@@ -244,108 +329,9 @@ def hilbert_hankel(R) -> np.ndarray:
 
 
 def hilbert_parity_block(R) -> np.ndarray:
-    """The floor(R/2) x ceil(R/2) block C that maps J-even to J-odd vectors
-    under the skew Hilbert matrix T_R (J reverses the index order).
-
-    T_R is skew-centrosymmetric, J T_R J = -T_R, so in the orthonormal bases
-    (e_i + e_{R-1-i})/sqrt2 (with e_mid appended for odd R) and
-    (e_i - e_{R-1-i})/sqrt2 it splits as [[0, -C^T], [C, 0]] (Cantoni and
-    Butler, Linear Algebra Appl. 13 (1976) 275-288), and ||T_R|| = sigma_max(C).
-    Entries C[i, j] = 1/(i-j) + 1/(i+j-R+1), the diagonal term being 0; for
-    odd R the last (middle) column is sqrt2/(i - (R-1)/2).  Both terms are
-    strided views of one coefficient vector each, c(i - j) read at offset
-    n - 1 + i - j and c(i + j - (R-1)) at i + j, so no index grid is built.
-    """
-    R = as_dim(R)
-    h, n = R // 2, (R + 1) // 2
-    toeplitz = hilbert_coeffs(np.arange(1 - n, h))
-    hankel = hilbert_coeffs(np.arange(1 - R, 0))
-    step = toeplitz.strides[0]
-    C = (as_strided(toeplitz[n - 1:], shape=(h, n), strides=(step, -step))
-         + as_strided(hankel, shape=(h, n), strides=(step, step)))
-    if n > h:
-        C[:, h] = np.sqrt(2.0) * toeplitz[:h]
-    return C
-
-
-class HilbertParityOperator:
-    """Matrix-free ``hilbert_parity_block(R)``: C x and C^T z for real
-    vectors in O(R log R), each through one forward and one inverse real
-    transform at the FFT length N = ``_fast_len(R - 1)``.
-
-    C = (T + H) D with the Toeplitz part T[i, j] = c(i - j), the Hankel part
-    H[i, j] = c(i + j - (R-1)), c(r) = 1/r, and D scaling the middle entry
-    by 1/sqrt2 for odd R.  Both parts fit one circulant of length N >= R - 1:
-    with X = rfft(D x, N), C x = irfft(A X + B conj(X), N)[:floor(R/2)],
-    where A is the spectrum of c(r) placed at r mod N and B that of
-    c(s - (R-1)) placed at s = i + j, 0 <= s <= R - 2; conj(X) is the
-    spectrum of the cyclic reversal of D x, so B conj(X) is the Hankel
-    product with no phase factor.  C^T z = D irfft(conj(A) Z + B conj(Z),
-    N)[:ceil(R/2)] for Z = rfft(z, N), conj(A) being the spectrum of the
-    reversed Toeplitz part.  A and B are built on the first product.
-    ``lift`` maps block vectors back to length R.  Matrix-free use is not
-    bound by the dense size cap MAX_DIM.
-    """
-
-    def __init__(self, R: int):
-        R = as_dim(R, cap=None)
-        self.R = R
-        self.shape = (R // 2, (R + 1) // 2)
-        self._spectra = None  # (N, A, conj(A), B), built by the first product
-
-    def _checked(self, x, size: int) -> np.ndarray:
-        """x as an array, which must be a 1-D vector of length ``size``."""
-        x = np.asarray(x)
-        if x.shape != (size,):
-            raise ValueError(f"parity lift needs a 1-D vector of length {size}, "
-                             f"got shape {x.shape}")
-        return x
-
-    def _build_spectra(self):
-        h, n = self.shape
-        N = _fast_len(self.R - 1)
-        r = np.arange(1 - n, h)  # Toeplitz offsets i - j
-        s = np.arange(self.R - 1)  # Hankel sums i + j
-        A = _offset_spectrum(hilbert_coeffs(r), r, N)
-        return N, A, np.conj(A), _offset_spectrum(hilbert_coeffs(s - (self.R - 1)), s, N)
-
-    def _product(self, v, transpose: bool, size: int) -> np.ndarray:
-        if self._spectra is None:
-            self._spectra = self._build_spectra()
-        N, A, A_reversed, B = self._spectra
-        V = np.fft.rfft(v, N)
-        return np.fft.irfft((A_reversed if transpose else A) * V + B * np.conj(V), N)[:size]
-
-    def lift(self, x, sign: float) -> np.ndarray:
-        """The R-vector P_e x (sign = 1, x of length ceil(R/2)) or P_o x
-        (sign = -1, length floor(R/2)): sum_i x_i (e_i + sign e_{R-1-i})/sqrt2
-        over i < R // 2, plus x_mid e_mid for the middle entry of an odd R."""
-        R, h = self.R, self.R // 2
-        size = self.shape[1] if sign > 0 else h
-        x = self._checked(x, size)
-        y = np.zeros(R)
-        y[:h] = x[:h] * _INV_SQRT2
-        y[::-1][:h] = sign * y[:h]
-        if size > h:
-            y[h] = x[h]
-        return y
-
-    def matvec(self, x) -> np.ndarray:
-        """C x for a real vector x of length ceil(R/2)."""
-        h, n = self.shape
-        x = self._checked(x, n)
-        if n > h:
-            x = x.astype(float)
-            x[h] *= _INV_SQRT2
-        return self._product(x, False, h)
-
-    def rmatvec(self, z) -> np.ndarray:
-        """C^T z for a real vector z of length floor(R/2)."""
-        h, n = self.shape
-        y = self._product(self._checked(z, h), True, n)
-        if n > h:
-            y[h] *= _INV_SQRT2
-        return y
+    """The dense ``ToeplitzOperator.hilbert_parity(R)``, the block of T_R
+    on which its norm is solved."""
+    return ToeplitzOperator.hilbert_parity(as_dim(R)).dense()
 
 
 def prolate_matrix(R, w) -> np.ndarray:

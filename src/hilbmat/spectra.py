@@ -18,16 +18,16 @@ the top pair of T_R take one solve route, ``_top_eigen``, which holds the
 only dense/Lanczos decision, on the dimension n of the positive semidefinite
 matrix it solves and the cutoff and basis size its caller passes: up to the
 cutoff ``spectral_norm`` for a norm and ``np.linalg.eigh`` for a top pair,
-above it ``_lanczos_top``, a thick-restart Lanczos in numpy, on an operator
-built for the solve, which takes its circulant spectrum once, on the first
-product.  T_R is skew-centrosymmetric, so -T_R^2 is solved on its J-even
-block C^T C, C = ``matrices.hilbert_parity_block(R)`` (n = ceil(R/2), dense
-up to n = DENSE_CUTOFF, so R = 600, with an _LANCZOS_NCV basis above).
-Above the cutoff each product is C^T (C x) on the twin
-``HilbertParityOperator(R)``, which applies C, a Toeplitz-plus-Hankel
-block, and C^T each through one forward and inverse transform pair at the
-length ``_fast_len(R - 1)`` (10000 at R = 10000).  The top pair is built
-from the J-even top eigenvector of -T_R^2 at every size, its T q taken as
+above it ``_lanczos_top``, a thick-restart Lanczos in numpy.  Every solve
+holds one ``matrices.ToeplitzOperator``, built for it, which takes its
+circulant spectra once, on the first product.  T_R is
+skew-centrosymmetric, so -T_R^2 is solved on its J-even block C^T C for
+C = ``ToeplitzOperator.hilbert_parity(R)`` (n = ceil(R/2), dense up to
+n = DENSE_CUTOFF, so R = 600, with an _LANCZOS_NCV basis above), whose
+``dense()`` is the dense side and whose products C x and C^T z the
+matrix-free side, each one transform pair at the length
+``_fast_len(R - 1)`` (10000 at R = 10000).  The top pair is built from the
+J-even top eigenvector of -T_R^2 at every size, its T q taken as
 P_o (C q_n) on the side that solved.  H_R is solved as it is (n = R, dense
 up to _HANKEL_DENSE_CUTOFF, with an _HANKEL_NCV basis above) on the
 full-length matvec of ``ToeplitzOperator.hankel``.  No solve loads scipy,
@@ -40,8 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrices import (HilbertParityOperator, ToeplitzOperator, as_square, hilbert_hankel,
-                       hilbert_parity_block)
+from .matrices import ToeplitzOperator, as_square, hilbert_hankel
 
 # Relative threshold below which a computed mu is classified as zero.  The
 # determinant structure forces an exact zero eigenvalue for odd R, so the
@@ -309,37 +308,35 @@ def _top_eigen(n: int, dense, apply, v0, cutoff: int, ncv: int, image=None):
     return float(lam), q, lift(q)
 
 
-def _toeplitz_top(C: HilbertParityOperator, vector=False):
+def _toeplitz_top(C: ToeplitzOperator, vector=False):
     """Top eigenvalue of -T_R^2 on its J-even block, S = C^T C for the
-    parity block C of T_R (n = ceil(R/2)); with ``vector``, the
-    ``(eigenvalue, q_n, C q_n)`` of ``_top_eigen``.  The matrix-free apply
-    is C^T (C x) on the ``HilbertParityOperator`` C, whose two products each
-    take one transform pair of length ``_fast_len(R - 1)`` with spectra
-    built on the first product.  It starts from the even part of the
-    all-ones vector, which spans the same Krylov space as on the full
-    space.  The dense side drops the block once S is formed, and a top pair
-    builds it again for C q_n, so no dense solve holds C, S and the
+    parity block C = ``ToeplitzOperator.hilbert_parity(R)`` (n = ceil(R/2));
+    with ``vector``, the ``(eigenvalue, q_n, C q_n)`` of ``_top_eigen``.
+    The matrix-free apply is C^T (C x), two products that each take one
+    transform pair of length ``_fast_len(R - 1)``.  It starts from the even
+    part of the all-ones vector, which spans the same Krylov space as on
+    the full space.  The dense side drops the block once S is formed, and a
+    top pair builds it again for C q_n, so no dense solve holds C, S and the
     eigenvectors at once."""
-    R = C.R
-    v0 = np.full(C.shape[1], 1.0 / np.sqrt(R))
+    R, n = sum(C.shape), C.shape[1]
+    v0 = np.full(n, 1.0 / np.sqrt(R))
     v0[:R // 2] *= 2.0 * _INV_SQRT2  # P_e^T of the unit all-ones vector
 
     def gram():
-        B = hilbert_parity_block(R)
+        B = C.dense()
         return B.T @ B
 
-    return _top_eigen(C.shape[1], gram, lambda x: C.rmatvec(C.matvec(x)), v0,
-                      DENSE_CUTOFF, _LANCZOS_NCV,
-                      (lambda q: hilbert_parity_block(R) @ q, C.matvec) if vector else None)
+    return _top_eigen(n, gram, lambda x: C.rmatvec(C.matvec(x)), v0, DENSE_CUTOFF,
+                      _LANCZOS_NCV, (lambda q: C.dense() @ q, C.matvec) if vector else None)
 
 
 def toeplitz_hilbert_norm(R: int) -> float:
     """Spectral norm of the R x R skew Hilbert matrix: sqrt of the top
     eigenvalue of C^T C for its ceil(R/2)-column parity block C (see
-    ``matrices.hilbert_parity_block``).  Dense up to R = 2 DENSE_CUTOFF,
+    ``ToeplitzOperator.hilbert_parity``).  Dense up to R = 2 DENSE_CUTOFF,
     above that Lanczos with O(R log R) FFT products on the half-size block.
     """
-    return float(np.sqrt(max(_toeplitz_top(HilbertParityOperator(R)), 0.0)))
+    return float(np.sqrt(max(_toeplitz_top(ToeplitzOperator.hilbert_parity(R)), 0.0)))
 
 
 def toeplitz_hilbert_top_pair(R: int) -> SpectralDecomposition:
@@ -349,7 +346,7 @@ def toeplitz_hilbert_top_pair(R: int) -> SpectralDecomposition:
     C^T C on the parity block (dense up to R = 2 DENSE_CUTOFF, Lanczos
     above), and T q = P_o (C q_n).  Any unit q in the top eigenspace gives
     the same u = v + i w up to phase."""
-    C = HilbertParityOperator(R)
+    C = ToeplitzOperator.hilbert_parity(R)
     lam, q, Cq = _toeplitz_top(C, vector=True)
     mu = float(np.sqrt(max(lam, 0.0)))
     if mu == 0.0:

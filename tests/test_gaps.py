@@ -99,6 +99,13 @@ class TestCentralCoefficient:
             central_coefficient(1, 2)
         with pytest.raises(ValueError):
             central_coefficient(3, 0)
+        # the gap checks and sweeps validate a size before comparing it, so a
+        # list, an array or a fraction fails on the one dimension rule
+        for call in (rescaled_gap, check_universal_gap_lower_bound, check_odd_gap_lower_bound,
+                     sweep_hankel, figure1_r_values, sweep_figure1):
+            for size in ([601], np.array([5, 6]), 5.5):
+                with pytest.raises(ValueError, match="^dimension must be an integer$"):
+                    call(size)
 
 
 class TestCentralCoefficientBounds:
@@ -134,6 +141,13 @@ class TestWitness:
         with pytest.raises(ValueError, match=r"^witness construction needs R >= 8 "):
             witness_params(R)
         assert witness_params(8).N == 1
+
+    @pytest.mark.parametrize("R", [100.5, 100.0, [100]])
+    def test_non_integer_size_fails_with_one_line(self, R):
+        # R is validated before M, N and gamma are computed from it
+        for call in (witness_params, build_witness):
+            with pytest.raises(ValueError, match="^dimension must be an integer$"):
+                call(R)
 
     def test_coefficient_vector_is_unit(self):
         # Parseval: the witness's integer coefficients of the N-th kernel

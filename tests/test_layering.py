@@ -64,3 +64,28 @@ def test_no_function_is_memoized_process_wide():
                 if any(name(d) in ("cache", "lru_cache") for d in node.decorator_list):
                     memoized.add(f"{path.name}: {node.name}")
     assert memoized == ALLOWED_CACHES
+
+
+def test_one_function_takes_the_inverse_fft():
+    # every circulant product, Toeplitz or Toeplitz-plus-Hankel, goes through
+    # one transform: exactly one function in hilbmat (innermost, so a nested
+    # helper counts on its own) calls irfft
+    def calls_irfft(node):
+        func = getattr(node, "func", None)
+        name = getattr(func, "attr", getattr(func, "id", None))
+        return isinstance(node, ast.Call) and name == "irfft"
+
+    callers = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                visit(child, f"{owner}.{getattr(child, 'name', '<lambda>')}")
+            else:
+                if calls_irfft(child):
+                    callers.append(owner)
+                visit(child, owner)
+
+    for path in SOURCES:
+        visit(ast.parse(path.read_text(), filename=str(path)), path.stem)
+    assert len(set(callers)) == 1, callers

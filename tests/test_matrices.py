@@ -6,7 +6,6 @@ import pytest
 from hilbmat.determinants import det_lu, det_matching, pfaffian
 from hilbmat.matrices import (
     MAX_DIM,
-    HilbertParityOperator,
     ToeplitzOperator,
     _fast_len,
     as_nodes,
@@ -177,7 +176,7 @@ def test_parity_operator_matches_the_dense_block(R):
     # Hankel part's reversal shift sits in the integer offsets, and a phase
     # factor exp(-2 pi i k (n-1)/N) in its place misses 1e-14 at R = 2001
     C = hilbert_parity_block(R)
-    op = HilbertParityOperator(R)
+    op = ToeplitzOperator.hilbert_parity(R)
     assert op.shape == C.shape
     rng = np.random.default_rng(R)
     x, z = rng.normal(size=C.shape[1]), rng.normal(size=C.shape[0])
@@ -189,7 +188,7 @@ def test_parity_operator_matches_the_dense_block(R):
 @pytest.mark.parametrize("R", [2, 3, 9, 10])
 def test_parity_lift_is_the_even_and_odd_basis(R):
     h, n = R // 2, (R + 1) // 2
-    op = HilbertParityOperator(R)
+    op = ToeplitzOperator.hilbert_parity(R)
     P_even = np.column_stack([op.lift(e, 1.0) for e in np.eye(n)])
     P_odd = np.column_stack([op.lift(e, -1.0) for e in np.eye(h)])
     J = np.eye(R)[::-1]
@@ -203,8 +202,8 @@ def test_parity_lift_is_the_even_and_odd_basis(R):
     (method, length, shape) for method, length in (("matvec", 5), ("rmatvec", 4))
     for shape in ((length - 1,), (length + 1,), (length, 1), ())])
 def test_parity_operator_rejects_a_vector_of_the_wrong_length(method, length, shape):
-    op = HilbertParityOperator(9)  # C is 4 x 5
-    with pytest.raises(ValueError, match=rf"^parity lift needs a 1-D vector of length {length}, "
+    op = ToeplitzOperator.hilbert_parity(9)  # C is 4 x 5
+    with pytest.raises(ValueError, match=rf"^{method} needs a 1-D vector of length {length}, "
                                          r"got shape "):
         getattr(op, method)(np.ones(shape))
 
@@ -259,6 +258,44 @@ def test_operator_rejects_bad_column_and_row(coeffs):
         ToeplitzOperator(coeffs)
 
 
+@pytest.mark.parametrize("shape", [(3, 7), (7, 3), (6, 6), (1, 4), (4, 1), (0, 7), (7, 0)],
+                         ids=lambda shape: "x".join(map(str, shape)))
+@pytest.mark.parametrize("hankel", [False, True], ids=["toeplitz", "plus-hankel"])
+def test_rectangular_products_match_the_dense_build(shape, hankel):
+    # M x, M^T z and the dense build agree for any shape, with or without a
+    # Hankel part, under random column weights; the dense build reads entry
+    # (i, j) as (t(i - j) + k(i + j)) / sqrt(w_j)
+    m, n = shape
+    rng = np.random.default_rng(m * 10 + n)
+    t, k = rng.normal(size=m + n - 1), rng.normal(size=m + n - 1)
+    w = rng.uniform(0.5, 2.0, size=n)
+    op = ToeplitzOperator(t, k if hankel else None, shape, w)
+    i, j = np.indices(shape)
+    expected = (t[n - 1 + i - j] + (k[i + j] if hankel else 0.0)) / np.sqrt(w)
+    M = op.dense()
+    np.testing.assert_allclose(M, expected, rtol=1e-15, atol=0)
+    x, z = rng.normal(size=n), rng.normal(size=m)
+    np.testing.assert_allclose(op.matvec(x), M @ x, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(op.rmatvec(z), M.T @ z, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("kwargs,message", [
+    (dict(coeffs=np.ones(3), shape=(2, 3)),
+     "^a 2 x 3 matrix needs coefficient vectors of length 4$"),
+    (dict(coeffs=np.ones(5), shape=(2, 3)),
+     "^a 2 x 3 matrix needs coefficient vectors of length 4$"),
+    (dict(coeffs=np.ones(3), hankel_coeffs=np.ones(4)),
+     "^a 2 x 2 matrix needs coefficient vectors of length 3$"),
+    (dict(coeffs=np.ones(4), shape=(2, 3), column_weights=np.ones(2)),
+     "^column weights must be a vector of length 3$"),
+], ids=["short", "long", "hankel-length", "weights-length"])
+def test_rectangular_operator_checks_its_parts(kwargs, message):
+    # a shape fixes the length m + n - 1 of both coefficient vectors and the
+    # length n of the column weights
+    with pytest.raises(ValueError, match=message):
+        ToeplitzOperator(**kwargs)
+
+
 @pytest.mark.parametrize("shape", [(5, 2), (5, 1), (1, 5), (4,), (6,), ()],
                          ids=lambda shape: "x".join(map(str, shape)) or "scalar")
 def test_matvec_rejects_anything_but_a_vector_of_length_R(shape):
@@ -277,7 +314,7 @@ def test_dense_equals_scipy_toeplitz(op):
     # a fresh writable C-contiguous array, not a view of the coefficients
     from scipy.linalg import toeplitz
 
-    c, R = op.coeffs, op.R
+    c, R = op.coeffs, op.shape[0]
     expected = toeplitz(c[R - 1:], c[R - 1::-1])
     M = op.dense()
     assert M.dtype == expected.dtype

@@ -4,7 +4,6 @@ from scipy.sparse.linalg import LinearOperator, eigsh
 
 import hilbmat.spectra as spectra
 from hilbmat.matrices import (
-    HilbertParityOperator,
     ToeplitzOperator,
     _fast_len,
     hilbert_hankel,
@@ -311,9 +310,9 @@ class TestMatrixFreeNorms:
         x = rng.normal(size=R_PARITY)
         x_before = x.copy()
         first = op.matvec(x)
-        product = op._product
+        built = op._spectra
         np.testing.assert_array_equal(op.matvec(x), first)
-        assert op._product is product
+        assert op._spectra is built
         np.testing.assert_array_equal(x, x_before)
 
     @pytest.mark.parametrize("complex_first", [False, True], ids=["real-first", "complex-first"])
@@ -365,7 +364,7 @@ class TestMatrixFreeNorms:
         # scipy's ARPACK eigsh as the oracle, on the same products, start
         # vector, basis size and tolerance
         if solve is toeplitz_hilbert_norm:
-            C = HilbertParityOperator(R)
+            C = ToeplitzOperator.hilbert_parity(R)
             n, ncv = C.shape[1], 32
             v0 = np.full(n, 1.0 / np.sqrt(R))
             v0[:R // 2] *= np.sqrt(2.0)
@@ -476,7 +475,7 @@ class TestMatrixFreeNorms:
         # parity block, H_300) loads scipy.fft or the scipy.special it pulls in
         for op in (ToeplitzOperator.hilbert(300), ToeplitzOperator.hankel(300)):
             op.dense()
-            assert op._product is None
+            assert op._spectra is None
         code = ("import sys; from hilbmat.spectra import toeplitz_hilbert_norm, "
                 "hankel_hilbert_norm; toeplitz_hilbert_norm(601); "
                 "hankel_hilbert_norm(300); "
