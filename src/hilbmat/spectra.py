@@ -32,10 +32,21 @@ P_o (C q_n) on the side that solved.  H_R is solved as it is (n = R, dense
 up to _HANKEL_DENSE_CUTOFF, with an _HANKEL_NCV basis above) on the
 full-length matvec of ``ToeplitzOperator.hankel``.  No solve loads scipy,
 and a Lanczos solve that does not converge raises ``np.linalg.LinAlgError``.
+
+Two places run on one OpenBLAS thread, under ``_one_blas_thread``: the
+whole of ``_top_eigen`` (dense build, Gram product, ``eigvalsh``/``eigh``
+and ``_lanczos_top``) and the ``eigh`` of ``skew_spectrum``.  On 2 cores a
+second thread made these solves slower, not faster, and its rounding moved
+the last bits of dense T_R norms; on one thread the ``sweep-gap`` bytes do
+not depend on ``OPENBLAS_NUM_THREADS``.  The guard puts the caller's thread
+count back on exit, exception or not, and does nothing where numpy's
+OpenBLAS is not found.
 """
 
 from __future__ import annotations
 
+import ctypes
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,9 +60,11 @@ ZERO_MU_REL = 1e-10
 
 # Matrix-free Lanczos takes over in ``_top_eigen`` above this dimension of
 # T_R's parity block, ceil(R/2), so R = 601 is the first Lanczos solve.  On 2
-# cores a dense norm solve (block, C^T C and eigvalsh) took 6.7 ms at n = 300
-# against 9.8 ms for Lanczos with a fresh operator, and the two crossed
-# between n = 320 and 400.  The cutoff stays at 300: there the largest dense
+# cores, at the one OpenBLAS thread ``_one_blas_thread`` runs every solve on,
+# a dense norm solve (block, C^T C and eigvalsh) took 3.7 ms at n = 300
+# against 4.2 ms for Lanczos with a fresh operator, and the two crossed
+# between n = 320 and 350 (at two threads: 6.7 against 9.8 ms, crossing
+# between n = 320 and 400).  The cutoff stays at 300: there the largest dense
 # solve peaks at 1.44 MB of allocations, below the 1.57 MB of n = 256 when
 # the block was built from index grids, so no dense run needs more memory.
 DENSE_CUTOFF = 300
@@ -86,6 +99,45 @@ _HANKEL_DENSE_CUTOFF = 64
 _HANKEL_NCV = 8
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
+
+
+def _find_openblas_threads():
+    """``(get_num_threads, set_num_threads)`` of the OpenBLAS that numpy
+    calls, or None where it is not found: numpy's bundled scipy-openblas
+    exports them from numpy's own extension, a system OpenBLAS under the
+    plain names."""
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+    except (AttributeError, OSError):
+        return None
+    for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads"):
+        try:
+            get, put = (getattr(lib, name.format(verb)) for verb in ("get", "set"))
+        except AttributeError:
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        put.argtypes, put.restype = [ctypes.c_int], None
+        return get, put
+    return None
+
+
+_OPENBLAS_THREADS = _find_openblas_threads()
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the body on one OpenBLAS thread and put the caller's count back
+    after it.  Nested, or with the functions not found, it does nothing."""
+    count = _OPENBLAS_THREADS[0]() if _OPENBLAS_THREADS else 1
+    if count <= 1:
+        yield
+        return
+    set_num_threads = _OPENBLAS_THREADS[1]
+    set_num_threads(1)
+    try:
+        yield
+    finally:
+        set_num_threads(count)
 
 
 def _max_abs(A) -> float:
@@ -172,7 +224,8 @@ def skew_spectrum(B) -> SpectralDecomposition:
     R = B.shape[0]
     if R == 0:
         return SpectralDecomposition(np.zeros(0), np.zeros((0, 0)), np.zeros((0, 0)))
-    lam, U = np.linalg.eigh(1j * B)  # ascending real eigenvalues -mu..+mu
+    with _one_blas_thread():
+        lam, U = np.linalg.eigh(1j * B)  # ascending real eigenvalues -mu..+mu
     thr = ZERO_MU_REL * float(max(abs(lam[0]), abs(lam[-1])))
     top, zero = lam > thr, np.abs(lam) <= thr
     if 2 * top.sum() + zero.sum() != R:
@@ -277,6 +330,7 @@ def _lanczos_top(apply, v0, ncv: int):
         # one product per kept vector, as in Gram-Schmidt: OpenBLAS's threaded
         # gemm rounded the whole product differently under 1 and 2 threads
         # from n = 1954 on, which moved the sweep's norms at R = 4114..9702
+        # when solves ran at the caller's count; kept so those bytes stay
         V[:k] = [s @ V[:ncv] for s in S[:, -k:].T]
         V[k] = V[ncv]
         H[:] = 0.0
@@ -285,6 +339,7 @@ def _lanczos_top(apply, v0, ncv: int):
     raise np.linalg.LinAlgError(f"Lanczos did not converge after {maxiter} restarts")
 
 
+@_one_blas_thread()
 def _top_eigen(n: int, dense, apply, v0, cutoff: int, ncv: int, image=None):
     """Top eigenvalue of an n x n positive semidefinite S, which ``dense()``
     builds and ``apply`` applies to an n-vector.  The one solver choice: dense
@@ -293,7 +348,7 @@ def _top_eigen(n: int, dense, apply, v0, cutoff: int, ncv: int, image=None):
     above.  With ``image``, a pair of maps (dense side, matrix-free side),
     returns ``(eigenvalue, q, image(q))`` for a unit top eigenvector q; the
     map of the side that solved is taken, so all-dense runs never build a
-    circulant spectrum."""
+    circulant spectrum.  The whole solve runs on one OpenBLAS thread."""
     if n <= cutoff:
         if image is None:
             return spectral_norm(dense())

@@ -259,14 +259,15 @@ def test_sweep_tables_byte_identical_across_processes(run_python):
 
 
 def test_hankel_sweep_bytes_do_not_depend_on_blas_threads(run_python):
-    # with H_R dense up to R = 256, eigvalsh under 1 and 2 OpenBLAS threads
-    # differed in the last bits at R = 169..252; dense only up to R = 64, and
-    # Lanczos on numpy.fft products above, the bytes agree
-    argv = ["hankel-gap", "--R-max", "300"]
-    one, two = (run_python(["-m", "hilbmat.cli", *argv], env={"OPENBLAS_NUM_THREADS": n})
-                for n in ("1", "2"))
-    assert one.returncode == two.returncode == 0
-    assert one.stdout == two.stdout
+    # every spectra solve runs on one OpenBLAS thread, whatever the caller
+    # set: without that, the dense T_R rows of sweep-gap (R = 195..600) moved
+    # in the last bits between 1 and 2 threads, and so did H_R's eigvalsh at
+    # R = 169..252 when H_R was dense up to R = 256
+    for argv in (["hankel-gap", "--R-max", "300"], ["sweep-gap", "--R-max", "600"]):
+        one, two = (run_python(["-m", "hilbmat.cli", *argv], env={"OPENBLAS_NUM_THREADS": n})
+                    for n in ("1", "2"))
+        assert one.returncode == two.returncode == 0, argv
+        assert one.stdout == two.stdout, argv
 
 
 @pytest.mark.parametrize("S", ["0", "-1"])

@@ -29,21 +29,28 @@ def test_package_imports_match_all():
     assert [name for name in hilbmat.__all__ if not hasattr(hilbmat, name)] == []
 
 
+def imported_modules(tree):
+    """``(lineno, module)`` of every absolute import in ``tree``, at any
+    depth, function bodies included."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from ((node.lineno, alias.name) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            yield node.lineno, node.module
+
+
 def test_no_module_imports_scipy_at_load():
     # hilbmat needs numpy alone at run time (scipy is a test dependency), so
     # no statement at any depth, function bodies included, may import scipy
-    offenders = []
-    for path in SOURCES:
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and not node.level:
-                names = [node.module]
-            else:
-                continue
-            offenders.extend(f"{path.name}:{node.lineno} {name}" for name in names
-                             if name == "scipy" or name.startswith("scipy."))
+    offenders = [f"{path.name}:{lineno} {module}" for path in SOURCES
+                 for lineno, module in imported_modules(ast.parse(path.read_text()))
+                 if module == "scipy" or module.startswith("scipy.")]
     assert offenders == []
+
+
+def name(node):
+    """The name an attribute or a bare name ends in, else None."""
+    return getattr(node, "attr", getattr(node, "id", None))
 
 
 # the one process-wide memo: the benchmark builds the parser during set-up
@@ -53,28 +60,20 @@ ALLOWED_CACHES = {"cli.py: build_parser"}
 def test_no_function_is_memoized_process_wide():
     # every value is computed where it is used: no function in hilbmat sits
     # behind functools.cache or lru_cache, bare, called or module-qualified
-    def name(decorator):
-        target = decorator.func if isinstance(decorator, ast.Call) else decorator
-        return getattr(target, "attr", getattr(target, "id", None))
-
     memoized = set()
     for path in SOURCES:
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                if any(name(d) in ("cache", "lru_cache") for d in node.decorator_list):
+                if any(name(d.func if isinstance(d, ast.Call) else d) in ("cache", "lru_cache")
+                       for d in node.decorator_list):
                     memoized.add(f"{path.name}: {node.name}")
     assert memoized == ALLOWED_CACHES
 
 
-def test_one_function_takes_the_inverse_fft():
-    # every circulant product, Toeplitz or Toeplitz-plus-Hankel, goes through
-    # one transform: exactly one function in hilbmat (innermost, so a nested
-    # helper counts on its own) calls irfft
-    def calls_irfft(node):
-        func = getattr(node, "func", None)
-        name = getattr(func, "attr", getattr(func, "id", None))
-        return isinstance(node, ast.Call) and name == "irfft"
-
+def innermost_callers(called):
+    """``module.function`` of each call whose callee's name passes
+    ``called``, owned by its innermost function, so a nested helper counts
+    on its own."""
     callers = []
 
     def visit(node, owner):
@@ -82,10 +81,38 @@ def test_one_function_takes_the_inverse_fft():
             if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
                 visit(child, f"{owner}.{getattr(child, 'name', '<lambda>')}")
             else:
-                if calls_irfft(child):
+                if isinstance(child, ast.Call) and called(name(child.func) or ""):
                     callers.append(owner)
                 visit(child, owner)
 
     for path in SOURCES:
         visit(ast.parse(path.read_text(), filename=str(path)), path.stem)
+    return callers
+
+
+def test_one_function_takes_the_inverse_fft():
+    # every circulant product, Toeplitz or Toeplitz-plus-Hankel, goes through
+    # one transform: exactly one function in hilbmat calls irfft
+    callers = innermost_callers(lambda name: name == "irfft")
     assert len(set(callers)) == 1, callers
+
+
+def test_library_keeps_its_callers_thread_settings():
+    # one function sets an OpenBLAS thread count, the guard that puts the
+    # caller's count back; no module writes an environment variable or
+    # loads threadpoolctl, whose limits would outlive the call
+    assert set(innermost_callers(lambda callee: callee.endswith("set_num_threads"))) == {
+        "spectra._one_blas_thread"}
+    offenders = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        offenders.extend(f"{path.name}:{lineno} {module}" for lineno, module in imported_modules(tree)
+                         if module.split(".")[0] == "threadpoolctl")
+        offenders.extend(
+            f"{path.name}:{node.lineno} environ" for node in ast.walk(tree)
+            if isinstance(node, ast.Subscript) and name(node.value) == "environ"
+            and not isinstance(node.ctx, ast.Load)
+            or isinstance(node, ast.Attribute) and name(node.value) == "environ"
+            and node.attr in ("update", "setdefault", "pop", "popitem", "clear")
+            or name(node) in ("putenv", "unsetenv"))
+    assert offenders == []

@@ -20,6 +20,7 @@ from hilbmat.spectra import (
     toeplitz_hilbert_top_pair,
     trace_power_norm_estimate,
 )
+from hilbmat.cli import main
 from hilbmat.symbols import SymbolSeries
 
 
@@ -531,3 +532,69 @@ class TestMatrixFreeNorms:
         solve(R)
         assert [shape for shape, _ in calls] == shapes
         assert all(ncv <= max_ncv for _, ncv in calls)
+
+
+@pytest.fixture
+def caller_threads():
+    """The OpenBLAS ``(get, set)`` thread functions; the test may set any
+    count, and the count it found is put back after it."""
+    # numpy's bundled scipy-openblas exports its thread functions, so the
+    # guard is live here and these tests cannot pass by finding nothing
+    assert spectra._OPENBLAS_THREADS is not None
+    get, put = spectra._OPENBLAS_THREADS
+    before = get()
+    yield get, put
+    put(before)
+
+
+def cauchy_40():
+    rng = np.random.default_rng(7)
+    return weighted_cauchy_matrix(np.arange(40) + 0.5 * rng.random(40), 0.5 + rng.random(40))
+
+
+class TestOneBlasThread:
+    @pytest.mark.parametrize("count", [1, 2])
+    @pytest.mark.parametrize("call", [
+        lambda out: toeplitz_hilbert_norm(301),
+        lambda out: toeplitz_hilbert_norm(700),
+        lambda out: toeplitz_hilbert_top_pair(701),
+        lambda out: skew_spectrum(cauchy_40()),
+        lambda out: main(["sweep-gap", "--R-max", "700", "--out", str(out / "sweep.csv")]),
+    ], ids=["T301", "T700", "pair701", "skew40", "cli-sweep"])
+    def test_solves_run_on_one_thread_and_restore_the_count(self, monkeypatch, tmp_path,
+                                                            caller_threads, call, count):
+        get, put = caller_threads
+        put(count)
+        seen = []
+
+        def recording(solve):
+            def run(*args, **kwargs):
+                seen.append(get())
+                return solve(*args, **kwargs)
+            return run
+
+        for name in ("eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, recording(getattr(np.linalg, name)))
+        call(tmp_path)
+        assert seen and set(seen) == {1}
+        assert get() == count
+
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_count_is_restored_after_a_failed_solve(self, monkeypatch, caller_threads, count):
+        get, put = caller_threads
+        put(count)
+        monkeypatch.setitem(spectra._LANCZOS_OPTS, "maxiter", 0)
+        with pytest.raises(np.linalg.LinAlgError):
+            toeplitz_hilbert_norm(700)
+        assert get() == count
+
+    def test_solves_run_where_openblas_is_not_found(self, monkeypatch, caller_threads):
+        # the caller's 2 threads stay in force, and the values move only in
+        # their last bits
+        caller_threads[1](2)
+        solves = [lambda: toeplitz_hilbert_norm(301), lambda: toeplitz_hilbert_norm(700),
+                  lambda: skew_spectrum(cauchy_40()).mus]
+        guarded = [solve() for solve in solves]
+        monkeypatch.setattr(spectra, "_OPENBLAS_THREADS", None)
+        for solve, value in zip(solves, guarded):
+            np.testing.assert_allclose(solve(), value, rtol=1e-14, atol=0)
