@@ -152,9 +152,9 @@ def _fast_len(m: int) -> int:
 
 class ToeplitzOperator:
     """An m x n Toeplitz matrix, optionally plus a Hankel matrix, with
-    optional column weights w: entry (i, j) is
+    optional row weights u and column weights w: entry (i, j) is
 
-        (coeffs[n-1 + i - j] + hankel_coeffs[i + j]) / sqrt(w[j]),
+        (coeffs[n-1 + i - j] + hankel_coeffs[i + j]) / sqrt(u[i] w[j]),
 
     the Toeplitz coefficients t(r) held at the offsets r = i - j from
     -(n-1) to m-1 and the Hankel coefficients k(s) at the sums s = i + j
@@ -173,7 +173,8 @@ class ToeplitzOperator:
     complex operator has only its dense build.
     """
 
-    def __init__(self, coeffs, hankel_coeffs=None, shape=None, column_weights=None):
+    def __init__(self, coeffs, hankel_coeffs=None, shape=None, column_weights=None,
+                 row_weights=None):
         coeffs = np.asarray(coeffs)
         if shape is None:
             if coeffs.ndim != 1 or coeffs.size % 2 == 0:
@@ -187,13 +188,21 @@ class ToeplitzOperator:
             raise ValueError(f"a {m} x {n} matrix needs coefficient vectors of length "
                              f"{m + n - 1}")
         self.coeffs, self.hankel_coeffs, self.shape = coeffs, hankel_coeffs, (m, n)
-        self.column_weights = None
-        if column_weights is not None:
-            self.column_weights = np.asarray(column_weights, dtype=float)
-            if self.column_weights.shape != (n,):
-                raise ValueError(f"column weights must be a vector of length {n}")
-            self._column_scale = 1.0 / np.sqrt(self.column_weights)  # for the products
+        # each scale 1/sqrt(weights), for the products
+        self.column_weights, self._column_scale = self._weights(column_weights, n, "column")
+        self.row_weights, self._row_scale = self._weights(row_weights, m, "row")
         self._spectra = None  # (N, A, B), built by the first product
+
+    @staticmethod
+    def _weights(weights, size: int, name: str):
+        """``(weights, 1/sqrt(weights))`` for a float vector of length
+        ``size``, or ``(None, None)``."""
+        if weights is None:
+            return None, None
+        weights = np.asarray(weights, dtype=float)
+        if weights.shape != (size,):
+            raise ValueError(f"{name} weights must be a vector of length {size}")
+        return weights, 1.0 / np.sqrt(weights)
 
     @classmethod
     def hilbert(cls, R: int) -> "ToeplitzOperator":
@@ -236,16 +245,18 @@ class ToeplitzOperator:
     def dense(self) -> np.ndarray:
         """The m x n matrix as a fresh C-contiguous array: strided views
         that read entry (i, j) at coeffs[n-1 + i - j] and hankel_coeffs[i + j]
-        added up, then scaled by the column weights."""
+        added up, then scaled by the column and row weights."""
         m, n = self.shape
         step = self.coeffs.strides[0]
         M = as_strided(self.coeffs[n - 1:], shape=(m, n), strides=(step, -step)).copy()
         if self.hankel_coeffs is not None:
             hankel = self.hankel_coeffs
             M += as_strided(hankel, shape=(m, n), strides=hankel.strides * 2)
+        # 1/sqrt(w) as sqrt(w)/w: at w = 2 a column 2c then reads sqrt(2) c exactly
         if self.column_weights is not None:
-            # 1/sqrt(w) as sqrt(w)/w: at w = 2 a column 2c then reads sqrt(2) c exactly
             M *= np.sqrt(self.column_weights) / self.column_weights
+        if self.row_weights is not None:
+            M *= (np.sqrt(self.row_weights) / self.row_weights)[:, None]
         return M
 
     def _checked(self, x, size: int, name: str) -> np.ndarray:
@@ -293,12 +304,16 @@ class ToeplitzOperator:
         x = self._checked(x, n, "matvec")
         if self.column_weights is not None:
             x = x * self._column_scale
-        return self._transform(x, False, m)
+        y = self._transform(x, False, m)
+        return y if self.row_weights is None else y * self._row_scale
 
     def rmatvec(self, z) -> np.ndarray:
         """M^T z for a vector z of length m."""
         m, n = self.shape
-        y = self._transform(self._checked(z, m, "rmatvec"), True, n)
+        z = self._checked(z, m, "rmatvec")
+        if self.row_weights is not None:
+            z = z * self._row_scale
+        y = self._transform(z, True, n)
         return y if self.column_weights is None else y * self._column_scale
 
     def lift(self, x, sign: float) -> np.ndarray:

@@ -15,27 +15,28 @@ max(1, max |entry|); it cannot be set.
 
 Norm-only queries stay in real arithmetic via -B^2.  ||T_R||, ||H_R|| and
 the top pair of T_R take one solve route, ``_top_eigen``, which holds the
-only dense/Lanczos decision, on the dimension n of the positive semidefinite
-matrix it solves and the cutoff and basis size its caller passes: up to the
-cutoff ``spectral_norm`` for a norm and ``np.linalg.eigh`` for a top pair,
-above it ``_lanczos_top``, a thick-restart Lanczos in numpy.  Every solve
-holds one ``matrices.ToeplitzOperator``, built for it, which takes its
-circulant spectra once, on the first product.  T_R is
-skew-centrosymmetric, so -T_R^2 is solved on its J-even block C^T C for
-C = ``ToeplitzOperator.hilbert_parity(R)`` (n = ceil(R/2), dense up to
-n = DENSE_CUTOFF, so R = 600, with an _LANCZOS_NCV basis above), whose
-``dense()`` is the dense side and whose products C x and C^T z the
-matrix-free side, each one transform pair at the length
-``_fast_len(R - 1)`` (10000 at R = 10000).  The top pair is built from the
-J-even top eigenvector of -T_R^2 at every size, its T q taken as
+only dense/iterative decision, on the dimension n of the positive
+semidefinite matrix it solves and the cutoff and basis size its caller
+passes: up to the cutoff ``spectral_norm`` for a norm and
+``np.linalg.eigh`` for a top pair, above it ``_top_ritz``, thick-restart
+Rayleigh-Ritz in numpy.  Every solve holds one ``matrices.ToeplitzOperator``,
+built for it, which takes its circulant spectra once, on the first product.
+T_R is skew-centrosymmetric, so -T_R^2 is solved on its J-even block C^T C
+for C = ``ToeplitzOperator.hilbert_parity(R)`` (n = ceil(R/2), dense up to
+n = DENSE_CUTOFF, so R = 340), whose ``dense()`` is the dense side and whose
+products C x and C^T z the matrix-free side, each one transform pair at the
+length ``_fast_len(R - 1)`` (10000 at R = 10000), preconditioned by
+``_parity_preconditioner(R)`` (generalized Davidson).  The top pair is built
+from the J-even top eigenvector of -T_R^2 at every size, its T q taken as
 P_o (C q_n) on the side that solved.  H_R is solved as it is (n = R, dense
-up to _HANKEL_DENSE_CUTOFF, with an _HANKEL_NCV basis above) on the
-full-length matvec of ``ToeplitzOperator.hankel``.  No solve loads scipy,
-and a Lanczos solve that does not converge raises ``np.linalg.LinAlgError``.
+up to _HANKEL_DENSE_CUTOFF, with an _HANKEL_NCV basis and no preconditioner
+above: Lanczos) on the full-length matvec of ``ToeplitzOperator.hankel``.
+No solve loads scipy, and an iterative solve that does not converge raises
+``np.linalg.LinAlgError``.
 
 Two places run on one OpenBLAS thread, under ``_one_blas_thread``: the
 whole of ``_top_eigen`` (dense build, Gram product, ``eigvalsh``/``eigh``
-and ``_lanczos_top``) and the ``eigh`` of ``skew_spectrum``.  On 2 cores a
+and ``_top_ritz``) and the ``eigh`` of ``skew_spectrum``.  On 2 cores a
 second thread made these solves slower, not faster, and its rounding moved
 the last bits of dense T_R norms; on one thread the ``sweep-gap`` bytes do
 not depend on ``OPENBLAS_NUM_THREADS``.  The guard puts the caller's thread
@@ -58,35 +59,33 @@ from .matrices import ToeplitzOperator, as_square, hilbert_hankel
 # threshold only needs to absorb roundoff.
 ZERO_MU_REL = 1e-10
 
-# Matrix-free Lanczos takes over in ``_top_eigen`` above this dimension of
-# T_R's parity block, ceil(R/2), so R = 601 is the first Lanczos solve.  On 2
-# cores, at the one OpenBLAS thread ``_one_blas_thread`` runs every solve on,
-# a dense norm solve (block, C^T C and eigvalsh) took 3.7 ms at n = 300
-# against 4.2 ms for Lanczos with a fresh operator, and the two crossed
-# between n = 320 and 350 (at two threads: 6.7 against 9.8 ms, crossing
-# between n = 320 and 400).  The cutoff stays at 300: there the largest dense
-# solve peaks at 1.44 MB of allocations, below the 1.57 MB of n = 256 when
-# the block was built from index grids, so no dense run needs more memory.
-DENSE_CUTOFF = 300
+# The matrix-free solve takes over in ``_top_eigen`` above this dimension of
+# T_R's parity block, ceil(R/2), so R = 341 is the first iterative solve.  On
+# 2 cores, at one OpenBLAS thread, a dense norm solve (block, C^T C and
+# eigvalsh) took 0.85, 0.97 and 1.34 ms at n = 150, 170 and 200, against
+# 0.94, 0.98 and 0.98 ms for the matrix-free solve, operators built included.
+# A dense top pair (eigh) crossed near n = 130, but norms far outnumber pairs.
+DENSE_CUTOFF = 170
 
-# ARPACK's convergence test for the top Ritz value: |beta s_last| <= tol
-# |theta|.  1e-11 keeps norms accurate to ~1e-11 while roughly halving the
-# product count against machine-precision stopping.  maxiter bounds the
-# restarts.
+# The stopping test of a norm solve, ||S y - theta y|| <= tol |theta|, and
+# the bound on restarts.
 _LANCZOS_OPTS = dict(tol=1e-11, maxiter=20000)
 
-# Lanczos basis size on the T_R parity block: 32 took no more products than
-# 64 at R = 600..10000.  The whole basis is filled before the first
-# convergence test, and each restart keeps ncv // 2 Ritz vectors, so a solve
-# takes ncv + k (ncv - ncv // 2) products after k restarts: 96, 112, 160 and
-# 352 at R = 601, 1000, 2000 and 10000, one fewer than ARPACK's implicit
-# restart (Lehoucq and Sorensen, SIAM J. Matrix Anal. Appl. 17 (1996)
-# 789-821) took with the same basis.  What it saves is ARPACK's fixed cost
-# per call, not products: an H_65 solve took 0.21 ms against 0.30 ms.
-# Dead end: an unrestarted Lanczos with full reorthogonalization needed 149
-# products against ARPACK's 161 at R = 2000 and 322 against 353 at
-# R = 10000, so the product count cannot be cut much, only each product's cost.
-_LANCZOS_NCV = 32
+# A top-pair solve stops at 1e-13 theta: at 1e-11 the amplitudes |u_n| of the
+# T_R top pair were off by 1.2e-12 at R = 601 and 2.8e-12 at R = 1001, at
+# 1e-13 by 5.2e-15 and 1.3e-14, for two more products.
+_PAIR_TOL = 1e-13
+
+# Basis size of the T_R solve.  Its preconditioner approximates
+# (sigma I - C^T C)^-1 at sigma = pi^2, the limit of ||T_R||^2, by
+# (pi^2 I + SC^2)^-1 for the skew-circulant SC of T_R's symbol i(pi - x),
+# which samples it off its jump at x = 0 (Chan and Ng, SIAM Rev. 38 (1996)
+# 427-482).  Every norm solve from R = 341 to 10001 took 14 or 15 products
+# and every top pair 15 to 17, so none restarts.  With sigma = 1.01 pi^2 a
+# norm took 17, 23 and 46 products at R = 601, 2000 and 10000, with no
+# preconditioner 87, 165 and 427, and the earlier unpreconditioned
+# 32-vector Lanczos 96, 160 and 352.
+_DAVIDSON_NCV = 20
 
 # H_R's top eigenvalue is well isolated (lambda_2/lambda_1 = 0.44 at
 # R = 256), so its solve takes its own cutoff and basis: with ncv = 8 every
@@ -287,67 +286,73 @@ def trace_power_norm_estimate(B, k: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _lanczos_top(apply, v0, ncv: int):
+def _top_ritz(apply, v0, ncv: int, tol: float, precondition=None):
     """Top eigenpair ``(theta, y)`` of the symmetric operator ``apply`` on
-    n-vectors, by thick-restart Lanczos (Wu and Simon, SIAM J. Matrix Anal.
-    Appl. 22 (2000) 602-616) from ``v0`` with an (ncv + 1) x n basis.
-
-    Each product is reorthogonalized against the whole basis by two passes
-    of classical Gram-Schmidt.  A full basis restarts on its top ncv // 2
-    Ritz vectors and the last residual vector; the projected matrix is then
-    their Ritz values plus one arrow row of couplings.  The top Ritz pair is
-    accepted on ARPACK's test |beta s_last| <= tol |theta|, after at most
-    ``_LANCZOS_OPTS["maxiter"]`` restarts.  A residual that the second pass
-    cancels (beta to working precision 0) spans nothing new: the basis is
-    an invariant subspace, and its top Ritz pair is returned as it is."""
-    n, tol, maxiter = v0.size, _LANCZOS_OPTS["tol"], _LANCZOS_OPTS["maxiter"]
-    V = np.empty((ncv + 1, n))
-    V[0] = v0 / np.linalg.norm(v0)
-    H = np.zeros((ncv, ncv))
-    k = 0  # Ritz vectors kept by the last restart
-    for _ in range(maxiter + 1):
-        for j in range(k, ncv):
-            basis = V[:j + 1]
-            w = apply(V[j])
-            h = basis @ w  # classical Gram-Schmidt, twice
-            w = w - h @ basis
-            first = w @ w
-            h2 = basis @ w
-            w -= h2 @ basis
-            H[j, j] = h[j] + h2[j]
-            second = w @ w
-            if second <= 0.25 * first:  # w was in the basis: beta is 0
-                theta, S = np.linalg.eigh(H[:j + 1, :j + 1])
-                return theta[-1], S[:, -1] @ basis
-            beta = float(np.sqrt(second))
-            np.divide(w, beta, out=V[j + 1])
-            if j + 1 < ncv:
-                H[j, j + 1] = H[j + 1, j] = beta
-        theta, S = np.linalg.eigh(H)  # ascending
-        if abs(beta * S[-1, -1]) <= tol * abs(theta[-1]):
-            return theta[-1], S[:, -1] @ V[:ncv]
-        k = ncv // 2
-        # one product per kept vector, as in Gram-Schmidt: OpenBLAS's threaded
-        # gemm rounded the whole product differently under 1 and 2 threads
-        # from n = 1954 on, which moved the sweep's norms at R = 4114..9702
-        # when solves ran at the caller's count; kept so those bytes stay
-        V[:k] = [s @ V[:ncv] for s in S[:, -k:].T]
-        V[k] = V[ncv]
-        H[:] = 0.0
-        H[:k, :k] = np.diag(theta[-k:])
-        H[:k, k] = H[k, :k] = beta * S[-1, -k:]
-    raise np.linalg.LinAlgError(f"Lanczos did not converge after {maxiter} restarts")
+    n-vectors by thick-restart Rayleigh-Ritz from ``v0``: a basis V of at
+    most ``ncv`` vectors, each orthogonalized by two passes of classical
+    Gram-Schmidt, their products W = S V and H = V^T W.  With
+    ``precondition`` it is generalized Davidson (Morgan and Scott, SIAM J.
+    Sci. Stat. Comput. 7 (1986) 817-825): each step takes the top Ritz pair
+    and grows V by ``precondition`` of its residual.  Without, it is Lanczos
+    (Wu and Simon, SIAM J. Matrix Anal. Appl. 22 (2000) 602-616): V grows by
+    the last product, and the Ritz pair is taken when V is full.  The pair is
+    accepted when ||W y - theta V y|| <= tol |theta|.  A full basis restarts
+    on its top ncv // 2 Ritz vectors (Lanczos then grows from the top
+    residual); after ``_LANCZOS_OPTS["maxiter"]`` restarts the solve raises
+    ``np.linalg.LinAlgError``.  A new vector that the second pass cuts to a
+    quarter of its first-pass norm lies in V: then V is invariant (Lanczos)
+    or, for a positive definite preconditioner, the residual is 0, and the
+    top Ritz pair is returned as it is."""
+    n, maxiter = v0.size, _LANCZOS_OPTS["maxiter"]
+    V, W, H = np.empty((ncv, n)), np.empty((ncv, n)), np.empty((ncv, ncv))
+    t, j, restarts = v0, 0, 0
+    while True:
+        basis = V[:j]
+        t = t - (basis @ t) @ basis  # classical Gram-Schmidt, twice
+        first = t @ t
+        t -= (basis @ t) @ basis
+        second = t @ t
+        if second <= 0.25 * first:  # t was in the basis
+            theta, S = np.linalg.eigh(H[:j, :j])
+            return theta[-1], S[:, -1] @ basis
+        np.divide(t, np.sqrt(second), out=V[j])
+        W[j] = apply(V[j])
+        H[j, :j + 1] = H[:j + 1, j] = V[:j + 1] @ W[j]
+        j += 1
+        if precondition is None and j < ncv:
+            t = W[j - 1]
+            continue
+        theta, S = np.linalg.eigh(H[:j, :j])  # ascending
+        y = S[:, -1]
+        t = y @ W[:j] - theta[-1] * (y @ V[:j])  # the residual
+        if np.linalg.norm(t) <= tol * abs(theta[-1]):
+            return theta[-1], y @ V[:j]
+        if j == ncv:
+            if restarts == maxiter:
+                method = "Lanczos" if precondition is None else "Davidson"
+                raise np.linalg.LinAlgError(
+                    f"{method} did not converge after {maxiter} restarts")
+            restarts, j = restarts + 1, ncv // 2
+            keep = S[:, -j:].T
+            V[:j], W[:j] = keep @ V, keep @ W
+            H[:j, :j] = np.diag(theta[-j:])
+        if precondition is not None:
+            t = precondition(t)
 
 
 @_one_blas_thread()
-def _top_eigen(n: int, dense, apply, v0, cutoff: int, ncv: int, image=None):
+def _top_eigen(n: int, dense, apply, v0, cutoff: int, ncv: int, image=None,
+               preconditioner=None):
     """Top eigenvalue of an n x n positive semidefinite S, which ``dense()``
     builds and ``apply`` applies to an n-vector.  The one solver choice: dense
     while n <= cutoff (``spectral_norm`` for the value, ``eigh`` for a
-    vector), ``_lanczos_top`` from ``v0`` with a min(n, ncv)-vector basis
-    above.  With ``image``, a pair of maps (dense side, matrix-free side),
-    returns ``(eigenvalue, q, image(q))`` for a unit top eigenvector q; the
-    map of the side that solved is taken, so all-dense runs never build a
+    vector), ``_top_ritz`` from ``v0`` with a min(n, ncv)-vector basis
+    above, preconditioned by ``preconditioner()`` when that is given, and
+    stopped at tol = ``_LANCZOS_OPTS["tol"]`` for a value and ``_PAIR_TOL``
+    for a vector.  With ``image``, a pair of maps (dense side, matrix-free
+    side), returns ``(eigenvalue, q, image(q))`` for a unit top eigenvector
+    q; the map of the side that solved is taken, and the preconditioner is
+    built on the matrix-free side alone, so all-dense runs never build a
     circulant spectrum.  The whole solve runs on one OpenBLAS thread."""
     if n <= cutoff:
         if image is None:
@@ -355,7 +360,9 @@ def _top_eigen(n: int, dense, apply, v0, cutoff: int, ncv: int, image=None):
         values, vectors = np.linalg.eigh(dense())  # ascending
         lam, q, lift = values[-1], vectors[:, -1], image[0]
     else:
-        lam, q = _lanczos_top(apply, v0, min(n, ncv))
+        tol = _LANCZOS_OPTS["tol"] if image is None else _PAIR_TOL
+        lam, q = _top_ritz(apply, v0, min(n, ncv), tol,
+                           None if preconditioner is None else preconditioner())
         if image is None:
             return float(lam)
         lift = image[1]
@@ -363,16 +370,36 @@ def _top_eigen(n: int, dense, apply, v0, cutoff: int, ncv: int, image=None):
     return float(lam), q, lift(q)
 
 
+def _parity_preconditioner(R: int) -> ToeplitzOperator:
+    """P_e^T M P_e (n x n, n = ceil(R/2), P_e the J-even basis of
+    ``ToeplitzOperator.lift``) for the R x R symmetric Toeplitz
+    (-1)-circulant M with eigenvalues g_k = 1/(x_k (2 pi - x_k)) at
+    x_k = (2k + 1) pi / R.  M's first column p_r = (1/R) sum_k g_k cos(r x_k)
+    is Re(e^{-i pi r/R} rfft(g)[r]) / R for r <= R/2 and p_{R-r} = -p_r; the
+    block is p(i - j) + p(i + j - (R-1)), Toeplitz plus Hankel, with the
+    middle row and column of an odd R scaled by 1/sqrt2."""
+    x = (2.0 * np.arange(R) + 1.0) * (np.pi / R)
+    half = R // 2 + 1
+    p = np.empty(R)
+    p[:half] = (np.exp(-1j * np.pi / R * np.arange(half))
+                * np.fft.rfft(1.0 / (x * (2.0 * np.pi - x)))).real / R
+    p[half:] = -p[R - half:0:-1]
+    n = (R + 1) // 2
+    weights = np.append(np.ones(n - 1), 2.0) if R % 2 else None
+    return ToeplitzOperator(p[np.abs(np.arange(1 - n, n))],
+                            p[np.abs(np.arange(1 - R, 2 * n - R))], (n, n), weights, weights)
+
+
 def _toeplitz_top(C: ToeplitzOperator, vector=False):
     """Top eigenvalue of -T_R^2 on its J-even block, S = C^T C for the
     parity block C = ``ToeplitzOperator.hilbert_parity(R)`` (n = ceil(R/2));
     with ``vector``, the ``(eigenvalue, q_n, C q_n)`` of ``_top_eigen``.
     The matrix-free apply is C^T (C x), two products that each take one
-    transform pair of length ``_fast_len(R - 1)``.  It starts from the even
-    part of the all-ones vector, which spans the same Krylov space as on
-    the full space.  The dense side drops the block once S is formed, and a
-    top pair builds it again for C q_n, so no dense solve holds C, S and the
-    eigenvectors at once."""
+    transform pair of length ``_fast_len(R - 1)``, preconditioned by
+    ``_parity_preconditioner(R)``.  It starts from the even part of the
+    all-ones vector.  The dense side drops the block once S is formed, and
+    a top pair builds it again for C q_n, so no dense solve holds C, S and
+    the eigenvectors at once."""
     R, n = sum(C.shape), C.shape[1]
     v0 = np.full(n, 1.0 / np.sqrt(R))
     v0[:R // 2] *= 2.0 * _INV_SQRT2  # P_e^T of the unit all-ones vector
@@ -382,14 +409,16 @@ def _toeplitz_top(C: ToeplitzOperator, vector=False):
         return B.T @ B
 
     return _top_eigen(n, gram, lambda x: C.rmatvec(C.matvec(x)), v0, DENSE_CUTOFF,
-                      _LANCZOS_NCV, (lambda q: C.dense() @ q, C.matvec) if vector else None)
+                      _DAVIDSON_NCV, (lambda q: C.dense() @ q, C.matvec) if vector else None,
+                      lambda: _parity_preconditioner(R).matvec)
 
 
 def toeplitz_hilbert_norm(R: int) -> float:
     """Spectral norm of the R x R skew Hilbert matrix: sqrt of the top
     eigenvalue of C^T C for its ceil(R/2)-column parity block C (see
     ``ToeplitzOperator.hilbert_parity``).  Dense up to R = 2 DENSE_CUTOFF,
-    above that Lanczos with O(R log R) FFT products on the half-size block.
+    above that a preconditioned Davidson solve with O(R log R) FFT products
+    on the half-size block.
     """
     return float(np.sqrt(max(_toeplitz_top(ToeplitzOperator.hilbert_parity(R)), 0.0)))
 
@@ -398,7 +427,7 @@ def toeplitz_hilbert_top_pair(R: int) -> SpectralDecomposition:
     """Top eigenpair of the R x R skew Hilbert matrix as a one-column
     decomposition: v = q / sqrt(2) and w = -T q / (mu sqrt(2)) for the unit
     J-even top eigenvector q = P_e q_n of -T^2, q_n the top eigenvector of
-    C^T C on the parity block (dense up to R = 2 DENSE_CUTOFF, Lanczos
+    C^T C on the parity block (dense up to R = 2 DENSE_CUTOFF, Davidson
     above), and T q = P_o (C q_n).  Any unit q in the top eigenspace gives
     the same u = v + i w up to phase."""
     C = ToeplitzOperator.hilbert_parity(R)

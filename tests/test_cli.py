@@ -249,8 +249,9 @@ def test_sweep_gap(tmp_path):
 
 def test_sweep_tables_byte_identical_across_processes(run_python):
     # fresh interpreters, so the second run shares no state with the first;
-    # both pass their dense cutoffs, so Lanczos on the cached FFT runs:
-    # T_R from R = 601 (its parity block has dimension ceil(R/2)), H_R from 65
+    # both pass their dense cutoffs, so iterative solves on the cached FFT
+    # run: T_R from R = 341 (its parity block has dimension ceil(R/2)), H_R
+    # from 65
     for argv in (["sweep-gap", "--R-max", "700"], ["hankel-gap", "--R-max", "300"]):
         first, second = (run_python(["-m", "hilbmat.cli", *argv]) for _ in range(2))
         assert first.returncode == second.returncode == 0
@@ -260,9 +261,10 @@ def test_sweep_tables_byte_identical_across_processes(run_python):
 
 def test_hankel_sweep_bytes_do_not_depend_on_blas_threads(run_python):
     # every spectra solve runs on one OpenBLAS thread, whatever the caller
-    # set: without that, the dense T_R rows of sweep-gap (R = 195..600) moved
-    # in the last bits between 1 and 2 threads, and so did H_R's eigvalsh at
-    # R = 169..252 when H_R was dense up to R = 256
+    # set: without that, the dense T_R rows of sweep-gap (R = 195..600, when
+    # T_R was dense up to R = 600) moved in the last bits between 1 and 2
+    # threads, and so did H_R's eigvalsh at R = 169..252 when H_R was dense
+    # up to R = 256
     for argv in (["hankel-gap", "--R-max", "300"], ["sweep-gap", "--R-max", "600"]):
         one, two = (run_python(["-m", "hilbmat.cli", *argv], env={"OPENBLAS_NUM_THREADS": n})
                     for n in ("1", "2"))

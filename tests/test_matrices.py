@@ -263,15 +263,15 @@ def test_operator_rejects_bad_column_and_row(coeffs):
 @pytest.mark.parametrize("hankel", [False, True], ids=["toeplitz", "plus-hankel"])
 def test_rectangular_products_match_the_dense_build(shape, hankel):
     # M x, M^T z and the dense build agree for any shape, with or without a
-    # Hankel part, under random column weights; the dense build reads entry
-    # (i, j) as (t(i - j) + k(i + j)) / sqrt(w_j)
+    # Hankel part, under random row and column weights; the dense build reads
+    # entry (i, j) as (t(i - j) + k(i + j)) / sqrt(u_i w_j)
     m, n = shape
     rng = np.random.default_rng(m * 10 + n)
     t, k = rng.normal(size=m + n - 1), rng.normal(size=m + n - 1)
-    w = rng.uniform(0.5, 2.0, size=n)
-    op = ToeplitzOperator(t, k if hankel else None, shape, w)
+    w, u = rng.uniform(0.5, 2.0, size=n), rng.uniform(0.5, 2.0, size=m)
+    op = ToeplitzOperator(t, k if hankel else None, shape, w, u)
     i, j = np.indices(shape)
-    expected = (t[n - 1 + i - j] + (k[i + j] if hankel else 0.0)) / np.sqrt(w)
+    expected = (t[n - 1 + i - j] + (k[i + j] if hankel else 0.0)) / np.sqrt(np.outer(u, w))
     M = op.dense()
     np.testing.assert_allclose(M, expected, rtol=1e-15, atol=0)
     x, z = rng.normal(size=n), rng.normal(size=m)
@@ -288,10 +288,12 @@ def test_rectangular_products_match_the_dense_build(shape, hankel):
      "^a 2 x 2 matrix needs coefficient vectors of length 3$"),
     (dict(coeffs=np.ones(4), shape=(2, 3), column_weights=np.ones(2)),
      "^column weights must be a vector of length 3$"),
-], ids=["short", "long", "hankel-length", "weights-length"])
+    (dict(coeffs=np.ones(4), shape=(2, 3), row_weights=np.ones(3)),
+     "^row weights must be a vector of length 2$"),
+], ids=["short", "long", "hankel-length", "weights-length", "row-weights-length"])
 def test_rectangular_operator_checks_its_parts(kwargs, message):
-    # a shape fixes the length m + n - 1 of both coefficient vectors and the
-    # length n of the column weights
+    # a shape fixes the length m + n - 1 of both coefficient vectors, the
+    # length n of the column weights and the length m of the row weights
     with pytest.raises(ValueError, match=message):
         ToeplitzOperator(**kwargs)
 

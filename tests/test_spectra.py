@@ -327,9 +327,9 @@ class TestMatrixFreeNorms:
 
     @pytest.mark.parametrize("solve", [toeplitz_hilbert_norm, hankel_hilbert_norm,
                                        toeplitz_hilbert_top_pair], ids=lambda fn: fn.__name__)
-    # 300.x reaches H_R's Lanczos route (n = R); 601.x reaches T_R's
-    # (parity block of dimension 301), the first above DENSE_CUTOFF = 300;
-    # a list or 0-d array size is refused the same way
+    # 300.x would reach H_R's Lanczos route (n = R) and 601.x T_R's
+    # preconditioned one (parity block of dimension 301, above
+    # DENSE_CUTOFF = 170); a list or 0-d array size is refused the same way
     @pytest.mark.parametrize("R", [300.0, 300.5, 601.0, 601.5, [601], np.array(601.0)])
     def test_non_integer_size_above_cutoff_fails_with_one_line(self, solve, R):
         with pytest.raises(ValueError, match="^dimension must be an integer$"):
@@ -394,7 +394,7 @@ class TestMatrixFreeNorms:
             products.append(1)
             return d * x
 
-        theta, y = spectra._lanczos_top(apply, v0, 8)
+        theta, y = spectra._top_ritz(apply, v0, 8, 1e-11)
         assert len(products) == len(support)
         assert theta == pytest.approx(40.0, rel=4 * np.finfo(float).eps, abs=0)
         np.testing.assert_allclose(np.abs(y), np.eye(40)[39], rtol=0, atol=1e-15)
@@ -408,15 +408,16 @@ class TestMatrixFreeNorms:
         assert np.linalg.norm(B @ top.W - top.V * top.mus) <= 1e-9
         assert np.linalg.norm(B @ top.V + top.W * top.mus) <= 1e-9
 
-    @pytest.mark.parametrize("R", list(range(1, 65)) + [511, 512, 513, 514, 599, 600, 601, 602])
+    @pytest.mark.parametrize("R", list(range(1, 65)) + [340, 341, 342, 511, 512, 513, 514, 599,
+                                                        600, 601, 602])
     def test_parity_block_norm_matches_dense(self, R):
         # the half-size block against the full dense -T^2, on both sides of
-        # the cutoff at R = 2 DENSE_CUTOFF = 600
+        # the cutoff at R = 2 DENSE_CUTOFF = 340
         assert toeplitz_hilbert_norm(R) == pytest.approx(spectral_norm(hilbert_toeplitz(R)),
                                                          abs=1e-13)
 
-    @pytest.mark.parametrize("R", [3, 21, 201, 256, 257, 511, 512, 513, 514, 599, 600, 601,
-                                   602, 1001])
+    @pytest.mark.parametrize("R", [3, 21, 201, 256, 257, 340, 341, 342, 511, 512, 513, 514, 599,
+                                   600, 601, 602, 1001])
     def test_top_pair_across_cutoff(self, R):
         # one construction on both sides of the dense/Lanczos cutoff
         top = toeplitz_hilbert_top_pair(R)
@@ -431,38 +432,51 @@ class TestMatrixFreeNorms:
         np.testing.assert_allclose(np.abs(top.U[:, 0]), np.abs(reference), rtol=0, atol=1e-12)
 
     @staticmethod
-    def _record_transform_lengths(monkeypatch):
-        """The FFT length of every later np.fft.rfft and irfft call."""
+    def _record_transform_lengths(monkeypatch, inverse=None):
+        """The FFT length of every later np.fft.rfft and irfft call; with a
+        list ``inverse``, the irfft lengths go there as well."""
         lengths = []
 
-        def recording(transform):
+        def recording(transform, also):
             def recorded(a, n=None, *args, **kwargs):
-                lengths.append(np.shape(a)[-1] if n is None else n)
+                for seen in also:
+                    seen.append(np.shape(a)[-1] if n is None else n)
                 return transform(a, n, *args, **kwargs)
             return recorded
 
-        monkeypatch.setattr(np.fft, "rfft", recording(np.fft.rfft))
-        monkeypatch.setattr(np.fft, "irfft", recording(np.fft.irfft))
+        monkeypatch.setattr(np.fft, "rfft", recording(np.fft.rfft, [lengths]))
+        monkeypatch.setattr(np.fft, "irfft", recording(
+            np.fft.irfft, [lengths] if inverse is None else [lengths, inverse]))
         return lengths
 
-    @pytest.mark.parametrize("R", [601, 1001])
+    @pytest.mark.parametrize("R", [601, 1001, 1002])
     def test_lanczos_solves_transform_only_at_length_R_minus_1(self, monkeypatch, R):
-        # every transform of a matrix-free T_R norm or top-pair solve has the
-        # length _fast_len(R - 1) of the parity operator's Toeplitz-plus-Hankel
-        # circulant, never the _fast_len(2R - 1) of a full T_R product
-        lengths = self._record_transform_lengths(monkeypatch)
+        # every product of a matrix-free T_R norm or top-pair solve transforms
+        # at the length _fast_len(R - 1) of the parity operator's
+        # Toeplitz-plus-Hankel circulant or _fast_len(2 ceil(R/2) - 1) of the
+        # preconditioner's, the same length for an even R, and never at the
+        # _fast_len(2R - 1) of a full T_R product; the one other transform of
+        # a solve is the preconditioner's length-R rfft of its symbol samples
+        inverse = []
+        lengths = self._record_transform_lengths(monkeypatch, inverse)
         toeplitz_hilbert_norm(R)
         toeplitz_hilbert_top_pair(R)
+        products = {_fast_len(R - 1), _fast_len(2 * ((R + 1) // 2) - 1)}
+        assert len(products) == 1 + R % 2
         assert len(lengths) > 100
-        assert set(lengths) == {_fast_len(R - 1)}
+        assert set(inverse) == products
+        assert set(lengths) == products | {R} and lengths.count(R) == 2
+        assert _fast_len(2 * R - 1) not in lengths
 
     def test_dense_solves_take_no_transform(self, monkeypatch):
-        # at and below the cutoff (R = 600, 511 and 201) the parity operator
-        # is built but never applied, so its spectra are never taken
+        # at and below the cutoff (R = 340 and 339) the parity operator is
+        # built but never applied, so its spectra are never taken, and no
+        # preconditioner is built
         lengths = self._record_transform_lengths(monkeypatch)
-        toeplitz_hilbert_norm(600)
-        toeplitz_hilbert_norm(511)
-        toeplitz_hilbert_top_pair(201)
+        toeplitz_hilbert_norm(340)
+        toeplitz_hilbert_norm(339)
+        toeplitz_hilbert_top_pair(340)
+        toeplitz_hilbert_top_pair(339)
         assert lengths == []
 
     @pytest.fixture
@@ -502,36 +516,121 @@ class TestMatrixFreeNorms:
     def test_dense_top_pair_loads_no_module(self, run_fresh):
         # T q is taken by the dense product below the cutoff: a dense-only
         # run (such as `verify`) must load no module; the
-        # parity block keeps T_R dense up to R = 600
-        for call in ("toeplitz_hilbert_top_pair(21)", "toeplitz_hilbert_top_pair(599)",
-                     "toeplitz_hilbert_norm(600)"):
+        # parity block keeps T_R dense up to R = 340
+        for call in ("toeplitz_hilbert_top_pair(21)", "toeplitz_hilbert_top_pair(339)",
+                     "toeplitz_hilbert_top_pair(340)", "toeplitz_hilbert_norm(340)"):
             code = ("import sys; from hilbmat.spectra import toeplitz_hilbert_norm, "
                     "toeplitz_hilbert_top_pair; before = set(sys.modules); "
                     f"{call}; print(sorted(set(sys.modules) - before))")
             assert run_fresh(code) == "[]", call
 
     @pytest.mark.parametrize("solve,R,shapes,max_ncv", [
-        (toeplitz_hilbert_norm, 601, [(301, 301)], 32),
+        (toeplitz_hilbert_norm, 601, [(301, 301)], 20),
         (hankel_hilbert_norm, 300, [(300, 300)], 8),
-        (toeplitz_hilbert_norm, 600, [], 32),
-        (toeplitz_hilbert_norm, 512, [], 32),
+        (toeplitz_hilbert_norm, 600, [(300, 300)], 20),
+        (toeplitz_hilbert_norm, 512, [(256, 256)], 20),
+        (toeplitz_hilbert_norm, 341, [(171, 171)], 20),
+        (toeplitz_hilbert_norm, 340, [], 20),
         (hankel_hilbert_norm, 64, [], 8),
         (hankel_hilbert_norm, 65, [(65, 65)], 8),
-    ], ids=["T601", "H300", "T600", "T512", "H64", "H65"])
+    ], ids=["T601", "H300", "T600", "T512", "T341", "T340", "H64", "H65"])
     def test_lanczos_problem_size_and_basis(self, monkeypatch, solve, R, shapes, max_ncv):
-        # T_R is solved on its ceil(R/2) parity block, H_R as it is; a T_R
-        # basis holds at most 32 vectors, an H_R basis at most 8
+        # T_R is solved on its ceil(R/2) parity block, iteratively from
+        # R = 2 DENSE_CUTOFF + 1 = 341, H_R as it is; a T_R basis holds at most
+        # 20 vectors and is preconditioned, an H_R basis at most 8 and is not
         calls = []
-        lanczos_top = spectra._lanczos_top
+        top_ritz = spectra._top_ritz
 
-        def recording(apply, v0, ncv):
-            calls.append(((v0.size, v0.size), ncv))
-            return lanczos_top(apply, v0, ncv)
+        def recording(apply, v0, ncv, tol, precondition=None):
+            calls.append(((v0.size, v0.size), ncv, precondition is None))
+            return top_ritz(apply, v0, ncv, tol, precondition)
 
-        monkeypatch.setattr(spectra, "_lanczos_top", recording)
+        monkeypatch.setattr(spectra, "_top_ritz", recording)
         solve(R)
-        assert [shape for shape, _ in calls] == shapes
-        assert all(ncv <= max_ncv for _, ncv in calls)
+        assert [shape for shape, _, _ in calls] == shapes
+        assert all(ncv <= max_ncv for _, ncv, _ in calls)
+        assert all(plain == (solve is hankel_hilbert_norm) for _, _, plain in calls)
+
+    @staticmethod
+    def _count_products(monkeypatch):
+        """The product count of every later ``_top_ritz`` solve, one entry per
+        solve."""
+        counts = []
+        top_ritz = spectra._top_ritz
+
+        def counting(apply, *args):
+            counts.append(0)
+
+            def counted(x):
+                counts[-1] += 1
+                return apply(x)
+            return top_ritz(counted, *args)
+
+        monkeypatch.setattr(spectra, "_top_ritz", counting)
+        return counts
+
+    @pytest.mark.parametrize("solve,R,most", [
+        *((toeplitz_hilbert_norm, R, 20) for R in (401, 601, 2001, 10001)),
+        *((toeplitz_hilbert_top_pair, R, 20) for R in (601, 2001, 4001)),
+        *((hankel_hilbert_norm, R, 8) for R in (65, 300, 1000)),
+    ], ids=lambda v: getattr(v, "__name__", str(v)))
+    def test_products_per_solve(self, monkeypatch, solve, R, most):
+        # the preconditioned T_R solve takes a count of products that hardly
+        # grows with R (the unpreconditioned Lanczos took 96 at R = 601 and
+        # 352 at R = 10000); H_R's Lanczos converges on its first full basis
+        counts = self._count_products(monkeypatch)
+        solve(R)
+        assert len(counts) == 1 and 0 < counts[0] <= most
+
+    @pytest.mark.parametrize("R", [601, 2001, 10001])
+    def test_top_pair_residual_on_a_fresh_product(self, R):
+        # a top-pair solve stops at ||C^T C q - theta q|| <= 1e-13 theta, and
+        # a product on a fresh operator shows it
+        lam, q, Cq = spectra._toeplitz_top(ToeplitzOperator.hilbert_parity(R), vector=True)
+        C = ToeplitzOperator.hilbert_parity(R)
+        assert np.linalg.norm(q) == pytest.approx(1.0, abs=1e-15)
+        np.testing.assert_allclose(Cq, C.matvec(q), rtol=0, atol=1e-15)
+        assert np.linalg.norm(C.rmatvec(C.matvec(q)) - lam * q) <= 1e-13 * lam
+
+    def test_restarted_solve_matches_dense(self, monkeypatch):
+        # a 4-vector basis cannot hold the solve, which restarts on 2 Ritz
+        # vectors until it converges, to the dense norm and top pair
+        monkeypatch.setattr(spectra, "_DAVIDSON_NCV", 4)
+        counts = self._count_products(monkeypatch)
+        R = 601
+        B = hilbert_toeplitz(R)
+        dense = skew_spectrum(B)
+        assert toeplitz_hilbert_norm(R) == pytest.approx(dense.norm, rel=0, abs=1e-13)
+        top = toeplitz_hilbert_top_pair(R)
+        assert top.norm == pytest.approx(dense.norm, rel=0, abs=1e-13)
+        np.testing.assert_allclose(np.abs(top.U[:, 0]), np.abs(dense.U[:, 0]),
+                                   rtol=0, atol=1e-12)
+        assert len(counts) == 2 and min(counts) > 4
+
+    @pytest.mark.parametrize("R", [10, 11, 601])
+    def test_preconditioner_is_the_folded_skew_circulant(self, R):
+        # the R x R (-1)-circulant M with eigenvalues g_k = 1/(x_k (2 pi - x_k))
+        # at x_k = (2k + 1) pi / R, built entry by entry as
+        # (1/R) sum_k g_k cos(x_k (a - b)), folded onto the J-even block by
+        # P_e = [lift(e_0), .., lift(e_{n-1})]; exactly symmetric and positive
+        # definite, with eigenvalues between those of M
+        x = (2.0 * np.arange(R) + 1.0) * np.pi / R
+        g = 1.0 / (x * (2.0 * np.pi - x))
+        a = np.arange(R)
+        M = np.cos(np.multiply.outer(a[:, None] - a[None, :], x)) @ g / R
+        C = ToeplitzOperator.hilbert_parity(R)
+        n = C.shape[1]
+        P = np.stack([C.lift(e, 1.0) for e in np.eye(n)], axis=1)
+        np.testing.assert_allclose(P.T @ P, np.eye(n), rtol=0, atol=1e-15)
+        K = spectra._parity_preconditioner(R)
+        assert K.shape == (n, n)
+        dense = K.dense()
+        np.testing.assert_allclose(dense, P.T @ M @ P, rtol=0, atol=1e-14 * g.max())
+        assert np.array_equal(dense, dense.T)
+        values = np.linalg.eigvalsh(dense)
+        assert g.min() * (1 - 1e-12) <= values[0] and values[-1] <= g.max() * (1 + 1e-12)
+        y = np.random.default_rng(R).normal(size=n)
+        np.testing.assert_allclose(K.matvec(y), dense @ y, rtol=0, atol=1e-14 * g.max())
 
 
 @pytest.fixture
@@ -583,7 +682,8 @@ class TestOneBlasThread:
     def test_count_is_restored_after_a_failed_solve(self, monkeypatch, caller_threads, count):
         get, put = caller_threads
         put(count)
-        monkeypatch.setitem(spectra._LANCZOS_OPTS, "maxiter", 0)
+        # a zero tolerance cannot be met, so two restarts run out
+        monkeypatch.setattr(spectra, "_LANCZOS_OPTS", dict(tol=0.0, maxiter=2))
         with pytest.raises(np.linalg.LinAlgError):
             toeplitz_hilbert_norm(700)
         assert get() == count
