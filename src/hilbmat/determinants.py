@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .matrices import as_square
+from .matrices import as_int, as_square
 from .spectra import require_skew
 
 # The matching DP takes about 0.05 s at R = 22 (see _matching_sums).
@@ -166,7 +166,7 @@ def newton_girard_power_sums(sigmas, L: int) -> list:
     s_l = sum_{i=1}^{l-1} (-1)^(i-1) sigma_i s_{l-i} + (-1)^(l-1) l sigma_l,
     with sigma_i = 0 beyond the supplied list.
     """
-    if L < 1:
+    if as_int(L, "L") < 1:
         raise ValueError("L must be >= 1")
     sig = list(sigmas)
 

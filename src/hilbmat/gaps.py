@@ -6,8 +6,9 @@ bracket is certified constructively: a unit coefficient vector built from
 powers of the Dirichlet kernel concentrates its trigonometric polynomial
 near x = 0, and its tail energy bounds the Rayleigh quotient.  The kernel
 coefficients are exact integers and every integral is analytic, so the
-certificate is quadrature-free; the sums and the Rayleigh quotient are
-float64, so it is not interval-rigorous.  ``check_witness`` holds its three
+certificate is quadrature-free.  T_R is real skew, so the witness u = x + iy
+has u* T_R u = 2i x^T T_R y, one real product; that and the sums are float64,
+so the certificate is not interval-rigorous.  ``check_witness`` holds its three
 inequalities with no slack; the gap lower bounds carry INEQ_SLACK.
 
 The Hankel Hilbert matrix converges far more slowly (like 1/log^2 R), which
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import write_csv
-from .matrices import ToeplitzOperator, as_dim
+from .matrices import ToeplitzOperator, as_dim, as_int
 from .reports import INEQ_SLACK, ResidualReport, residual_report
 from .spectra import hankel_hilbert_norm, toeplitz_hilbert_norm
 
@@ -125,7 +126,7 @@ def central_coefficient(M: int, N: int) -> int:
     Equals the sum of squared coefficients of the N-th power, i.e. the mean
     squared modulus of the N-th Dirichlet-kernel power times 2 pi.
     """
-    if M < 2 or N < 1:
+    if as_int(M, "M") < 2 or as_int(N, "N") < 1:
         raise ValueError("need M >= 2 and N >= 1")
     p = _ones_power(M, 2 * N)
     return p[N * (M - 1)]
@@ -223,14 +224,11 @@ def build_witness(R: int) -> WitnessCertificate:
     rayleigh_integral = abs(2.0 * sine_sum)
 
     # matrix-side Rayleigh quotient of the padded, phase-shifted coefficients
-    sqrt_e0 = math.sqrt(float(e0))
-    u = np.zeros(R, dtype=complex)
-    ls = np.arange(L + 1, dtype=float)
-    u[: L + 1] = (
-        np.array([float(b) for b in coeffs_n]) / sqrt_e0
-        * np.exp(-1j * ls * gamma / 2.0)
-    )
-    rayleigh = abs(complex(np.vdot(u, ToeplitzOperator.hilbert(R).matvec(u))))
+    amplitude = np.array([float(b) for b in coeffs_n]) / math.sqrt(float(e0))
+    phase = np.arange(L + 1, dtype=float) * (gamma / 2.0)
+    x, y = np.zeros(R), np.zeros(R)
+    x[: L + 1], y[: L + 1] = amplitude * np.cos(phase), -amplitude * np.sin(phase)
+    rayleigh = abs(2.0 * float(x @ ToeplitzOperator.hilbert(R).matvec(y)))
 
     return WitnessCertificate(
         params=params,

@@ -33,6 +33,7 @@ import numpy as np
 
 from .matrices import (
     as_dim,
+    as_int,
     as_nodes,
     as_weights,
     hilbert_toeplitz,
@@ -198,7 +199,7 @@ def check_removed_index_cancellation(B, n: int, k: int) -> ResidualReport:
     of absolute terms.
     """
     B = np.asarray(B, dtype=float)
-    if k < 1:
+    if as_int(k, "power k") < 1:
         raise ValueError("power k must be >= 1")
     S = math.fsum(_cross_terms(B, n, k).ravel().tolist())
     # scale from the same terms on |entries|: the full monomial mass of the
@@ -232,7 +233,7 @@ def check_diagonal_power_recursion(B, n: int, k: int) -> ResidualReport:
                   (B^{k-r-2})_{n,n}   for k >= 2.
     """
     B = np.asarray(B, dtype=float)
-    if k < 2:
+    if as_int(k, "power k") < 2:
         raise ValueError("power k must be >= 2")
     lhs, terms = _recursion_terms(B, n, k)
     rhs = -math.fsum(x for t, coeff in terms for x in (t * coeff).tolist())

@@ -15,7 +15,7 @@ is the half-size block of T_R between its J-even and J-odd vectors (J
 reverses the index order), on which the norm of T_R is solved: a
 rectangular Toeplitz-plus-Hankel block, the same class with a Hankel part
 and a column weight, and ``hilbert_parity_block`` its dense build.  Every
-matrix-free product, M x or M^T z, goes through one transform,
+matrix-free product of a real vector, M x or M^T z, goes through one transform,
 ``ToeplitzOperator._transform``, at the 5-smooth FFT length
 ``_fast_len(m + n - 1)``: 2R - 1 for a square operator and R - 1 for the
 parity block.  An operator takes its spectra with ``numpy.fft.rfft`` on its
@@ -64,11 +64,17 @@ def as_weights(values, R: int) -> np.ndarray:
     return c
 
 
+def as_int(value, name: str) -> int:
+    """``value``, a Python or numpy integer, as an int; else "<name> must be an integer"."""
+    if not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer")
+    return int(value)
+
+
 def as_dim(R, cap=MAX_DIM) -> int:
     """Validate a matrix dimension: an integer with 1 <= R <= cap; matrix-free
     sizes pass ``cap=None``, which sets no upper bound."""
-    if not isinstance(R, (int, np.integer)):
-        raise ValueError("dimension must be an integer")
+    R = as_int(R, "dimension")
     if R < 1:
         raise ValueError("dimension must be >= 1")
     if cap is not None and R > cap:
@@ -162,8 +168,8 @@ class ToeplitzOperator:
     the matrix is square, R x R for 2R - 1 coefficients.
 
     ``dense()`` adds up one strided view of each vector.  ``matvec(x)`` and
-    ``rmatvec(z)`` apply a real operator and its transpose to a real or
-    complex vector in O((m + n) log(m + n)) through one transform: with
+    ``rmatvec(z)`` apply a real operator and its transpose to a real vector
+    in O((m + n) log(m + n)) through one transform: with
     V = rfft(v, N) at N = ``_fast_len(m + n - 1)``, the product is
     irfft(A V + B conj(V), N)[:size], where A is the spectrum of t(r)
     placed at r mod N (conj(A) for the transpose, whose Toeplitz part is
@@ -260,11 +266,13 @@ class ToeplitzOperator:
         return M
 
     def _checked(self, x, size: int, name: str) -> np.ndarray:
-        """x as an array, which must be a 1-D vector of length ``size``."""
+        """x as an array, which must be a real 1-D vector of length ``size``."""
         x = np.asarray(x)
         if x.shape != (size,):
             raise ValueError(f"{name} needs a 1-D vector of length {size}, "
                              f"got shape {x.shape}")
+        if np.iscomplexobj(x):
+            raise ValueError(f"{name} needs a real vector, got dtype {x.dtype}")
         return x
 
     def _build_spectra(self):
@@ -283,12 +291,8 @@ class ToeplitzOperator:
         return N, spectrum(self.coeffs, 1 - n), B
 
     def _transform(self, v, transpose: bool, size: int) -> np.ndarray:
-        """irfft(A V + B conj(V), N)[:size] for V = rfft(v, N), with conj(A)
-        for A under ``transpose``; a complex v is taken by its real and
-        imaginary parts."""
-        if np.iscomplexobj(v):
-            return (self._transform(v.real, transpose, size)
-                    + 1j * self._transform(v.imag, transpose, size))
+        """irfft(A V + B conj(V), N)[:size] for V = rfft(v, N) of a real v,
+        with conj(A) for A under ``transpose``."""
         if self._spectra is None:
             self._spectra = self._build_spectra()
         N, A, B = self._spectra
@@ -371,7 +375,7 @@ def toeplitz_from_symbol(series, R) -> np.ndarray:
 def remove_index(M: np.ndarray, n: int) -> np.ndarray:
     """Principal submatrix with 1-based row and column n removed."""
     M = as_square(M)
-    R = M.shape[0]
+    R, n = M.shape[0], as_int(n, "index")
     if not 1 <= n <= R:
         raise ValueError(f"index {n} out of range 1..{R}")
     return np.delete(np.delete(M, n - 1, axis=0), n - 1, axis=1)

@@ -52,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrices import ToeplitzOperator, as_square, hilbert_hankel
+from .matrices import ToeplitzOperator, as_int, as_square, hilbert_hankel
 
 # Relative threshold below which a computed mu is classified as zero.  The
 # determinant structure forces an exact zero eigenvalue for odd R, so the
@@ -89,11 +89,11 @@ _DAVIDSON_NCV = 20
 
 # H_R's top eigenvalue is well isolated (lambda_2/lambda_1 = 0.44 at
 # R = 256), so its solve takes its own cutoff and basis: with ncv = 8 every
-# solve from R = 65 to 2000 took 8 products, and R = 5000..20000 took 12
-# (ARPACK took 9 throughout).
-# Dense eigvalsh against ARPACK's Lanczos, spectrum build included, crossed
-# over between n = 48 and 96 on 2 cores (0.22 against 0.47 ms at n = 64,
-# 0.83 against 0.41 ms at n = 128).
+# solve from R = 65 to 2000 took 8 products, and R = 5000..20000 took 12.
+# On 2 cores, at one OpenBLAS thread, the dense build and eigvalsh took 0.11,
+# 0.16, 0.19 and 0.44 ms at n = 64, 80, 88 and 128, the Lanczos solve with its
+# operator built 0.17 to 0.18 ms: they cross near n = 85, and a cutoff moved
+# there would change the last bits of ||H_R|| at R = 65..85.
 _HANKEL_DENSE_CUTOFF = 64
 _HANKEL_NCV = 8
 
@@ -268,7 +268,7 @@ def trace_power_norm_estimate(B, k: int) -> float:
     [norm, norm * R^(1/2k)].  Raises OverflowError when the powers leave
     double range; normalize the input first in that case.
     """
-    if k < 1:
+    if as_int(k, "power index k") < 1:
         raise ValueError("power index k must be >= 1")
     B = require_skew(B)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -341,27 +341,26 @@ def _top_ritz(apply, v0, ncv: int, tol: float, precondition=None):
 
 
 @_one_blas_thread()
-def _top_eigen(n: int, dense, apply, v0, cutoff: int, ncv: int, image=None,
-               preconditioner=None):
-    """Top eigenvalue of an n x n positive semidefinite S, which ``dense()``
-    builds and ``apply`` applies to an n-vector.  The one solver choice: dense
-    while n <= cutoff (``spectral_norm`` for the value, ``eigh`` for a
-    vector), ``_top_ritz`` from ``v0`` with a min(n, ncv)-vector basis
-    above, preconditioned by ``preconditioner()`` when that is given, and
+def _top_eigen(dense, apply, v0, cutoff: int, ncv: int, image=None, preconditioner=None):
+    """Top eigenvalue of an n x n positive semidefinite S, n = ``v0.size``,
+    which ``dense()`` builds and ``apply`` applies to an n-vector.  The one
+    solver choice: dense while n <= cutoff (``spectral_norm`` for the value,
+    ``eigh`` for a vector), ``_top_ritz`` from ``v0`` with a min(n, ncv)-vector
+    basis above, preconditioned by ``preconditioner()`` when that is given, and
     stopped at tol = ``_LANCZOS_OPTS["tol"]`` for a value and ``_PAIR_TOL``
     for a vector.  With ``image``, a pair of maps (dense side, matrix-free
     side), returns ``(eigenvalue, q, image(q))`` for a unit top eigenvector
     q; the map of the side that solved is taken, and the preconditioner is
     built on the matrix-free side alone, so all-dense runs never build a
     circulant spectrum.  The whole solve runs on one OpenBLAS thread."""
-    if n <= cutoff:
+    if v0.size <= cutoff:
         if image is None:
             return spectral_norm(dense())
         values, vectors = np.linalg.eigh(dense())  # ascending
         lam, q, lift = values[-1], vectors[:, -1], image[0]
     else:
         tol = _LANCZOS_OPTS["tol"] if image is None else _PAIR_TOL
-        lam, q = _top_ritz(apply, v0, min(n, ncv), tol,
+        lam, q = _top_ritz(apply, v0, min(v0.size, ncv), tol,
                            None if preconditioner is None else preconditioner())
         if image is None:
             return float(lam)
@@ -408,7 +407,7 @@ def _toeplitz_top(C: ToeplitzOperator, vector=False):
         B = C.dense()
         return B.T @ B
 
-    return _top_eigen(n, gram, lambda x: C.rmatvec(C.matvec(x)), v0, DENSE_CUTOFF,
+    return _top_eigen(gram, lambda x: C.rmatvec(C.matvec(x)), v0, DENSE_CUTOFF,
                       _DAVIDSON_NCV, (lambda q: C.dense() @ q, C.matvec) if vector else None,
                       lambda: _parity_preconditioner(R).matvec)
 
@@ -451,5 +450,5 @@ def hankel_hilbert_norm(R: int) -> float:
     T = ToeplitzOperator.hankel(R).
     """
     T = ToeplitzOperator.hankel(R)
-    return _top_eigen(R, lambda: hilbert_hankel(R), lambda x: T.matvec(x[::-1]),
+    return _top_eigen(lambda: hilbert_hankel(R), lambda x: T.matvec(x[::-1]),
                       np.full(R, 1.0 / np.sqrt(R)), _HANKEL_DENSE_CUTOFF, _HANKEL_NCV)

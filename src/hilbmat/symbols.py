@@ -27,7 +27,7 @@ from numbers import Real
 import numpy as np
 
 from ._util import write_csv
-from .matrices import hilbert_coeffs, prolate_coeffs, prolate_matrix, toeplitz_from_symbol
+from .matrices import as_dim, hilbert_coeffs, prolate_coeffs, prolate_matrix, toeplitz_from_symbol
 from .spectra import spectral_norm
 
 # Uniform-grid quadrature on [0, 2*pi] is exact for trigonometric polynomials
@@ -186,27 +186,22 @@ def phi_sq_fourier(u):
     return offsets, s / (2.0 * np.pi)
 
 
-def grid_quadrature(series: SymbolSeries, u, npoints=None) -> complex:
+def grid_quadrature(series: SymbolSeries, u) -> complex:
     """Uniform-grid value of the integral of f |phi|^2 over [0, 2*pi].
 
-    Exact to roundoff for a trigonometric polynomial f on a grid of more
-    points than the integrand degree K + R - 1, as the default 8 max(R, K) +
-    64 points are; a closed form is a ValueError.  phi is evaluated on the
-    grid by one FFT; ``phi_values`` is its definition.
+    Exact to roundoff for a trigonometric polynomial f: the grid of
+    8 max(R, K) + 64 points has more points than the integrand degree
+    K + R - 1; a closed form is a ValueError.  phi is evaluated on the grid
+    by one zero-padded inverse FFT of u; ``phi_values`` is its definition.
     """
     if series.kind is not None:
         raise ValueError("grid_quadrature needs a trigonometric polynomial, "
                          f"not the {series.kind} closed form")
     u = np.asarray(u, dtype=complex)
-    if npoints is None:
-        npoints = GRID_POINTS_PER_DIM * max(u.size, series.K) + GRID_POINTS_EXTRA
+    npoints = GRID_POINTS_PER_DIM * max(u.size, series.K) + GRID_POINTS_EXTRA
     x = 2.0 * np.pi * np.arange(npoints) / npoints
     fx = series.eval(x)
-    # on the grid e^{inx} depends on n mod npoints only, so phi there is the
-    # inverse FFT of u folded modulo npoints
-    folded = np.zeros(-(-u.size // npoints) * npoints, dtype=complex)
-    folded[:u.size] = u
-    phi = npoints * np.fft.ifft(folded.reshape(-1, npoints).sum(axis=0)) / np.sqrt(2.0 * np.pi)
+    phi = npoints * np.fft.ifft(u, npoints) / np.sqrt(2.0 * np.pi)
     return complex(np.sum(fx * np.abs(phi) ** 2) * (2.0 * np.pi / npoints))
 
 
@@ -302,14 +297,15 @@ def gs_rate_check(series: SymbolSeries, R_list):
     (R, gap, predicted, ratio) and peak is the (max, argmax, f'') triple, or
     ``(None, None)`` when the symbol is degenerate for the rate law.  A
     closed-form (hilbert or prolate) series, a symbol that is not real
-    (c_{-r} != conj(c_r) for some r) and an empty ``R_list`` are each a
-    ValueError before any solve.
+    (c_{-r} != conj(c_r) for some r), an empty ``R_list`` and a size that
+    ``matrices.as_dim`` refuses are each a ValueError before any solve.
     """
     if series.kind is not None:
         raise ValueError("gs_rate_check needs a trigonometric polynomial, "
                          f"not the {series.kind} closed form")
     if len(R_list) == 0:
         raise ValueError("R_list must not be empty")
+    R_list = [as_dim(R) for R in R_list]
     if not np.array_equal(series.coeffs[::-1], np.conj(series.coeffs)):
         raise ValueError("gs_rate_check needs a real symbol: c_{-r} must equal conj(c_r)")
     peak = _smooth_symbol_peak(series)
@@ -318,10 +314,10 @@ def gs_rate_check(series: SymbolSeries, R_list):
     fmax, x0, fpp = peak
     rows = []
     for R in R_list:
-        norm = spectral_norm(toeplitz_from_symbol(series, int(R)))
+        norm = spectral_norm(toeplitz_from_symbol(series, R))
         gap = fmax - norm
         predicted = np.pi**2 * abs(fpp) / (2.0 * R**2)
-        rows.append((int(R), float(gap), float(predicted), float(gap / predicted)))
+        rows.append((R, float(gap), float(predicted), float(gap / predicted)))
     return rows, peak
 
 
@@ -332,17 +328,18 @@ def prolate_gap(w: float, R_list):
     quickly (by R of a few dozen for moderate w); rows beyond the floor carry
     NaN log-gaps and are excluded from the slope fit.  Returns
     ``(rows, slope)`` with rows (R, gap, log_gap); slope is None when fewer
-    than two rows stay above the floor.
+    than two rows stay above the floor.  A bad w, an empty ``R_list`` and a
+    size ``matrices.as_dim`` refuses are each a ValueError before any solve.
     """
     prolate_coeffs(0, w)  # rejects a bad bandwidth before any solve
     if len(R_list) == 0:
         raise ValueError("R_list must not be empty")
     rows = []
-    for R in R_list:
-        norm = spectral_norm(prolate_matrix(int(R), w))
+    for R in [as_dim(r) for r in R_list]:
+        norm = spectral_norm(prolate_matrix(R, w))
         gap = float(np.pi - norm)
         log_gap = float(np.log(gap)) if gap > GAP_FLOOR else float("nan")
-        rows.append((int(R), gap, log_gap))
+        rows.append((R, gap, log_gap))
     valid = [(R, lg) for R, _, lg in rows if np.isfinite(lg)]
     slope = None
     if len(valid) >= 2:

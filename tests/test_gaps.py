@@ -27,6 +27,7 @@ from hilbmat.gaps import (
     write_witness_csv,
 )
 from hilbmat.identities import probe_eigenvector_monotonicity
+from hilbmat.matrices import hilbert_toeplitz
 from hilbmat.spectra import hankel_hilbert_norm, toeplitz_hilbert_norm
 
 
@@ -186,6 +187,20 @@ class TestWitness:
     def test_final_closed_form_bound(self, R):
         cert = build_witness(R)
         assert np.pi - cert.rayleigh <= cert.final_bound
+
+    @pytest.mark.parametrize("R", [100, 1000])
+    def test_rayleigh_is_the_dense_complex_quotient(self, R):
+        # the witness u, built here as a complex vector, against the dense
+        # complex product with T_R: its one real product 2 x^T T_R y is |u* T_R u|
+        cert = build_witness(R)
+        M, N, gamma = cert.params.M, cert.params.N, cert.params.gamma
+        L = N * (M - 1)
+        u = np.zeros(R, dtype=complex)
+        u[:L + 1] = (np.array(hilbmat.gaps._ones_power(M, N), dtype=float)
+                     / math.sqrt(central_coefficient(M, N))
+                     * np.exp(-0.5j * gamma * np.arange(L + 1)))
+        dense = abs(np.vdot(u, hilbert_toeplitz(R) @ u))
+        assert cert.rayleigh == pytest.approx(dense, rel=1e-14, abs=0)
 
     def test_rayleigh_two_routes_agree(self):
         for R in (64, 100, 500):

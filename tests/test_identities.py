@@ -29,9 +29,16 @@ from hilbmat.identities import (
     run_suite,
     write_reports_csv,
 )
+from hilbmat.determinants import newton_girard_power_sums
+from hilbmat.gaps import central_coefficient
 from hilbmat.matrices import cauchy_matrix, hilbert_toeplitz, weighted_cauchy_matrix
 from hilbmat.reports import ResidualReport, asserted_ok
-from hilbmat.spectra import SpectralDecomposition, skew_spectrum, spectral_norm
+from hilbmat.spectra import (
+    SpectralDecomposition,
+    skew_spectrum,
+    spectral_norm,
+    trace_power_norm_estimate,
+)
 
 
 def columns(dec, idx):
@@ -120,6 +127,30 @@ class TestDiagonalPowerRecursion:
         x, c, _ = random_instance(5, 10, min_R=10)
         B = weighted_cauchy_matrix(x, c)
         assert check_diagonal_power_recursion(B, 4, k).passed
+
+
+B5 = hilbert_toeplitz(5)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: matrices.remove_index(B5, 2.5), "index must be an integer"),
+    (lambda: check_removed_index_cancellation(B5, 2.5, 1), "index must be an integer"),
+    (lambda: check_diagonal_power_recursion(B5, 2.5, 2), "index must be an integer"),
+    (lambda: trace_power_norm_estimate(B5, 1.5), "power index k must be an integer"),
+    (lambda: check_removed_index_cancellation(B5, 2, 1.5), "power k must be an integer"),
+    (lambda: check_diagonal_power_recursion(B5, 2, 2.5), "power k must be an integer"),
+    (lambda: check_diagonal_power_recursion(B5, 2, np.float64(2.0)),
+     "power k must be an integer"),
+    (lambda: newton_girard_power_sums([2.0, 3.0], 1.5), "L must be an integer"),
+    (lambda: central_coefficient(2.5, 1), "M must be an integer"),
+    (lambda: central_coefficient(3, 1.5), "N must be an integer"),
+], ids=["remove_index", "cancellation-n", "recursion-n", "trace_power", "cancellation-k",
+        "recursion-k", "recursion-float64-k", "newton_girard", "central-M", "central-N"])
+def test_non_integer_index_or_power_fails_with_one_line(call, message):
+    # a ValueError, not numpy's IndexError or TypeError from deeper down
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
 
 
 class TestEvenPowerPositivity:

@@ -168,12 +168,11 @@ class TestQuadrature:
         assert abs(val.imag) <= 1e-12
 
     def test_grid_exact_for_trig_polynomials(self):
-        # degree-3 integrand integrated on >= 4 points is exact
+        # degree-2 integrand integrated on the 8 max(R, K) + 64 = 80 points is exact
         u = random_unit_vector(2, 1)
         s = SymbolSeries.from_coeffs({1: 0.3, -1: 0.3})
         exact = integral_side(s, u)
-        coarse = grid_quadrature(s, u, npoints=8)
-        assert coarse == pytest.approx(exact, abs=1e-14)
+        assert grid_quadrature(s, u) == pytest.approx(exact, abs=1e-14)
 
     def test_default_grid_resolves_the_symbol_band(self):
         # f |phi|^2 has degree K + R - 1 = 104: a grid of 8R + 64 = 104 points
@@ -184,20 +183,18 @@ class TestQuadrature:
         assert m == pytest.approx(1.0, abs=1e-12)
         assert abs(m - i) <= 1e-10
 
-    @pytest.mark.parametrize("series, R, npoints", [
-        pytest.param(SymbolSeries.cosine(), 12, None, id="default-grid"),
-        pytest.param(SymbolSeries.cosine(), 20, 8, id="aliasing"),
-        pytest.param(SymbolSeries.from_coeffs({0: 1.0, 100: 1.0, -100: 1.0}), 5, None,
+    @pytest.mark.parametrize("series, R", [
+        pytest.param(SymbolSeries.cosine(), 12, id="default-grid"),
+        pytest.param(SymbolSeries.from_coeffs({0: 1.0, 100: 1.0, -100: 1.0}), 5,
                      id="band-beyond-R"),
     ])
-    def test_fft_quadrature_is_the_phi_values_sum(self, series, R, npoints):
-        # the FFT evaluation of phi on the grid against its definition; with
-        # 8 points and 20 coefficients u folds modulo the grid
+    def test_fft_quadrature_is_the_phi_values_sum(self, series, R):
+        # the FFT evaluation of phi on the grid against its definition
         u = random_unit_vector(R, 4)
-        n = npoints or 8 * max(R, series.K) + 64
+        n = 8 * max(R, series.K) + 64
         x = 2 * np.pi * np.arange(n) / n
         direct = np.sum(series.eval(x) * np.abs(phi_values(u, x)) ** 2) * (2 * np.pi / n)
-        assert abs(grid_quadrature(series, u, npoints) - direct) <= 1e-14
+        assert abs(grid_quadrature(series, u) - direct) <= 1e-14
 
     @pytest.mark.parametrize("series", [SymbolSeries.prolate(0.2), SymbolSeries.hilbert()],
                              ids=["prolate", "hilbert"])
@@ -351,6 +348,25 @@ class TestGsRate:
         buf = io.StringIO()
         write_gs_rate_csv(rows, buf)
         assert buf.getvalue().splitlines()[0] == "R,gap,predicted,ratio"
+
+
+@pytest.mark.parametrize("call", [
+    lambda: gs_rate_check(SymbolSeries.cosine(), [10.5]),
+    lambda: gs_rate_check(SymbolSeries.cosine(), [10, 10.5]),
+    lambda: gs_rate_check(SymbolSeries.cosine(), np.array([10.0, 50.0])),
+    lambda: prolate_gap(0.25, [5.9]),
+    lambda: prolate_gap(0.25, [2, 3, 5.9]),
+], ids=["gs-rate", "gs-rate-second", "gs-rate-float-array", "prolate", "prolate-third"])
+def test_fractional_size_is_refused_before_any_solve(monkeypatch, call):
+    # a fraction was cut by int(R): the row's gap came from the truncated
+    # matrix, and gs_rate_check's prediction from the fraction
+    def no_solve(M):
+        raise AssertionError("a norm was taken")
+
+    monkeypatch.setattr("hilbmat.symbols.spectral_norm", no_solve)
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == "dimension must be an integer"
 
 
 class TestProlateGap:
