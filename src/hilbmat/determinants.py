@@ -22,7 +22,7 @@ import math
 import numpy as np
 
 from .matrices import as_int, as_square
-from .spectra import require_skew
+from .spectra import finite_max_abs, require_skew
 
 # The matching DP takes about 0.05 s at R = 22 (see _matching_sums).
 MATCHING_CAP = 22
@@ -96,8 +96,10 @@ def det_matching(B, check: bool = False) -> float:
 
 
 def det_lu(M) -> float:
-    """Determinant via partially pivoted LU factorization (oracle route)."""
+    """Determinant via partially pivoted LU factorization (oracle route) of a
+    real square matrix with finite entries."""
     M = as_square(M, dtype=float)
+    finite_max_abs(M)
     return float(np.linalg.det(M))
 
 
@@ -154,8 +156,7 @@ def principal_minor_sum(B, k: int) -> float:
     ``principal_minor_sums``.  Odd k gives exactly zero at any size, before
     the cap, with no DP run."""
     B = require_skew(B)
-    if not isinstance(k, (int, np.integer)) or not 0 <= k <= B.shape[0]:
-        raise ValueError("minor order k must be an integer with 0 <= k <= R")
+    k = as_int(k, "minor order k", 0, B.shape[0])
     return 0.0 if k % 2 else principal_minor_sums(B)[k]
 
 
@@ -166,8 +167,7 @@ def newton_girard_power_sums(sigmas, L: int) -> list:
     s_l = sum_{i=1}^{l-1} (-1)^(i-1) sigma_i s_{l-i} + (-1)^(l-1) l sigma_l,
     with sigma_i = 0 beyond the supplied list.
     """
-    if as_int(L, "L") < 1:
-        raise ValueError("L must be >= 1")
+    L = as_int(L, "L", 1)
     sig = list(sigmas)
 
     def sigma(i: int) -> float:

@@ -126,8 +126,7 @@ def central_coefficient(M: int, N: int) -> int:
     Equals the sum of squared coefficients of the N-th power, i.e. the mean
     squared modulus of the N-th Dirichlet-kernel power times 2 pi.
     """
-    if as_int(M, "M") < 2 or as_int(N, "N") < 1:
-        raise ValueError("need M >= 2 and N >= 1")
+    M, N = as_int(M, "M", 2), as_int(N, "N", 1)
     p = _ones_power(M, 2 * N)
     return p[N * (M - 1)]
 
@@ -263,9 +262,7 @@ def check_witness(cert: WitnessCertificate) -> ResidualReport:
 
 def figure1_r_values(R_max: int = 10000, dense: bool = False) -> list:
     """Default sweep grid: every R below 100, geometric spacing above."""
-    R_max = as_dim(R_max, cap=None)
-    if R_max < 2:
-        raise ValueError("R_max must be >= 2")
+    R_max = as_int(as_dim(R_max, cap=None), "R_max", 2)
     if dense:
         return list(range(2, R_max + 1))
     values = set(range(2, min(100, R_max) + 1))

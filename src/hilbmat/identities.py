@@ -35,6 +35,7 @@ from .matrices import (
     as_dim,
     as_int,
     as_nodes,
+    as_square,
     as_weights,
     hilbert_toeplitz,
     node_gaps,
@@ -168,8 +169,7 @@ def random_weights(R: int, rng: np.random.Generator) -> np.ndarray:
 
 def random_instance(seed: int, max_R: int, min_R: int = 4):
     """Seeded (nodes, weights, generator) triple with R drawn in [min_R, max_R]."""
-    if max_R < min_R:
-        raise ValueError(f"max_R must be >= min_R ({min_R})")
+    max_R = as_int(max_R, "max_R", as_int(min_R, "min_R", 1))
     rng = np.random.default_rng(seed)
     R = int(rng.integers(min_R, max_R + 1))
     x = random_nodes(R, rng)
@@ -198,9 +198,8 @@ def check_removed_index_cancellation(B, n: int, k: int) -> ResidualReport:
     for every weighted-Cauchy matrix B.  Residual is measured against the sum
     of absolute terms.
     """
-    B = np.asarray(B, dtype=float)
-    if as_int(k, "power k") < 1:
-        raise ValueError("power k must be >= 1")
+    B = as_square(B, dtype=float)
+    k = as_int(k, "power k", 1)
     S = math.fsum(_cross_terms(B, n, k).ravel().tolist())
     # scale from the same terms on |entries|: the full monomial mass of the
     # expanded sum, immune to cancellation inside the computed matrix power
@@ -232,9 +231,8 @@ def check_diagonal_power_recursion(B, n: int, k: int) -> ResidualReport:
     (B^k)_{n,n} = - sum_{r=0}^{k-2} sum_l b_{n,l}^2 (B_{-n}^r)_{l,l}
                   (B^{k-r-2})_{n,n}   for k >= 2.
     """
-    B = np.asarray(B, dtype=float)
-    if as_int(k, "power k") < 2:
-        raise ValueError("power k must be >= 2")
+    B = as_square(B, dtype=float)
+    k = as_int(k, "power k", 2)
     lhs, terms = _recursion_terms(B, n, k)
     rhs = -math.fsum(x for t, coeff in terms for x in (t * coeff).tolist())
     # the monomial mass (the same terms on |entries|) keeps the scale
@@ -257,8 +255,7 @@ def check_even_power_positivity(x, c, k: int, trials: int = 3, seed: int = 0) ->
 
 
 def _even_power_positivity(inst: _Instance, k: int, trials: int, seed: int) -> ResidualReport:
-    if k < 1:
-        raise ValueError("half power k must be >= 1")
+    k, trials = as_int(k, "half power k", 1), as_int(trials, "trials", 0)
     sign = (-1.0) ** k
 
     def signed_diag(B):
@@ -400,7 +397,7 @@ def check_weighted_sum_identity(c, dec: SpectralDecomposition) -> ResidualReport
 
     evaluated on every column of ``dec`` at once, zero modes included.
     """
-    c = np.asarray(c, dtype=float)
+    c = as_weights(c, dec.V.shape[0])
     U = dec.U
     lhs = np.abs(c @ U) ** 2
     rhs = c**2 @ (np.abs(U) ** 2)
@@ -412,7 +409,7 @@ def check_weighted_sum_identity(c, dec: SpectralDecomposition) -> ResidualReport
 def check_eigenvalue_distinctness(c, dec: SpectralDecomposition) -> ResidualReport:
     """All R eigenvalues are distinct whenever every weight is nonzero:
     ``dec`` is the spectrum of a weighted-Cauchy matrix with weights ``c``."""
-    c = np.asarray(c, dtype=float)
+    c = as_weights(c, dec.V.shape[0])
     if np.any(c == 0.0):
         return residual_report("eigenvalue_distinctness", 0.0, 1.0, 0.0,
                                 applicable=False, R=c.size)
@@ -484,8 +481,7 @@ def check_centered_eigenvector_symmetry(S: int) -> ResidualReport:
     component vanishes (below 1e-8 of the peak) cannot be phased this way
     and are recorded as skipped, not failed.
     """
-    if S < 0:
-        raise ValueError("S must be >= 0")
+    S = as_int(S, "S", 0)
     R = 2 * S + 1
     U = skew_spectrum(hilbert_toeplitz(R)).U
     center = U[S]
@@ -505,8 +501,7 @@ def probe_eigenvector_monotonicity(S: int):
     Returns ``(report, offsets, amplitudes)`` with offsets -S..S; S >= 1,
     since T_1 = 0 has no top eigenvector.
     """
-    if S < 1:
-        raise ValueError("S must be >= 1")
+    S = as_int(S, "S", 1)
     R = 2 * S + 1
     top = toeplitz_hilbert_top_pair(R)
     amp = np.abs(top.U[:, 0])
@@ -569,8 +564,7 @@ def run_suite(seeds: int = 100, max_R: int = 50):
     eigenvector checks.  Deterministic: the same arguments reproduce
     bit-identical reports.
     """
-    if seeds < 0:
-        raise ValueError("seeds must be >= 0")
+    seeds, max_R = as_int(seeds, "seeds", 0), as_int(max_R, "max_R")
     reports: list[ResidualReport] = []
     for R in CANONICAL_SIZES:
         if R > max_R:

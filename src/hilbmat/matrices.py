@@ -14,7 +14,7 @@ its columns reversed, a Toeplitz matrix.  ``ToeplitzOperator.hilbert_parity``
 is the half-size block of T_R between its J-even and J-odd vectors (J
 reverses the index order), on which the norm of T_R is solved: a
 rectangular Toeplitz-plus-Hankel block, the same class with a Hankel part
-and a column weight, and ``hilbert_parity_block`` its dense build.  Every
+and a column weight, whose ``dense()`` is its dense build.  Every
 matrix-free product of a real vector, M x or M^T z, goes through one transform,
 ``ToeplitzOperator._transform``, at the 5-smooth FFT length
 ``_fast_len(m + n - 1)``: 2R - 1 for a square operator and R - 1 for the
@@ -26,6 +26,8 @@ conventions unambiguous.
 """
 
 from __future__ import annotations
+
+from numbers import Real
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -64,26 +66,35 @@ def as_weights(values, R: int) -> np.ndarray:
     return c
 
 
-def as_int(value, name: str) -> int:
-    """``value``, a Python or numpy integer, as an int; else "<name> must be an integer"."""
-    if not isinstance(value, (int, np.integer)):
+def as_int(value, name: str, low=None, high=None) -> int:
+    """``value``, a Python or numpy integer but not a bool, as an int with
+    low <= value <= high (None is no bound): the one integer rule.  Else
+    "<name> must be an integer", "<name> must be >= <low>" or "... <= <high>"."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer")
-    return int(value)
+    value = int(value)
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be >= {low}")
+    if high is not None and value > high:
+        raise ValueError(f"{name} must be <= {high}")
+    return value
 
 
 def as_dim(R, cap=MAX_DIM) -> int:
     """Validate a matrix dimension: an integer with 1 <= R <= cap; matrix-free
     sizes pass ``cap=None``, which sets no upper bound."""
-    R = as_int(R, "dimension")
-    if R < 1:
-        raise ValueError("dimension must be >= 1")
+    R = as_int(R, "dimension", 1)
     if cap is not None and R > cap:
         raise ValueError(f"dimension exceeds the size cap of {cap}")
-    return int(R)
+    return R
 
 
 def as_square(M, dtype=None) -> np.ndarray:
-    """``M`` as an ndarray (cast to ``dtype`` when given); must be a square matrix."""
+    """``M`` as an ndarray, cast to the real ``dtype`` when given, which
+    refuses a complex M rather than drop its imaginary part; must be square."""
+    M = np.asarray(M)
+    if dtype is not None and np.iscomplexobj(M):
+        raise ValueError("matrix must be real, not complex")
     M = np.asarray(M, dtype=dtype)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError("matrix must be square")
@@ -98,7 +109,10 @@ def hilbert_coeffs(r) -> np.ndarray:
 
 def prolate_coeffs(r, w) -> np.ndarray:
     """Prolate coefficients c_r = sin(2*pi*w*r)/r at integer offsets r, with
-    c_0 = 2*pi*w.  Requires 0 < w < 1/2; c_{-r} = c_r exactly."""
+    c_0 = 2*pi*w.  Requires a real number w, not a bool, with 0 < w < 1/2:
+    the one bandwidth rule.  c_{-r} = c_r exactly."""
+    if isinstance(w, bool) or not isinstance(w, Real):
+        raise ValueError(f"bandwidth w must be a real number, not {w!r}")
     w = float(w)
     if not 0.0 < w < 0.5:
         raise ValueError("bandwidth w must lie in the open interval (0, 1/2)")
@@ -347,12 +361,6 @@ def hilbert_hankel(R) -> np.ndarray:
     return ToeplitzOperator.hankel(as_dim(R)).dense()[:, ::-1]
 
 
-def hilbert_parity_block(R) -> np.ndarray:
-    """The dense ``ToeplitzOperator.hilbert_parity(R)``, the block of T_R
-    on which its norm is solved."""
-    return ToeplitzOperator.hilbert_parity(as_dim(R)).dense()
-
-
 def prolate_matrix(R, w) -> np.ndarray:
     """Symmetric Toeplitz matrix sin(2*pi*w*(m-n))/(m-n), diagonal 2*pi*w.
 
@@ -375,9 +383,7 @@ def toeplitz_from_symbol(series, R) -> np.ndarray:
 def remove_index(M: np.ndarray, n: int) -> np.ndarray:
     """Principal submatrix with 1-based row and column n removed."""
     M = as_square(M)
-    R, n = M.shape[0], as_int(n, "index")
-    if not 1 <= n <= R:
-        raise ValueError(f"index {n} out of range 1..{R}")
+    n = as_int(n, "index", 1, M.shape[0])
     return np.delete(np.delete(M, n - 1, axis=0), n - 1, axis=1)
 
 

@@ -45,8 +45,3 @@ def residual_report(name, residual, scale, tolerance, applicable=True, probe=Fal
                           tolerance=float(tolerance),
                           passed=bool(residual <= tolerance * scale),
                           applicable=applicable, probe=probe, details=details)
-
-
-def asserted_ok(reports) -> bool:
-    """True when no report failed."""
-    return not any(r.failed for r in reports)

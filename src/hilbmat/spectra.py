@@ -11,7 +11,8 @@ the eigenvalues: above it a pair's +mu, within it of zero a zero mode.
 
 Every check that a matrix is skew or symmetric/Hermitian uses the fixed
 relative tolerance 1e-12 * R (R the dimension, at least 1) times
-max(1, max |entry|); it cannot be set.
+max(1, max |entry|); it cannot be set.  A matrix whose max |entry| is not
+finite (a NaN or an infinite entry) is refused there, with no pass of its own.
 
 Norm-only queries stay in real arithmetic via -B^2.  ||T_R||, ||H_R|| and
 the top pair of T_R take one solve route, ``_top_eigen``, which holds the
@@ -47,6 +48,7 @@ OpenBLAS is not found.
 from __future__ import annotations
 
 import ctypes
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -146,9 +148,17 @@ def _max_abs(A) -> float:
     return float(max(A.max(initial=0.0), -A.min(initial=0.0)))
 
 
+def finite_max_abs(M) -> float:
+    """max |M|, 0 for an empty M; a NaN or infinite entry is a ValueError."""
+    peak = _max_abs(M)
+    if not math.isfinite(peak):
+        raise ValueError("matrix entries must be finite")
+    return peak
+
+
 def _within_tol(D, M) -> bool:
-    """max |D| <= 1e-12 * max(R, 1) * max(1, max |M|) for the size R of M."""
-    scale = max(1.0, _max_abs(M))
+    """max |D| <= 1e-12 * max(R, 1) * max(1, max |M|) for the size R of a finite M."""
+    scale = max(1.0, finite_max_abs(M))
     return _max_abs(D) <= 1e-12 * max(M.shape[0], 1) * scale
 
 
@@ -268,8 +278,7 @@ def trace_power_norm_estimate(B, k: int) -> float:
     [norm, norm * R^(1/2k)].  Raises OverflowError when the powers leave
     double range; normalize the input first in that case.
     """
-    if as_int(k, "power index k") < 1:
-        raise ValueError("power index k must be >= 1")
+    k = as_int(k, "power index k", 1)
     B = require_skew(B)
     with np.errstate(over="ignore", invalid="ignore"):
         S = -(B @ B)

@@ -22,7 +22,6 @@ symbol is i*(pi - x) on (0, 2*pi), vanishing at the endpoints.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Real
 
 import numpy as np
 
@@ -76,9 +75,7 @@ class SymbolSeries:
         if self.kind != "prolate" and self.w is not None:
             raise ValueError("only a prolate symbol takes a bandwidth w")
         if self.kind == "prolate":
-            if not isinstance(self.w, Real):
-                raise ValueError(f"a prolate symbol needs a real bandwidth w, not {self.w!r}")
-            prolate_coeffs(0, self.w)  # the one bandwidth rule, 0 < w < 1/2
+            prolate_coeffs(0, self.w)  # the one bandwidth rule
         if self.kind is None:
             coeffs = np.asarray(self.coeffs)
             if coeffs.ndim != 1 or coeffs.size % 2 == 0:

@@ -245,7 +245,7 @@ class TestPrincipalMinorSum:
 
     @pytest.mark.parametrize("k", [2.0, 3.0, 2.5])
     def test_order_must_be_an_integer(self, k):
-        with pytest.raises(ValueError, match="^minor order k must be an integer with 0 <= k <= R$"):
+        with pytest.raises(ValueError, match="^minor order k must be an integer$"):
             principal_minor_sum(random_weighted_instance(1, 6), k)
 
     def test_odd_orders_vanish_beyond_the_cap(self):

@@ -29,14 +29,16 @@ from hilbmat.identities import (
     run_suite,
     write_reports_csv,
 )
-from hilbmat.determinants import newton_girard_power_sums
+from hilbmat.determinants import det_lu, det_matching, newton_girard_power_sums, principal_minor_sum
 from hilbmat.gaps import central_coefficient
 from hilbmat.matrices import cauchy_matrix, hilbert_toeplitz, weighted_cauchy_matrix
-from hilbmat.reports import ResidualReport, asserted_ok
+from hilbmat.reports import ResidualReport
 from hilbmat.spectra import (
     SpectralDecomposition,
+    hankel_hilbert_norm,
     skew_spectrum,
     spectral_norm,
+    toeplitz_hilbert_norm,
     trace_power_norm_estimate,
 )
 
@@ -130,6 +132,7 @@ class TestDiagonalPowerRecursion:
 
 
 B5 = hilbert_toeplitz(5)
+X6, C6 = np.arange(1.0, 7.0), np.ones(6)
 
 
 @pytest.mark.parametrize("call,message", [
@@ -144,10 +147,38 @@ B5 = hilbert_toeplitz(5)
     (lambda: newton_girard_power_sums([2.0, 3.0], 1.5), "L must be an integer"),
     (lambda: central_coefficient(2.5, 1), "M must be an integer"),
     (lambda: central_coefficient(3, 1.5), "N must be an integer"),
+    (lambda: run_suite(2.5), "seeds must be an integer"),
+    (lambda: run_suite(2, 7.5), "max_R must be an integer"),
+    (lambda: run_suite(True, 5), "seeds must be an integer"),
+    (lambda: random_instance(0, 7.5), "max_R must be an integer"),
+    (lambda: check_even_power_positivity(X6, C6, 1.5), "half power k must be an integer"),
+    (lambda: check_even_power_positivity(X6, C6, 1, trials=1.5), "trials must be an integer"),
+    (lambda: check_centered_eigenvector_symmetry(2.5), "S must be an integer"),
+    (lambda: principal_minor_sum(B5, True), "minor order k must be an integer"),
+    (lambda: matrices.remove_index(B5, True), "index must be an integer"),
+    (lambda: trace_power_norm_estimate(B5, True), "power index k must be an integer"),
+    (lambda: toeplitz_hilbert_norm(True), "dimension must be an integer"),
+    (lambda: hankel_hilbert_norm(True), "dimension must be an integer"),
+    (lambda: skew_spectrum([[0, 1j], [1j, 0]]), "matrix must be real, not complex"),
+    (lambda: det_matching([[0, 2 + 1j], [-2 - 1j, 0]]), "matrix must be real, not complex"),
+    (lambda: det_lu(np.full((2, 2), np.nan)), "matrix entries must be finite"),
+    (lambda: spectral_norm([[0, np.inf], [-np.inf, 0]]), "matrix entries must be finite"),
+    (lambda: matrices.prolate_matrix(5, 1 + 0j), "bandwidth w must be a real number, not (1+0j)"),
+    (lambda: matrices.prolate_matrix(5, [7]), "bandwidth w must be a real number, not [7]"),
+    (lambda: check_eigenvalue_distinctness(np.ones(3), skew_spectrum(hilbert_toeplitz(6))),
+     "weight vector must have the same length as the node vector (6)"),
+    (lambda: check_weighted_sum_identity(np.ones(3), skew_spectrum(hilbert_toeplitz(6))),
+     "weight vector must have the same length as the node vector (6)"),
 ], ids=["remove_index", "cancellation-n", "recursion-n", "trace_power", "cancellation-k",
-        "recursion-k", "recursion-float64-k", "newton_girard", "central-M", "central-N"])
+        "recursion-k", "recursion-float64-k", "newton_girard", "central-M", "central-N",
+        "suite-seeds", "suite-max_R", "suite-bool-seeds", "instance-max_R", "positivity-k",
+        "positivity-trials", "centered-S", "minor-sum-bool", "remove_index-bool",
+        "trace_power-bool", "toeplitz-norm-bool", "hankel-norm-bool", "spectrum-complex",
+        "det_matching-complex", "det_lu-nan", "norm-inf", "prolate-complex-w",
+        "prolate-list-w", "distinctness-weights", "weighted-sum-weights"])
 def test_non_integer_index_or_power_fails_with_one_line(call, message):
-    # a ValueError, not numpy's IndexError or TypeError from deeper down
+    # a ValueError, not numpy's IndexError or TypeError from deeper down, nor
+    # a value computed from input outside the function's domain
     with pytest.raises(ValueError) as exc:
         call()
     assert str(exc.value) == message
@@ -433,7 +464,7 @@ class TestMonotonicityProbe:
 class TestSuite:
     def test_small_suite_all_pass_and_deterministic(self):
         reports = run_suite(seeds=5, max_R=12)
-        assert asserted_ok(reports)
+        assert not any(r.failed for r in reports)
         again = run_suite(seeds=5, max_R=12)
         assert reports == again  # bit-identical reports
 

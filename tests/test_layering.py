@@ -70,24 +70,29 @@ def test_no_function_is_memoized_process_wide():
     assert memoized == ALLOWED_CACHES
 
 
-def innermost_callers(called):
-    """``module.function`` of each call whose callee's name passes
-    ``called``, owned by its innermost function, so a nested helper counts
-    on its own."""
-    callers = []
+def innermost_owners(matches):
+    """``module.function`` of each node that passes ``matches``, owned by
+    its innermost function, so a nested helper counts on its own."""
+    owners = []
 
     def visit(node, owner):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
                 visit(child, f"{owner}.{getattr(child, 'name', '<lambda>')}")
             else:
-                if isinstance(child, ast.Call) and called(name(child.func) or ""):
-                    callers.append(owner)
+                if matches(child):
+                    owners.append(owner)
                 visit(child, owner)
 
     for path in SOURCES:
         visit(ast.parse(path.read_text(), filename=str(path)), path.stem)
-    return callers
+    return owners
+
+
+def innermost_callers(called):
+    """The ``innermost_owners`` of each call whose callee's name passes ``called``."""
+    return innermost_owners(
+        lambda node: isinstance(node, ast.Call) and called(name(node.func) or ""))
 
 
 def test_one_function_takes_the_inverse_fft():
@@ -95,6 +100,19 @@ def test_one_function_takes_the_inverse_fft():
     # one transform: exactly one function in hilbmat calls irfft
     callers = innermost_callers(lambda name: name == "irfft")
     assert len(set(callers)) == 1, callers
+
+
+def test_one_function_words_the_integer_rule():
+    # "<name> must be an integer", "must be >= <low>" and "must be <= <high>"
+    # are raised by matrices.as_int alone: no function keeps a copy of the rule
+    phrases = ("must be an integer", "must be >=", "must be <=")
+
+    def raises_a_phrase(node):
+        return isinstance(node, ast.Raise) and any(
+            isinstance(part, ast.Constant) and isinstance(part.value, str)
+            and any(phrase in part.value for phrase in phrases) for part in ast.walk(node))
+
+    assert set(innermost_owners(raises_a_phrase)) == {"matrices.as_int"}
 
 
 def test_library_keeps_its_callers_thread_settings():

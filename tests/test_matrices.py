@@ -12,7 +12,6 @@ from hilbmat.matrices import (
     as_weights,
     cauchy_matrix,
     hilbert_hankel,
-    hilbert_parity_block,
     hilbert_toeplitz,
     min_gaps,
     prolate_matrix,
@@ -156,7 +155,7 @@ def test_hilbert_parity_block_is_the_even_to_odd_block(R):
     if R % 2:
         P_even[h, h] = 1.0
     T = hilbert_toeplitz(R)
-    C = hilbert_parity_block(R)
+    C = ToeplitzOperator.hilbert_parity(R).dense()
     assert C.shape == (h, n)
     np.testing.assert_allclose(C, P_odd.T @ T @ P_even, rtol=0, atol=1e-14)
     # T_R = [[0, -C^T], [C, 0]] in the stacked basis [P_even, P_odd]
@@ -172,10 +171,10 @@ def _close(a, b, rel=1e-14):
 @pytest.mark.parametrize("R", [2, 3, 4, 5, 9, 10, 257, 300, 513, 1001, 2001, 4000])
 def test_parity_operator_matches_the_dense_block(R):
     # C x, C^T z and C^T C x through the one Toeplitz-plus-Hankel circulant of
-    # length _fast_len(R - 1), against the dense hilbert_parity_block; the
+    # length _fast_len(R - 1), against the dense parity block; the
     # Hankel part's reversal shift sits in the integer offsets, and a phase
     # factor exp(-2 pi i k (n-1)/N) in its place misses 1e-14 at R = 2001
-    C = hilbert_parity_block(R)
+    C = ToeplitzOperator.hilbert_parity(R).dense()
     op = ToeplitzOperator.hilbert_parity(R)
     assert op.shape == C.shape
     rng = np.random.default_rng(R)

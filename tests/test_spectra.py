@@ -207,8 +207,8 @@ class TestSpectralNorm:
 
     @pytest.mark.parametrize("solve", [skew_spectrum, spectral_norm])
     def test_nan_input_fails_the_symmetry_check(self, solve):
-        # one tolerance predicate: a NaN defect is never within tolerance,
-        # so no solver reaches LAPACK with it
+        # one tolerance predicate: it refuses a matrix whose max |entry| is
+        # NaN, so no solver reaches LAPACK with it
         with pytest.raises(ValueError) as exc:
             solve(np.full((2, 2), np.nan))
         assert type(exc.value) is ValueError

@@ -113,7 +113,7 @@ class TestSymbolEval:
                      "a hilbert symbol is its closed form and takes no coefficients",
                      id="hilbert-with-its-closed-form-coeffs"),
         pytest.param(lambda: SymbolSeries(kind="prolate"),
-                     "a prolate symbol needs a real bandwidth w, not None", id="prolate-no-w"),
+                     "bandwidth w must be a real number, not None", id="prolate-no-w"),
         pytest.param(lambda: SymbolSeries(kind="prolate", w=0.5),
                      "bandwidth w must lie in the open interval (0, 1/2)",
                      id="prolate-w-outside"),
