@@ -16,6 +16,7 @@ from .matrices import (
 from .spectra import (
     SpectralDecomposition,
     hankel_hilbert_norm,
+    skew_norms,
     skew_spectrum,
     spectral_norm,
     toeplitz_hilbert_norm,
@@ -55,7 +56,7 @@ __all__ = [
     "min_gaps", "prolate_matrix", "remove_index", "toeplitz_from_symbol",
     "weighted_cauchy_matrix", "write_matrix_csv", "ToeplitzOperator",
     "SpectralDecomposition", "hankel_hilbert_norm",
-    "skew_spectrum", "spectral_norm",
+    "skew_norms", "skew_spectrum", "spectral_norm",
     "toeplitz_hilbert_norm", "toeplitz_hilbert_top_pair",
     "trace_power_norm_estimate",
     "det_lu", "det_matching", "newton_girard_power_sums", "pfaffian",

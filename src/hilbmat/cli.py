@@ -22,7 +22,7 @@ from .spectra import hankel_hilbert_norm, spectral_norm, toeplitz_hilbert_norm
 
 def _seeded_instance(R, seed):
     """Nodes and weights of the weighted-Cauchy instance drawn from ``seed``."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(matrices.as_int(seed, "seed", 0))
     x = identities.random_nodes(R, rng)
     return x, identities.random_weights(R, rng)
 

@@ -98,7 +98,7 @@ def det_matching(B, check: bool = False) -> float:
 def det_lu(M) -> float:
     """Determinant via partially pivoted LU factorization (oracle route) of a
     real square matrix with finite entries."""
-    M = as_square(M, dtype=float)
+    M = as_square(M, real=True)
     finite_max_abs(M)
     return float(np.linalg.det(M))
 

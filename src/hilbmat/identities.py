@@ -12,15 +12,18 @@ over that pair's scale (with scale 1).  Inequality checks carry INEQ_SLACK.
 Conjectured bounds are recorded, never asserted.
 
 The checks on a weighted-Cauchy instance (x, c) read what they share from a
-private record, ``_Instance``: the validated x and c, A(x), B(x, c), ||A||,
-||B|| and B's row-norm upper bound, each built on first use.  Every Cauchy
-matrix on the record's nodes (A, B and the checks' reweighted or stretched
-ones) is built through ``matrices.skew_quotient``, and the node gaps of the
-Montgomery-Vaughan check are taken by ``matrices.node_gaps``; neither
-validates the nodes again.  A public check called with nodes (and weights)
-builds a record of its own and runs its body on it; ``_instance_battery``
-builds one record per instance and runs every body on that, so each of
-these is built once per battery and dropped with it.
+private record, ``_Instance``: the validated x and c, A(x), B(x, c), the
+node gaps delta, ||A||, ||B||, ||B(x, sqrt(delta))|| and B's row-norm upper
+bound, each built on first use.  Every Cauchy matrix on the record's nodes
+(A, B and the checks' reweighted or stretched ones) is built through
+``matrices.skew_quotient``, and the node gaps are taken by
+``matrices.node_gaps``; neither validates the nodes again.  A public check
+called with nodes (and weights) builds a record of its own and runs its
+body on it; ``_instance_battery`` builds one record per instance and runs
+every body on that, so each of these is built once per battery and dropped
+with it.  A battery solves its five skew norms, the record's three and
+those of the two smaller dominance matrices, in one ``spectra.skew_norms``
+call (``_Instance.norms_with``).
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ from .matrices import (
 )
 from .spectra import (
     SpectralDecomposition,
+    skew_norms,
     skew_spectrum,
     spectral_norm,
     toeplitz_hilbert_top_pair,
@@ -56,6 +60,7 @@ TOL_EXACT = 1e-12       # pure cancellation identities
 TOL_EIGEN = 1e-9        # identities evaluated on computed eigenpairs
 DISTINCT_REL = 1e-8     # eigenvalue separation threshold, relative to the norm
 MIN_NODE_GAP = 1e-3     # enforced minimum separation of random nodes
+MIN_SEEDED_R = 4        # smallest dimension of a seeded suite instance
 
 
 def _floored_scales(nominal, mass, mus=None, norm_ub=None, evs=None):
@@ -85,7 +90,8 @@ def _floored_scales(nominal, mass, mus=None, norm_ub=None, evs=None):
 class _Instance:
     """One weighted-Cauchy instance: the validated nodes ``x`` and weights
     ``c``, and the matrices and norms its checks share, each built on first
-    use and held until the record is dropped."""
+    use, or for the norms by ``norms_with``, and held until the record is
+    dropped.  B(x, sqrt(delta)) is built for its norm alone and not held."""
 
     def __init__(self, x, c):
         self.x = as_nodes(x)
@@ -110,12 +116,32 @@ class _Instance:
         return self.weighted(self.c)
 
     @cached_property
+    def gaps(self) -> np.ndarray:
+        """The per-node gaps delta_n of the Montgomery-Vaughan check."""
+        return node_gaps(self.x)
+
+    def B_delta(self) -> np.ndarray:
+        """B(x, sqrt(delta)), the Montgomery-Vaughan matrix, built anew."""
+        return self.weighted(np.sqrt(self.gaps))
+
+    @cached_property
     def norm_a(self) -> float:
         return spectral_norm(self.A)
 
     @cached_property
     def norm_b(self) -> float:
         return spectral_norm(self.B)
+
+    @cached_property
+    def norm_delta(self) -> float:
+        return spectral_norm(self.B_delta())
+
+    def norms_with(self, *others) -> list:
+        """||M|| for each skew M of ``others`` (R x R), from one
+        ``skew_norms`` solve that also fills ||A||, ||B|| and ||B_delta||."""
+        norms = skew_norms([self.A, self.B, self.B_delta(), *others]).tolist()
+        self.norm_a, self.norm_b, self.norm_delta = norms[:3]
+        return norms[3:]
 
     @cached_property
     def row_ub_b(self) -> float:
@@ -167,10 +193,10 @@ def random_weights(R: int, rng: np.random.Generator) -> np.ndarray:
     return mag * sign
 
 
-def random_instance(seed: int, max_R: int, min_R: int = 4):
+def random_instance(seed: int, max_R: int, min_R: int = MIN_SEEDED_R):
     """Seeded (nodes, weights, generator) triple with R drawn in [min_R, max_R]."""
     max_R = as_int(max_R, "max_R", as_int(min_R, "min_R", 1))
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(as_int(seed, "seed", 0))
     R = int(rng.integers(min_R, max_R + 1))
     x = random_nodes(R, rng)
     c = random_weights(R, rng)
@@ -198,7 +224,7 @@ def check_removed_index_cancellation(B, n: int, k: int) -> ResidualReport:
     for every weighted-Cauchy matrix B.  Residual is measured against the sum
     of absolute terms.
     """
-    B = as_square(B, dtype=float)
+    B = as_square(B, real=True)
     k = as_int(k, "power k", 1)
     S = math.fsum(_cross_terms(B, n, k).ravel().tolist())
     # scale from the same terms on |entries|: the full monomial mass of the
@@ -231,7 +257,7 @@ def check_diagonal_power_recursion(B, n: int, k: int) -> ResidualReport:
     (B^k)_{n,n} = - sum_{r=0}^{k-2} sum_l b_{n,l}^2 (B_{-n}^r)_{l,l}
                   (B^{k-r-2})_{n,n}   for k >= 2.
     """
-    B = as_square(B, dtype=float)
+    B = as_square(B, real=True)
     k = as_int(k, "power k", 2)
     lhs, terms = _recursion_terms(B, n, k)
     rhs = -math.fsum(x for t, coeff in terms for x in (t * coeff).tolist())
@@ -256,6 +282,7 @@ def check_even_power_positivity(x, c, k: int, trials: int = 3, seed: int = 0) ->
 
 def _even_power_positivity(inst: _Instance, k: int, trials: int, seed: int) -> ResidualReport:
     k, trials = as_int(k, "half power k", 1), as_int(trials, "trials", 0)
+    seed = as_int(seed, "seed", 0)
     sign = (-1.0) ** k
 
     def signed_diag(B):
@@ -283,8 +310,9 @@ def check_norm_dominance(x, c, x2, c2) -> ResidualReport:
     return _norm_dominance(weighted_cauchy_matrix(x, c), _Instance(x2, c2))
 
 
-def _norm_dominance(B, big: _Instance) -> ResidualReport:
-    """The dominance check of B against the instance's B."""
+def _norm_dominance(B, big: _Instance, norm_small=None) -> ResidualReport:
+    """The dominance check of B against the instance's B; ``norm_small`` is
+    ||B|| when the caller has it, else it is solved here."""
     B2 = big.B
     if B.shape != B2.shape:
         raise ValueError("dominance pairs must have equal dimension")
@@ -292,7 +320,7 @@ def _norm_dominance(B, big: _Instance) -> ResidualReport:
     if float((np.abs(B) - np.abs(B2)).max(initial=0.0)) > margin:
         return residual_report("norm_dominance", 0.0, 1.0, INEQ_SLACK, applicable=False,
                                 R=B.shape[0])
-    n1 = spectral_norm(B)
+    n1 = spectral_norm(B) if norm_small is None else norm_small
     n2 = big.norm_b
     return residual_report("norm_dominance", max(0.0, n1 - n2), 1.0, INEQ_SLACK,
                             R=B.shape[0], norm_small=n1, norm_big=n2)
@@ -457,10 +485,8 @@ def check_montgomery_vaughan(x) -> ResidualReport:
 
 def _montgomery_vaughan(inst: _Instance) -> ResidualReport:
     x = inst.x
-    per_node = node_gaps(x)
-    delta = float(per_node.min())
-    norm_a = inst.norm_a
-    norm_b = spectral_norm(inst.weighted(np.sqrt(per_node)))
+    delta = float(inst.gaps.min())
+    norm_a, norm_b = inst.norm_a, inst.norm_delta
     bound_a = np.pi / delta
     violation = max(0.0, norm_a - bound_a, norm_b - 1.5 * np.pi)
     return residual_report("montgomery_vaughan", violation, max(1.0, bound_a), INEQ_SLACK,
@@ -528,23 +554,28 @@ def probe_eigenvector_monotonicity(S: int):
 
 def _instance_battery(seed: int, x, c, rng: np.random.Generator):
     """Every instance check on (x, c), their random parameters drawn from
-    ``rng``.  One record serves them all, so A(x), B(x, c), ||A||, ||B||
-    and B's row-norm upper bound are each built once; the record goes when
-    the battery returns."""
+    ``rng`` up front.  One record serves them all, so A(x), B(x, c) and B's
+    row-norm upper bound are each built once, and the five norms (||A||,
+    ||B||, ||B(x, sqrt(delta))|| and the two smaller dominance matrices) come
+    from one stacked solve; the record goes when the battery returns."""
     inst = _Instance(x, c)
     x, c, B = inst.x, inst.c, inst.B
     R = x.size
     n = int(rng.integers(1, R + 1))
     k1 = int(rng.integers(1, 4))
     k2 = int(rng.integers(2, 6))
+    k_even = int(rng.integers(1, 4))
+    seed_even = int(rng.integers(0, 2**31))
+    shrink = rng.uniform(0.0, 1.0, R)
+    stretch = 1.0 + rng.uniform(0.1, 2.0)
     out = [
         check_removed_index_cancellation(B, n, k1),
         check_diagonal_power_recursion(B, n, k2),
-        _even_power_positivity(inst, int(rng.integers(1, 4)), trials=2,
-                               seed=int(rng.integers(0, 2**31))),
-        _norm_dominance(inst.weighted(c * rng.uniform(0.0, 1.0, R)), inst),
-        _norm_dominance(inst.weighted(c, stretch=1.0 + rng.uniform(0.1, 2.0)), inst),
+        _even_power_positivity(inst, k_even, trials=2, seed=seed_even),
     ]
+    smaller = (inst.weighted(c * shrink), inst.weighted(c, stretch=stretch))
+    out += (_norm_dominance(M, inst, norm) for M, norm in zip(smaller, inst.norms_with(*smaller)))
+    del smaller  # not held through the eigenpair checks
     dec = skew_spectrum(B)
     out.append(_eigenvector_amplitude(inst, dec))
     out.append(_real_imag_coupling(inst, dec))
@@ -564,7 +595,9 @@ def run_suite(seeds: int = 100, max_R: int = 50):
     eigenvector checks.  Deterministic: the same arguments reproduce
     bit-identical reports.
     """
-    seeds, max_R = as_int(seeds, "seeds", 0), as_int(max_R, "max_R")
+    # seeded instances need max_R >= MIN_SEEDED_R, refused before any battery runs
+    seeds = as_int(seeds, "seeds", 0)
+    max_R = as_int(max_R, "max_R", MIN_SEEDED_R if seeds else None)
     reports: list[ResidualReport] = []
     for R in CANONICAL_SIZES:
         if R > max_R:

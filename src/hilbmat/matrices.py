@@ -40,9 +40,19 @@ MAX_DIM = 20000
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
 
+def as_real(values, name: str) -> np.ndarray:
+    """``values`` as a float ndarray; a complex input is refused with
+    "<name> must be real, not complex" rather than cast, which would drop its
+    imaginary part: the one real-number rule, for vectors and matrices."""
+    values = np.asarray(values)
+    if np.iscomplexobj(values):
+        raise ValueError(f"{name} must be real, not complex")
+    return np.asarray(values, dtype=float)
+
+
 def as_nodes(values) -> np.ndarray:
-    """Validate a node vector: 1-D, finite, strictly increasing, R >= 1."""
-    x = np.asarray(values, dtype=float)
+    """Validate a node vector: 1-D, real, finite, strictly increasing, R >= 1."""
+    x = as_real(values, "nodes")
     if x.ndim != 1:
         raise ValueError("node vector must be one-dimensional")
     if x.size < 1:
@@ -57,8 +67,8 @@ def as_nodes(values) -> np.ndarray:
 
 
 def as_weights(values, R: int) -> np.ndarray:
-    """Validate a weight vector of length R (must match its node vector)."""
-    c = np.asarray(values, dtype=float)
+    """Validate a real weight vector of length R (must match its node vector)."""
+    c = as_real(values, "weights")
     if c.ndim != 1 or c.size != R:
         raise ValueError(f"weight vector must have the same length as the node vector ({R})")
     if not np.all(np.isfinite(c)):
@@ -89,13 +99,10 @@ def as_dim(R, cap=MAX_DIM) -> int:
     return R
 
 
-def as_square(M, dtype=None) -> np.ndarray:
-    """``M`` as an ndarray, cast to the real ``dtype`` when given, which
-    refuses a complex M rather than drop its imaginary part; must be square."""
-    M = np.asarray(M)
-    if dtype is not None and np.iscomplexobj(M):
-        raise ValueError("matrix must be real, not complex")
-    M = np.asarray(M, dtype=dtype)
+def as_square(M, real: bool = False) -> np.ndarray:
+    """``M`` as an ndarray, a float one under ``as_real`` when ``real``;
+    must be square."""
+    M = as_real(M, "matrix") if real else np.asarray(M)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError("matrix must be square")
     return M

@@ -14,9 +14,12 @@ relative tolerance 1e-12 * R (R the dimension, at least 1) times
 max(1, max |entry|); it cannot be set.  A matrix whose max |entry| is not
 finite (a NaN or an infinite entry) is refused there, with no pass of its own.
 
-Norm-only queries stay in real arithmetic via -B^2.  ||T_R||, ||H_R|| and
-the top pair of T_R take one solve route, ``_top_eigen``, which holds the
-only dense/iterative decision, on the dimension n of the positive
+Norm-only queries stay in real arithmetic via -B^2.  ``skew_norms`` solves
+the norms of k skew matrices of one size R with one batched ``eigvalsh`` on
+a (k, R, R) stack of their -M^2, each slice solved as if alone; the skew
+branch of ``spectral_norm`` is the same solve on one matrix.  ||T_R||,
+||H_R|| and the top pair of T_R take one solve route, ``_top_eigen``, which
+holds the only dense/iterative decision, on the dimension n of the positive
 semidefinite matrix it solves and the cutoff and basis size its caller
 passes: up to the cutoff ``spectral_norm`` for a norm and
 ``np.linalg.eigh`` for a top pair, above it ``_top_ritz``, thick-restart
@@ -156,23 +159,71 @@ def finite_max_abs(M) -> float:
     return peak
 
 
-def _within_tol(D, M) -> bool:
-    """max |D| <= 1e-12 * max(R, 1) * max(1, max |M|) for the size R of a finite M."""
-    scale = max(1.0, finite_max_abs(M))
-    return _max_abs(D) <= 1e-12 * max(M.shape[0], 1) * scale
+def _within_tol(M, skew: bool, out=None) -> bool:
+    """Whether M is skew (D = M^T + M) or symmetric/Hermitian (D = M - M^H):
+    max |D| <= 1e-12 * max(R, 1) * max(1, max |M|) for the size R of M.  A
+    NaN or infinite entry is refused before D is formed.  A skew D is built
+    in ``out`` (a new array without it) from a copy of M^T, as numpy's
+    M + M^T would take a second temporary for the transpose."""
+    tol = 1e-12 * max(M.shape[0], 1) * max(1.0, finite_max_abs(M))
+    if not skew:
+        return _max_abs(M - M.conj().T) <= tol
+    if out is None:
+        out = M.T.copy()
+    else:
+        np.copyto(out, M.T)
+    out += M
+    return _max_abs(out) <= tol
 
 
-def _neg_square(B) -> np.ndarray:
-    """-B^2 of a dense real skew B, symmetrized: positive semidefinite."""
-    S = -(B @ B)
-    return 0.5 * (S + S.T)
-
-
-def require_skew(B) -> np.ndarray:
-    B = as_square(B, dtype=float)
-    if not _within_tol(B + B.T, B):
+def require_skew(B, out=None) -> np.ndarray:
+    """B as a real skew matrix, else a ValueError; ``out``, an R x R float
+    array, takes the check's M^T + M."""
+    B = as_square(B, real=True)
+    if not _within_tol(B, skew=True, out=out):
         raise ValueError("matrix is not skew-symmetric")
     return B
+
+
+def skew_norms(matrices) -> np.ndarray:
+    """Spectral norms of k real skew R x R matrices, the slices of a
+    (k, R, R) stack or the items of a sequence, one norm each.
+
+    Each matrix passes ``require_skew``, and the norms are those of
+    ``_neg_square_norms`` on one preallocated (k, R, R) stack, whose slices
+    first take the checks' M^T + M.  The matrices are not stacked
+    themselves, so that stack is the only one made.
+    """
+    if getattr(matrices, "ndim", 3) != 3:  # an array's items are its slices
+        raise ValueError("matrix stack must have shape (k, R, R)")
+    mats = [as_square(M, real=True) for M in matrices]
+    R = mats[0].shape[0] if mats else 0
+    if any(M.shape[0] != R for M in mats):
+        raise ValueError("matrix stack must have shape (k, R, R)")
+    if R == 0:
+        return np.zeros(len(mats))
+    stack = np.empty((len(mats), R, R))
+    for M, out in zip(mats, stack):
+        require_skew(M, out)
+    return _neg_square_norms(mats, stack)
+
+
+def _neg_square_norms(mats, stack) -> np.ndarray:
+    """||M|| for each real skew R x R matrix M of ``mats``, already checked,
+    from one batched ``eigvalsh``: slice i of the (k, R, R) ``stack``
+    receives 0.5 (N + N^T) for N = -(M M), the positive semidefinite -M^2
+    symmetrized, and ||M|| is the square root of its top eigenvalue.  LAPACK
+    solves each slice as it would solve it alone, so a norm does not depend
+    on the stack it is in.  N is formed in one R x R scratch and N^T + N is
+    summed in place in the slice, as numpy's N + N^T would take a temporary
+    for the transpose."""
+    N = np.empty(stack.shape[1:])
+    for M, out in zip(mats, stack):
+        np.negative(np.matmul(M, M, out=N), out=N)
+        np.copyto(out, N.T)
+        out += N
+    top = np.linalg.eigvalsh(np.multiply(stack, 0.5, out=stack))[:, -1]
+    return np.sqrt(np.maximum(top, 0.0))
 
 
 @dataclass(frozen=True)
@@ -245,11 +296,14 @@ def skew_spectrum(B) -> SpectralDecomposition:
     # real orthonormal kernel basis from the real/imag parts of the complex
     # kernel vectors (the kernel of a real matrix is real), interleaved
     # Re z0, Im z0, Re z1, ...: a kernel of dimension >= 2 gets its basis
-    # from the SVD, which depends on the column order
+    # from the SVD, which depends on the column order; with no zero mode
+    # (a generic even R) there is no SVD
     Z = U[:, zero]
-    left = np.linalg.svd(np.stack([Z.real, Z.imag], axis=2).reshape(R, -1),
-                         full_matrices=False)[0]
-    K = _peak_positive(left[:, :Z.shape[1]])
+    K = np.zeros((R, 0))
+    if Z.shape[1]:
+        left = np.linalg.svd(np.stack([Z.real, Z.imag], axis=2).reshape(R, -1),
+                             full_matrices=False)[0]
+        K = _peak_positive(left[:, :Z.shape[1]])
     # C order: the identity checks' matrix products round by memory layout
     return SpectralDecomposition(
         mus=np.concatenate([lam[top][::-1], np.zeros(K.shape[1])]),
@@ -262,13 +316,13 @@ def spectral_norm(M) -> float:
     M = as_square(M)
     if M.shape[0] == 0:
         return 0.0
-    if _within_tol(M - M.conj().T, M):
+    if _within_tol(M, skew=False):
         values = np.linalg.eigvalsh(M)
         return float(np.abs(values).max())
-    if not np.iscomplexobj(M) and _within_tol(M + M.T, M):
-        top = float(np.linalg.eigvalsh(_neg_square(M))[-1])
-        return float(np.sqrt(max(top, 0.0)))
-    raise ValueError("spectral_norm expects a symmetric/Hermitian or skew matrix")
+    if np.iscomplexobj(M) or not _within_tol(M, skew=True):
+        raise ValueError("spectral_norm expects a symmetric/Hermitian or skew matrix")
+    # the solve of skew_norms, whose check has just been made
+    return float(_neg_square_norms([M], np.empty((1, *M.shape)))[0])
 
 
 def trace_power_norm_estimate(B, k: int) -> float:

@@ -113,6 +113,14 @@ def test_negative_instance_size_names_the_dimension_rule(capsys, argv):
     assert capsys.readouterr().err == "hilbmat: error: dimension must be >= 1\n"
 
 
+@pytest.mark.parametrize("argv", [["det", "--R", "4", "--seed", "-1"],
+                                  ["gen", "--kind", "B", "--R", "4", "--seed", "-1"],
+                                  ["norm", "--kind", "A", "--R", "4", "--seed", "-1"]])
+def test_negative_seed_names_the_integer_rule(capsys, argv):
+    assert run_cli(argv) == 2
+    assert capsys.readouterr().err == "hilbmat: error: seed must be >= 0\n"
+
+
 def test_numerical_failure_exits_1(capsys, monkeypatch):
     # LinAlgError subclasses ValueError but is not a usage error
     def fail(M):

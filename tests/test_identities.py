@@ -163,19 +163,36 @@ X6, C6 = np.arange(1.0, 7.0), np.ones(6)
     (lambda: det_matching([[0, 2 + 1j], [-2 - 1j, 0]]), "matrix must be real, not complex"),
     (lambda: det_lu(np.full((2, 2), np.nan)), "matrix entries must be finite"),
     (lambda: spectral_norm([[0, np.inf], [-np.inf, 0]]), "matrix entries must be finite"),
+    (lambda: skew_spectrum([[0, np.inf], [-np.inf, 0]]), "matrix entries must be finite"),
     (lambda: matrices.prolate_matrix(5, 1 + 0j), "bandwidth w must be a real number, not (1+0j)"),
     (lambda: matrices.prolate_matrix(5, [7]), "bandwidth w must be a real number, not [7]"),
     (lambda: check_eigenvalue_distinctness(np.ones(3), skew_spectrum(hilbert_toeplitz(6))),
      "weight vector must have the same length as the node vector (6)"),
     (lambda: check_weighted_sum_identity(np.ones(3), skew_spectrum(hilbert_toeplitz(6))),
      "weight vector must have the same length as the node vector (6)"),
+    (lambda: random_instance(2.5, 7), "seed must be an integer"),
+    (lambda: random_instance(True, 7), "seed must be an integer"),
+    (lambda: random_instance(-1, 7), "seed must be >= 0"),
+    (lambda: check_even_power_positivity(X6, C6, 1, seed=1.5), "seed must be an integer"),
+    (lambda: check_even_power_positivity(X6, C6, 1, seed=True), "seed must be an integer"),
+    (lambda: check_even_power_positivity(X6, C6, 1, seed=-1), "seed must be >= 0"),
+    (lambda: cauchy_matrix(np.array([0.0, 1j])), "nodes must be real, not complex"),
+    (lambda: cauchy_matrix([0.0, 1j]), "nodes must be real, not complex"),
+    (lambda: weighted_cauchy_matrix([0.0, 1.0], np.array([1 + 1j, 1])),
+     "weights must be real, not complex"),
+    (lambda: weighted_cauchy_matrix([0.0, 1.0], [1 + 1j, 1]), "weights must be real, not complex"),
+    (lambda: check_even_power_positivity(X6, C6 + 0j, 1), "weights must be real, not complex"),
 ], ids=["remove_index", "cancellation-n", "recursion-n", "trace_power", "cancellation-k",
         "recursion-k", "recursion-float64-k", "newton_girard", "central-M", "central-N",
         "suite-seeds", "suite-max_R", "suite-bool-seeds", "instance-max_R", "positivity-k",
         "positivity-trials", "centered-S", "minor-sum-bool", "remove_index-bool",
         "trace_power-bool", "toeplitz-norm-bool", "hankel-norm-bool", "spectrum-complex",
-        "det_matching-complex", "det_lu-nan", "norm-inf", "prolate-complex-w",
-        "prolate-list-w", "distinctness-weights", "weighted-sum-weights"])
+        "det_matching-complex", "det_lu-nan", "norm-inf", "spectrum-inf", "prolate-complex-w",
+        "prolate-list-w", "distinctness-weights", "weighted-sum-weights", "instance-float-seed",
+        "instance-bool-seed", "instance-negative-seed", "positivity-float-seed",
+        "positivity-bool-seed", "positivity-negative-seed", "cauchy-complex-array",
+        "cauchy-complex-list", "weighted-complex-array", "weighted-complex-list",
+        "positivity-complex-weights"])
 def test_non_integer_index_or_power_fails_with_one_line(call, message):
     # a ValueError, not numpy's IndexError or TypeError from deeper down, nor
     # a value computed from input outside the function's domain
@@ -474,6 +491,25 @@ class TestSuite:
             assert r.passed == (r.max_residual <= r.tolerance * r.scale)
             assert r.scale > 0
 
+    def test_seeded_max_R_is_refused_before_any_battery(self, monkeypatch):
+        # seeds > 0 need max_R >= 4; the refusal comes before the canonical
+        # batteries, which run as before when there are no seeds
+        batteries = []
+        monkeypatch.setattr(identities, "_instance_battery",
+                            lambda seed, x, c, rng: batteries.append(x.size) or [])
+        with pytest.raises(ValueError) as exc:
+            run_suite(2, 3)
+        assert str(exc.value) == "max_R must be >= 4"
+        assert batteries == []
+        run_suite(0, 3)
+        assert batteries == [2, 3]
+
+    def test_reports_hold_no_instance_dict(self):
+        # a verify run holds all its reports at once, so each is slotted
+        report = run_suite(seeds=1, max_R=5)[0]
+        assert not hasattr(report, "__dict__")
+        assert replace(report, scale=2.0).scale == 2.0
+
     def test_csv_schema(self):
         reports = run_suite(seeds=2, max_R=8)
         buf = io.StringIO()
@@ -507,14 +543,19 @@ class TestBatterySharing:
                             counting(identities.weighted_cauchy_matrix, lambda xs, cs: "validated"))
         monkeypatch.setattr(identities, "spectral_norm",
                             counting(identities.spectral_norm, lambda M: "norm"))
+        monkeypatch.setattr(identities, "skew_norms",
+                            counting(identities.skew_norms, lambda M: f"stack of {len(M)}"))
         reports = _instance_battery(4, x, c, rng)
         assert len(reports) == 11
         assert calls["A"] == 1
         assert calls["B"] == 1
         # two smaller dominance matrices, two even-power scalings, B(x, sqrt(delta))
         assert calls["other"] == 5
-        # ||A||, ||B||, the two smaller dominance matrices and ||B(x, sqrt(delta))||
-        assert calls["norm"] == 5
+        # ||A||, ||B||, ||B(x, sqrt(delta))|| and the two smaller dominance
+        # matrices come from one stacked solve, and no norm is solved alone
+        assert calls["norm"] == 0
+        assert [(key, n) for key, n in calls.items() if key.startswith("stack")] == [
+            ("stack of 5", 1)]
         # no build validates the record's nodes again
         assert calls["validated"] == 0
 

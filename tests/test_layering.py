@@ -134,3 +134,11 @@ def test_library_keeps_its_callers_thread_settings():
             and node.attr in ("update", "setdefault", "pop", "popitem", "clear")
             or name(node) in ("putenv", "unsetenv"))
     assert offenders == []
+
+
+def test_only_spectra_calls_the_eigensolvers():
+    # every eigen- and singular-value solve is made in spectra, so no other
+    # layer grows a private eigvalsh beside the stacked skew-norm route
+    callers = innermost_callers(lambda callee: callee in ("eigh", "eigvalsh", "svd"))
+    assert callers
+    assert {owner.split(".")[0] for owner in callers} == {"spectra"}, callers

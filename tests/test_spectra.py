@@ -14,6 +14,7 @@ from hilbmat.matrices import (
 from hilbmat.spectra import (
     _max_abs,
     hankel_hilbert_norm,
+    skew_norms,
     skew_spectrum,
     spectral_norm,
     toeplitz_hilbert_norm,
@@ -111,6 +112,15 @@ class TestSkewSpectrum:
         zero3 = skew_spectrum(np.zeros((3, 3)))
         assert not np.any(zero3.mus > 0) and zero3.zero_multiplicity == 3
         np.testing.assert_array_equal(zero3.V, np.eye(3))
+
+    @pytest.mark.parametrize("R, svds", [(20, 0), (21, 1)])
+    def test_kernel_svd_only_with_zero_modes(self, monkeypatch, R, svds):
+        # a generic even R has no zero mode, hence no kernel basis to build
+        calls, svd = [], np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+        x, c = np.sort(np.random.default_rng(R).uniform(0, 10 * R, R)), np.ones(R)
+        assert skew_spectrum(weighted_cauchy_matrix(x, c)).zero_multiplicity == R % 2
+        assert len(calls) == svds
 
     def test_kernel_basis_multiplicity(self):
         # two zero weights leave a generic 4 x 4 block: a 2-dim kernel
@@ -212,6 +222,46 @@ class TestSpectralNorm:
         with pytest.raises(ValueError) as exc:
             solve(np.full((2, 2), np.nan))
         assert type(exc.value) is ValueError
+
+
+class TestSkewNorms:
+    @pytest.mark.parametrize("R", range(1, 51))
+    def test_each_slice_is_its_own_spectral_norm(self, R):
+        # one batched eigvalsh solves each slice as a one-matrix call does
+        rng = np.random.default_rng(R)
+        x = np.sort(rng.uniform(0, 10 * R, R))
+        mats = [weighted_cauchy_matrix(x, rng.uniform(-2.0, 2.0, R)) for _ in range(4)]
+        mats.append(hilbert_toeplitz(R))
+        norms = skew_norms(np.stack(mats))
+        assert norms.shape == (5,)
+        assert norms.tolist() == [spectral_norm(M) for M in mats]
+
+    def test_zero_matrices_have_norm_zero(self):
+        norms = skew_norms(np.zeros((2, 4, 4)))
+        assert norms.tolist() == [0.0, 0.0] and not np.signbit(norms).any()
+        assert skew_norms(np.zeros((3, 0, 0))).tolist() == [0.0] * 3
+        assert skew_norms(np.zeros((0, 4, 4))).shape == (0,)
+
+    @pytest.mark.parametrize("slice_, message", [
+        (np.full((2, 2), np.nan), "matrix entries must be finite"),
+        (np.array([[0.0, np.inf], [-np.inf, 0.0]]), "matrix entries must be finite"),
+        (np.array([[0.0, 1.0], [1.0, 0.0]]), "matrix is not skew-symmetric"),
+    ], ids=["nan", "inf", "symmetric"])
+    def test_one_bad_slice_refuses_the_stack(self, slice_, message):
+        with pytest.raises(ValueError) as exc:
+            skew_norms(np.stack([hilbert_toeplitz(2), slice_]))
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("stack, message", [
+        (hilbert_toeplitz(3), "matrix stack must have shape (k, R, R)"),
+        (np.zeros((2, 3, 4)), "matrix must be square"),
+        ([hilbert_toeplitz(2), hilbert_toeplitz(3)], "matrix stack must have shape (k, R, R)"),
+        (hilbert_toeplitz(3)[None] * 1j, "matrix must be real, not complex"),
+    ], ids=["2-d", "not-square", "two-sizes", "complex"])
+    def test_refuses_what_is_not_a_real_square_stack(self, stack, message):
+        with pytest.raises(ValueError) as exc:
+            skew_norms(stack)
+        assert str(exc.value) == message
 
 
 class TestTracePowerEstimate:
