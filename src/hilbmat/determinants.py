@@ -5,10 +5,12 @@ weighted-Cauchy matrices the determinant equals the sum over matchings of
 the product of squared matched entries (all cross terms cancel through the
 Cauchy cocycle identity), i.e. the hafnian of B∘B, which vanishes for odd R.
 One DP, ``_matching_sums``, gives all principal-minor sums at once, read
-through one entry, ``principal_minor_sums``; the determinant is the top
-sum.  It runs vertex by vertex over the set of earlier vertices still
-waiting for a partner, at most sum_{k <= min(v, R - v)} C(v, k) sets at
-step v (16,384 at the peak for R = 22) rather than (R-1)!! matchings.
+through one private entry, ``_minor_sums``, on a matrix its public caller
+has checked once; the determinant is the top sum, and an odd order is an
+exact 0 before the size cap, with no DP run.  The DP runs vertex by vertex
+over the set of earlier vertices still waiting for a partner, at most
+sum_{k <= min(v, R - v)} C(v, k) sets at step v (16,384 at the peak for
+R = 22) rather than (R-1)!! matchings.
 Every term is a product of squares, hence nonnegative, so plain summation
 is accurate.  Two oracles cross-check it: an LU determinant and a
 Pfaffian computed by skew elimination, whose square is the determinant of
@@ -83,7 +85,7 @@ def det_matching(B, check: bool = False) -> float:
     inputs outside the weighted-Cauchy class.
     """
     B = require_skew(B)
-    value = principal_minor_sum(B, B.shape[0])
+    value = 0.0 if B.shape[0] % 2 else _minor_sums(B)[-1]
     if check and value:  # a zero sum (as at every odd R) zeroes every Pfaffian term
         ref = pfaffian(B) ** 2
         if abs(value - ref) > 1e-10 * max(1.0, abs(ref)):
@@ -144,11 +146,7 @@ def principal_minor_sums(B) -> tuple:
     eigenvalues, with sigma_0 = 1; odd orders are exactly zero, since every
     odd principal minor of a skew matrix vanishes.
     """
-    B = require_skew(B)
-    if B.shape[0] > MATCHING_CAP:
-        raise ValueError(f"matching sums capped at R = {MATCHING_CAP}")
-    sums = _matching_sums(B * B)
-    return tuple(0.0 if k % 2 else sums[k // 2] for k in range(B.shape[0] + 1))
+    return _minor_sums(require_skew(B))
 
 
 def principal_minor_sum(B, k: int) -> float:
@@ -157,7 +155,15 @@ def principal_minor_sum(B, k: int) -> float:
     the cap, with no DP run."""
     B = require_skew(B)
     k = as_int(k, "minor order k", 0, B.shape[0])
-    return 0.0 if k % 2 else principal_minor_sums(B)[k]
+    return 0.0 if k % 2 else _minor_sums(B)[k]
+
+
+def _minor_sums(B) -> tuple:
+    """``principal_minor_sums`` of a B that has passed ``require_skew``."""
+    if B.shape[0] > MATCHING_CAP:
+        raise ValueError(f"matching sums capped at R = {MATCHING_CAP}")
+    sums = _matching_sums(B * B)
+    return tuple(0.0 if k % 2 else sums[k // 2] for k in range(B.shape[0] + 1))
 
 
 def newton_girard_power_sums(sigmas, L: int) -> list:

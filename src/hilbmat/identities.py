@@ -13,17 +13,19 @@ Conjectured bounds are recorded, never asserted.
 
 The checks on a weighted-Cauchy instance (x, c) read what they share from a
 private record, ``_Instance``: the validated x and c, A(x), B(x, c), the
-node gaps delta, ||A||, ||B||, ||B(x, sqrt(delta))|| and B's row-norm upper
-bound, each built on first use.  Every Cauchy matrix on the record's nodes
-(A, B and the checks' reweighted or stretched ones) is built through
-``matrices.skew_quotient``, and the node gaps are taken by
-``matrices.node_gaps``; neither validates the nodes again.  A public check
-called with nodes (and weights) builds a record of its own and runs its
-body on it; ``_instance_battery`` builds one record per instance and runs
-every body on that, so each of these is built once per battery and dropped
-with it.  A battery solves its five skew norms, the record's three and
-those of the two smaller dominance matrices, in one ``spectra.skew_norms``
-call (``_Instance.norms_with``).
+node gaps delta and B's row-norm upper bound, each built on first use, and
+B(x, sqrt(delta)), built anew on each call.  Every Cauchy matrix on the
+record's nodes (A, B and the checks' reweighted or stretched ones) is built
+through ``matrices.skew_quotient``, and the node gaps are taken by
+``matrices.node_gaps``; neither validates the nodes again.  The record holds
+no norm: a check body takes every norm it reads as an argument, solved by
+its caller with ``spectra.skew_norms``, the one skew-norm solve.  A public
+check called with nodes (and weights) builds its own matrices and solves
+their norms in one call; ``_instance_battery`` builds one record per
+instance, runs every body on that, and solves its five skew norms (||A||,
+||B||, ||B(x, sqrt(delta))|| and those of the two smaller dominance
+matrices) in one ``skew_norms`` call, so each matrix is built once per
+battery and dropped with it.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from .matrices import (
     as_nodes,
     as_square,
     as_weights,
+    cauchy_matrix,
     hilbert_toeplitz,
     node_gaps,
     remove_index,
@@ -50,7 +53,6 @@ from .spectra import (
     SpectralDecomposition,
     skew_norms,
     skew_spectrum,
-    spectral_norm,
     toeplitz_hilbert_top_pair,
 )
 from ._util import write_csv
@@ -89,9 +91,9 @@ def _floored_scales(nominal, mass, mus=None, norm_ub=None, evs=None):
 
 class _Instance:
     """One weighted-Cauchy instance: the validated nodes ``x`` and weights
-    ``c``, and the matrices and norms its checks share, each built on first
-    use, or for the norms by ``norms_with``, and held until the record is
-    dropped.  B(x, sqrt(delta)) is built for its norm alone and not held."""
+    ``c``, and the matrices its checks share, each built on first use and
+    held until the record is dropped.  B(x, sqrt(delta)) is built for its
+    norm alone and not held."""
 
     def __init__(self, x, c):
         self.x = as_nodes(x)
@@ -104,8 +106,7 @@ class _Instance:
         together or overflows; the battery's stretch, below 3 on nodes at
         least MIN_NODE_GAP apart and below about 10 R, does neither.
         """
-        c = as_weights(c, self.x.size)
-        return skew_quotient(np.multiply.outer(c, c), self.x * stretch)
+        return skew_quotient(as_weights(c, self.x.size), self.x * stretch)
 
     @cached_property
     def A(self) -> np.ndarray:
@@ -123,25 +124,6 @@ class _Instance:
     def B_delta(self) -> np.ndarray:
         """B(x, sqrt(delta)), the Montgomery-Vaughan matrix, built anew."""
         return self.weighted(np.sqrt(self.gaps))
-
-    @cached_property
-    def norm_a(self) -> float:
-        return spectral_norm(self.A)
-
-    @cached_property
-    def norm_b(self) -> float:
-        return spectral_norm(self.B)
-
-    @cached_property
-    def norm_delta(self) -> float:
-        return spectral_norm(self.B_delta())
-
-    def norms_with(self, *others) -> list:
-        """||M|| for each skew M of ``others`` (R x R), from one
-        ``skew_norms`` solve that also fills ||A||, ||B|| and ||B_delta||."""
-        norms = skew_norms([self.A, self.B, self.B_delta(), *others]).tolist()
-        self.norm_a, self.norm_b, self.norm_delta = norms[:3]
-        return norms[3:]
 
     @cached_property
     def row_ub_b(self) -> float:
@@ -307,21 +289,19 @@ def check_norm_dominance(x, c, x2, c2) -> ResidualReport:
     Hypothesis |b(x, c)| <= |b(x2, c2)| entrywise is verified first; when it
     fails the report is marked not applicable rather than failed.
     """
-    return _norm_dominance(weighted_cauchy_matrix(x, c), _Instance(x2, c2))
-
-
-def _norm_dominance(B, big: _Instance, norm_small=None) -> ResidualReport:
-    """The dominance check of B against the instance's B; ``norm_small`` is
-    ||B|| when the caller has it, else it is solved here."""
-    B2 = big.B
+    B, B2 = weighted_cauchy_matrix(x, c), weighted_cauchy_matrix(x2, c2)
     if B.shape != B2.shape:
         raise ValueError("dominance pairs must have equal dimension")
+    return _norm_dominance(B, B2, *skew_norms([B, B2]).tolist())
+
+
+def _norm_dominance(B, B2, n1: float, n2: float) -> ResidualReport:
+    """The dominance check of B against B2 of the same size, with
+    n1 = ||B|| and n2 = ||B2||."""
     margin = 1e-12 * max(1.0, float(np.abs(B2).max(initial=0.0)))
     if float((np.abs(B) - np.abs(B2)).max(initial=0.0)) > margin:
         return residual_report("norm_dominance", 0.0, 1.0, INEQ_SLACK, applicable=False,
                                 R=B.shape[0])
-    n1 = spectral_norm(B) if norm_small is None else norm_small
-    n2 = big.norm_b
     return residual_report("norm_dominance", max(0.0, n1 - n2), 1.0, INEQ_SLACK,
                             R=B.shape[0], norm_small=n1, norm_big=n2)
 
@@ -461,13 +441,13 @@ def check_row_norm_bounds(x) -> ResidualReport:
 
     max_m sum_n a_{m,n}^2  <=  ||A||^2  <=  3 max_m sum_n a_{m,n}^2.
     """
-    return _row_norm_bounds(_Instance(x, np.ones(np.size(x))))
+    A = cauchy_matrix(x)
+    return _row_norm_bounds(A, float(skew_norms([A])[0]))
 
 
-def _row_norm_bounds(inst: _Instance) -> ResidualReport:
-    A = inst.A
+def _row_norm_bounds(A, norm_a: float) -> ResidualReport:
     row_energy = float((A * A).sum(axis=1).max())
-    n2 = inst.norm_a ** 2
+    n2 = norm_a ** 2
     violation = max(0.0, row_energy - n2, n2 - 3.0 * row_energy)
     return residual_report("row_norm_bounds", violation, max(1.0, n2), INEQ_SLACK,
                             R=A.shape[0], row_energy=row_energy, norm_sq=n2)
@@ -480,18 +460,20 @@ def check_montgomery_vaughan(x) -> ResidualReport:
     ||B(x, sqrt(delta))|| <= 3 pi / 2.  Whether the conjectured bound pi
     holds as well is recorded in the details, never asserted.
     """
-    return _montgomery_vaughan(_Instance(x, np.ones(np.size(x))))
+    inst = _Instance(x, np.ones(np.size(x)))
+    return _montgomery_vaughan(inst, *skew_norms([inst.A, inst.B_delta()]).tolist())
 
 
-def _montgomery_vaughan(inst: _Instance) -> ResidualReport:
+def _montgomery_vaughan(inst: _Instance, norm_a: float, norm_delta: float) -> ResidualReport:
+    """The Montgomery-Vaughan check on the instance's nodes, with
+    norm_a = ||A|| and norm_delta = ||B(x, sqrt(delta))||."""
     x = inst.x
     delta = float(inst.gaps.min())
-    norm_a, norm_b = inst.norm_a, inst.norm_delta
     bound_a = np.pi / delta
-    violation = max(0.0, norm_a - bound_a, norm_b - 1.5 * np.pi)
+    violation = max(0.0, norm_a - bound_a, norm_delta - 1.5 * np.pi)
     return residual_report("montgomery_vaughan", violation, max(1.0, bound_a), INEQ_SLACK,
-                            R=x.size, norm_a=norm_a, norm_b=norm_b, delta=delta,
-                            pi_bound_holds=bool(norm_b <= np.pi))
+                            R=x.size, norm_a=norm_a, norm_b=norm_delta, delta=delta,
+                            pi_bound_holds=bool(norm_delta <= np.pi))
 
 
 # ---------------------------------------------------------------------------
@@ -557,7 +539,7 @@ def _instance_battery(seed: int, x, c, rng: np.random.Generator):
     ``rng`` up front.  One record serves them all, so A(x), B(x, c) and B's
     row-norm upper bound are each built once, and the five norms (||A||,
     ||B||, ||B(x, sqrt(delta))|| and the two smaller dominance matrices) come
-    from one stacked solve; the record goes when the battery returns."""
+    from one ``skew_norms`` call; the record goes when the battery returns."""
     inst = _Instance(x, c)
     x, c, B = inst.x, inst.c, inst.B
     R = x.size
@@ -574,15 +556,17 @@ def _instance_battery(seed: int, x, c, rng: np.random.Generator):
         _even_power_positivity(inst, k_even, trials=2, seed=seed_even),
     ]
     smaller = (inst.weighted(c * shrink), inst.weighted(c, stretch=stretch))
-    out += (_norm_dominance(M, inst, norm) for M, norm in zip(smaller, inst.norms_with(*smaller)))
+    norm_a, norm_b, norm_delta, *norms_small = skew_norms(
+        [inst.A, B, inst.B_delta(), *smaller]).tolist()
+    out += (_norm_dominance(M, B, norm, norm_b) for M, norm in zip(smaller, norms_small))
     del smaller  # not held through the eigenpair checks
     dec = skew_spectrum(B)
     out.append(_eigenvector_amplitude(inst, dec))
     out.append(_real_imag_coupling(inst, dec))
     out.append(check_weighted_sum_identity(c, dec))
     out.append(check_eigenvalue_distinctness(c, dec))
-    out.append(_row_norm_bounds(inst))
-    out.append(_montgomery_vaughan(inst))
+    out.append(_row_norm_bounds(inst.A, norm_a))
+    out.append(_montgomery_vaughan(inst, norm_a, norm_delta))
     # a report's own seed wins; R is always the instance's
     return [replace(r, details={"seed": seed, **r.details, "R": R}) for r in out]
 

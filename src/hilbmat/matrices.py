@@ -4,10 +4,11 @@ Builders return plain float64 ndarrays, except that ``toeplitz_from_symbol``
 returns a complex matrix for a complex ``symbols.SymbolSeries``.  The Cauchy
 builders divide the full outer product c_m c_n by the node differences
 x_m - x_n in one pass and set the diagonal to +0.0, so the two triangles
-are exact negations of each other, signed zeros included; every
-Toeplitz-family matrix is a ``ToeplitzOperator`` held as its offset
-coefficients c_{-(R-1)}, .., c_{R-1}, and the skew Hilbert matrix T_R takes
-c_{-r} = -c_r from the closed form 1/r.  Either way ``M.T == -M`` and
+are exact negations of each other, signed zeros included, and a build
+that overflows is refused; every Toeplitz-family matrix is a
+``ToeplitzOperator`` held as its offset coefficients c_{-(R-1)}, ..,
+c_{R-1}, and the skew Hilbert matrix T_R takes c_{-r} = -c_r from the
+closed form 1/r.  Either way ``M.T == -M`` and
 ``M.diagonal() == 0`` hold exactly rather than to roundoff.  The symmetric
 Hilbert matrix H_R is written once, as ``ToeplitzOperator.hankel``: H_R with
 its columns reversed, a Toeplitz matrix.  ``ToeplitzOperator.hilbert_parity``
@@ -128,12 +129,20 @@ def prolate_coeffs(r, w) -> np.ndarray:
                      out=np.full(r.shape, 2.0 * np.pi * w), where=r != 0)
 
 
-def skew_quotient(numerator, x) -> np.ndarray:
-    """numerator / (x_m - x_n), diagonal zeroed, on nodes x taken as given:
-    x must already have passed ``as_nodes``, which is not run again here."""
+def skew_quotient(weights, x) -> np.ndarray:
+    """c_m c_n / (x_m - x_n) for the weight vector c = ``weights``, or
+    1 / (x_m - x_n) for ``weights`` = 1.0, diagonal zeroed, on nodes x and
+    weights taken as given: they must already have passed ``as_nodes`` and
+    ``as_weights``, which are not run again here.  A build that overflows
+    is refused rather than returned with infinite entries, from the
+    floating-point overflow flag of its own products and quotients."""
     # the diagonal's 0/0 (or c_m^2/0) is overwritten with +0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        M = numerator / np.subtract.outer(x, x)
+    with np.errstate(over="raise", divide="ignore", invalid="ignore"):
+        try:
+            numerator = np.multiply.outer(weights, weights) if np.ndim(weights) else weights
+            M = numerator / np.subtract.outer(x, x)
+        except FloatingPointError:
+            raise ValueError("Cauchy matrix entries overflow the float range") from None
     np.fill_diagonal(M, 0.0)
     return M
 
@@ -156,8 +165,7 @@ def weighted_cauchy_matrix(x, c) -> np.ndarray:
     weight beside a positive one.
     """
     x = as_nodes(x)
-    c = as_weights(c, x.size)
-    return skew_quotient(np.multiply.outer(c, c), x)
+    return skew_quotient(as_weights(c, x.size), x)
 
 
 def _fast_len(m: int) -> int:

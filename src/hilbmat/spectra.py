@@ -14,17 +14,18 @@ relative tolerance 1e-12 * R (R the dimension, at least 1) times
 max(1, max |entry|); it cannot be set.  A matrix whose max |entry| is not
 finite (a NaN or an infinite entry) is refused there, with no pass of its own.
 
-Norm-only queries stay in real arithmetic via -B^2.  ``skew_norms`` solves
-the norms of k skew matrices of one size R with one batched ``eigvalsh`` on
-a (k, R, R) stack of their -M^2, each slice solved as if alone; the skew
-branch of ``spectral_norm`` is the same solve on one matrix.  ||T_R||,
-||H_R|| and the top pair of T_R take one solve route, ``_top_eigen``, which
-holds the only dense/iterative decision, on the dimension n of the positive
-semidefinite matrix it solves and the cutoff and basis size its caller
-passes: up to the cutoff ``spectral_norm`` for a norm and
-``np.linalg.eigh`` for a top pair, above it ``_top_ritz``, thick-restart
-Rayleigh-Ritz in numpy.  Every solve holds one ``matrices.ToeplitzOperator``,
-built for it, which takes its circulant spectra once, on the first product.
+Norm-only queries stay in real arithmetic via -B^2.  ``skew_norms`` is the
+one skew-norm solve: the norms of k skew matrices of one size R from one
+batched ``eigvalsh`` on a (k, R, R) stack of their -M^2, each slice solved
+as if alone; the skew branch of ``spectral_norm`` calls it on one matrix.
+||T_R||, ||H_R|| and the top pair of T_R take one solve route,
+``_top_eigen``, which holds the only dense/iterative decision, on the
+dimension n of the positive semidefinite matrix it solves and the cutoff
+and basis size its caller passes: up to the cutoff ``np.linalg.eigvalsh``
+for a norm and ``np.linalg.eigh`` for a top pair, above it ``_top_ritz``,
+thick-restart Rayleigh-Ritz in numpy.  Every solve holds one
+``matrices.ToeplitzOperator``, built for it, which takes its circulant
+spectra once, on the first product.
 T_R is skew-centrosymmetric, so -T_R^2 is solved on its J-even block C^T C
 for C = ``ToeplitzOperator.hilbert_parity(R)`` (n = ceil(R/2), dense up to
 n = DENSE_CUTOFF, so R = 340), whose ``dense()`` is the dense side and whose
@@ -54,6 +55,7 @@ import ctypes
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -159,40 +161,32 @@ def finite_max_abs(M) -> float:
     return peak
 
 
-def _within_tol(M, skew: bool, out=None) -> bool:
+def _within_tol(M, skew: bool) -> bool:
     """Whether M is skew (D = M^T + M) or symmetric/Hermitian (D = M - M^H):
     max |D| <= 1e-12 * max(R, 1) * max(1, max |M|) for the size R of M.  A
-    NaN or infinite entry is refused before D is formed.  A skew D is built
-    in ``out`` (a new array without it) from a copy of M^T, as numpy's
-    M + M^T would take a second temporary for the transpose."""
+    NaN or infinite entry is refused before D is formed."""
     tol = 1e-12 * max(M.shape[0], 1) * max(1.0, finite_max_abs(M))
-    if not skew:
-        return _max_abs(M - M.conj().T) <= tol
-    if out is None:
-        out = M.T.copy()
-    else:
-        np.copyto(out, M.T)
-    out += M
-    return _max_abs(out) <= tol
+    return _max_abs(M.T + M if skew else M - M.conj().T) <= tol
 
 
-def require_skew(B, out=None) -> np.ndarray:
-    """B as a real skew matrix, else a ValueError; ``out``, an R x R float
-    array, takes the check's M^T + M."""
+def require_skew(B) -> np.ndarray:
+    """B as a real skew matrix, else a ValueError."""
     B = as_square(B, real=True)
-    if not _within_tol(B, skew=True, out=out):
+    if not _within_tol(B, skew=True):
         raise ValueError("matrix is not skew-symmetric")
     return B
 
 
 def skew_norms(matrices) -> np.ndarray:
     """Spectral norms of k real skew R x R matrices, the slices of a
-    (k, R, R) stack or the items of a sequence, one norm each.
+    (k, R, R) stack or the items of a sequence, one norm each: the one
+    skew-norm solve.
 
-    Each matrix passes ``require_skew``, and the norms are those of
-    ``_neg_square_norms`` on one preallocated (k, R, R) stack, whose slices
-    first take the checks' M^T + M.  The matrices are not stacked
-    themselves, so that stack is the only one made.
+    Each matrix passes ``require_skew``.  Slice i of one (k, R, R) stack
+    receives -0.5 (N^T + N) for N = M_i M_i, the positive semidefinite -M_i^2
+    symmetrized, and ||M_i|| is the square root of its top eigenvalue, from
+    one batched ``eigvalsh``.  LAPACK solves each slice as it would solve it
+    alone, so a norm does not depend on the stack it is in.
     """
     if getattr(matrices, "ndim", 3) != 3:  # an array's items are its slices
         raise ValueError("matrix stack must have shape (k, R, R)")
@@ -204,25 +198,9 @@ def skew_norms(matrices) -> np.ndarray:
         return np.zeros(len(mats))
     stack = np.empty((len(mats), R, R))
     for M, out in zip(mats, stack):
-        require_skew(M, out)
-    return _neg_square_norms(mats, stack)
-
-
-def _neg_square_norms(mats, stack) -> np.ndarray:
-    """||M|| for each real skew R x R matrix M of ``mats``, already checked,
-    from one batched ``eigvalsh``: slice i of the (k, R, R) ``stack``
-    receives 0.5 (N + N^T) for N = -(M M), the positive semidefinite -M^2
-    symmetrized, and ||M|| is the square root of its top eigenvalue.  LAPACK
-    solves each slice as it would solve it alone, so a norm does not depend
-    on the stack it is in.  N is formed in one R x R scratch and N^T + N is
-    summed in place in the slice, as numpy's N + N^T would take a temporary
-    for the transpose."""
-    N = np.empty(stack.shape[1:])
-    for M, out in zip(mats, stack):
-        np.negative(np.matmul(M, M, out=N), out=N)
-        np.copyto(out, N.T)
-        out += N
-    top = np.linalg.eigvalsh(np.multiply(stack, 0.5, out=stack))[:, -1]
+        N = require_skew(M) @ M
+        np.add(N.T, N, out=out)
+    top = np.linalg.eigvalsh(np.multiply(stack, -0.5, out=stack))[:, -1]
     return np.sqrt(np.maximum(top, 0.0))
 
 
@@ -241,8 +219,9 @@ class SpectralDecomposition:
     V: np.ndarray
     W: np.ndarray
 
-    @property
+    @cached_property
     def U(self) -> np.ndarray:
+        """V + i W, built on first access and held by the decomposition."""
         return self.V + 1j * self.W
 
     @property
@@ -321,8 +300,7 @@ def spectral_norm(M) -> float:
         return float(np.abs(values).max())
     if np.iscomplexobj(M) or not _within_tol(M, skew=True):
         raise ValueError("spectral_norm expects a symmetric/Hermitian or skew matrix")
-    # the solve of skew_norms, whose check has just been made
-    return float(_neg_square_norms([M], np.empty((1, *M.shape)))[0])
+    return float(skew_norms([M])[0])
 
 
 def trace_power_norm_estimate(B, k: int) -> float:
@@ -407,7 +385,7 @@ def _top_ritz(apply, v0, ncv: int, tol: float, precondition=None):
 def _top_eigen(dense, apply, v0, cutoff: int, ncv: int, image=None, preconditioner=None):
     """Top eigenvalue of an n x n positive semidefinite S, n = ``v0.size``,
     which ``dense()`` builds and ``apply`` applies to an n-vector.  The one
-    solver choice: dense while n <= cutoff (``spectral_norm`` for the value,
+    solver choice: dense while n <= cutoff (``eigvalsh`` for the value,
     ``eigh`` for a vector), ``_top_ritz`` from ``v0`` with a min(n, ncv)-vector
     basis above, preconditioned by ``preconditioner()`` when that is given, and
     stopped at tol = ``_LANCZOS_OPTS["tol"]`` for a value and ``_PAIR_TOL``
@@ -418,7 +396,7 @@ def _top_eigen(dense, apply, v0, cutoff: int, ncv: int, image=None, precondition
     circulant spectrum.  The whole solve runs on one OpenBLAS thread."""
     if v0.size <= cutoff:
         if image is None:
-            return spectral_norm(dense())
+            return float(np.linalg.eigvalsh(dense())[-1])
         values, vectors = np.linalg.eigh(dense())  # ascending
         lam, q, lift = values[-1], vectors[:, -1], image[0]
     else:

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import hilbmat.determinants as determinants
 from hilbmat.determinants import (
     MATCHING_CAP,
     _matching_sums,
@@ -15,6 +16,7 @@ from hilbmat.determinants import (
     principal_minor_sums,
 )
 from hilbmat.matrices import hilbert_toeplitz, weighted_cauchy_matrix
+from hilbmat.spectra import require_skew
 
 
 def random_weighted_instance(seed, R):
@@ -282,6 +284,34 @@ class TestPrincipalMinorSum:
             principal_minor_sum(Z, 2)
         with pytest.raises(ValueError):
             det_matching(Z)
+
+
+class TestOneCheckPerCall:
+    @pytest.mark.parametrize("call", [
+        lambda B: det_matching(B),
+        lambda B: principal_minor_sum(B, 4),
+        lambda B: principal_minor_sum(B, 3),
+        lambda B: principal_minor_sums(B),
+    ], ids=["det_matching", "minor-sum-even", "minor-sum-odd", "minor-sums"])
+    def test_each_entry_checks_its_matrix_once(self, monkeypatch, call):
+        calls = []
+
+        def counting(B):
+            calls.append(1)
+            return require_skew(B)
+
+        monkeypatch.setattr(determinants, "require_skew", counting)
+        call(random_weighted_instance(2, 8))
+        assert len(calls) == 1
+
+    def test_odd_order_runs_no_dp(self, monkeypatch):
+        def no_dp(W):
+            raise AssertionError("the matching DP ran for an odd order")
+
+        monkeypatch.setattr(determinants, "_matching_sums", no_dp)
+        B = random_weighted_instance(5, MATCHING_CAP + 1)
+        assert det_matching(B) == 0.0
+        assert principal_minor_sum(B, 3) == 0.0
 
 
 class TestNewtonGirard:

@@ -2,6 +2,7 @@ import io
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ from hilbmat.reports import ResidualReport
 from hilbmat.spectra import (
     SpectralDecomposition,
     hankel_hilbert_norm,
+    skew_norms,
     skew_spectrum,
     spectral_norm,
     toeplitz_hilbert_norm,
@@ -133,6 +135,7 @@ class TestDiagonalPowerRecursion:
 
 B5 = hilbert_toeplitz(5)
 X6, C6 = np.arange(1.0, 7.0), np.ones(6)
+OVERFLOW = "Cauchy matrix entries overflow the float range"
 
 
 @pytest.mark.parametrize("call,message", [
@@ -182,6 +185,9 @@ X6, C6 = np.arange(1.0, 7.0), np.ones(6)
      "weights must be real, not complex"),
     (lambda: weighted_cauchy_matrix([0.0, 1.0], [1 + 1j, 1]), "weights must be real, not complex"),
     (lambda: check_even_power_positivity(X6, C6 + 0j, 1), "weights must be real, not complex"),
+    (lambda: cauchy_matrix([0.0, 1e-320, 1.0]), OVERFLOW),
+    (lambda: weighted_cauchy_matrix([0.0, 1.0], [1e200, 1e200]), OVERFLOW),
+    (lambda: check_even_power_positivity([0.0, 1.0], [1e200, 1e200], 1), OVERFLOW),
 ], ids=["remove_index", "cancellation-n", "recursion-n", "trace_power", "cancellation-k",
         "recursion-k", "recursion-float64-k", "newton_girard", "central-M", "central-N",
         "suite-seeds", "suite-max_R", "suite-bool-seeds", "instance-max_R", "positivity-k",
@@ -192,7 +198,8 @@ X6, C6 = np.arange(1.0, 7.0), np.ones(6)
         "instance-bool-seed", "instance-negative-seed", "positivity-float-seed",
         "positivity-bool-seed", "positivity-negative-seed", "cauchy-complex-array",
         "cauchy-complex-list", "weighted-complex-array", "weighted-complex-list",
-        "positivity-complex-weights"])
+        "positivity-complex-weights", "cauchy-overflow", "weighted-overflow",
+        "positivity-overflow"])
 def test_non_integer_index_or_power_fails_with_one_line(call, message):
     # a ValueError, not numpy's IndexError or TypeError from deeper down, nor
     # a value computed from input outside the function's domain
@@ -530,19 +537,19 @@ class TestBatterySharing:
                 return fn(*args)
             return wrapper
 
-        def build_key(numerator, xs):
+        def build_key(weights, xs):
             # every Cauchy build of the battery is one skew_quotient call
-            if np.ndim(numerator) == 0:
+            if np.ndim(weights) == 0:
                 return "A"
-            same = np.array_equal(xs, x) and np.array_equal(numerator, np.multiply.outer(c, c))
+            same = np.array_equal(xs, x) and np.array_equal(weights, c)
             return "B" if same else "other"
 
         monkeypatch.setattr(identities, "skew_quotient",
                             counting(identities.skew_quotient, build_key))
         monkeypatch.setattr(identities, "weighted_cauchy_matrix",
                             counting(identities.weighted_cauchy_matrix, lambda xs, cs: "validated"))
-        monkeypatch.setattr(identities, "spectral_norm",
-                            counting(identities.spectral_norm, lambda M: "norm"))
+        monkeypatch.setattr(identities, "cauchy_matrix",
+                            counting(identities.cauchy_matrix, lambda xs: "validated"))
         monkeypatch.setattr(identities, "skew_norms",
                             counting(identities.skew_norms, lambda M: f"stack of {len(M)}"))
         reports = _instance_battery(4, x, c, rng)
@@ -552,12 +559,43 @@ class TestBatterySharing:
         # two smaller dominance matrices, two even-power scalings, B(x, sqrt(delta))
         assert calls["other"] == 5
         # ||A||, ||B||, ||B(x, sqrt(delta))|| and the two smaller dominance
-        # matrices come from one stacked solve, and no norm is solved alone
-        assert calls["norm"] == 0
+        # matrices come from one stacked solve
         assert [(key, n) for key, n in calls.items() if key.startswith("stack")] == [
             ("stack of 5", 1)]
         # no build validates the record's nodes again
         assert calls["validated"] == 0
+
+    @pytest.mark.parametrize("check, sizes", [
+        (lambda x, c: check_norm_dominance(x, 0.5 * c, x, c), [2]),
+        (lambda x, c: check_montgomery_vaughan(x), [2]),
+        (lambda x, c: check_row_norm_bounds(x), [1]),
+    ], ids=["norm_dominance", "montgomery_vaughan", "row_norm_bounds"])
+    def test_public_checks_solve_their_norms_in_one_call(self, monkeypatch, check, sizes):
+        stacks = []
+
+        def counting(mats):
+            stacks.append(len(mats))
+            return skew_norms(mats)
+
+        monkeypatch.setattr(identities, "skew_norms", counting)
+        x, c, _ = random_instance(3, 12)
+        check(x, c)
+        assert stacks == sizes
+
+    def test_battery_forms_each_complex_eigenvector_matrix_once(self, monkeypatch):
+        # SpectralDecomposition.U, V + iW, is read by three eigenpair checks
+        built = []
+        form = SpectralDecomposition.U.func
+
+        def counting(dec):
+            built.append(1)
+            return form(dec)
+
+        U = cached_property(counting)
+        U.__set_name__(SpectralDecomposition, "U")
+        monkeypatch.setattr(SpectralDecomposition, "U", U)
+        _instance_battery(4, *random_instance(4, 30, min_R=20))
+        assert len(built) == 1
 
     def test_suite_validates_each_instances_nodes_once(self, monkeypatch):
         # one as_nodes per battery record, 9 canonical and 100 seeded: the

@@ -142,3 +142,11 @@ def test_only_spectra_calls_the_eigensolvers():
     callers = innermost_callers(lambda callee: callee in ("eigh", "eigvalsh", "svd"))
     assert callers
     assert {owner.split(".")[0] for owner in callers} == {"spectra"}, callers
+
+
+def test_spectral_norm_is_called_only_where_a_matrix_of_any_kind_is_normed():
+    # skew norms come from spectra.skew_norms and the dense side of
+    # spectra._top_eigen calls eigvalsh itself, so neither the identity
+    # checks nor the solver grow a second norm route through spectral_norm
+    assert sorted(innermost_callers(lambda callee: callee == "spectral_norm")) == [
+        "cli.cmd_norm", "symbols.gs_rate_check", "symbols.prolate_gap"]

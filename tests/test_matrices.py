@@ -521,3 +521,11 @@ def test_matrix_csv_roundtrip_exact():
     assert lines[0] == "c0,c1,c2"
     back = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
     np.testing.assert_array_equal(back, M)  # 17 significant digits round-trip
+
+
+def test_cauchy_overflow_is_decided_by_the_entries():
+    # max |c|^2 / min gap overflows here, but no entry does: the build stands
+    x, c = [0.0, 1.0, 1.0 + 2.0**-52], [1e154, 1e154, 1e-300]
+    B = weighted_cauchy_matrix(x, c)
+    assert np.isfinite(B).all()
+    assert B[0, 1] == -1e308
