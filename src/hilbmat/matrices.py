@@ -28,6 +28,7 @@ conventions unambiguous.
 
 from __future__ import annotations
 
+import math
 from numbers import Real
 
 import numpy as np
@@ -52,7 +53,8 @@ def as_real(values, name: str) -> np.ndarray:
 
 
 def as_nodes(values) -> np.ndarray:
-    """Validate a node vector: 1-D, real, finite, strictly increasing, R >= 1."""
+    """Validate a node vector: 1-D, real, finite, strictly increasing, R >= 1,
+    with a finite span x[-1] - x[0], the largest difference x_m - x_n."""
     x = as_real(values, "nodes")
     if x.ndim != 1:
         raise ValueError("node vector must be one-dimensional")
@@ -62,8 +64,12 @@ def as_nodes(values) -> np.ndarray:
         raise ValueError(f"node vector exceeds the size cap of {MAX_DIM}")
     if not np.all(np.isfinite(x)):
         raise ValueError("nodes must be finite")
-    if x.size > 1 and np.any(np.diff(x) <= 0.0):
-        raise ValueError("nodes must be strictly increasing (hence distinct)")
+    if x.size > 1:
+        with np.errstate(over="ignore"):  # an overflowing step is +-inf, refused below
+            if np.any(np.diff(x) <= 0.0):
+                raise ValueError("nodes must be strictly increasing (hence distinct)")
+        if not math.isfinite(float(x[-1]) - float(x[0])):
+            raise ValueError("node differences overflow the float range")
     return x
 
 

@@ -39,14 +39,18 @@ above: Lanczos) on the full-length matvec of ``ToeplitzOperator.hankel``.
 No solve loads scipy, and an iterative solve that does not converge raises
 ``np.linalg.LinAlgError``.
 
-Two places run on one OpenBLAS thread, under ``_one_blas_thread``: the
-whole of ``_top_eigen`` (dense build, Gram product, ``eigvalsh``/``eigh``
-and ``_top_ritz``) and the ``eigh`` of ``skew_spectrum``.  On 2 cores a
-second thread made these solves slower, not faster, and its rounding moved
-the last bits of dense T_R norms; on one thread the ``sweep-gap`` bytes do
-not depend on ``OPENBLAS_NUM_THREADS``.  The guard puts the caller's thread
-count back on exit, exception or not, and does nothing where numpy's
-OpenBLAS is not found.
+Every LAPACK solve runs on one OpenBLAS thread: ``_one_blas_thread`` is a
+decorator on each function that makes one, ``skew_norms``, ``spectral_norm``,
+``skew_spectrum`` (its ``eigh`` and the ``svd`` of a kernel),
+``trace_power_norm_estimate`` (its ``matrix_power``) and ``_top_eigen``
+(dense build, Gram product, ``eigvalsh``/``eigh`` and ``_top_ritz``).  On 2
+cores a second thread made these solves slower, not faster (an ``eigvalsh``
+of gs-rate's R = 200 cosine Toeplitz matrix took a 40 ms median on two
+threads, 2.2 ms on one), and its rounding moved the last bits of dense
+norms; on one thread the ``sweep-gap``, ``hankel-gap`` and ``gs-rate`` bytes
+do not depend on ``OPENBLAS_NUM_THREADS``.  The guard puts the caller's
+thread count back on exit, exception or not; nested, or where numpy's
+OpenBLAS is not found, it does nothing.
 """
 
 from __future__ import annotations
@@ -177,6 +181,7 @@ def require_skew(B) -> np.ndarray:
     return B
 
 
+@_one_blas_thread()
 def skew_norms(matrices) -> np.ndarray:
     """Spectral norms of k real skew R x R matrices, the slices of a
     (k, R, R) stack or the items of a sequence, one norm each: the one
@@ -247,6 +252,7 @@ def _peak_positive(M) -> np.ndarray:
     return M * (np.conj(p) / np.hypot(p.real, p.imag))
 
 
+@_one_blas_thread()
 def skew_spectrum(B) -> SpectralDecomposition:
     """Decompose a real skew matrix into +/- i*mu eigenpairs and zero modes.
 
@@ -263,8 +269,7 @@ def skew_spectrum(B) -> SpectralDecomposition:
     R = B.shape[0]
     if R == 0:
         return SpectralDecomposition(np.zeros(0), np.zeros((0, 0)), np.zeros((0, 0)))
-    with _one_blas_thread():
-        lam, U = np.linalg.eigh(1j * B)  # ascending real eigenvalues -mu..+mu
+    lam, U = np.linalg.eigh(1j * B)  # ascending real eigenvalues -mu..+mu
     thr = ZERO_MU_REL * float(max(abs(lam[0]), abs(lam[-1])))
     top, zero = lam > thr, np.abs(lam) <= thr
     if 2 * top.sum() + zero.sum() != R:
@@ -290,19 +295,26 @@ def skew_spectrum(B) -> SpectralDecomposition:
         W=np.ascontiguousarray(np.hstack([P.imag, np.zeros_like(K)])))
 
 
+@_one_blas_thread()
 def spectral_norm(M) -> float:
-    """Largest eigenvalue magnitude of a symmetric/Hermitian or skew matrix."""
+    """Largest eigenvalue magnitude of a symmetric/Hermitian or skew matrix.
+
+    A matrix that is not symmetric/Hermitian is tested for skewness once, by
+    the ``require_skew`` of ``skew_norms``."""
     M = as_square(M)
     if M.shape[0] == 0:
         return 0.0
     if _within_tol(M, skew=False):
-        values = np.linalg.eigvalsh(M)
-        return float(np.abs(values).max())
-    if np.iscomplexobj(M) or not _within_tol(M, skew=True):
-        raise ValueError("spectral_norm expects a symmetric/Hermitian or skew matrix")
-    return float(skew_norms([M])[0])
+        return float(np.abs(np.linalg.eigvalsh(M)).max())
+    if not np.iscomplexobj(M):
+        try:
+            return float(skew_norms([M])[0])
+        except ValueError:  # M is square, real and finite: only its skew test refuses
+            pass
+    raise ValueError("spectral_norm expects a symmetric/Hermitian or skew matrix")
 
 
+@_one_blas_thread()
 def trace_power_norm_estimate(B, k: int) -> float:
     """Norm estimate ((-1)^k Tr(B^{2k}))^(1/2k) for a real skew matrix.
 

@@ -272,8 +272,9 @@ def test_hankel_sweep_bytes_do_not_depend_on_blas_threads(run_python):
     # set: without that, the dense T_R rows of sweep-gap (R = 195..600, when
     # T_R was dense up to R = 600) moved in the last bits between 1 and 2
     # threads, and so did H_R's eigvalsh at R = 169..252 when H_R was dense
-    # up to R = 256
-    for argv in (["hankel-gap", "--R-max", "300"], ["sweep-gap", "--R-max", "600"]):
+    # up to R = 256; gs-rate's dense spectral_norm solves are held to the same
+    for argv in (["hankel-gap", "--R-max", "300"], ["sweep-gap", "--R-max", "600"],
+                 ["gs-rate"]):
         one, two = (run_python(["-m", "hilbmat.cli", *argv], env={"OPENBLAS_NUM_THREADS": n})
                     for n in ("1", "2"))
         assert one.returncode == two.returncode == 0, argv

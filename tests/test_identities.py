@@ -188,6 +188,7 @@ OVERFLOW = "Cauchy matrix entries overflow the float range"
     (lambda: cauchy_matrix([0.0, 1e-320, 1.0]), OVERFLOW),
     (lambda: weighted_cauchy_matrix([0.0, 1.0], [1e200, 1e200]), OVERFLOW),
     (lambda: check_even_power_positivity([0.0, 1.0], [1e200, 1e200], 1), OVERFLOW),
+    (lambda: cauchy_matrix([-1e308, 1e308]), "node differences overflow the float range"),
 ], ids=["remove_index", "cancellation-n", "recursion-n", "trace_power", "cancellation-k",
         "recursion-k", "recursion-float64-k", "newton_girard", "central-M", "central-N",
         "suite-seeds", "suite-max_R", "suite-bool-seeds", "instance-max_R", "positivity-k",
@@ -199,7 +200,7 @@ OVERFLOW = "Cauchy matrix entries overflow the float range"
         "positivity-bool-seed", "positivity-negative-seed", "cauchy-complex-array",
         "cauchy-complex-list", "weighted-complex-array", "weighted-complex-list",
         "positivity-complex-weights", "cauchy-overflow", "weighted-overflow",
-        "positivity-overflow"])
+        "positivity-overflow", "cauchy-node-overflow"])
 def test_non_integer_index_or_power_fails_with_one_line(call, message):
     # a ValueError, not numpy's IndexError or TypeError from deeper down, nor
     # a value computed from input outside the function's domain

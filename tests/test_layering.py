@@ -150,3 +150,28 @@ def test_spectral_norm_is_called_only_where_a_matrix_of_any_kind_is_normed():
     # checks nor the solver grow a second norm route through spectral_norm
     assert sorted(innermost_callers(lambda callee: callee == "spectral_norm")) == [
         "cli.cmd_norm", "symbols.gs_rate_check", "symbols.prolate_gap"]
+
+
+def test_every_spectra_solve_runs_under_the_thread_guard():
+    # a spectra function that calls a LAPACK-level solver carries
+    # @_one_blas_thread(), or is private and called only from functions that
+    # carry it, as _top_ritz is from _top_eigen: a new solver cannot leave
+    # the guard unnoticed
+    path = next(path for path in SOURCES if path.stem == "spectra")
+    functions = [node for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    guarded = {f.name for f in functions if any(
+        isinstance(d, ast.Call) and name(d.func) == "_one_blas_thread" for d in f.decorator_list)}
+
+    def spectra_callers(called):
+        return {owner.split(".")[-1] for owner in innermost_callers(called)
+                if owner.split(".")[0] == "spectra"}
+
+    solving = spectra_callers(lambda callee: callee in ("eigh", "eigvalsh", "svd", "matrix_power"))
+    assert {"skew_norms", "spectral_norm", "skew_spectrum", "_top_ritz"} <= solving
+    offenders = []
+    for solver in sorted(solving - guarded):
+        callers = spectra_callers(lambda callee: callee == solver)
+        if not solver.startswith("_") or not callers or not callers <= guarded:
+            offenders.append(f"{solver} (called from {sorted(callers)})")
+    assert offenders == []

@@ -695,7 +695,15 @@ class TestOneBlasThread:
         lambda out: toeplitz_hilbert_top_pair(701),
         lambda out: skew_spectrum(cauchy_40()),
         lambda out: main(["sweep-gap", "--R-max", "700", "--out", str(out / "sweep.csv")]),
-    ], ids=["T301", "T700", "pair701", "skew40", "cli-sweep"])
+        lambda out: spectral_norm(tridiagonal(200)),
+        lambda out: spectral_norm(cauchy_40()),
+        lambda out: skew_norms([cauchy_40()] * 5),
+        lambda out: skew_spectrum(hilbert_toeplitz(41)),  # one zero mode: its kernel svd
+        lambda out: trace_power_norm_estimate(cauchy_40(), 3),
+        lambda out: main(["gs-rate", "--out", str(out / "gs.csv")]),
+        lambda out: main(["prolate-gap", "--out", str(out / "prolate.csv")]),
+    ], ids=["T301", "T700", "pair701", "skew40", "cli-sweep", "cosine200", "norm-skew40",
+            "stack5", "skew41-kernel", "trace-power", "cli-gs-rate", "cli-prolate"])
     def test_solves_run_on_one_thread_and_restore_the_count(self, monkeypatch, tmp_path,
                                                             caller_threads, call, count):
         get, put = caller_threads
@@ -708,7 +716,7 @@ class TestOneBlasThread:
                 return solve(*args, **kwargs)
             return run
 
-        for name in ("eigh", "eigvalsh"):
+        for name in ("eigh", "eigvalsh", "svd", "matrix_power"):
             monkeypatch.setattr(np.linalg, name, recording(getattr(np.linalg, name)))
         call(tmp_path)
         assert seen and set(seen) == {1}
