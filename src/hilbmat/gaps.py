@@ -112,9 +112,8 @@ def _times_ones(p: list, M: int) -> list:
     return out
 
 
-def _ones_power(M: int, K: int) -> list:
-    """Exact integer coefficients of (1 + t + .. + t^(M-1))^K."""
-    p = [1]
+def _ones_power(M: int, K: int, p=(1,)) -> list:
+    """Exact integer coefficients of p(t) (1 + t + .. + t^(M-1))^K."""
     for _ in range(K):
         p = _times_ones(p, M)
     return p
@@ -201,7 +200,7 @@ def build_witness(R: int) -> WitnessCertificate:
     L = N * (M - 1)
 
     coeffs_n = _ones_power(M, N)          # integer coefficients, degree L
-    coeffs_2n = _ones_power(M, 2 * N)     # autocorrelation via palindromy
+    coeffs_2n = _ones_power(M, N, coeffs_n)  # autocorrelation via palindromy
     e0 = coeffs_2n[L]
     # int / int is correctly rounded at any size
     ratios = np.array([coeffs_2n[L + k] / e0 for k in range(1, L + 1)])

@@ -182,10 +182,7 @@ def _fast_len(m: int) -> int:
     while p5 < best:
         p35 = p5
         while p35 < best:
-            p = p35
-            while p < m:
-                p *= 2
-            best = min(best, p)
+            best = min(best, p35 << (-(-m // p35) - 1).bit_length())
             p35 *= 3
         p5 *= 5
     return best
@@ -210,8 +207,7 @@ class ToeplitzOperator:
     placed at r mod N (conj(A) for the transpose, whose Toeplitz part is
     reversed) and B that of k(s) placed at s.  conj(V) is the spectrum of
     the cyclic reversal of v, so B conj(V) is the Hankel product with no
-    phase factor.  The spectra are taken once, on the first product; a
-    complex operator has only its dense build.
+    phase factor.  The spectra are taken once, on the first product.
     """
 
     def __init__(self, coeffs, hankel_coeffs=None, shape=None, column_weights=None,
@@ -316,14 +312,10 @@ class ToeplitzOperator:
                              "has only its dense build")
         m, n = self.shape
         N = _fast_len(max(m + n - 1, m, n))  # m + n - 1 unless a side is empty
-
-        def spectrum(values, shift):
-            column = np.zeros(N)
-            column[:values.size] = values
-            return np.fft.rfft(np.roll(column, shift))
-
-        B = None if self.hankel_coeffs is None else spectrum(self.hankel_coeffs, 0)
-        return N, spectrum(self.coeffs, 1 - n), B
+        column = np.zeros(N)
+        column[np.arange(1 - n, m) % N] = self.coeffs  # t(r) at r mod N
+        B = None if self.hankel_coeffs is None else np.fft.rfft(self.hankel_coeffs, N)
+        return N, np.fft.rfft(column), B
 
     def _transform(self, v, transpose: bool, size: int) -> np.ndarray:
         """irfft(A V + B conj(V), N)[:size] for V = rfft(v, N) of a real v,

@@ -63,7 +63,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .matrices import ToeplitzOperator, as_int, as_square, hilbert_hankel
+from .matrices import ToeplitzOperator, as_int, as_square
 
 # Relative threshold below which a computed mu is classified as zero.  The
 # determinant structure forces an exact zero eigenvalue for odd R, so the
@@ -100,12 +100,11 @@ _DAVIDSON_NCV = 20
 
 # H_R's top eigenvalue is well isolated (lambda_2/lambda_1 = 0.44 at
 # R = 256), so its solve takes its own cutoff and basis: with ncv = 8 every
-# solve from R = 65 to 2000 took 8 products, and R = 5000..20000 took 12.
-# On 2 cores, at one OpenBLAS thread, the dense build and eigvalsh took 0.11,
-# 0.16, 0.19 and 0.44 ms at n = 64, 80, 88 and 128, the Lanczos solve with its
-# operator built 0.17 to 0.18 ms: they cross near n = 85, and a cutoff moved
-# there would change the last bits of ||H_R|| at R = 65..85.
-_HANKEL_DENSE_CUTOFF = 64
+# solve from R = 89 to 2000 took 8 products, and R = 5000..20000 took 12.
+# On 2 cores, at one OpenBLAS thread, the dense build and eigvalsh took 0.20,
+# 0.26, 0.27 and 0.30 ms at n = 76, 86, 88 and 94, the Lanczos solve with its
+# operator built 0.24 to 0.27 ms (minima of 15 runs): they cross at n = 88.
+_HANKEL_DENSE_CUTOFF = 88
 _HANKEL_NCV = 8
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -348,7 +347,9 @@ def _top_ritz(apply, v0, ncv: int, tol: float, precondition=None):
     Sci. Stat. Comput. 7 (1986) 817-825): each step takes the top Ritz pair
     and grows V by ``precondition`` of its residual.  Without, it is Lanczos
     (Wu and Simon, SIAM J. Matrix Anal. Appl. 22 (2000) 602-616): V grows by
-    the last product, and the Ritz pair is taken when V is full.  The pair is
+    the last product, whose first Gram-Schmidt pass gives its column of H,
+    and the Ritz pair is taken when V is full; the last column of a full V
+    and each Davidson column take their own product.  The pair is
     accepted when ||W y - theta V y|| <= tol |theta|.  A full basis restarts
     on its top ncv // 2 Ritz vectors (Lanczos then grows from the top
     residual); after ``_LANCZOS_OPTS["maxiter"]`` restarts the solve raises
@@ -358,10 +359,13 @@ def _top_ritz(apply, v0, ncv: int, tol: float, precondition=None):
     top Ritz pair is returned as it is."""
     n, maxiter = v0.size, _LANCZOS_OPTS["maxiter"]
     V, W, H = np.empty((ncv, n)), np.empty((ncv, n)), np.empty((ncv, ncv))
-    t, j, restarts = v0, 0, 0
+    t, j, restarts, grown = v0, 0, 0, False
     while True:
         basis = V[:j]
-        t = t - (basis @ t) @ basis  # classical Gram-Schmidt, twice
+        c = basis @ t
+        if grown:  # c = V[:j] @ W[j-1]
+            H[j - 1, :j] = H[:j, j - 1] = c
+        t = t - c @ basis  # classical Gram-Schmidt, twice
         first = t @ t
         t -= (basis @ t) @ basis
         second = t @ t
@@ -370,11 +374,12 @@ def _top_ritz(apply, v0, ncv: int, tol: float, precondition=None):
             return theta[-1], S[:, -1] @ basis
         np.divide(t, np.sqrt(second), out=V[j])
         W[j] = apply(V[j])
-        H[j, :j + 1] = H[:j + 1, j] = V[:j + 1] @ W[j]
         j += 1
-        if precondition is None and j < ncv:
+        grown = precondition is None and j < ncv
+        if grown:
             t = W[j - 1]
             continue
+        H[j - 1, :j] = H[:j, j - 1] = V[:j] @ W[j - 1]
         theta, S = np.linalg.eigh(H[:j, :j])  # ascending
         y = S[:, -1]
         t = y @ W[:j] - theta[-1] * (y @ V[:j])  # the residual
@@ -405,7 +410,7 @@ def _top_eigen(dense, apply, v0, cutoff: int, ncv: int, image=None, precondition
     side), returns ``(eigenvalue, q, image(q))`` for a unit top eigenvector
     q; the map of the side that solved is taken, and the preconditioner is
     built on the matrix-free side alone, so all-dense runs never build a
-    circulant spectrum.  The whole solve runs on one OpenBLAS thread."""
+    circulant spectrum."""
     if v0.size <= cutoff:
         if image is None:
             return float(np.linalg.eigvalsh(dense())[-1])
@@ -499,9 +504,9 @@ def hankel_hilbert_norm(R: int) -> float:
     The matrix is positive definite, so the norm is its top eigenvalue, on
     the same route as ``toeplitz_hilbert_norm`` with n = R: dense up to
     R = _HANKEL_DENSE_CUTOFF, above it Lanczos with an _HANKEL_NCV basis.
-    The matrix-free product evaluates H x = T (reverse x) with the Toeplitz
-    T = ToeplitzOperator.hankel(R).
+    Both sides read T = ToeplitzOperator.hankel(R): H = T with its columns
+    reversed, and H x = T (reverse x).
     """
     T = ToeplitzOperator.hankel(R)
-    return _top_eigen(lambda: hilbert_hankel(R), lambda x: T.matvec(x[::-1]),
+    return _top_eigen(lambda: T.dense()[:, ::-1], lambda x: T.matvec(x[::-1]),
                       np.full(R, 1.0 / np.sqrt(R)), _HANKEL_DENSE_CUTOFF, _HANKEL_NCV)

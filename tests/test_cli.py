@@ -259,7 +259,7 @@ def test_sweep_tables_byte_identical_across_processes(run_python):
     # fresh interpreters, so the second run shares no state with the first;
     # both pass their dense cutoffs, so iterative solves on the cached FFT
     # run: T_R from R = 341 (its parity block has dimension ceil(R/2)), H_R
-    # from 65
+    # from 89
     for argv in (["sweep-gap", "--R-max", "700"], ["hankel-gap", "--R-max", "300"]):
         first, second = (run_python(["-m", "hilbmat.cli", *argv]) for _ in range(2))
         assert first.returncode == second.returncode == 0

@@ -352,6 +352,18 @@ def test_fast_len_is_the_next_5_smooth_number():
         assert _is_5_smooth(n) and not any(map(_is_5_smooth, range(m, n))), m
 
 
+def test_fast_len_matches_the_generated_5_smooth_numbers():
+    # every length up to 2 MAX_DIM against the next member of the sorted set
+    # of all 2^a 3^b 5^c below 4 MAX_DIM, generated directly
+    top = 4 * MAX_DIM
+    exponents = range(top.bit_length())
+    smooth = sorted({2 ** a * 3 ** b * 5 ** c for a in exponents for b in exponents
+                     for c in exponents} & set(range(1, top + 1)))
+    lengths = np.array([_fast_len(m) for m in range(1, 2 * MAX_DIM + 1)])
+    nxt = np.array(smooth)[np.searchsorted(smooth, np.arange(1, 2 * MAX_DIM + 1))]
+    np.testing.assert_array_equal(lengths, nxt)
+
+
 def test_prolate_matrix_values():
     np.testing.assert_allclose(prolate_matrix(1, 0.25), [[np.pi / 2]], rtol=0)
     P = prolate_matrix(2, 0.25)

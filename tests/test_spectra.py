@@ -381,9 +381,9 @@ class TestMatrixFreeNorms:
         dense = spectral_norm(hilbert_toeplitz(R))
         assert fast == pytest.approx(dense, abs=1e-9)
 
-    @pytest.mark.parametrize("R", list(range(1, 71)) + [255, 256, 257, 300, 500])
+    @pytest.mark.parametrize("R", list(range(1, 95)) + [255, 256, 257, 300, 500])
     def test_lanczos_agrees_with_dense_hankel(self, R):
-        # on both sides of the Hankel cutoff at R = 64 and of DENSE_CUTOFF
+        # on both sides of the Hankel cutoff at R = 88 and of DENSE_CUTOFF
         fast = hankel_hilbert_norm(R)
         dense = spectral_norm(hilbert_hankel(R))
         assert fast == pytest.approx(dense, abs=1e-13)
@@ -392,12 +392,14 @@ class TestMatrixFreeNorms:
                                          (toeplitz_hilbert_norm, 1001),
                                          (toeplitz_hilbert_norm, 2001),
                                          (hankel_hilbert_norm, 65),
+                                         (hankel_hilbert_norm, 89),
                                          (hankel_hilbert_norm, 300),
                                          (hankel_hilbert_norm, 1000)],
-                             ids=["T601", "T1001", "T2001", "H65", "H300", "H1000"])
+                             ids=["T601", "T1001", "T2001", "H65", "H89", "H300", "H1000"])
     def test_lanczos_matches_arpack(self, solve, R):
         # scipy's ARPACK eigsh as the oracle, on the same products, start
-        # vector, basis size and tolerance
+        # vector, basis size and tolerance; H_R is dense at R = 65 and
+        # Lanczos from R = 89
         if solve is toeplitz_hilbert_norm:
             C = ToeplitzOperator.hilbert_parity(R)
             n, ncv = C.shape[1], 32
@@ -539,7 +541,7 @@ class TestMatrixFreeNorms:
     def test_dense_commands_load_no_scipy(self, run_fresh, commands):
         # dense-only commands load no scipy module, and neither do the
         # commands whose numpy Lanczos solves pass the cutoffs (T_1100, and
-        # H_R from R = 65)
+        # H_R from R = 89)
         code = ("import contextlib, io, sys; from hilbmat.cli import main\n"
                 f"for argv in {commands!r}:\n"
                 "    with contextlib.redirect_stdout(io.StringIO()):\n"
@@ -565,9 +567,9 @@ class TestMatrixFreeNorms:
         (toeplitz_hilbert_norm, 512, [(256, 256)], 20),
         (toeplitz_hilbert_norm, 341, [(171, 171)], 20),
         (toeplitz_hilbert_norm, 340, [], 20),
-        (hankel_hilbert_norm, 64, [], 8),
-        (hankel_hilbert_norm, 65, [(65, 65)], 8),
-    ], ids=["T601", "H300", "T600", "T512", "T341", "T340", "H64", "H65"])
+        (hankel_hilbert_norm, 88, [], 8),
+        (hankel_hilbert_norm, 89, [(89, 89)], 8),
+    ], ids=["T601", "H300", "T600", "T512", "T341", "T340", "H88", "H89"])
     def test_lanczos_problem_size_and_basis(self, monkeypatch, solve, R, shapes, max_ncv):
         # T_R is solved on its ceil(R/2) parity block, iteratively from
         # R = 2 DENSE_CUTOFF + 1 = 341, H_R as it is; a T_R basis holds at most
@@ -606,7 +608,7 @@ class TestMatrixFreeNorms:
     @pytest.mark.parametrize("solve,R,most", [
         *((toeplitz_hilbert_norm, R, 20) for R in (401, 601, 2001, 10001)),
         *((toeplitz_hilbert_top_pair, R, 20) for R in (601, 2001, 4001)),
-        *((hankel_hilbert_norm, R, 8) for R in (65, 300, 1000)),
+        *((hankel_hilbert_norm, R, 8) for R in (89, 300, 1000)),
     ], ids=lambda v: getattr(v, "__name__", str(v)))
     def test_products_per_solve(self, monkeypatch, solve, R, most):
         # the preconditioned T_R solve takes a count of products that hardly
@@ -640,6 +642,31 @@ class TestMatrixFreeNorms:
         np.testing.assert_allclose(np.abs(top.U[:, 0]), np.abs(dense.U[:, 0]),
                                    rtol=0, atol=1e-12)
         assert len(counts) == 2 and min(counts) > 4
+
+    def test_restarted_lanczos_matches_dense(self, monkeypatch):
+        # a 4-vector basis restarts H_R's Lanczos solve, whose next vector is
+        # grown from the residual: a column of H taken from that residual's
+        # Gram-Schmidt coefficients would be wrong
+        monkeypatch.setattr(spectra, "_HANKEL_NCV", 4)
+        counts = self._count_products(monkeypatch)
+        for R in (100, 300):
+            dense = np.linalg.eigvalsh(hilbert_hankel(R))[-1]
+            assert hankel_hilbert_norm(R) == pytest.approx(dense, rel=0, abs=1e-13)
+        assert len(counts) == 2 and min(counts) > 4
+
+    @pytest.mark.parametrize("R", [10, 300], ids=["dense", "lanczos"])
+    def test_one_operator_per_hankel_solve(self, monkeypatch, R):
+        # the dense side reads the solve's own operator, reversed
+        built = []
+        init = ToeplitzOperator.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(ToeplitzOperator, "__init__", counting)
+        hankel_hilbert_norm(R)
+        assert len(built) == 1
 
     @pytest.mark.parametrize("R", [10, 11, 601])
     def test_preconditioner_is_the_folded_skew_circulant(self, R):
