@@ -276,7 +276,8 @@ def test_criterion_10b_profile_emitted_and_symmetric(outdir, profile_s1000):
     "contradicts the supporting heuristic that the diagonal entries of even "
     "matrix powers decrease away from the center, which in the k -> infinity "
     "limit forces outward decay.  The assertion is kept faithful instead of "
-    "being inverted; see the decisions ledger.",
+    "being inverted; see the \"center-minimal profile at S = 1000\" row of "
+    "the claims table in README.md.",
 )
 def test_criterion_10b_center_minimal_as_specified(profile_s1000):
     report, offsets, amp = profile_s1000
