@@ -70,15 +70,20 @@ def cmd_det(args) -> int:
     return 0
 
 
-def cmd_verify(args) -> int:
-    reports = identities.run_suite(seeds=args.seeds, max_R=args.max_R)
-    identities.write_reports_csv(reports, args.out)
+def _print_failures(reports) -> int:
+    """One stderr line per failed report; exit code 1 if any failed."""
     failed = [r for r in reports if r.failed]
     for r in failed:
         print(f"FAILED {r.name}: residual={fmt17(r.max_residual)} "
               f"tol*scale={fmt17(r.tolerance * r.scale)} {r.details}",
               file=sys.stderr)
     return 1 if failed else 0
+
+
+def cmd_verify(args) -> int:
+    reports = identities.run_suite(seeds=args.seeds, max_R=args.max_R)
+    identities.write_reports_csv(reports, args.out)
+    return _print_failures(reports)
 
 
 def cmd_sweep_gap(args) -> int:
@@ -99,10 +104,7 @@ def cmd_eigvec_profile(args) -> int:
 def cmd_witness(args) -> int:
     certs = [gaps.build_witness(R) for R in args.R]
     gaps.write_witness_csv(certs, args.out)
-    failed = [c for c in certs if gaps.check_witness(c).failed]
-    for c in failed:
-        print(f"FAILED witness certificate at R={c.params.R}", file=sys.stderr)
-    return 1 if failed else 0
+    return _print_failures(map(gaps.check_witness, certs))
 
 
 def cmd_prolate_gap(args) -> int:

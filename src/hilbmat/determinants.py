@@ -76,25 +76,14 @@ def _matching_sums(W) -> tuple:
     return tuple(P[0].tolist())
 
 
-def det_matching(B, check: bool = False) -> float:
+def det_matching(B) -> float:
     """Determinant via the perfect-matching expansion in squared entries.
 
     Valid for matrices of weighted-Cauchy form (the expansion drops all cross
-    terms, which only cancel for that class).  ``check=True`` cross-checks
-    against the squared Pfaffian and raises if they disagree, which flags
-    inputs outside the weighted-Cauchy class.
+    terms, which only cancel for that class).
     """
     B = require_skew(B)
-    value = 0.0 if B.shape[0] % 2 else _minor_sums(B)[-1]
-    if check and value:  # a zero sum (as at every odd R) zeroes every Pfaffian term
-        ref = pfaffian(B) ** 2
-        if abs(value - ref) > 1e-10 * max(1.0, abs(ref)):
-            raise ValueError(
-                "matching expansion disagrees with Pfaffian^2: "
-                "input is not of weighted-Cauchy form "
-                f"(matching={value!r}, pfaffian^2={ref!r})"
-            )
-    return value
+    return 0.0 if B.shape[0] % 2 else _minor_sums(B)[-1]
 
 
 def det_lu(M) -> float:

@@ -8,7 +8,7 @@ near x = 0, and its tail energy bounds the Rayleigh quotient.  The kernel
 coefficients are exact integers and every integral is analytic, so the
 certificate is quadrature-free.  T_R is real skew, so the witness u = x + iy
 has u* T_R u = 2i x^T T_R y, one real product; that and the sums are float64,
-so the certificate is not interval-rigorous.  ``check_witness`` holds its three
+so the certificate is not interval-rigorous.  ``check_witness`` holds its five
 inequalities with no slack; the gap lower bounds carry INEQ_SLACK.
 
 The Hankel Hilbert matrix converges far more slowly (like 1/log^2 R), which
@@ -162,8 +162,9 @@ class WitnessCertificate:
     ``epsilon`` is the exact tail energy of the witness polynomial beyond the
     cutoff, ``epsilon_bound`` its closed-form bound, ``rayleigh`` the
     magnitude of the witness Rayleigh quotient (computed from the matrix;
-    ``rayleigh_integral`` is the independent integral-side value), and
-    ``gap_bound = gamma + 2 pi epsilon`` dominates pi - rayleigh.
+    ``rayleigh_integral`` is the independent integral-side value), and both
+    ``gap_bound = gamma + 2 pi epsilon`` and the paper's closed form
+    ``final_bound`` dominate pi - rayleigh.
     """
 
     params: WitnessParams
@@ -243,13 +244,14 @@ def build_witness(R: int) -> WitnessCertificate:
 
 
 def check_witness(cert: WitnessCertificate) -> ResidualReport:
-    """The certificate's three inequalities, held exactly (tolerance 0):
+    """The certificate's five inequalities, held exactly (tolerance 0):
 
-    epsilon <= epsilon_bound,  rayleigh <= ||T_R||,  pi - rayleigh <= gap_bound.
+    0 <= epsilon <= epsilon_bound,  rayleigh <= ||T_R||,
+    pi - rayleigh <= gap_bound,  pi - rayleigh <= final_bound.
     """
-    violation = max(0.0, cert.epsilon - cert.epsilon_bound,
-                    cert.rayleigh - cert.norm_t,
-                    (np.pi - cert.rayleigh) - cert.gap_bound)
+    gap = np.pi - cert.rayleigh
+    violation = max(0.0, -cert.epsilon, cert.epsilon - cert.epsilon_bound,
+                    cert.rayleigh - cert.norm_t, gap - cert.gap_bound, gap - cert.final_bound)
     return residual_report("witness_certificate", violation, 1.0, 0.0,
                            R=cert.params.R)
 

@@ -164,7 +164,10 @@ def test_witness_failure_exits_1(capsys, monkeypatch):
     broken = dataclasses.replace(cert, epsilon=cert.epsilon_bound * 2.0)
     monkeypatch.setattr("hilbmat.gaps.build_witness", lambda R: broken)
     assert run_cli(["witness", "--R", "100"]) == 1
-    assert capsys.readouterr().err.splitlines() == ["FAILED witness certificate at R=100"]
+    # the line verify prints for a failed report; epsilon's excess is the residual
+    assert capsys.readouterr().err.splitlines() == [
+        f"FAILED witness_certificate: residual={fmt17(broken.epsilon - broken.epsilon_bound)} "
+        f"tol*scale={fmt17(0.0)} {{'R': 100}}"]
 
 
 def test_gen_matrix_stdout(capsys):

@@ -164,9 +164,7 @@ class TestWitness:
     def test_certificate_invariants(self, R):
         cert = build_witness(R)
         assert isinstance(cert, WitnessCertificate)
-        assert 0.0 <= cert.epsilon <= cert.epsilon_bound
-        assert cert.rayleigh <= cert.norm_t + 1e-12
-        assert np.pi - cert.rayleigh <= cert.gap_bound + 1e-9
+        assert check_witness(cert).passed
 
     def test_check_witness(self):
         cert = build_witness(100)
@@ -174,19 +172,17 @@ class TestWitness:
         assert report.passed and not report.failed
         assert report.max_residual == 0.0 and report.tolerance == 0.0
         assert report.details["R"] == 100
+        # one mutation per inequality, each of which alone must fail
         for bad in (
+            dataclasses.replace(cert, epsilon=-1e-12),
             dataclasses.replace(cert, epsilon=cert.epsilon_bound * 1.5),
             dataclasses.replace(cert, rayleigh=cert.norm_t + 1e-12),
             dataclasses.replace(cert, gap_bound=np.pi - cert.rayleigh - 1e-12),
+            dataclasses.replace(cert, final_bound=np.pi - cert.rayleigh - 1e-12),
         ):
             report = check_witness(bad)
             assert report.failed
             assert report.max_residual > 0.0
-
-    @pytest.mark.parametrize("R", [100, 1000])
-    def test_final_closed_form_bound(self, R):
-        cert = build_witness(R)
-        assert np.pi - cert.rayleigh <= cert.final_bound
 
     @pytest.mark.parametrize("R", [100, 1000])
     def test_rayleigh_is_the_dense_complex_quotient(self, R):

@@ -1,9 +1,11 @@
 """README.md is held to the code: every function, acceptance test and
 constant its claims table names must exist with the value it gives, every
-acceptance test and every public check or probe must have a row, and its
-CSV schemas, CLI lines and library sketch must match what the code does."""
+acceptance test and every public check or probe must have a row, a row's
+acceptance test must call the row's functions, and its CSV schemas, CLI
+lines and library sketch must match what the code does."""
 
 import argparse
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -113,6 +115,55 @@ def test_every_acceptance_test_has_a_row():
     named = {name for row in CLAIMS for name in ticked(row["acceptance"])}
     assert tests
     assert sorted(tests - named) == []
+
+
+def _calls(node) -> set:
+    """The names called anywhere under an AST node, bare or as attributes."""
+    return {call.func.id if isinstance(call.func, ast.Name) else call.func.attr
+            for call in ast.walk(node) if isinstance(call, ast.Call)
+            and isinstance(call.func, (ast.Name, ast.Attribute))}
+
+
+def _functions(source: str) -> dict:
+    return {node.name: node for node in ast.parse(source).body
+            if isinstance(node, ast.FunctionDef)}
+
+
+def _suite_checks() -> set:
+    """The identities.check_* that run_suite runs: reached from run_suite
+    through the module's own functions, or returning the report of a
+    private twin that is."""
+    defs = _functions(inspect.getsource(identities))
+    reached, todo = set(), ["run_suite"]
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            todo += _calls(defs[name]) & defs.keys()
+    returned = {name: set().union(*(_calls(ret) for ret in ast.walk(node)
+                                    if isinstance(ret, ast.Return)))
+                for name, node in defs.items()}
+    return {name for name in defs
+            if name.startswith("check_") and ({name} | returned[name]) & reached}
+
+
+def test_every_acceptance_test_calls_its_row_functions():
+    # an acceptance test reaches its row's verdict through the row's
+    # functions, not a copy of their formulas: its body or a fixture it takes
+    # calls each one, and the suite test calls what run_suite runs
+    tests = _functions((ROOT / "tests" / "test_acceptance.py").read_text())
+    missing = []
+    for row in CLAIMS:
+        for name in ticked(row["acceptance"]):
+            node = tests[name]
+            called = _calls(node).union(*(_calls(tests[arg.arg]) for arg in node.args.args
+                                          if arg.arg in tests))
+            if name == "test_criterion_03_identity_suites":
+                called |= _suite_checks()
+            missing += [f"row {row['number']}: {name} does not call {function}"
+                        for function in ticked(row["function"])
+                        if function.partition(".")[2] not in called]
+    assert missing == []
 
 
 @pytest.mark.parametrize("module", [identities, gaps], ids=lambda m: m.__name__)
