@@ -188,8 +188,6 @@ def witness_params(R: int) -> WitnessParams:
     log_r = math.log(R)
     M = int(2 * R / log_r)
     N = int(log_r / 2)
-    if N * (M - 1) + 1 > R:
-        raise ValueError("witness polynomial does not fit the coefficient space")
     gamma = math.pi * math.e * log_r / R
     return WitnessParams(R=R, M=M, N=N, gamma=gamma)
 

@@ -8,7 +8,7 @@ import pytest
 import hilbmat
 
 
-@pytest.fixture
+@pytest.fixture(scope="session")
 def run_python():
     """``run(args, env=None, **kwargs)``: ``subprocess.run`` of ``python args``
     in a fresh interpreter that imports this hilbmat, with the variables of

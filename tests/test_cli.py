@@ -14,10 +14,6 @@ from hilbmat.reports import ResidualReport
 from hilbmat.spectra import hankel_hilbert_norm, toeplitz_hilbert_norm
 
 
-def run_cli(args):
-    return main(args)
-
-
 def test_help_lists_commands(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--help"])
@@ -71,54 +67,79 @@ def test_parser_is_built_once_and_writes_to_each_calls_stdout():
                          ids=["missing-parent", "directory"])
 def test_unwritable_out_is_a_usage_error(tmp_path, capsys, where, reason):
     target = tmp_path / where
-    assert run_cli(["gs-rate", "--R", "10", "--out", str(target)]) == 2
+    assert main(["gs-rate", "--R", "10", "--out", str(target)]) == 2
     assert capsys.readouterr() == ("", f"hilbmat: error: cannot write {target}: {reason}\n")
 
 
-@pytest.mark.parametrize("argv", [
-    ["norm", "--R", "0"],
-    ["det", "--R", "24"],
-    ["norm", "--kind", "prolate", "--w", "0.7"],
-    ["witness", "--R", "5"],
-    ["sweep-gap", "--R-max", "1"],
-    ["verify", "--seeds", "-1"],
-    ["verify", "--max-R", "3"],
-    ["hankel-gap", "--R-max", "0"],
-    ["prolate-gap", "--R-min", "5", "--R-max", "2"],
-    ["prolate-gap", "--w", "0.7"],
-    ["eigvec-profile", "--S", "0"],
-    ["norm", "--kind", "T", "--R", "20001"],
-    ["norm", "--kind", "H", "--R", "20001"],
-    ["witness", "--R", "1"],
-    ["witness", "--R", "2"],
-    ["witness", "--R", "7"],
-    ["det", "--R", "-3"],
-    ["gen", "--kind", "A", "--R", "-3"],
-    ["norm", "--kind", "B", "--R", "-2"],
-])
-def test_rejected_values_exit_2(run_python, argv):
-    proc = run_python(["-m", "hilbmat.cli", *argv], text=True)
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    lines = proc.stderr.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("hilbmat: error: ")
-    assert "Traceback" not in proc.stderr
+DIMENSION = "dimension must be >= 1"
+BANDWIDTH = "bandwidth w must lie in the open interval (0, 1/2)"
+WITNESS_MIN = "witness construction needs R >= 8 (floor(log R / 2) >= 1)"
+CAP = "dimension exceeds the size cap of 20000"
+# every value outside a command's domain, with the one line that names its
+# rule, grouped by the test that checks it
+REJECTED = {
+    "any": {
+        ("norm", "--R", "0"): DIMENSION,
+        ("det", "--R", "24"): "matching sums capped at R = 22",
+        ("norm", "--kind", "prolate", "--w", "0.7"): BANDWIDTH,
+        ("witness", "--R", "5"): WITNESS_MIN,
+        ("sweep-gap", "--R-max", "1"): "R_max must be >= 2",
+        ("verify", "--seeds", "-1"): "seeds must be >= 0",
+        ("verify", "--max-R", "3"): "max_R must be >= 4",
+        ("hankel-gap", "--R-max", "0"): DIMENSION,
+        ("prolate-gap", "--R-min", "5", "--R-max", "2"): "R_list must not be empty",
+        ("prolate-gap", "--w", "0.7"): BANDWIDTH,
+        ("norm", "--kind", "T", "--R", "20001"): CAP,
+        ("norm", "--kind", "H", "--R", "20001"): CAP,
+        ("witness", "--R", "1"): WITNESS_MIN,
+        ("witness", "--R", "2"): WITNESS_MIN,
+        ("witness", "--R", "7"): WITNESS_MIN,
+        ("gs-rate", "--R", "10", "0"): DIMENSION,
+        ("gen", "--kind", "T", "--R", "20001"): CAP,
+        ("norm", "--kind", "prolate", "--w", "0"): BANDWIDTH,
+        ("prolate-gap", "--w", "0.5"): BANDWIDTH,
+    },
+    # the seeded weighted-Cauchy instances check R and the seed before
+    # drawing nodes
+    "size": {("det", "--R", "-3"): DIMENSION, ("gen", "--kind", "A", "--R", "-3"): DIMENSION,
+             ("norm", "--kind", "B", "--R", "-2"): DIMENSION},
+    "seed": {argv: "seed must be >= 0" for argv in (
+        ("det", "--R", "4", "--seed", "-1"), ("gen", "--kind", "B", "--R", "4", "--seed", "-1"),
+        ("norm", "--kind", "A", "--R", "4", "--seed", "-1"))},
+    # T_1 = 0 has no top eigenvector, so S = 0 fails on the same rule as S < 0
+    "S": {("eigvec-profile", "--S", S): "S must be >= 1" for S in ("0", "-1")},
+}
 
 
-@pytest.mark.parametrize("argv", [["det", "--R", "-3"], ["gen", "--kind", "A", "--R", "-3"],
-                                  ["norm", "--kind", "B", "--R", "-2"]])
+def assert_rejected(capsys, group, argv):
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"hilbmat: error: {REJECTED[group][argv]}\n")
+
+
+@pytest.mark.parametrize("argv", list(REJECTED["any"]))
+def test_rejected_values_exit_2(capsys, argv):
+    assert_rejected(capsys, "any", argv)
+
+
+@pytest.mark.parametrize("argv", list(REJECTED["size"]))
 def test_negative_instance_size_names_the_dimension_rule(capsys, argv):
-    # the seeded weighted-Cauchy instances check R before drawing nodes
-    assert run_cli(argv) == 2
-    assert capsys.readouterr().err == "hilbmat: error: dimension must be >= 1\n"
+    assert_rejected(capsys, "size", argv)
 
 
-@pytest.mark.parametrize("argv", [["det", "--R", "4", "--seed", "-1"],
-                                  ["gen", "--kind", "B", "--R", "4", "--seed", "-1"],
-                                  ["norm", "--kind", "A", "--R", "4", "--seed", "-1"]])
+@pytest.mark.parametrize("argv", list(REJECTED["seed"]))
 def test_negative_seed_names_the_integer_rule(capsys, argv):
-    assert run_cli(argv) == 2
-    assert capsys.readouterr().err == "hilbmat: error: seed must be >= 0\n"
+    assert_rejected(capsys, "seed", argv)
+
+
+@pytest.mark.parametrize("S", ["0", "-1"])
+def test_eigvec_profile_rejects_s_below_1(capsys, S):
+    assert_rejected(capsys, "S", ("eigvec-profile", "--S", S))
+
+
+def test_entrypoint_exits_with_mains_code(run_python):
+    # the console script passes main's code to sys.exit
+    proc = run_python(["-m", "hilbmat.cli", "norm", "--R", "0"], text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"hilbmat: error: {DIMENSION}\n")
 
 
 def test_numerical_failure_exits_1(capsys, monkeypatch):
@@ -127,7 +148,7 @@ def test_numerical_failure_exits_1(capsys, monkeypatch):
         raise np.linalg.LinAlgError("eigenvalues did not converge")
 
     monkeypatch.setattr("hilbmat.cli.spectral_norm", fail)
-    assert run_cli(["norm", "--kind", "A", "--R", "3"]) == 1
+    assert main(["norm", "--kind", "A", "--R", "3"]) == 1
     err = capsys.readouterr().err.splitlines()
     assert err == ["hilbmat: numerical failure: eigenvalues did not converge"]
 
@@ -140,7 +161,7 @@ def test_lanczos_non_convergence_exits_1(capsys, monkeypatch):
     with pytest.raises(np.linalg.LinAlgError,
                        match="^Lanczos did not converge after 2 restarts$"):
         hankel_hilbert_norm(100)
-    assert run_cli(["norm", "--kind", "H", "--R", "100"]) == 1
+    assert main(["norm", "--kind", "H", "--R", "100"]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("hilbmat: numerical failure:")
 
@@ -152,7 +173,7 @@ def test_verify_failure_exits_1(capsys, monkeypatch):
     moot = dataclasses.replace(bad, name="moot", applicable=False)
     monkeypatch.setattr("hilbmat.identities.run_suite",
                         lambda seeds, max_R: [bad, probe, moot])
-    assert run_cli(["verify"]) == 1
+    assert main(["verify"]) == 1
     captured = capsys.readouterr()
     assert len(captured.out.splitlines()) == 4  # header plus every report
     failed = [line for line in captured.err.splitlines() if line.startswith("FAILED")]
@@ -163,7 +184,7 @@ def test_witness_failure_exits_1(capsys, monkeypatch):
     cert = build_witness(100)
     broken = dataclasses.replace(cert, epsilon=cert.epsilon_bound * 2.0)
     monkeypatch.setattr("hilbmat.gaps.build_witness", lambda R: broken)
-    assert run_cli(["witness", "--R", "100"]) == 1
+    assert main(["witness", "--R", "100"]) == 1
     # the line verify prints for a failed report; epsilon's excess is the residual
     assert capsys.readouterr().err.splitlines() == [
         f"FAILED witness_certificate: residual={fmt17(broken.epsilon - broken.epsilon_bound)} "
@@ -171,7 +192,7 @@ def test_witness_failure_exits_1(capsys, monkeypatch):
 
 
 def test_gen_matrix_stdout(capsys):
-    assert run_cli(["gen", "--kind", "T", "--R", "3"]) == 0
+    assert main(["gen", "--kind", "T", "--R", "3"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0] == "c0,c1,c2"
     row2 = [float(v) for v in lines[2].split(",")]
@@ -179,14 +200,14 @@ def test_gen_matrix_stdout(capsys):
 
 
 def test_gen_hankel_matches_hilbert_hankel(capsys):
-    assert run_cli(["gen", "--kind", "H", "--R", "5"]) == 0
+    assert main(["gen", "--kind", "H", "--R", "5"]) == 0
     buf = io.StringIO()
     write_matrix_csv(hilbert_hankel(5), buf)
     assert capsys.readouterr().out == buf.getvalue()
 
 
 def test_norm_t3(capsys):
-    assert run_cli(["norm", "--kind", "T", "--R", "3"]) == 0
+    assert main(["norm", "--kind", "T", "--R", "3"]) == 0
     assert float(capsys.readouterr().out.strip()) == pytest.approx(1.5, abs=1e-12)
 
 
@@ -195,7 +216,7 @@ def test_norm_t3(capsys):
                                        ("H", hankel_hilbert_norm)])
 def test_norm_reads_the_solve_route(capsys, kind, norm, R):
     # the same value as sweep-gap and hankel-gap, on both sides of the cutoff
-    assert run_cli(["norm", "--kind", kind, "--R", str(R)]) == 0
+    assert main(["norm", "--kind", kind, "--R", str(R)]) == 0
     assert capsys.readouterr().out == fmt17(norm(R)) + "\n"
 
 
@@ -207,7 +228,7 @@ def test_norm_reads_the_solve_route(capsys, kind, norm, R):
     ("B", None),
 ])
 def test_norm_all_kinds(capsys, kind, upper):
-    assert run_cli(["norm", "--kind", kind, "--R", "8", "--seed", "1"]) == 0
+    assert main(["norm", "--kind", kind, "--R", "8", "--seed", "1"]) == 0
     value = float(capsys.readouterr().out.strip())
     assert value > 0
     if upper is not None:
@@ -215,7 +236,7 @@ def test_norm_all_kinds(capsys, kind, upper):
 
 
 def test_det_t4(capsys):
-    assert run_cli(["det", "--T", "4"]) == 0
+    assert main(["det", "--T", "4"]) == 0
     out = dict(line.split("=") for line in capsys.readouterr().out.strip().splitlines())
     assert float(out["matching"]) == pytest.approx(169.0 / 144.0, abs=1e-14)
     assert float(out["lu"]) == pytest.approx(169.0 / 144.0, abs=1e-12)
@@ -223,19 +244,19 @@ def test_det_t4(capsys):
 
 
 def test_det_random_even(capsys):
-    assert run_cli(["det", "--R", "6", "--seed", "4"]) == 0
+    assert main(["det", "--R", "6", "--seed", "4"]) == 0
     out = dict(line.split("=") for line in capsys.readouterr().out.strip().splitlines())
     assert float(out["matching"]) == pytest.approx(float(out["lu"]), rel=1e-9)
 
 
 def test_det_odd_beyond_the_cap(capsys):
-    assert run_cli(["det", "--R", "23"]) == 0
+    assert main(["det", "--R", "23"]) == 0
     assert capsys.readouterr().out.splitlines()[0] == "matching=0"
 
 
 def test_verify_small_suite(tmp_path):
     out = tmp_path / "reports.csv"
-    assert run_cli(["verify", "--seeds", "3", "--max-R", "10", "--out", str(out)]) == 0
+    assert main(["verify", "--seeds", "3", "--max-R", "10", "--out", str(out)]) == 0
     lines = out.read_text().splitlines()
     assert lines[0] == "name,seed,R,max_residual,scale,passed"
     assert len(lines) > 20
@@ -244,14 +265,14 @@ def test_verify_small_suite(tmp_path):
 def test_verify_byte_identical(tmp_path):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"
-    run_cli(["verify", "--seeds", "2", "--max-R", "8", "--out", str(a)])
-    run_cli(["verify", "--seeds", "2", "--max-R", "8", "--out", str(b)])
+    main(["verify", "--seeds", "2", "--max-R", "8", "--out", str(a)])
+    main(["verify", "--seeds", "2", "--max-R", "8", "--out", str(b)])
     assert a.read_bytes() == b.read_bytes()
 
 
 def test_sweep_gap(tmp_path):
     out = tmp_path / "figure1.csv"
-    assert run_cli(["sweep-gap", "--R-max", "60", "--out", str(out)]) == 0
+    assert main(["sweep-gap", "--R-max", "60", "--out", str(out)]) == 0
     lines = out.read_text().splitlines()
     assert lines[0] == "R,norm,gap,rescaled_gap"
     assert lines[1].startswith("2,")
@@ -284,16 +305,9 @@ def test_hankel_sweep_bytes_do_not_depend_on_blas_threads(run_python):
         assert one.stdout == two.stdout, argv
 
 
-@pytest.mark.parametrize("S", ["0", "-1"])
-def test_eigvec_profile_rejects_s_below_1(capsys, S):
-    # T_1 = 0 has no top eigenvector, so S = 0 fails on the same rule as S < 0
-    assert run_cli(["eigvec-profile", "--S", S]) == 2
-    assert capsys.readouterr() == ("", "hilbmat: error: S must be >= 1\n")
-
-
 def test_eigvec_profile(tmp_path, capsys):
     out = tmp_path / "figure2.csv"
-    assert run_cli(["eigvec-profile", "--S", "4", "--out", str(out)]) == 0
+    assert main(["eigvec-profile", "--S", "4", "--out", str(out)]) == 0
     lines = out.read_text().splitlines()
     assert lines[0] == "n,abs_u_n"
     assert len(lines) == 10
@@ -303,7 +317,7 @@ def test_eigvec_profile(tmp_path, capsys):
 
 def test_witness(tmp_path):
     out = tmp_path / "witness.csv"
-    assert run_cli(["witness", "--R", "100", "--out", str(out)]) == 0
+    assert main(["witness", "--R", "100", "--out", str(out)]) == 0
     lines = out.read_text().splitlines()
     assert lines[0] == "R,M,N,gamma,epsilon,epsilon_bound,rayleigh,gap_bound"
     assert len(lines) == 2
@@ -311,7 +325,7 @@ def test_witness(tmp_path):
 
 def test_prolate_gap(tmp_path, capsys):
     out = tmp_path / "prolate.csv"
-    assert run_cli(["prolate-gap", "--w", "0.25", "--R-min", "2", "--R-max", "12",
+    assert main(["prolate-gap", "--w", "0.25", "--R-min", "2", "--R-max", "12",
                     "--out", str(out)]) == 0
     assert out.read_text().splitlines()[0] == "R,gap,log_gap"
     assert "fit_slope=" in capsys.readouterr().err
@@ -319,7 +333,7 @@ def test_prolate_gap(tmp_path, capsys):
 
 def test_hankel_gap(tmp_path):
     out = tmp_path / "hankel.csv"
-    assert run_cli(["hankel-gap", "--R-max", "8", "--out", str(out)]) == 0
+    assert main(["hankel-gap", "--R-max", "8", "--out", str(out)]) == 0
     lines = out.read_text().splitlines()
     assert lines[0] == "R,norm,gap,wilf_ratio"
     assert len(lines) == 9
@@ -327,7 +341,7 @@ def test_hankel_gap(tmp_path):
 
 def test_gs_rate(tmp_path):
     out = tmp_path / "gs.csv"
-    assert run_cli(["gs-rate", "--R", "10", "20", "--out", str(out)]) == 0
+    assert main(["gs-rate", "--R", "10", "20", "--out", str(out)]) == 0
     lines = out.read_text().splitlines()
     assert lines[0] == "R,gap,predicted,ratio"
     gap = float(lines[1].split(",")[1])

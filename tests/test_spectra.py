@@ -515,7 +515,7 @@ class TestMatrixFreeNorms:
         toeplitz_hilbert_top_pair(339)
         assert lengths == []
 
-    @pytest.fixture
+    @pytest.fixture(scope="class")
     def run_fresh(self, run_python):
         """stdout of ``code`` run in a new interpreter that imports this hilbmat."""
         return lambda code: run_python(["-c", code], text=True, check=True).stdout.strip()
@@ -533,32 +533,43 @@ class TestMatrixFreeNorms:
                 "print([m for m in ('scipy.fft', 'scipy.special') if m in sys.modules])")
         assert run_fresh(code) == "[]"
 
-    @pytest.mark.parametrize("commands", [
-        [["verify", "--seeds", "3"], ["det", "--R", "6"], ["gen", "--kind", "T", "--R", "20"],
-         ["norm", "--kind", "T", "--R", "300"]],
-        [["norm", "--kind", "T", "--R", "1100"], ["hankel-gap", "--R-max", "100"]],
-    ], ids=["dense-commands", "lanczos-commands"])
-    def test_dense_commands_load_no_scipy(self, run_fresh, commands):
-        # dense-only commands load no scipy module, and neither do the
-        # commands whose numpy Lanczos solves pass the cutoffs (T_1100, and
-        # H_R from R = 89)
+    # dense-only commands load no scipy module, and neither do the commands
+    # whose numpy Lanczos solves pass the cutoffs (T_1100, and H_R from R = 89)
+    COMMANDS = {"dense-commands": [["verify", "--seeds", "3"], ["det", "--R", "6"],
+                                   ["gen", "--kind", "T", "--R", "20"],
+                                   ["norm", "--kind", "T", "--R", "300"]],
+                "lanczos-commands": [["norm", "--kind", "T", "--R", "1100"],
+                                     ["hankel-gap", "--R-max", "100"]]}
+
+    @pytest.fixture(scope="class")
+    def scipy_loads(self, run_fresh):
+        # both lists run in one interpreter, which prints each command's scipy loads
+        commands = [argv for group in self.COMMANDS.values() for argv in group]
         code = ("import contextlib, io, sys; from hilbmat.cli import main\n"
                 f"for argv in {commands!r}:\n"
+                "    before = set(sys.modules)\n"
                 "    with contextlib.redirect_stdout(io.StringIO()):\n"
                 "        assert main(argv) == 0, argv\n"
-                "print([m for m in sys.modules if m.startswith('scipy')][:3])")
-        assert run_fresh(code) == "[]"
+                "    print(sorted(m for m in set(sys.modules) - before if m.startswith('scipy'))[:3])")
+        lines = iter(run_fresh(code).splitlines())
+        return {name: [next(lines) for _ in group] for name, group in self.COMMANDS.items()}
+
+    @pytest.mark.parametrize("name", list(COMMANDS))
+    def test_dense_commands_load_no_scipy(self, scipy_loads, name):
+        assert scipy_loads[name] == ["[]"] * len(self.COMMANDS[name])
 
     def test_dense_top_pair_loads_no_module(self, run_fresh):
         # T q is taken by the dense product below the cutoff: a dense-only
         # run (such as `verify`) must load no module; the
-        # parity block keeps T_R dense up to R = 340
-        for call in ("toeplitz_hilbert_top_pair(21)", "toeplitz_hilbert_top_pair(339)",
-                     "toeplitz_hilbert_top_pair(340)", "toeplitz_hilbert_norm(340)"):
-            code = ("import sys; from hilbmat.spectra import toeplitz_hilbert_norm, "
-                    "toeplitz_hilbert_top_pair; before = set(sys.modules); "
-                    f"{call}; print(sorted(set(sys.modules) - before))")
-            assert run_fresh(code) == "[]", call
+        # parity block keeps T_R dense up to R = 340. Each call prints the
+        # modules it loaded, so a load fails at its call
+        calls = ("toeplitz_hilbert_top_pair(21)", "toeplitz_hilbert_top_pair(339)",
+                 "toeplitz_hilbert_top_pair(340)", "toeplitz_hilbert_norm(340)")
+        code = ("import sys; from hilbmat.spectra import toeplitz_hilbert_norm, "
+                "toeplitz_hilbert_top_pair\n"
+                + "".join(f"before = set(sys.modules); {call}; "
+                          "print(sorted(set(sys.modules) - before))\n" for call in calls))
+        assert dict(zip(calls, run_fresh(code).splitlines())) == dict.fromkeys(calls, "[]")
 
     @pytest.mark.parametrize("solve,R,shapes,max_ncv", [
         (toeplitz_hilbert_norm, 601, [(301, 301)], 20),
