@@ -51,7 +51,7 @@ def cmd_gen(args) -> int:
 def cmd_norm(args) -> int:
     # T and H take the matrix-free solve route of the gap sweeps, not a dense build
     route = {"T": toeplitz_hilbert_norm, "H": hankel_hilbert_norm}.get(args.kind)
-    norm = route(matrices.as_dim(args.R)) if route else spectral_norm(_build_named_matrix(args))
+    norm = route(args.R) if route else spectral_norm(_build_named_matrix(args))
     print(fmt17(norm))
     return 0
 

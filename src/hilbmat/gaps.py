@@ -30,10 +30,10 @@ from .spectra import hankel_hilbert_norm, toeplitz_hilbert_norm
 
 def _toeplitz_gap_row(R: int) -> tuple:
     """Row (R, norm, gap, rescaled_gap) of the figure-1 table from one solve
-    of ||T_R||; the rescaled gap is None below R = 2, where log R is 0."""
+    of ||T_R||; the rescaled gap is NaN below R = 2, where log R is 0."""
     norm = toeplitz_hilbert_norm(R)
     gap = float(np.pi - norm)
-    return R, norm, gap, gap * R / math.log(R) if R >= 2 else None
+    return R, norm, gap, gap * R / math.log(R) if R >= 2 else math.nan
 
 
 def hilbert_toeplitz_gap(R: int) -> float:
@@ -43,7 +43,7 @@ def hilbert_toeplitz_gap(R: int) -> float:
 
 def rescaled_gap(R: int) -> float:
     """(pi - ||T_R||) * R / log R, the quantity conjectured to flatten."""
-    R = as_dim(R, cap=None)
+    R = as_dim(R)
     if R < 2:
         raise ValueError("rescaled gap needs R >= 2 (log R > 0)")
     return _toeplitz_gap_row(R)[3]
@@ -51,14 +51,14 @@ def rescaled_gap(R: int) -> float:
 
 def _hankel_gap_row(R: int) -> tuple:
     """Row (R, norm, gap, ratio) of the Hankel table from one solve of
-    ||H_R||; the ratio against pi^5 / (2 log^2 R) is None below R = 2."""
+    ||H_R||; the ratio against pi^5 / (2 log^2 R) is NaN below R = 2."""
     norm = hankel_hilbert_norm(R)
     gap = float(np.pi - norm)
-    return R, norm, gap, gap / (np.pi**5 / (2.0 * math.log(R) ** 2)) if R >= 2 else None
+    return R, norm, gap, gap / (np.pi**5 / (2.0 * math.log(R) ** 2)) if R >= 2 else math.nan
 
 
 def hilbert_hankel_gap(R: int):
-    """Gap pi - ||H_R|| plus the ratio against pi^5 / (2 log^2 R).
+    """Gap pi - ||H_R|| plus the ratio against pi^5 / (2 log^2 R), NaN at R = 1.
 
     The ratio is informational only: the 1/log^2 asymptotic regime is far
     beyond desk scale, so no constant-level agreement is asserted anywhere.
@@ -69,7 +69,7 @@ def hilbert_hankel_gap(R: int):
 def check_odd_gap_lower_bound(S: int) -> ResidualReport:
     """For R = 2S+1: ||T_R||^2 < pi^2 - 6/(S+1), so the gap exceeds
     3 / (pi (S+1))."""
-    S = as_dim(S, cap=None)
+    S = as_dim(S)
     R, norm, gap, _ = _toeplitz_gap_row(2 * S + 1)
     violation = max(
         0.0,
@@ -82,7 +82,7 @@ def check_odd_gap_lower_bound(S: int) -> ResidualReport:
 
 def check_universal_gap_lower_bound(R: int) -> ResidualReport:
     """pi - ||T_R|| > pi / (2R) for every R."""
-    R = as_dim(R, cap=None)
+    R = as_dim(R)
     gap = hilbert_toeplitz_gap(R)
     violation = max(0.0, np.pi / (2.0 * R) - gap)
     return residual_report("universal_gap_lower_bound", violation, 1.0, INEQ_SLACK,
@@ -182,7 +182,7 @@ def witness_params(R: int) -> WitnessParams:
 
     Needs N >= 1, i.e. R >= 8; the kernel power then fits: N(M-1)+1 <= R.
     """
-    R = as_dim(R, cap=None)
+    R = as_dim(R)
     if R < 8:
         raise ValueError("witness construction needs R >= 8 (floor(log R / 2) >= 1)")
     log_r = math.log(R)
@@ -261,7 +261,7 @@ def check_witness(cert: WitnessCertificate) -> ResidualReport:
 
 def figure1_r_values(R_max: int = 10000, dense: bool = False) -> list:
     """Default sweep grid: every R below 100, geometric spacing above."""
-    R_max = as_int(as_dim(R_max, cap=None), "R_max", 2)
+    R_max = as_int(as_dim(R_max), "R_max", 2)
     if dense:
         return list(range(2, R_max + 1))
     values = set(range(2, min(100, R_max) + 1))
@@ -301,9 +301,7 @@ def write_witness_csv(certs, target):
 
 def sweep_hankel(R_max: int = 500):
     """Rows (R, norm, gap, wilf_ratio) for the Hankel Hilbert matrices."""
-    R_max = as_dim(R_max, cap=None)
-    return [(R, norm, gap, float("nan") if ratio is None else ratio)
-            for R, norm, gap, ratio in map(_hankel_gap_row, range(1, R_max + 1))]
+    return [_hankel_gap_row(R) for R in range(1, as_dim(R_max) + 1)]
 
 
 def write_hankel_csv(rows, target):

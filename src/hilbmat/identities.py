@@ -36,6 +36,7 @@ from functools import cached_property
 import numpy as np
 
 from .matrices import (
+    MAX_DIM,
     as_dim,
     as_int,
     as_nodes,
@@ -157,7 +158,7 @@ def write_reports_csv(reports, target):
 
 def random_nodes(R: int, rng: np.random.Generator) -> np.ndarray:
     """Sorted uniform nodes on [0, 10R] with minimum gap >= MIN_NODE_GAP."""
-    R = as_dim(R, cap=None)
+    R = as_dim(R)
     for _ in range(64):
         x = np.sort(rng.uniform(0.0, 10.0 * R, size=R))
         if R < 2 or float(np.diff(x).min()) >= MIN_NODE_GAP:
@@ -168,7 +169,7 @@ def random_nodes(R: int, rng: np.random.Generator) -> np.ndarray:
 
 def random_weights(R: int, rng: np.random.Generator) -> np.ndarray:
     """Weights with magnitude uniform in [0.1, 2] and random sign."""
-    R = as_dim(R, cap=None)
+    R = as_dim(R)
     mag = rng.uniform(0.1, 2.0, size=R)
     sign = rng.integers(0, 2, size=R) * 2 - 1
     return mag * sign
@@ -176,7 +177,7 @@ def random_weights(R: int, rng: np.random.Generator) -> np.ndarray:
 
 def random_instance(seed: int, max_R: int, min_R: int = MIN_SEEDED_R):
     """Seeded (nodes, weights, generator) triple with R drawn in [min_R, max_R]."""
-    max_R = as_int(max_R, "max_R", as_int(min_R, "min_R", 1))
+    max_R = as_int(max_R, "max_R", as_int(min_R, "min_R", 1), MAX_DIM)
     rng = np.random.default_rng(as_int(seed, "seed", 0))
     R = int(rng.integers(min_R, max_R + 1))
     x = random_nodes(R, rng)
@@ -587,9 +588,10 @@ def run_suite(seeds: int = 100, max_R: int = 50):
     eigenvector checks.  Deterministic: the same arguments reproduce
     bit-identical reports.
     """
-    # seeded instances need max_R >= MIN_SEEDED_R, refused before any battery runs
+    # seeded instances need max_R >= MIN_SEEDED_R, and no max_R may pass
+    # MAX_DIM: both are refused before any battery runs
     seeds = as_int(seeds, "seeds", 0)
-    max_R = as_int(max_R, "max_R", MIN_SEEDED_R if seeds else None)
+    max_R = as_int(max_R, "max_R", MIN_SEEDED_R if seeds else None, MAX_DIM)
     reports: list[ResidualReport] = []
     for R in CANONICAL_SIZES:
         if R > max_R:

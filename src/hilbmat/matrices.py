@@ -36,7 +36,8 @@ from numpy.lib.stride_tricks import as_strided
 
 from ._util import write_csv
 
-# Everything here is dense and desk-scale; refuse accidental monsters.
+# The largest dimension of every route, dense or matrix-free (``as_dim``):
+# a dense build then holds 3.2 GB, a matrix-free solve a 20 x 10000 basis.
 MAX_DIM = 20000
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -60,8 +61,7 @@ def as_nodes(values) -> np.ndarray:
         raise ValueError("node vector must be one-dimensional")
     if x.size < 1:
         raise ValueError("node vector must have length >= 1")
-    if x.size > MAX_DIM:
-        raise ValueError(f"node vector exceeds the size cap of {MAX_DIM}")
+    as_dim(x.size)
     if not np.all(np.isfinite(x)):
         raise ValueError("nodes must be finite")
     if x.size > 1:
@@ -97,12 +97,12 @@ def as_int(value, name: str, low=None, high=None) -> int:
     return value
 
 
-def as_dim(R, cap=MAX_DIM) -> int:
-    """Validate a matrix dimension: an integer with 1 <= R <= cap; matrix-free
-    sizes pass ``cap=None``, which sets no upper bound."""
+def as_dim(R) -> int:
+    """Validate a matrix dimension: an integer with 1 <= R <= MAX_DIM, the one
+    size rule of every route, dense or matrix-free."""
     R = as_int(R, "dimension", 1)
-    if cap is not None and R > cap:
-        raise ValueError(f"dimension exceeds the size cap of {cap}")
+    if R > MAX_DIM:
+        raise ValueError(f"dimension exceeds the size cap of {MAX_DIM}")
     return R
 
 
@@ -243,21 +243,15 @@ class ToeplitzOperator:
 
     @classmethod
     def hilbert(cls, R: int) -> "ToeplitzOperator":
-        """Skew Hilbert matrix T_R: c_r = 1/r, c_0 = 0.
-
-        Matrix-free use is not bound by the dense size cap MAX_DIM.
-        """
-        R = as_dim(R, cap=None)
+        """Skew Hilbert matrix T_R: c_r = 1/r, c_0 = 0."""
+        R = as_dim(R)
         return cls(hilbert_coeffs(np.arange(1 - R, R)))
 
     @classmethod
     def hankel(cls, R: int) -> "ToeplitzOperator":
         """H_R with its columns reversed, H_R = T J (J reverses the index
-        order): c_r = 1/(R + r), so coeffs = 1, 1/2, .., 1/(2R-1).
-
-        Matrix-free use is not bound by the dense size cap MAX_DIM.
-        """
-        return cls(1.0 / np.arange(1, 2 * as_dim(R, cap=None), dtype=float))
+        order): c_r = 1/(R + r), so coeffs = 1, 1/2, .., 1/(2R-1)."""
+        return cls(1.0 / np.arange(1, 2 * as_dim(R), dtype=float))
 
     @classmethod
     def hilbert_parity(cls, R: int) -> "ToeplitzOperator":
@@ -271,10 +265,9 @@ class ToeplitzOperator:
         ||T_R|| = sigma_max(C).  C[i, j] = c(i - j) + c(i + j - (R-1)) with
         c(r) = 1/r and c(0) = 0, Toeplitz plus Hankel; for odd R the two
         parts agree on the middle column, which has weight 2 and so reads
-        sqrt2 c(i - (R-1)/2).  Matrix-free use is not bound by the dense
-        size cap MAX_DIM.
+        sqrt2 c(i - (R-1)/2).
         """
-        R = as_dim(R, cap=None)
+        R = as_dim(R)
         h, n = R // 2, (R + 1) // 2
         return cls(hilbert_coeffs(np.arange(1 - n, h)), hilbert_coeffs(np.arange(1 - R, 0)),
                    (h, n), np.append(np.ones(h), 2.0) if n > h else None)
@@ -365,13 +358,13 @@ class ToeplitzOperator:
 
 def hilbert_toeplitz(R) -> np.ndarray:
     """Finite skew Hilbert matrix: entries 1/(m - n), equal nodes 1..R."""
-    return ToeplitzOperator.hilbert(as_dim(R)).dense()
+    return ToeplitzOperator.hilbert(R).dense()
 
 
 def hilbert_hankel(R) -> np.ndarray:
     """Finite symmetric Hilbert matrix: entries 1/(m + n - 1), the dense
     ``ToeplitzOperator.hankel`` with its columns reversed."""
-    return ToeplitzOperator.hankel(as_dim(R)).dense()[:, ::-1]
+    return ToeplitzOperator.hankel(R).dense()[:, ::-1]
 
 
 def prolate_matrix(R, w) -> np.ndarray:
@@ -421,9 +414,7 @@ def node_gaps(x) -> np.ndarray:
 
 
 def write_matrix_csv(M, target):
-    """Dump a real matrix as CSV, one row per line, 17 significant digits."""
-    M = np.asarray(M)
-    if np.iscomplexobj(M):
-        raise ValueError("CSV dump supports real matrices only")
+    """Dump a real square matrix as CSV, one row per line, 17 significant digits."""
+    M = as_square(M, real=True)
     header = [f"c{j}" for j in range(M.shape[1])]
     write_csv(target, header, ([float(v) for v in row] for row in M))

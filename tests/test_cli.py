@@ -98,6 +98,14 @@ REJECTED = {
         ("gen", "--kind", "T", "--R", "20001"): CAP,
         ("norm", "--kind", "prolate", "--w", "0"): BANDWIDTH,
         ("prolate-gap", "--w", "0.5"): BANDWIDTH,
+        # one size cap, dense or matrix-free: R = 20001 (S = 10000) on every route
+        ("sweep-gap", "--R-max", "20001"): CAP,
+        ("hankel-gap", "--R-max", "20001"): CAP,
+        ("witness", "--R", "20001"): CAP,
+        ("eigvec-profile", "--S", "10000"): CAP,
+        ("verify", "--max-R", "20001"): "max_R must be <= 20000",
+        ("gen", "--kind", "A", "--R", "20001"): CAP,
+        ("det", "--R", "20001"): CAP,
     },
     # the seeded weighted-Cauchy instances check R and the seed before
     # drawing nodes

@@ -27,7 +27,7 @@ from hilbmat.gaps import (
     write_witness_csv,
 )
 from hilbmat.identities import probe_eigenvector_monotonicity
-from hilbmat.matrices import hilbert_toeplitz
+from hilbmat.matrices import MAX_DIM, hilbert_toeplitz
 from hilbmat.spectra import hankel_hilbert_norm, toeplitz_hilbert_norm
 
 
@@ -101,12 +101,15 @@ class TestCentralCoefficient:
         with pytest.raises(ValueError):
             central_coefficient(3, 0)
         # the gap checks and sweeps validate a size before comparing it, so a
-        # list, an array or a fraction fails on the one dimension rule
+        # list, an array or a fraction fails on the one dimension rule, and a
+        # size above MAX_DIM on the one size cap
         for call in (rescaled_gap, check_universal_gap_lower_bound, check_odd_gap_lower_bound,
                      sweep_hankel, figure1_r_values, sweep_figure1):
             for size in ([601], np.array([5, 6]), 5.5):
                 with pytest.raises(ValueError, match="^dimension must be an integer$"):
                     call(size)
+            with pytest.raises(ValueError, match=f"^dimension exceeds the size cap of {MAX_DIM}$"):
+                call(MAX_DIM + 1)
 
 
 class TestCentralCoefficientBounds:
@@ -232,7 +235,7 @@ class TestHankelGap:
     def test_r1(self):
         gap, ratio = hilbert_hankel_gap(1)
         assert gap == pytest.approx(np.pi - 1.0, abs=1e-12)
-        assert ratio is None
+        assert math.isnan(ratio)
 
     def test_decreasing(self):
         g10, _ = hilbert_hankel_gap(10)
@@ -305,7 +308,7 @@ class TestSweeps:
             expected_gap, expected_ratio = hilbert_hankel_gap(R)
             assert (norm, gap) == (hankel_hilbert_norm(R), expected_gap)
             if R == 1:
-                assert expected_ratio is None and math.isnan(ratio)
+                assert math.isnan(expected_ratio) and math.isnan(ratio)
             else:
                 assert ratio == expected_ratio
         buf = io.StringIO()

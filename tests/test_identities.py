@@ -31,8 +31,8 @@ from hilbmat.identities import (
     write_reports_csv,
 )
 from hilbmat.determinants import det_lu, det_matching, newton_girard_power_sums, principal_minor_sum
-from hilbmat.gaps import central_coefficient
-from hilbmat.matrices import cauchy_matrix, hilbert_toeplitz, weighted_cauchy_matrix
+from hilbmat.gaps import build_witness, central_coefficient, check_odd_gap_lower_bound
+from hilbmat.matrices import MAX_DIM, cauchy_matrix, hilbert_toeplitz, weighted_cauchy_matrix
 from hilbmat.reports import ResidualReport
 from hilbmat.spectra import (
     SpectralDecomposition,
@@ -41,6 +41,7 @@ from hilbmat.spectra import (
     skew_spectrum,
     spectral_norm,
     toeplitz_hilbert_norm,
+    toeplitz_hilbert_top_pair,
     trace_power_norm_estimate,
 )
 
@@ -136,6 +137,7 @@ class TestDiagonalPowerRecursion:
 B5 = hilbert_toeplitz(5)
 X6, C6 = np.arange(1.0, 7.0), np.ones(6)
 OVERFLOW = "Cauchy matrix entries overflow the float range"
+CAP = f"dimension exceeds the size cap of {MAX_DIM}"
 
 
 @pytest.mark.parametrize("call,message", [
@@ -189,6 +191,19 @@ OVERFLOW = "Cauchy matrix entries overflow the float range"
     (lambda: weighted_cauchy_matrix([0.0, 1.0], [1e200, 1e200]), OVERFLOW),
     (lambda: check_even_power_positivity([0.0, 1.0], [1e200, 1e200], 1), OVERFLOW),
     (lambda: cauchy_matrix([-1e308, 1e308]), "node differences overflow the float range"),
+    (lambda: toeplitz_hilbert_norm(MAX_DIM + 1), CAP),
+    (lambda: hankel_hilbert_norm(MAX_DIM + 1), CAP),
+    (lambda: toeplitz_hilbert_top_pair(MAX_DIM + 1), CAP),
+    (lambda: build_witness(MAX_DIM + 1), CAP),
+    (lambda: check_odd_gap_lower_bound(MAX_DIM // 2), CAP),  # R = MAX_DIM + 1
+    (lambda: random_nodes(MAX_DIM + 1, np.random.default_rng(0)), CAP),
+    (lambda: random_instance(0, MAX_DIM + 1), f"max_R must be <= {MAX_DIM}"),
+    (lambda: cauchy_matrix(np.arange(MAX_DIM + 1.0)), CAP),
+    (lambda: matrices.write_matrix_csv(np.ones(3), io.StringIO()), "matrix must be square"),
+    (lambda: matrices.write_matrix_csv(np.ones((2, 2, 2)), io.StringIO()),
+     "matrix must be square"),
+    (lambda: matrices.write_matrix_csv(np.eye(2) * 1j, io.StringIO()),
+     "matrix must be real, not complex"),
 ], ids=["remove_index", "cancellation-n", "recursion-n", "trace_power", "cancellation-k",
         "recursion-k", "recursion-float64-k", "newton_girard", "central-M", "central-N",
         "suite-seeds", "suite-max_R", "suite-bool-seeds", "instance-max_R", "positivity-k",
@@ -200,7 +215,9 @@ OVERFLOW = "Cauchy matrix entries overflow the float range"
         "positivity-bool-seed", "positivity-negative-seed", "cauchy-complex-array",
         "cauchy-complex-list", "weighted-complex-array", "weighted-complex-list",
         "positivity-complex-weights", "cauchy-overflow", "weighted-overflow",
-        "positivity-overflow", "cauchy-node-overflow"])
+        "positivity-overflow", "cauchy-node-overflow", "toeplitz-norm-cap", "hankel-norm-cap",
+        "top-pair-cap", "witness-cap", "odd-gap-cap", "random-nodes-cap", "instance-cap",
+        "cauchy-cap", "csv-1-d", "csv-3-d", "csv-complex"])
 def test_non_integer_index_or_power_fails_with_one_line(call, message):
     # a ValueError, not numpy's IndexError or TypeError from deeper down, nor
     # a value computed from input outside the function's domain
@@ -500,14 +517,17 @@ class TestSuite:
             assert r.scale > 0
 
     def test_seeded_max_R_is_refused_before_any_battery(self, monkeypatch):
-        # seeds > 0 need max_R >= 4; the refusal comes before the canonical
-        # batteries, which run as before when there are no seeds
+        # seeds > 0 need max_R >= 4, and no max_R may pass MAX_DIM; each
+        # refusal comes before the canonical batteries, which run as before
+        # when there are no seeds
         batteries = []
         monkeypatch.setattr(identities, "_instance_battery",
                             lambda seed, x, c, rng: batteries.append(x.size) or [])
-        with pytest.raises(ValueError) as exc:
-            run_suite(2, 3)
-        assert str(exc.value) == "max_R must be >= 4"
+        for seeds, max_R, message in ((2, 3, "max_R must be >= 4"),
+                                      (1, MAX_DIM + 1, f"max_R must be <= {MAX_DIM}")):
+            with pytest.raises(ValueError) as exc:
+                run_suite(seeds, max_R)
+            assert str(exc.value) == message
         assert batteries == []
         run_suite(0, 3)
         assert batteries == [2, 3]

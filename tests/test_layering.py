@@ -102,17 +102,24 @@ def test_one_function_takes_the_inverse_fft():
     assert len(set(callers)) == 1, callers
 
 
+def phrase_raisers(*phrases):
+    """The ``innermost_owners`` of each raise whose message holds one of ``phrases``."""
+    return set(innermost_owners(lambda node: isinstance(node, ast.Raise) and any(
+        isinstance(part, ast.Constant) and isinstance(part.value, str)
+        and any(phrase in part.value for phrase in phrases) for part in ast.walk(node))))
+
+
 def test_one_function_words_the_integer_rule():
     # "<name> must be an integer", "must be >= <low>" and "must be <= <high>"
     # are raised by matrices.as_int alone: no function keeps a copy of the rule
-    phrases = ("must be an integer", "must be >=", "must be <=")
+    assert phrase_raisers("must be an integer", "must be >=", "must be <=") == {
+        "matrices.as_int"}
 
-    def raises_a_phrase(node):
-        return isinstance(node, ast.Raise) and any(
-            isinstance(part, ast.Constant) and isinstance(part.value, str)
-            and any(phrase in part.value for phrase in phrases) for part in ast.walk(node))
 
-    assert set(innermost_owners(raises_a_phrase)) == {"matrices.as_int"}
+def test_one_function_words_the_size_cap():
+    # every size, dense or matrix-free, is refused above MAX_DIM by
+    # matrices.as_dim alone: no route keeps a cap of its own
+    assert phrase_raisers("exceeds the size cap") == {"matrices.as_dim"}
 
 
 def test_library_keeps_its_callers_thread_settings():

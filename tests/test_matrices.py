@@ -44,7 +44,7 @@ def test_cauchy_matrix_rejects_non_increasing(bad):
 @pytest.mark.parametrize("values, message", [
     pytest.param(np.zeros((2, 2)), "node vector must be one-dimensional", id="2-d"),
     pytest.param([], "node vector must have length >= 1", id="empty"),
-    pytest.param(np.arange(MAX_DIM + 1.0), f"node vector exceeds the size cap of {MAX_DIM}",
+    pytest.param(np.arange(MAX_DIM + 1.0), f"dimension exceeds the size cap of {MAX_DIM}",
                  id="above-cap"),
     pytest.param([0.0, np.inf], "nodes must be finite", id="inf"),
     pytest.param([np.nan, 1.0], "nodes must be finite", id="nan"),
@@ -245,11 +245,17 @@ def test_operator_size_is_checked(build, R, message):
         build(R)
 
 
-@pytest.mark.parametrize("build", [ToeplitzOperator.hilbert, ToeplitzOperator.hankel],
-                         ids=["hilbert", "hankel"])
-def test_operator_size_has_no_dense_cap(build):
-    op = build(np.int64(MAX_DIM + 1))
-    assert op.coeffs.shape == (2 * MAX_DIM + 1,)
+@pytest.mark.parametrize("build, shape", [
+    pytest.param(ToeplitzOperator.hilbert, (MAX_DIM, MAX_DIM), id="hilbert"),
+    pytest.param(ToeplitzOperator.hankel, (MAX_DIM, MAX_DIM), id="hankel"),
+    pytest.param(ToeplitzOperator.hilbert_parity, (MAX_DIM // 2,) * 2, id="hilbert_parity"),
+])
+def test_operator_size_is_capped(build, shape):
+    # matrix-free sizes obey the dense cap: MAX_DIM builds, MAX_DIM + 1 is refused
+    assert build(np.int64(MAX_DIM)).shape == shape
+    with pytest.raises(ValueError) as exc:
+        build(np.int64(MAX_DIM + 1))
+    assert str(exc.value) == f"dimension exceeds the size cap of {MAX_DIM}"
 
 
 @pytest.mark.parametrize("coeffs", [
