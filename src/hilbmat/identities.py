@@ -22,10 +22,11 @@ no norm: a check body takes every norm it reads as an argument, solved by
 its caller with ``spectra.skew_norms``, the one skew-norm solve.  A public
 check called with nodes (and weights) builds its own matrices and solves
 their norms in one call; ``_instance_battery`` builds one record per
-instance, runs every body on that, and solves its five skew norms (||A||,
-||B||, ||B(x, sqrt(delta))|| and those of the two smaller dominance
-matrices) in one ``skew_norms`` call, so each matrix is built once per
-battery and dropped with it.
+instance, runs every body on that, reads ||B|| off the spectrum of B that
+its eigenpair checks take, and solves its four other skew norms (||A||,
+||B(x, sqrt(delta))|| and those of the two smaller dominance matrices) in
+one ``skew_norms`` call, so each matrix is built once per battery and
+dropped with it.
 """
 
 from __future__ import annotations
@@ -546,9 +547,10 @@ def _stamped(report: ResidualReport, details: dict) -> ResidualReport:
 def _instance_battery(seed: int, x, c, rng: np.random.Generator):
     """Every instance check on (x, c), their random parameters drawn from
     ``rng`` up front.  One record serves them all, so A(x), B(x, c) and B's
-    row-norm upper bound are each built once, and the five norms (||A||,
-    ||B||, ||B(x, sqrt(delta))|| and the two smaller dominance matrices) come
-    from one ``skew_norms`` call; the record goes when the battery returns."""
+    row-norm upper bound are each built once, ||B|| is the top mu of B's
+    spectrum, and the four other norms (||A||, ||B(x, sqrt(delta))|| and the
+    two smaller dominance matrices) come from one ``skew_norms`` call; the
+    record goes when the battery returns."""
     inst = _Instance(x, c)
     x, c, B = inst.x, inst.c, inst.B
     R = x.size
@@ -564,12 +566,12 @@ def _instance_battery(seed: int, x, c, rng: np.random.Generator):
         check_diagonal_power_recursion(B, n, k2),
         _even_power_positivity(inst, k_even, trials=2, seed=seed_even),
     ]
-    smaller = (inst.weighted(c * shrink), inst.weighted(c, stretch=stretch))
-    norm_a, norm_b, norm_delta, *norms_small = skew_norms(
-        [inst.A, B, inst.B_delta(), *smaller]).tolist()
-    out += (_norm_dominance(M, B, norm, norm_b) for M, norm in zip(smaller, norms_small))
-    del smaller  # not held through the eigenpair checks
     dec = skew_spectrum(B)
+    smaller = (inst.weighted(c * shrink), inst.weighted(c, stretch=stretch))
+    norm_a, norm_delta, *norms_small = skew_norms(
+        [inst.A, inst.B_delta(), *smaller]).tolist()
+    out += (_norm_dominance(M, B, norm, dec.norm) for M, norm in zip(smaller, norms_small))
+    del smaller  # not held through the eigenpair checks
     out.append(_eigenvector_amplitude(inst, dec))
     out.append(_real_imag_coupling(inst, dec))
     out.append(check_weighted_sum_identity(c, dec))

@@ -47,7 +47,8 @@ def enumerate_matchings(R):
 
 
 def assert_top_sum_is_expansion(R, seed=0):
-    # _matching_sums(W)[R/2] must be the explicit sum over the listed matchings
+    # _matching_sums(W)[R/2] and the perfect-matching mode must both be the
+    # explicit sum over the listed matchings
     rng = np.random.default_rng(seed)
     W = rng.uniform(0.1, 2.0, (R, R))
     W = W + W.T
@@ -55,6 +56,7 @@ def assert_top_sum_is_expansion(R, seed=0):
         math.prod(W[m - 1, n - 1] for m, n in matching) for matching in enumerate_matchings(R)
     )
     assert _matching_sums(W)[R // 2] == pytest.approx(expansion, rel=1e-14)
+    assert _matching_sums(W, top_only=True) == pytest.approx(expansion, rel=1e-14)
 
 
 class TestEnumerateMatchings:
@@ -93,7 +95,8 @@ class TestMatchingSums:
     @pytest.mark.parametrize("R", range(1, MATCHING_CAP + 1))
     def test_counts_on_all_ones(self, R):
         # j-edge matchings of R points: choose 2j of them, then (2j-1)!! pairings;
-        # every count is below 2^53, so the sums are exact in any order
+        # every count is below 2^53, so the sums are exact in any order; the
+        # perfect matchings alone number (R-1)!!, and none for odd R
         counts = _matching_sums(np.ones((R, R)))
         expected = [
             math.comb(R, 2 * j) * math.factorial(2 * j) // (2**j * math.factorial(j))
@@ -101,6 +104,8 @@ class TestMatchingSums:
         ]
         assert max(expected) < 2**53
         assert counts == tuple(float(n) for n in expected)
+        perfect = math.prod(range(R - 1, 0, -2)) if R % 2 == 0 else 0
+        assert _matching_sums(np.ones((R, R)), top_only=True) == float(perfect)
 
     @pytest.mark.parametrize("R", range(1, 9))
     def test_every_entry_is_its_expansion(self, R):
@@ -312,6 +317,25 @@ class TestOneCheckPerCall:
         assert det_matching(B) == 0.0
         assert principal_minor_sum(B, 3) == 0.0
 
+    @pytest.mark.parametrize("call, modes", [
+        (lambda B: det_matching(B), [True]),
+        (lambda B: principal_minor_sum(B, 8), [True]),
+        (lambda B: principal_minor_sum(B, 4), [False]),
+        (lambda B: principal_minor_sums(B), [False]),
+    ], ids=["det_matching", "minor-sum-full", "minor-sum-below", "minor-sums"])
+    def test_determinant_sums_the_perfect_matchings_alone(self, monkeypatch, call, modes):
+        # the determinant never runs the polynomial DP, and the sums below
+        # the top order never run the perfect-matching mode
+        matching_sums, seen = determinants._matching_sums, []
+
+        def recording(W, top_only=False):
+            seen.append(top_only)
+            return matching_sums(W, top_only)
+
+        monkeypatch.setattr(determinants, "_matching_sums", recording)
+        call(random_weighted_instance(2, 8))
+        assert seen == modes
+
 
 class TestNewtonGirard:
     def test_order_below_1_is_rejected(self):
@@ -372,3 +396,6 @@ class TestOracleAgreement:
         for ref in (pfaffian(B) ** 2, det_lu(B)):
             assert abs(matching - ref) <= 1e-10 * abs(ref)
         assert principal_minor_sum(B, R) == matching
+        # the polynomial DP's top sum adds the same terms in another order
+        eps = np.finfo(float).eps
+        assert abs(principal_minor_sums(B)[-1] - matching) <= 4 * eps * matching
