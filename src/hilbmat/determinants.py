@@ -158,10 +158,12 @@ def principal_minor_sums(B) -> tuple:
 def principal_minor_sum(B, k: int) -> float:
     """sigma_k, the sum of all k x k principal minors: entry k of
     ``principal_minor_sums``, except that sigma_R is ``det_matching``, from
-    the perfect matchings alone.  Odd k gives exactly zero at any size,
-    before the cap, with no DP run."""
+    the perfect matchings alone.  k = 0 gives exactly 1.0 and odd k exactly
+    zero at any size, before the cap, with no DP run."""
     B = require_skew(B)
     k = as_int(k, "minor order k", 0, B.shape[0])
+    if k == 0:
+        return 1.0
     if k % 2:
         return 0.0
     if k == B.shape[0]:

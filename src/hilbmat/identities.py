@@ -11,22 +11,27 @@ at once (zero modes last, at mu = 0), and reports the worst pair's residual
 over that pair's scale (with scale 1).  Inequality checks carry INEQ_SLACK.
 Conjectured bounds are recorded, never asserted.
 
-The checks on a weighted-Cauchy instance (x, c) read what they share from a
-private record, ``_Instance``: the validated x and c, A(x), B(x, c), the
-node gaps delta and B's row-norm upper bound, each built on first use, and
-B(x, sqrt(delta)), built anew on each call.  Every Cauchy matrix on the
-record's nodes (A, B and the checks' reweighted or stretched ones) is built
-through ``matrices.skew_quotient``, and the node gaps are taken by
-``matrices.node_gaps``; neither validates the nodes again.  The record holds
-no norm: a check body takes every norm it reads as an argument, solved by
-its caller with ``spectra.skew_norms``, the one skew-norm solve.  A public
-check called with nodes (and weights) builds its own matrices and solves
-their norms in one call; ``_instance_battery`` builds one record per
-instance, runs every body on that, reads ||B|| off the spectrum of B that
-its eigenpair checks take, and solves its four other skew norms (||A||,
-||B(x, sqrt(delta))|| and those of the two smaller dominance matrices) in
-one ``skew_norms`` call, so each matrix is built once per battery and
-dropped with it.
+Every check of the instance battery has a private body that runs on
+validated data; its public ``check_*`` validates its arguments and calls
+the same body.  The checks on a weighted-Cauchy instance (x, c) read what
+they share from a private record, ``_Instance``: x and c, validated once
+when it is made, A(x), B(x, c), B∘B, the node gaps delta and B's row-norm
+upper bound, each built on first use, and B(x, sqrt(delta)), built anew on
+each call.  Every Cauchy matrix on the record's nodes (A, B and the checks'
+reweighted or stretched ones) is built through ``matrices.skew_quotient``
+on weights derived from the validated c or from the node gaps, and the node
+gaps are taken by ``matrices.node_gaps``; neither validates again.  The
+record holds no norm: a check body takes every norm it reads as an
+argument, solved by its caller with ``spectra.skew_norms``, the one
+skew-norm solve.  A public check called with nodes (and weights) builds its
+own matrices and solves their norms in one call; ``_instance_battery``
+builds one record per instance, runs every body on that and no public
+check, reads ||B|| off the spectrum of B that its eigenpair checks take,
+forms |B| once for both dominance checks, and solves its four other skew
+norms (||A||, ||B(x, sqrt(delta))|| and those of the two smaller dominance
+matrices) in one ``skew_norms`` call, so each matrix is built once per
+battery and dropped with it.  The eigenpair checks read U, |U|^2 and the
+pair gaps that the decomposition forms once and holds.
 """
 
 from __future__ import annotations
@@ -66,26 +71,24 @@ MIN_NODE_GAP = 1e-3     # enforced minimum separation of random nodes
 MIN_SEEDED_R = 4        # smallest dimension of a seeded suite instance
 
 
-def _floored_scales(nominal, mass, mus=None, norm_ub=None, evs=None):
+def _floored_scales(nominal, mass, mus=None, norm_ub=None, gaps=None):
     """Per-pair scale floors for eigenpair-mediated identities.
 
     An identity evaluated as a double-precision sum with absolute term mass m
     cannot be verified below ~eps * m, so the pass threshold never dips under
     512 eps * m.  With ``mus`` given, pairs with mu > 0 also inherit the
-    eigenvector error eps * norm / gap, where gap is the distance from mu to
-    the nearest other of the signed eigenvalues ``evs`` (at most 2 mu, the
-    distance to the partner -i mu), with sensitivity bounded by the term
-    mass.  The floor only matters for eigenvalues orders of magnitude below
-    the norm, where the nominal scale mu^2 ||u||_inf^2 collapses.
+    eigenvector error eps * norm / gap, where ``gaps`` holds, for each mu > 0
+    in order, the distance to the nearest other signed eigenvalue (the
+    decomposition's ``pair_gaps``, at most 2 mu), with sensitivity bounded by
+    the term mass.  The floor only matters for eigenvalues orders of
+    magnitude below the norm, where the nominal scale mu^2 ||u||_inf^2
+    collapses.
     """
     cond = 512.0
     if mus is not None:
         # zero modes (mu = 0) keep the plain floor: an infinite gap gives 512
-        pos = mus > 0
         sep = np.full(mus.shape, np.inf)
-        if pos.any():
-            # the nearest distance is mu's own, 0: the gap is the second nearest
-            sep[pos] = np.sort(np.abs(evs - mus[pos, None]), axis=1)[:, 1]
+        sep[mus > 0] = gaps
         cond = np.maximum(512.0, 8.0 * norm_ub / np.maximum(sep, 1e-300))
     return np.maximum(nominal, mass * np.finfo(float).eps * cond / TOL_EIGEN)
 
@@ -101,13 +104,15 @@ class _Instance:
         self.c = as_weights(c, self.x.size)
 
     def weighted(self, c, stretch: float = 1.0) -> np.ndarray:
-        """B(stretch * x, c) on the validated nodes, checking only the weights.
+        """B(stretch * x, c) on the validated nodes, for weights c taken as
+        given: every caller derives them from the validated ``c`` or from the
+        node gaps, so they are finite and of length R.
 
         A stretch > 0 keeps the nodes increasing unless it rounds two of them
         together or overflows; the battery's stretch, below 3 on nodes at
         least MIN_NODE_GAP apart and below about 10 R, does neither.
         """
-        return skew_quotient(as_weights(c, self.x.size), self.x * stretch)
+        return skew_quotient(c, self.x * stretch)
 
     @cached_property
     def A(self) -> np.ndarray:
@@ -127,9 +132,14 @@ class _Instance:
         return self.weighted(np.sqrt(self.gaps))
 
     @cached_property
+    def B_sq(self) -> np.ndarray:
+        """B∘B, the entrywise square of B."""
+        return self.B * self.B
+
+    @cached_property
     def row_ub_b(self) -> float:
         """sqrt(3 * max row energy of B), a proven upper bound for ||B||."""
-        return float(np.sqrt(3.0 * (self.B * self.B).sum(axis=1).max()))
+        return float(np.sqrt(3.0 * self.B_sq.sum(axis=1).max()))
 
 
 CANONICAL_SIZES = (2, 3, 4, 5, 8, 13, 21, 34, 50)
@@ -191,11 +201,9 @@ def random_instance(seed: int, max_R: int, min_R: int = MIN_SEEDED_R):
 # ---------------------------------------------------------------------------
 
 
-def _cross_terms(B, n: int, k: int) -> np.ndarray:
-    """Terms b_{n,l} b_{m,n} (B_{-n}^k)_{l,m} over l, m != n, zero for l = m."""
-    Bm = remove_index(B, n)
-    idx = np.delete(np.arange(B.shape[0]), n - 1)
-    terms = np.outer(B[n - 1, idx], B[idx, n - 1]) * np.linalg.matrix_power(Bm, k)
+def _cross_terms(row, col, Bm, k: int) -> np.ndarray:
+    """Terms row_l col_m (Bm^k)_{l,m}, zero for l = m."""
+    terms = np.outer(row, col) * np.linalg.matrix_power(Bm, k)
     np.fill_diagonal(terms, 0.0)
     return terms
 
@@ -207,27 +215,32 @@ def check_removed_index_cancellation(B, n: int, k: int) -> ResidualReport:
     for every weighted-Cauchy matrix B.  Residual is measured against the sum
     of absolute terms.
     """
-    B = as_square(B, real=True)
-    k = as_int(k, "power k", 1)
-    S = math.fsum(_cross_terms(B, n, k).ravel().tolist())
+    return _removed_index_cancellation(as_square(B, real=True), n, as_int(k, "power k", 1))
+
+
+def _removed_index_cancellation(B, n: int, k: int) -> ResidualReport:
+    """The removed-index check on a real square B and a power k >= 1: the
+    terms b_{n,l} b_{m,n} (B_{-n}^k)_{l,m} over l, m != n."""
+    Bm = remove_index(B, n)
+    row, col = np.delete(B[n - 1], n - 1), np.delete(B[:, n - 1], n - 1)
+    S = math.fsum(_cross_terms(row, col, Bm, k).ravel().tolist())
     # scale from the same terms on |entries|: the full monomial mass of the
     # expanded sum, immune to cancellation inside the computed matrix power
-    mass = float(_cross_terms(np.abs(B), n, k).sum())
+    mass = float(_cross_terms(np.abs(row), np.abs(col), np.abs(Bm), k).sum())
     return residual_report("removed_index_cancellation", abs(S), mass,
                             TOL_EXACT, R=B.shape[0], n=n, k=k)
 
 
-def _recursion_terms(B, n: int, k: int):
+def _recursion_terms(B, Bm, b2, n: int, k: int):
     """(B^k)_{n,n} and, for r = 0..k-2, the pair of the summands
-    b_{n,l}^2 (B_{-n}^r)_{l,l} over l != n and their factor (B^{k-r-2})_{n,n}."""
-    Bm = remove_index(B, n)
+    b2_l (Bm^r)_{l,l} and their factor (B^{k-r-2})_{n,n}, for Bm = B_{-n}
+    and b2_l = b_{n,l}^2 over l != n."""
     pows = [np.eye(B.shape[0])]
     for _ in range(k):
         pows.append(pows[-1] @ B)
     pows_m = [np.eye(Bm.shape[0])]
     for _ in range(k - 2):
         pows_m.append(pows_m[-1] @ Bm)
-    b2 = np.delete(B[n - 1], n - 1) ** 2
     return float(pows[k][n - 1, n - 1]), [
         (b2 * np.diagonal(pows_m[r]), float(pows[k - r - 2][n - 1, n - 1]))
         for r in range(k - 1)
@@ -240,13 +253,18 @@ def check_diagonal_power_recursion(B, n: int, k: int) -> ResidualReport:
     (B^k)_{n,n} = - sum_{r=0}^{k-2} sum_l b_{n,l}^2 (B_{-n}^r)_{l,l}
                   (B^{k-r-2})_{n,n}   for k >= 2.
     """
-    B = as_square(B, real=True)
-    k = as_int(k, "power k", 2)
-    lhs, terms = _recursion_terms(B, n, k)
+    return _diagonal_power_recursion(as_square(B, real=True), n, as_int(k, "power k", 2))
+
+
+def _diagonal_power_recursion(B, n: int, k: int) -> ResidualReport:
+    """The recursion check on a real square B and a power k >= 2."""
+    Bm = remove_index(B, n)
+    b2 = np.delete(B[n - 1], n - 1) ** 2
+    lhs, terms = _recursion_terms(B, Bm, b2, n, k)
     rhs = -math.fsum(x for t, coeff in terms for x in (t * coeff).tolist())
-    # the monomial mass (the same terms on |entries|) keeps the scale
-    # meaningful even when both sides cancel to zero, e.g. for odd k
-    mass, terms_abs = _recursion_terms(np.abs(B), n, k)
+    # the monomial mass (the same terms on |entries|, whose b2 is B's) keeps
+    # the scale meaningful even when both sides cancel to zero, e.g. for odd k
+    mass, terms_abs = _recursion_terms(np.abs(B), np.abs(Bm), b2, n, k)
     for t, coeff in terms_abs:
         mass += float(np.sum(t)) * coeff
     return residual_report("diagonal_power_recursion", abs(lhs - rhs), mass, TOL_EXACT,
@@ -293,14 +311,14 @@ def check_norm_dominance(x, c, x2, c2) -> ResidualReport:
     B, B2 = weighted_cauchy_matrix(x, c), weighted_cauchy_matrix(x2, c2)
     if B.shape != B2.shape:
         raise ValueError("dominance pairs must have equal dimension")
-    return _norm_dominance(B, B2, *skew_norms([B, B2]).tolist())
+    return _norm_dominance(B, np.abs(B2), *skew_norms([B, B2]).tolist())
 
 
-def _norm_dominance(B, B2, n1: float, n2: float) -> ResidualReport:
-    """The dominance check of B against B2 of the same size, with
-    n1 = ||B|| and n2 = ||B2||."""
-    margin = 1e-12 * max(1.0, float(np.abs(B2).max(initial=0.0)))
-    if float((np.abs(B) - np.abs(B2)).max(initial=0.0)) > margin:
+def _norm_dominance(B, abs_B2, n1: float, n2: float) -> ResidualReport:
+    """The dominance check of B against a B2 of the same size, with
+    abs_B2 = |B2| entrywise, n1 = ||B|| and n2 = ||B2||."""
+    margin = 1e-12 * max(1.0, float(abs_B2.max(initial=0.0)))
+    if float((np.abs(B) - abs_B2).max(initial=0.0)) > margin:
         return residual_report("norm_dominance", 0.0, 1.0, INEQ_SLACK, applicable=False,
                                 R=B.shape[0])
     return residual_report("norm_dominance", max(0.0, n1 - n2), 1.0, INEQ_SLACK,
@@ -342,19 +360,16 @@ def _eigenvector_amplitude(inst: _Instance, dec: SpectralDecomposition) -> Resid
     if not keep.any():
         return residual_report("eigenvector_amplitude", 0.0, 1.0, TOL_EIGEN,
                                 applicable=False, R=inst.x.size)
-    mus, U = dec.mus[keep], dec.U[:, keep]
+    mus, U, P = dec.mus[keep], dec.U[:, keep], dec.U_abs2[:, keep]
     cc = inst.c[:, None]
     A2 = inst.A * inst.A
-    P = np.abs(U) ** 2
     energy = cc**2 * (A2 @ (cc**2 * P))
     rhs = energy + 2.0 * cc**3 * np.real(U * np.conj(A2 @ (cc * U)))
     lhs = mus**2 * P
     residuals = np.abs(lhs - rhs).max(axis=0)
-    mass = (energy
-            + 2.0 * np.abs(cc) ** 3 * (A2 @ (np.abs(cc) * np.abs(U))) * np.abs(U)
-            + lhs).max(axis=0)
-    scales = _floored_scales(mus**2 * P.max(axis=0), mass, mus, inst.row_ub_b,
-                             dec.signed_eigenvalues())
+    aU = np.abs(U)
+    mass = (energy + 2.0 * np.abs(cc) ** 3 * (A2 @ (np.abs(cc) * aU)) * aU + lhs).max(axis=0)
+    scales = _floored_scales(mus**2 * P.max(axis=0), mass, mus, inst.row_ub_b, dec.pair_gaps)
     return _worst_pair("eigenvector_amplitude", residuals, scales, mus, R=inst.x.size)
 
 
@@ -377,7 +392,7 @@ def _real_imag_coupling(inst: _Instance, dec: SpectralDecomposition) -> Residual
     c2 = inst.c[:, None] ** 2
     mus, V, W = dec.mus, dec.V, dec.W
     A, B = inst.A, inst.B
-    energy = (B * B) @ (W**2)
+    energy = inst.B_sq @ (W**2)
     rhs = energy + 2.0 * c2 * (mus * (A @ (W * V)) - W * ((A * B.T) @ W))
     lhs = mus**2 * V**2
     residuals = np.abs(lhs - rhs).max(axis=0)
@@ -387,9 +402,8 @@ def _real_imag_coupling(inst: _Instance, dec: SpectralDecomposition) -> Residual
                           + aW * ((np.abs(A) * np.abs(B.T)) @ aW))
             + np.abs(lhs)).max(axis=0)
     nonzero = mus > 0
-    nominal = np.where(nonzero, mus**2 * (np.abs(dec.U) ** 2).max(axis=0), 1.0)
-    scales = _floored_scales(nominal, mass, mus, inst.row_ub_b,
-                             dec.signed_eigenvalues())
+    nominal = np.where(nonzero, mus**2 * dec.U_abs2.max(axis=0), 1.0)
+    scales = _floored_scales(nominal, mass, mus, inst.row_ub_b, dec.pair_gaps)
     norm_split = np.where(
         nonzero, np.abs(np.linalg.norm(V, axis=0) - np.linalg.norm(W, axis=0)), 0.0)
     # rescale the norm-split defect onto the identity tolerance
@@ -406,10 +420,14 @@ def check_weighted_sum_identity(c, dec: SpectralDecomposition) -> ResidualReport
 
     evaluated on every column of ``dec`` at once, zero modes included.
     """
-    c = as_weights(c, dec.V.shape[0])
+    return _weighted_sum(as_weights(c, dec.V.shape[0]), dec)
+
+
+def _weighted_sum(c, dec: SpectralDecomposition) -> ResidualReport:
+    """The weighted-sum check with validated weights c."""
     U = dec.U
     lhs = np.abs(c @ U) ** 2
-    rhs = c**2 @ (np.abs(U) ** 2)
+    rhs = c**2 @ dec.U_abs2
     mass = (np.abs(c) @ np.abs(U)) ** 2 + rhs
     return _worst_pair("weighted_sum_identity", np.abs(lhs - rhs),
                        _floored_scales(rhs, mass), dec.mus, R=c.size)
@@ -418,7 +436,11 @@ def check_weighted_sum_identity(c, dec: SpectralDecomposition) -> ResidualReport
 def check_eigenvalue_distinctness(c, dec: SpectralDecomposition) -> ResidualReport:
     """All R eigenvalues are distinct whenever every weight is nonzero:
     ``dec`` is the spectrum of a weighted-Cauchy matrix with weights ``c``."""
-    c = as_weights(c, dec.V.shape[0])
+    return _eigenvalue_distinctness(as_weights(c, dec.V.shape[0]), dec)
+
+
+def _eigenvalue_distinctness(c, dec: SpectralDecomposition) -> ResidualReport:
+    """The distinctness check with validated weights c."""
     if np.any(c == 0.0):
         return residual_report("eigenvalue_distinctness", 0.0, 1.0, 0.0,
                                 applicable=False, R=c.size)
@@ -546,11 +568,13 @@ def _stamped(report: ResidualReport, details: dict) -> ResidualReport:
 
 def _instance_battery(seed: int, x, c, rng: np.random.Generator):
     """Every instance check on (x, c), their random parameters drawn from
-    ``rng`` up front.  One record serves them all, so A(x), B(x, c) and B's
-    row-norm upper bound are each built once, ||B|| is the top mu of B's
-    spectrum, and the four other norms (||A||, ||B(x, sqrt(delta))|| and the
-    two smaller dominance matrices) come from one ``skew_norms`` call; the
-    record goes when the battery returns."""
+    ``rng`` up front, each run as its private body.  One record serves them
+    all, so x and c are validated once and A(x), B(x, c), B∘B and B's
+    row-norm upper bound are each built once, |B| is formed once for both
+    dominance checks, ||B|| is the top mu of B's spectrum, and the four
+    other norms (||A||, ||B(x, sqrt(delta))|| and the two smaller dominance
+    matrices) come from one ``skew_norms`` call; the record goes when the
+    battery returns."""
     inst = _Instance(x, c)
     x, c, B = inst.x, inst.c, inst.B
     R = x.size
@@ -562,20 +586,21 @@ def _instance_battery(seed: int, x, c, rng: np.random.Generator):
     shrink = rng.uniform(0.0, 1.0, R)
     stretch = 1.0 + rng.uniform(0.1, 2.0)
     out = [
-        check_removed_index_cancellation(B, n, k1),
-        check_diagonal_power_recursion(B, n, k2),
+        _removed_index_cancellation(B, n, k1),
+        _diagonal_power_recursion(B, n, k2),
         _even_power_positivity(inst, k_even, trials=2, seed=seed_even),
     ]
     dec = skew_spectrum(B)
     smaller = (inst.weighted(c * shrink), inst.weighted(c, stretch=stretch))
     norm_a, norm_delta, *norms_small = skew_norms(
         [inst.A, inst.B_delta(), *smaller]).tolist()
-    out += (_norm_dominance(M, B, norm, dec.norm) for M, norm in zip(smaller, norms_small))
-    del smaller  # not held through the eigenpair checks
+    abs_B = np.abs(B)
+    out += (_norm_dominance(M, abs_B, norm, dec.norm) for M, norm in zip(smaller, norms_small))
+    del smaller, abs_B  # not held through the eigenpair checks
     out.append(_eigenvector_amplitude(inst, dec))
     out.append(_real_imag_coupling(inst, dec))
-    out.append(check_weighted_sum_identity(c, dec))
-    out.append(check_eigenvalue_distinctness(c, dec))
+    out.append(_weighted_sum(c, dec))
+    out.append(_eigenvalue_distinctness(c, dec))
     out.append(_row_norm_bounds(inst.A, norm_a))
     out.append(_montgomery_vaughan(inst, norm_a, norm_delta))
     # a report's own seed wins; R is always the instance's

@@ -217,6 +217,11 @@ class SpectralDecomposition:
     mu > 0 stands for the pair +/- i*mu, its real and imaginary parts of
     equal norm 1/sqrt(2).  Zero modes come last, with mu == 0.0 exactly, the
     real kernel basis in V and W = 0.  V and W are C-contiguous.
+
+    What the identity checks read of it is formed on first access, held by
+    the decomposition and read-only: U, |U|^2 (``U_abs2``), the sorted
+    signed eigenvalues (``signed_eigenvalues()``) and each pair's gap to its
+    nearest other signed eigenvalue (``pair_gaps``).
     """
 
     mus: np.ndarray
@@ -225,8 +230,13 @@ class SpectralDecomposition:
 
     @cached_property
     def U(self) -> np.ndarray:
-        """V + i W, built on first access and held by the decomposition."""
-        return self.V + 1j * self.W
+        """V + i W."""
+        return _read_only(self.V + 1j * self.W)
+
+    @cached_property
+    def U_abs2(self) -> np.ndarray:
+        """|U|^2, entrywise."""
+        return _read_only(np.abs(self.U) ** 2)
 
     @property
     def norm(self) -> float:
@@ -236,10 +246,33 @@ class SpectralDecomposition:
     def zero_multiplicity(self) -> int:
         return int(np.count_nonzero(self.mus == 0.0))
 
+    @cached_property
+    def _signed(self) -> np.ndarray:
+        return _read_only(np.sort(np.concatenate([self.mus, -self.mus[self.mus > 0]])))
+
     def signed_eigenvalues(self) -> np.ndarray:
         """Imaginary parts of the eigenvalues: +mu and -mu for each mu > 0,
         0 for each zero mode, sorted."""
-        return np.sort(np.concatenate([self.mus, -self.mus[self.mus > 0]]))
+        return self._signed
+
+    @cached_property
+    def pair_gaps(self) -> np.ndarray:
+        """For each mu > 0, in the order of ``mus``, the distance from mu to
+        the nearest other signed eigenvalue: at most 2 mu, the distance to
+        its partner -mu, and 0 for a repeated mu.  The positive mus are the
+        top of the sorted signed eigenvalues, and rounding is monotone, so
+        the nearest is one of a mu's two neighbours there."""
+        evs = self._signed
+        m = int(np.count_nonzero(self.mus > 0))
+        steps = np.diff(evs[evs.size - m - 1:])  # below each positive mu
+        gaps = steps.copy()
+        np.minimum(gaps[:-1], steps[1:], out=gaps[:-1])  # and above it
+        return _read_only(gaps[::-1])
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def _peak_positive(M) -> np.ndarray:

@@ -249,6 +249,19 @@ class TestPrincipalMinorSum:
     def test_order_zero_is_one(self):
         assert principal_minor_sum(random_weighted_instance(3, 6), 0) == 1.0
 
+    def test_order_zero_is_one_beyond_the_cap(self, monkeypatch):
+        # sigma_0 = 1 takes no DP run, so the size cap does not reach it
+        def no_dp(W, top_only=False):
+            raise AssertionError("the matching DP ran for order zero")
+
+        monkeypatch.setattr(determinants, "_matching_sums", no_dp)
+        assert principal_minor_sum(random_weighted_instance(5, MATCHING_CAP + 2), 0) == 1.0
+
+    @pytest.mark.parametrize("R", [1, 2, 7, MATCHING_CAP])
+    def test_order_zero_is_entry_zero_of_the_sums(self, R):
+        B = random_weighted_instance(R, R)
+        assert principal_minor_sum(B, 0) == principal_minor_sums(B)[0]
+
     @pytest.mark.parametrize("k", [2.0, 3.0, 2.5])
     def test_order_must_be_an_integer(self, k):
         with pytest.raises(ValueError, match="^minor order k must be an integer$"):

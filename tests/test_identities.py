@@ -606,20 +606,36 @@ class TestBatterySharing:
         check(x, c)
         assert stacks == sizes
 
-    def test_battery_forms_each_complex_eigenvector_matrix_once(self, monkeypatch):
-        # SpectralDecomposition.U, V + iW, is read by three eigenpair checks
+    @pytest.mark.parametrize("name", ["U", "U_abs2", "pair_gaps"])
+    def test_battery_forms_each_spectral_quantity_once(self, monkeypatch, name):
+        # U = V + iW and |U|^2 are read by three eigenpair checks, the pair
+        # gaps by the scale floors of two
         built = []
-        form = SpectralDecomposition.U.func
+        form = getattr(SpectralDecomposition, name).func
 
         def counting(dec):
             built.append(1)
             return form(dec)
 
-        U = cached_property(counting)
-        U.__set_name__(SpectralDecomposition, "U")
-        monkeypatch.setattr(SpectralDecomposition, "U", U)
+        prop = cached_property(counting)
+        prop.__set_name__(SpectralDecomposition, name)
+        monkeypatch.setattr(SpectralDecomposition, name, prop)
         _instance_battery(4, *random_instance(4, 30, min_R=20))
         assert len(built) == 1
+
+    def test_suite_validates_each_records_weights_once(self, monkeypatch):
+        # one as_weights per battery record, 9 canonical and 100 seeded: the
+        # checks run on the record's weights and on weights derived from them
+        as_weights, calls = matrices.as_weights, []
+
+        def counting(c, R):
+            calls.append(1)
+            return as_weights(c, R)
+
+        monkeypatch.setattr(matrices, "as_weights", counting)
+        monkeypatch.setattr(identities, "as_weights", counting)
+        run_suite(100, 50)
+        assert len(calls) == 109
 
     def test_suite_validates_each_instances_nodes_once(self, monkeypatch):
         # one as_nodes per battery record, 9 canonical and 100 seeded: the

@@ -182,3 +182,11 @@ def test_every_spectra_solve_runs_under_the_thread_guard():
         if not solver.startswith("_") or not callers or not callers <= guarded:
             offenders.append(f"{solver} (called from {sorted(callers)})")
     assert offenders == []
+
+
+def test_battery_runs_the_check_bodies_alone():
+    # the battery's record is validated once, so it runs the private bodies;
+    # a public check_* validates its arguments and belongs at the boundary
+    battery = "identities._instance_battery"
+    assert battery in innermost_callers(lambda callee: callee == "skew_spectrum")
+    assert battery not in innermost_callers(lambda callee: callee.startswith("check_"))

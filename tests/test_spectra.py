@@ -169,6 +169,54 @@ class TestSkewSpectrum:
         assert dec.V.flags.c_contiguous and dec.W.flags.c_contiguous
 
 
+def low_rank_skew(R, rank, seed):
+    """A random R x R skew matrix Y Z^T - Z Y^T of rank 2 * rank: R - 2 rank
+    zero modes."""
+    rng = np.random.default_rng(seed)
+    Y, Z = rng.standard_normal((2, R, rank))
+    return Y @ Z.T - Z @ Y.T
+
+
+class TestDecompositionQuantities:
+    @pytest.mark.parametrize("B, zero_modes", [
+        (hilbert_toeplitz(12), 0), (hilbert_toeplitz(13), 1), (low_rank_skew(10, 3, 1), 4),
+        (low_rank_skew(11, 2, 2), 7), (low_rank_skew(8, 4, 3), 0),
+    ], ids=["even", "odd", "even-low-rank", "odd-low-rank", "even-full-rank"])
+    def test_quantities_match_brute_force(self, B, zero_modes):
+        dec = skew_spectrum(B)
+        assert dec.zero_multiplicity == zero_modes
+        pos = dec.mus[dec.mus > 0]
+        evs = sorted([*pos, *(-pos), *([0.0] * dec.zero_multiplicity)])
+        np.testing.assert_array_equal(dec.signed_eigenvalues(), evs)
+        gaps = []
+        for mu in pos:
+            others = list(evs)
+            others.remove(mu)
+            gaps.append(min(abs(e - mu) for e in others))
+        np.testing.assert_array_equal(dec.pair_gaps, gaps)
+        np.testing.assert_allclose(dec.U_abs2, dec.V**2 + dec.W**2, rtol=1e-15, atol=1e-300)
+
+    def test_one_column_gap_is_the_partner_distance(self):
+        dec = toeplitz_hilbert_top_pair(9)
+        np.testing.assert_array_equal(dec.pair_gaps, [2.0 * dec.norm])
+
+    @pytest.mark.parametrize("R", [0, 1])
+    def test_no_pair_has_no_gap(self, R):
+        dec = skew_spectrum(np.zeros((R, R)))
+        assert dec.pair_gaps.shape == (0,)
+        np.testing.assert_array_equal(dec.signed_eigenvalues(), np.zeros(R))
+
+    @pytest.mark.parametrize("read", [
+        lambda dec: dec.U, lambda dec: dec.U_abs2, lambda dec: dec.pair_gaps,
+        lambda dec: dec.signed_eigenvalues(),
+    ], ids=["U", "U_abs2", "pair_gaps", "signed_eigenvalues"])
+    def test_cached_arrays_are_read_only(self, read):
+        dec = skew_spectrum(hilbert_toeplitz(7))
+        with pytest.raises(ValueError, match="read-only"):
+            read(dec)[0] = 1.0
+        assert read(dec) is read(dec)
+
+
 class TestSpectralNorm:
     def test_hilbert_toeplitz_small_closed_forms(self):
         assert spectral_norm(hilbert_toeplitz(2)) == pytest.approx(1.0, abs=1e-12)
