@@ -194,7 +194,7 @@ def skew_norms(matrices) -> np.ndarray:
     """
     if getattr(matrices, "ndim", 3) != 3:  # an array's items are its slices
         raise ValueError("matrix stack must have shape (k, R, R)")
-    mats = [as_square(M, real=True) for M in matrices]
+    mats = [require_skew(M) for M in matrices]
     R = mats[0].shape[0] if mats else 0
     if any(M.shape[0] != R for M in mats):
         raise ValueError("matrix stack must have shape (k, R, R)")
@@ -202,7 +202,7 @@ def skew_norms(matrices) -> np.ndarray:
         return np.zeros(len(mats))
     stack = np.empty((len(mats), R, R))
     for M, out in zip(mats, stack):
-        N = require_skew(M) @ M
+        N = M @ M
         np.add(N.T, N, out=out)
     top = np.linalg.eigvalsh(np.multiply(stack, -0.5, out=stack))[:, -1]
     return np.sqrt(np.maximum(top, 0.0))
@@ -216,7 +216,9 @@ class SpectralDecomposition:
     +i*mus[j], so B W = V diag(mus) and B V = -W diag(mus).  A column with
     mu > 0 stands for the pair +/- i*mu, its real and imaginary parts of
     equal norm 1/sqrt(2).  Zero modes come last, with mu == 0.0 exactly, the
-    real kernel basis in V and W = 0.  V and W are C-contiguous.
+    real kernel basis in V and W = 0.  V and W are C-contiguous.  ``mus``,
+    V and W are made read-only when the decomposition is built, so nothing
+    formed from them goes stale.
 
     What the identity checks read of it is formed on first access, held by
     the decomposition and read-only: U, |U|^2 (``U_abs2``), the sorted
@@ -227,6 +229,10 @@ class SpectralDecomposition:
     mus: np.ndarray
     V: np.ndarray
     W: np.ndarray
+
+    def __post_init__(self):
+        for a in (self.mus, self.V, self.W):
+            _read_only(a)
 
     @cached_property
     def U(self) -> np.ndarray:

@@ -175,6 +175,8 @@ CAP = f"dimension exceeds the size cap of {MAX_DIM}"
      "weight vector must have the same length as the node vector (6)"),
     (lambda: check_weighted_sum_identity(np.ones(3), skew_spectrum(hilbert_toeplitz(6))),
      "weight vector must have the same length as the node vector (6)"),
+    (lambda: check_norm_dominance(X6, C6, X6[:5], C6[:5]),
+     "dominance pairs must have equal dimension"),
     (lambda: random_instance(2.5, 7), "seed must be an integer"),
     (lambda: random_instance(True, 7), "seed must be an integer"),
     (lambda: random_instance(-1, 7), "seed must be >= 0"),
@@ -210,7 +212,8 @@ CAP = f"dimension exceeds the size cap of {MAX_DIM}"
         "positivity-trials", "centered-S", "minor-sum-bool", "remove_index-bool",
         "trace_power-bool", "toeplitz-norm-bool", "hankel-norm-bool", "spectrum-complex",
         "det_matching-complex", "det_lu-nan", "norm-inf", "spectrum-inf", "prolate-complex-w",
-        "prolate-list-w", "distinctness-weights", "weighted-sum-weights", "instance-float-seed",
+        "prolate-list-w", "distinctness-weights", "weighted-sum-weights", "dominance-size",
+        "instance-float-seed",
         "instance-bool-seed", "instance-negative-seed", "positivity-float-seed",
         "positivity-bool-seed", "positivity-negative-seed", "cauchy-complex-array",
         "cauchy-complex-list", "weighted-complex-array", "weighted-complex-list",
@@ -403,6 +406,14 @@ class TestEigenvalueDistinctness:
         dec = skew_spectrum(weighted_cauchy_matrix(np.array([0.0, 1.0, 2.0]), c))
         rep = check_eigenvalue_distinctness(c, dec)
         assert not rep.applicable
+
+    def test_one_eigenvalue_has_no_gap(self):
+        # R = 1: the single eigenvalue 0 is distinct from nothing, so the
+        # report passes with no gap to measure
+        c = np.ones(1)
+        rep = check_eigenvalue_distinctness(c, skew_spectrum(weighted_cauchy_matrix([0.0], c)))
+        assert rep.applicable and rep.passed
+        assert rep.details["min_gap"] == float("inf")
 
     @pytest.mark.parametrize("seed", range(8))
     def test_random_r12(self, seed):

@@ -207,9 +207,10 @@ class TestDecompositionQuantities:
         np.testing.assert_array_equal(dec.signed_eigenvalues(), np.zeros(R))
 
     @pytest.mark.parametrize("read", [
+        lambda dec: dec.mus, lambda dec: dec.V, lambda dec: dec.W,
         lambda dec: dec.U, lambda dec: dec.U_abs2, lambda dec: dec.pair_gaps,
         lambda dec: dec.signed_eigenvalues(),
-    ], ids=["U", "U_abs2", "pair_gaps", "signed_eigenvalues"])
+    ], ids=["mus", "V", "W", "U", "U_abs2", "pair_gaps", "signed_eigenvalues"])
     def test_cached_arrays_are_read_only(self, read):
         dec = skew_spectrum(hilbert_toeplitz(7))
         with pytest.raises(ValueError, match="read-only"):
@@ -229,6 +230,7 @@ class TestSpectralNorm:
     def test_symmetric_input(self):
         assert spectral_norm(hilbert_hankel(1)) == 1.0
         assert spectral_norm(np.eye(3)) == 1.0
+        assert spectral_norm(np.zeros((0, 0))) == 0.0  # no eigenvalue at all
 
     def test_tridiagonal_top_eigenvalue_closed_form(self):
         # oracle: the sine vector s_n = sin(pi n / (R+1)) satisfies
